@@ -18,9 +18,9 @@ from .errors import ParameterError
 from .grid import Exponent, GridFunction, SmoothnessOrder, quasi_norm
 from .moduli import direction_design
 from .spectral import (
-    SpectralFunction,
+    apply_symbol,
     bandlimit_project,
-    directional_derivative,
+    directional_symbol,
     interp_V,
     interp_V_2d,
     inverse,
@@ -146,8 +146,9 @@ def sup_directional(P: GridFunction, alpha, p) -> float:
     """max over the shared direction design of ||D_zeta^alpha P||_p."""
     order = alpha if isinstance(alpha, SmoothnessOrder) else SmoothnessOrder(alpha)
     p = Exponent.parse(p)
+    F = transform(P)
     return max(
-        quasi_norm(directional_derivative(P, zeta, order), p)
+        quasi_norm(apply_symbol(F, directional_symbol(P.grid, zeta, order)), p)
         for zeta in direction_design(P.grid.dimension)
     )
 
@@ -194,8 +195,7 @@ def k_functional(f: GridFunction, delta: float, alpha, p) -> float:
     mag2 = sum(np.broadcast_to(w, f.grid.shape) ** 2 for w in f.grid.frequencies())
     for scale in K_SCALES:
         t = scale * delta
-        moll = SpectralFunction(f.grid, F.coefficients * np.exp(-0.5 * t * t * mag2))
-        candidates.append(inverse(moll))
+        candidates.append(apply_symbol(F, np.exp(-0.5 * t * t * mag2)))
     best = math.inf
     for g in candidates:
         val = quasi_norm(f - g, p) + delta ** order.alpha * sup_directional(

@@ -16,7 +16,7 @@ import sys
 
 from . import corpus as corpus_mod
 
-from .errors import HypothesisError, SmoothlabError
+from .errors import HypothesisError, ParameterError, SmoothlabError
 from .grid import Exponent
 from .moduli import modulus, modulus_curve
 from .verify import (
@@ -99,8 +99,16 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_config(args) -> dict:
     overrides = {}
     if getattr(args, "config", None):
-        with open(args.config) as fh:
-            overrides.update(json.load(fh))
+        try:
+            with open(args.config) as fh:
+                loaded = json.load(fh)
+        except OSError as exc:
+            raise ParameterError(f"cannot read config {args.config}: {exc.strerror}") from None
+        except ValueError as exc:
+            raise ParameterError(f"config {args.config} is not valid JSON: {exc}") from None
+        if not isinstance(loaded, dict):
+            raise ParameterError(f"config {args.config} must hold a JSON object")
+        overrides.update(loaded)
     if getattr(args, "quick", False):
         overrides["quick"] = True
     if getattr(args, "threads", None):

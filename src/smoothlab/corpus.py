@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import ParameterError
 from .grid import GridFunction, TorusGrid, periodize
-from .moduli import modulus_curve
 
 DESK_1D = {"N": 1024, "L": 40.0}
 DESK_2D = {"N": 256, "L": 20.0}
@@ -248,29 +247,3 @@ def grid_function(entry, N: int | None = None, L: float | None = None) -> GridFu
         _GRIDFN_CACHE[key] = f
     return _GRIDFN_CACHE[key]
 
-
-def expected_slope(entry, alpha: float, p) -> float | str:
-    """Declared small-delta log-log slope of the modulus curve.
-
-    Smooth (and bandlimited) entries saturate at the order: slope alpha,
-    declared only up to order 4 where the fit oracle confirmed it.  All
-    other cases answer 'fit': measure, don't guess.
-    """
-    if isinstance(entry, str):
-        entry = get_entry(entry)
-    if entry.smooth and alpha <= 4.0:
-        return float(alpha)
-    return "fit"
-
-
-def fit_slope(entry, alpha: float, p, N: int | None = None) -> float:
-    """Measured log-log slope of the modulus curve at desk scale."""
-    if isinstance(entry, str):
-        entry = get_entry(entry)
-    f = grid_function(entry, N=N)
-    curve = modulus_curve(f, alpha, p)
-    # fit on the small-delta half where the asymptotic rate lives
-    half = len(curve.deltas) // 2
-    return float(
-        np.polyfit(np.log(curve.deltas[:half]), np.log(np.maximum(curve.values[:half], 1e-300)), 1)[0]
-    )

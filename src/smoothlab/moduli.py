@@ -8,18 +8,29 @@ admissible in L_p exactly when a is a whole number or a > (1/p - 1)_+.
 Two evaluation routes are provided: summing the (translated) series
 itself, and the closed multiplier exp(i a th) (1 - exp(-i th))^a with
 th = (h, w); they must agree and that agreement is tested.
+
+Every difference is a Fourier multiplier on the coefficients of f, so
+the moduli transform f once and hand one symbol per step to
+``spectral.apply_symbol``.  The closed symbol is built from per-axis
+factors: z = exp(-i th) is the outer product of the 1-D arrays
+exp(-i h_j w_j), a whole order r is (exp(i th) - 1)^r by repeated
+multiplication, a fractional order is |1 - z|^a exp(i a (th + Arg(1 - z)))
+(the principal branch; for a < 1, z is taken from the full phase th), and
+the mixed modulus takes the outer product of the 1-D axis symbols.  The
+series route shares only the transform.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import AdmissibilityError, ParameterError
 from .grid import Exponent, GridFunction, SmoothnessOrder, TorusGrid, quasi_norm
-from .spectral import Direction, SpectralFunction, inverse, transform
+from .spectral import Direction, SpectralFunction, apply_symbol, derivative_symbol, transform
 
 #: number of step magnitudes sampled per direction when taking the sup
 N_MAGNITUDES = 16
@@ -213,11 +224,53 @@ def _series_symbol(alpha: float, theta: np.ndarray):
     return symbol, unresolved
 
 
-def _spectral_symbol(alpha: float, theta: np.ndarray) -> np.ndarray:
-    """Closed-form symbol exp(i a th) (1 - exp(-i th))^a, principal branch."""
-    theta = np.asarray(theta, dtype=float)
-    base = 1.0 - np.exp(-1j * theta)
-    return np.exp(1j * alpha * theta) * np.power(base, alpha)
+def _outer(ufunc, factors):
+    """ufunc.outer over the per-axis arrays: the full-grid combination."""
+    out = factors[0]
+    for fac in factors[1:]:
+        out = ufunc.outer(out, fac)
+    return out
+
+
+def _whole_power(e: np.ndarray, r: int) -> np.ndarray:
+    """(e - 1)^r by repeated multiplication; e is overwritten."""
+    e -= 1.0
+    out = e.copy() if r > 1 else e
+    for _ in range(r - 1):
+        out *= e
+    return out
+
+
+def difference_symbol(grid: TorusGrid, hvec, alpha: float) -> np.ndarray:
+    """Closed symbol exp(i a th) (1 - exp(-i th))^a, th = (h, w), principal branch.
+
+    Built from the per-axis phases h_j w_j: exp(+-i th) is the outer
+    product of 1-D exponentials, so for a >= 1 no full-grid exponential of
+    th is taken.
+    """
+    w = grid.axis_frequencies()
+    hw = [h * w for h in hvec]
+    r = round(alpha)
+    if r >= 1 and abs(alpha - r) <= 1e-12:
+        return _whole_power(_outer(np.multiply, [np.exp(1j * t) for t in hw]), int(r))
+    # |1 - z|^a exp(i a (th + Arg(1 - z))) is exp(i a th) np.power(1 - z, a)
+    theta = _outer(np.add, hw)
+    # for a < 1, |1 - z|^a is not Lipschitz at z = 1: a product of axis
+    # factors would turn an exact th = 0 into eps^a, so z comes from th
+    if alpha < 1:
+        b = np.exp(-1j * theta)
+    else:
+        b = _outer(np.multiply, [np.exp(-1j * t) for t in hw])
+    np.subtract(1.0, b, out=b)
+    phase = np.angle(b)
+    phase += theta
+    phase *= alpha
+    mag = np.abs(b)
+    mag **= alpha
+    np.cos(phase, out=b.real)
+    np.sin(phase, out=b.imag)
+    b *= mag
+    return b
 
 
 @dataclass(frozen=True)
@@ -265,25 +318,25 @@ def frac_difference(
             )
     if step.direction.dimension != f.grid.dimension:
         raise ParameterError("step dimension does not match the grid")
-    theta = _step_phase(f.grid, step.vector)
-    F = transform(f)
+    return _difference(transform(f), step.vector, order.alpha, method)
+
+
+def _difference(F: SpectralFunction, hvec, alpha: float, method: str) -> GridFunction:
+    """Order-alpha difference with step hvec of the function with coefficients F."""
     if method == "spectral":
-        symbol = _spectral_symbol(order.alpha, theta)
-        meta = {}
-    elif method == "series":
-        cmax = float(np.abs(F.coefficients).max())
-        occupied = np.abs(F.coefficients) > 1e-300
-        symbol = np.zeros(f.grid.shape, dtype=complex)
-        sub, unresolved = _series_symbol(order.alpha, theta[occupied])
-        symbol[occupied] = sub
-        meta = {}
-        if np.any(unresolved & (np.abs(F.coefficients[occupied]) > 1e-12 * cmax)):
-            meta["series_unresolved_modes"] = int(np.sum(unresolved))
-    else:
+        return apply_symbol(F, difference_symbol(F.grid, hvec, alpha))
+    if method != "series":
         raise ParameterError(f"unknown method '{method}'")
-    out = inverse(SpectralFunction(f.grid, F.coefficients * symbol))
-    out.metadata.update(f.metadata)
-    out.metadata.update(meta)
+    theta = _step_phase(F.grid, hvec)
+    coeffs = F.coefficients
+    cmax = float(np.abs(coeffs).max())
+    occupied = np.abs(coeffs) > 1e-300
+    symbol = np.zeros(F.grid.shape, dtype=complex)
+    sub, unresolved = _series_symbol(alpha, theta[occupied])
+    symbol[occupied] = sub
+    out = apply_symbol(F, symbol)
+    if np.any(unresolved & (np.abs(coeffs[occupied]) > 1e-12 * cmax)):
+        out.metadata["series_unresolved_modes"] = int(np.sum(unresolved))
     return out
 
 
@@ -338,10 +391,11 @@ def modulus(
         raise AdmissibilityError(f"alpha={order.alpha} inadmissible for p={p.label()}")
     if directions is None:
         directions = direction_design(f.grid.dimension)
+    F = transform(f)
     best = 0.0
     for t in magnitude_design(delta):
         for zeta in directions:
-            d = frac_difference(f, Step(zeta, float(t)), order, method=method)
+            d = _difference(F, Step(zeta, float(t)).vector, order.alpha, method)
             best = max(best, quasi_norm(d, p))
     return best
 
@@ -382,10 +436,15 @@ class ModulusCurve:
         if t >= d[-1]:
             return float(v[-1])
         if t < d[0]:
-            k = min(5, len(d))
-            slope = np.polyfit(np.log(d[:k]), np.log(v[:k]), 1)[0]
-            return float(v[0] * (t / d[0]) ** slope)
+            return float(v[0] * (t / d[0]) ** self._low_slope)
         return float(np.exp(np.interp(math.log(t), np.log(d), np.log(v))))
+
+    @cached_property
+    def _low_slope(self) -> float:
+        """Log-log slope fitted on the lowest points, for interp below d[0]."""
+        k = min(5, len(self.deltas))
+        v = np.maximum(self.values[:k], 1e-300)
+        return np.polyfit(np.log(self.deltas[:k]), np.log(v), 1)[0]
 
     def fitted_slope(self, lo: float | None = None, hi: float | None = None) -> float:
         mask = np.ones(len(self.deltas), dtype=bool)
@@ -449,17 +508,14 @@ def mixed_modulus(f: GridFunction, orders, delta: float, p) -> float:
     if len(orders) != d or any(k < 1 for k in orders):
         raise ParameterError("one whole order >= 1 per axis is required")
     p = Exponent.parse(p)
-    ws = f.grid.frequencies()
+    w = f.grid.axis_frequencies()
     F = transform(f)
     best = 0.0
     for t in magnitude_design(delta):
         for zeta in direction_design(d):
             hvec = [float(t) * c for c in zeta.vector]
-            sym = np.ones(f.grid.shape, dtype=complex)
-            for j in range(d):
-                theta = np.broadcast_to(hvec[j] * ws[j], f.grid.shape)
-                sym = sym * _spectral_symbol(float(orders[j]), theta)
-            g = inverse(SpectralFunction(f.grid, F.coefficients * sym))
+            axis_symbols = [_whole_power(np.exp(1j * h * w), k) for h, k in zip(hvec, orders)]
+            g = apply_symbol(F, _outer(np.multiply, axis_symbols))
             best = max(best, quasi_norm(g, p))
     return best
 
@@ -496,18 +552,13 @@ def averaged_modulus(
             for h2 in mids
             if math.hypot(h1, h2) <= delta
         ]
+    F = transform(f)
     acc = 0.0
     acc_grid = np.zeros(f.grid.shape)
     for hvec in nodes:
         if all(abs(h) < 1e-300 for h in hvec):
             continue
-        theta = _step_phase(f.grid, hvec)
-        F = transform(f)
-        g = inverse(
-            SpectralFunction(
-                f.grid, F.coefficients * _spectral_symbol(order.alpha, theta)
-            )
-        )
+        g = apply_symbol(F, difference_symbol(f.grid, hvec, order.alpha))
         if inner:
             acc_grid = acc_grid + np.abs(g.values) ** q.q1 * w_cell
         else:
@@ -524,16 +575,6 @@ def sobolev_seminorm(f: GridFunction, r: int, p) -> float:
     if not (isinstance(r, int) and r >= 1):
         raise ParameterError("whole order r >= 1 required")
     p = Exponent.parse(p)
-    ws = f.grid.frequencies()
     F = transform(f)
-    d = f.grid.dimension
-    total = 0.0
-    multis = [(r,)] if d == 1 else [(k, r - k) for k in range(r + 1)]
-    for multi in multis:
-        sym = np.ones(f.grid.shape, dtype=complex)
-        for j, k in enumerate(multi):
-            if k:
-                sym = sym * np.broadcast_to((1j * ws[j]) ** k, f.grid.shape)
-        g = inverse(SpectralFunction(f.grid, F.coefficients * sym))
-        total += quasi_norm(g, p)
-    return total
+    multis = [(r,)] if f.grid.dimension == 1 else [(k, r - k) for k in range(r + 1)]
+    return sum(quasi_norm(apply_symbol(F, derivative_symbol(f.grid, m)), p) for m in multis)

@@ -90,27 +90,57 @@ def inverse(F: SpectralFunction) -> GridFunction:
     return GridFunction(F.grid, vals, dict(F.metadata))
 
 
-def spectral_tail_fraction(f: GridFunction) -> float:
-    """Relative l2 mass at frequencies above TAIL_FRACTION * Nyquist."""
-    c = transform(f).coefficients
-    mag = frequency_magnitude(f.grid)
+def _tail_fraction(F: SpectralFunction) -> float:
+    c = F.coefficients
+    mag = frequency_magnitude(F.grid)
     total = float(np.sum(np.abs(c) ** 2))
     if total == 0.0:
         return 0.0
-    hi = float(np.sum(np.abs(c[mag >= TAIL_FRACTION * f.grid.nyquist]) ** 2))
+    hi = float(np.sum(np.abs(c[mag >= TAIL_FRACTION * F.grid.nyquist]) ** 2))
     return math.sqrt(hi / total)
+
+
+def spectral_tail_fraction(f: GridFunction) -> float:
+    """Relative l2 mass at frequencies above TAIL_FRACTION * Nyquist."""
+    return _tail_fraction(transform(f))
+
+
+def apply_symbol(F: SpectralFunction, symbol: np.ndarray) -> GridFunction:
+    """The multiplier primitive: inverse transform of F times ``symbol``.
+
+    ``symbol`` is an array broadcastable to the grid shape.  Callers that
+    apply many symbols to one function transform it once and call this
+    for every symbol; the result carries F's metadata.
+    """
+    return inverse(SpectralFunction(F.grid, F.coefficients * symbol, metadata=F.metadata))
 
 
 def multiplier_apply(f: GridFunction, symbol) -> GridFunction:
     """Apply a Fourier multiplier; ``symbol`` maps frequency arrays to values."""
-    F = transform(f)
     sym = np.asarray(symbol(*f.grid.frequencies()), dtype=complex)
     sym = np.broadcast_to(sym, f.grid.shape)
     if not np.all(np.isfinite(sym)):
         raise ParameterError("multiplier symbol has non-finite values")
-    out = inverse(SpectralFunction(f.grid, F.coefficients * sym))
-    out.metadata.update(f.metadata)
+    return apply_symbol(transform(f), sym)
+
+
+def derivative_symbol(grid: TorusGrid, multi: tuple) -> np.ndarray:
+    """Symbol prod_j (i w_j)^k_j of the whole-order derivative D^multi,
+    the outer product of its per-axis factors."""
+    w = grid.axis_frequencies()
+    out = np.ones((), dtype=complex)
+    for k in multi:
+        out = np.multiply.outer(out, (1j * w) ** k)
     return out
+
+
+def directional_symbol(grid: TorusGrid, zeta: Direction, order: SmoothnessOrder) -> np.ndarray:
+    """Symbol (i (w, zeta))^alpha on the principal branch, 0 at w = 0."""
+    if zeta.dimension != grid.dimension:
+        raise ParameterError("direction dimension does not match the grid")
+    dot = sum(z * w for z, w in zip(zeta.vector, grid.frequencies()))
+    dot = np.broadcast_to(dot, grid.shape)
+    return np.power(1j * dot, order.alpha)
 
 
 def directional_derivative(f: GridFunction, zeta: Direction, alpha) -> GridFunction:
@@ -122,16 +152,10 @@ def directional_derivative(f: GridFunction, zeta: Direction, alpha) -> GridFunct
     is then dominated by barely-resolved modes).
     """
     order = alpha if isinstance(alpha, SmoothnessOrder) else SmoothnessOrder(alpha)
-    if zeta.dimension != f.grid.dimension:
-        raise ParameterError("direction dimension does not match the grid")
-
-    def symbol(*ws):
-        dot = sum(z * w for z, w in zip(zeta.vector, ws))
-        dot = np.broadcast_to(dot, f.grid.shape)
-        return np.power(1j * dot, order.alpha)
-
-    out = multiplier_apply(f, symbol)
-    tail = spectral_tail_fraction(f)
+    symbol = directional_symbol(f.grid, zeta, order)
+    F = transform(f)
+    out = apply_symbol(F, symbol)
+    tail = _tail_fraction(F)
     if tail > TAIL_WARN:
         out.metadata["spectral_tail_warning"] = tail
     return out

@@ -41,7 +41,7 @@ import json
 import math
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,6 +63,8 @@ from .moduli import (
 )
 from .spectral import (
     SpectralFunction,
+    apply_symbol,
+    derivative_symbol,
     frequency_magnitude,
     inverse,
     transform,
@@ -489,13 +491,22 @@ class Workbench:
         self._cache: dict = {}
 
     def _get(self, key, builder):
+        """The cached value of key; the first caller builds it, later
+        callers wait on that build (builders may ask for other keys)."""
         with self._lock:
-            if key in self._cache:
-                return self._cache[key]
-        value = builder()
-        with self._lock:
-            self._cache.setdefault(key, value)
-            return self._cache[key]
+            entry = self._cache.get(key)
+            owner = entry is None
+            if owner:
+                entry = self._cache[key] = Future()
+        if owner:
+            try:
+                entry.set_result(builder())
+            except BaseException as exc:
+                with self._lock:
+                    del self._cache[key]  # a later call builds again
+                entry.set_exception(exc)
+                raise
+        return entry.result()
 
     def scale(self, entry) -> dict:
         e = corpus_mod.get_entry(entry) if isinstance(entry, str) else entry
@@ -510,13 +521,7 @@ class Workbench:
 
         def build():
             f = self.fn(name)
-            F = transform(f)
-            ws = f.grid.frequencies()
-            sym = np.ones(f.grid.shape, dtype=complex)
-            for j, k in enumerate(multi):
-                if k:
-                    sym = sym * np.broadcast_to((1j * ws[j]) ** k, f.grid.shape)
-            return inverse(SpectralFunction(f.grid, F.coefficients * sym))
+            return apply_symbol(transform(f), derivative_symbol(f.grid, multi))
 
         return self._get(("dfn", name, multi), build)
 
@@ -1513,10 +1518,15 @@ def quick_matrix(cfg: dict) -> list:
 
 
 def resolve_threads(cfg: dict) -> int:
-    if cfg.get("threads"):
-        return max(int(cfg["threads"]), 1)
-    env = os.environ.get("SMOOTHLAB_THREADS")
-    return max(int(env), 1) if env else 1
+    value, source = cfg.get("threads"), "threads"
+    if not value:
+        value, source = os.environ.get("SMOOTHLAB_THREADS"), "SMOOTHLAB_THREADS"
+    if not value:
+        return 1
+    try:
+        return max(int(value), 1)
+    except (TypeError, ValueError):
+        raise ParameterError(f"{source} must be an integer, got {value!r}") from None
 
 
 def verify_all(config: dict | None = None) -> dict:

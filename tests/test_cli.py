@@ -1,4 +1,5 @@
 import json
+import logging
 
 import pytest
 
@@ -112,3 +113,40 @@ class TestConfigMerging:
         assert code == 0
         assert out == ""
         assert json.loads(target.read_text())["value"] > 0
+
+
+class TestBadInputExitsTwo:
+    """Bad input exits 2 with a one-line error; 1 is kept for failed checks."""
+
+    def run_bad(self, capsys, caplog, *argv):
+        with caplog.at_level(logging.ERROR, logger="smoothlab"):
+            code, out = run(capsys, *argv)
+        errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+        assert code == 2
+        assert out == ""
+        assert len(errors) == 1 and "\n" not in errors[0]
+        return errors[0]
+
+    def test_missing_config_file(self, capsys, caplog, tmp_path):
+        missing = tmp_path / "missing.json"
+        msg = self.run_bad(capsys, caplog, "verify-all", "--quick", "--config", str(missing))
+        assert str(missing) in msg
+
+    def test_unreadable_config_path(self, capsys, caplog, tmp_path):
+        self.run_bad(capsys, caplog, "verify-all", "--quick", "--config", str(tmp_path))
+
+    def test_malformed_config_json(self, capsys, caplog, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"quick": tru')
+        msg = self.run_bad(capsys, caplog, "verify-all", "--quick", "--config", str(cfg))
+        assert "JSON" in msg
+
+    def test_config_must_be_an_object(self, capsys, caplog, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[1, 2]")
+        self.run_bad(capsys, caplog, "verify-all", "--quick", "--config", str(cfg))
+
+    def test_non_integer_thread_env(self, capsys, caplog, monkeypatch):
+        monkeypatch.setenv("SMOOTHLAB_THREADS", "abc")
+        msg = self.run_bad(capsys, caplog, "verify-all", "--quick")
+        assert "SMOOTHLAB_THREADS" in msg

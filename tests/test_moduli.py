@@ -7,13 +7,15 @@ from hypothesis import given, settings, strategies as st
 from smoothlab.corpus import grid_function
 from smoothlab.errors import AdmissibilityError
 from smoothlab.grid import GridFunction, TorusGrid, quasi_norm
+import smoothlab.moduli
 from smoothlab.moduli import (
+    ModulusCurve,
     Step,
     _series_symbol,
-    _spectral_symbol,
     averaged_modulus,
     binom_power_constant,
     binom_power_constant as bpc,
+    difference_symbol,
     frac_binomial,
     frac_difference,
     direction_design,
@@ -26,6 +28,12 @@ from smoothlab.moduli import (
     sobolev_seminorm,
 )
 from smoothlab.spectral import Direction
+
+
+def _spectral_symbol(alpha, theta):
+    """Reference closed symbol exp(i a th) (1 - exp(-i th))^a through np.power."""
+    theta = np.asarray(theta, dtype=float)
+    return np.exp(1j * alpha * theta) * np.power(1.0 - np.exp(-1j * theta), alpha)
 
 
 class TestBinomials:
@@ -161,13 +169,19 @@ class TestModulus:
             assert c.fitted_slope() == pytest.approx(a, abs=0.15)
 
     def test_interp_extension(self):
-        from smoothlab.moduli import ModulusCurve
-
         deltas = np.geomspace(0.1, 1.0, 10)
         curve = ModulusCurve(1.0, "2", deltas, deltas ** 2)  # exact power law
         assert curve.interp(0.01) == pytest.approx(1e-4, rel=1e-6)
         assert curve.interp(2.0) == pytest.approx(1.0)
         assert curve.interp(0.3) == pytest.approx(0.09, rel=1e-6)
+
+    def test_interp_extension_is_the_low_point_fit(self):
+        deltas = np.geomspace(0.1, 1.0, 10)
+        values = deltas ** 1.7 * (1.0 + 0.1 * np.sin(7.0 * deltas))
+        curve = ModulusCurve(1.7, "2", deltas, values)
+        slope = np.polyfit(np.log(deltas[:5]), np.log(values[:5]), 1)[0]
+        for t in (0.001, 0.05, 0.0999):
+            assert curve.interp(t) == float(values[0] * (t / deltas[0]) ** slope)
 
 
 @pytest.fixture(scope="module")
@@ -203,3 +217,121 @@ class TestHigherDimensional:
         assert sobolev_seminorm(f, 1, 2.0) == pytest.approx(
             3.0 * quasi_norm(f, 2.0), rel=1e-10
         )
+
+
+ORDERS = (0.5, 1.0, 1.5, 2.0, 3.0, 3.2)
+#: (grid, steps): steps inside the design range, steps with h w in 2 pi Z
+#: for some modes (L / m, and opposite components that cancel exactly), and
+#: steps just beside those
+SYMBOL_CASES = (
+    (TorusGrid(1, 1024, 40.0), [(0.3,), (-0.77,), (1.0,), (1.0 + 1e-9,), (-2.5,), (0.625,)]),
+    (
+        TorusGrid(2, 64, 20.0),
+        [(0.3, 0.1), (-0.5, 0.25), (1.25, 0.0), (0.625, -0.625), (0.5, 0.25),
+         (0.31, -0.31 * (1.0 + 1e-9)), (0.6 * math.cos(0.2), 0.6 * math.sin(0.2))],
+    ),
+)
+
+
+class TestSeparableSymbol:
+    @pytest.mark.parametrize("grid,steps", SYMBOL_CASES, ids=["1d", "2d"])
+    @pytest.mark.parametrize("alpha", ORDERS)
+    def test_matches_power_reference(self, grid, steps, alpha):
+        for hvec in steps:
+            theta = sum(h * w for h, w in zip(hvec, grid.frequencies()))
+            ref = _spectral_symbol(alpha, np.broadcast_to(theta, grid.shape))
+            got = difference_symbol(grid, hvec, alpha)
+            assert got.shape == grid.shape
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def _per_step(f, hvecs, alpha, p):
+    """Definition: the L_p norm of frac_difference at each step, one call per step."""
+    out = []
+    for hvec in hvecs:
+        h = math.hypot(*hvec)
+        if h == 0.0:
+            out.append(0.0)
+            continue
+        step = Step(Direction(tuple(c / h for c in hvec)), h)
+        out.append(quasi_norm(frac_difference(f, step, alpha), p))
+    return out
+
+
+def _design_steps(d, delta):
+    return [[t * c for c in zeta.vector]
+            for t in magnitude_design(delta) for zeta in direction_design(d)]
+
+
+@pytest.fixture
+def count_transforms(monkeypatch):
+    calls = []
+    real = smoothlab.moduli.transform
+
+    def counted(f):
+        calls.append(f)
+        return real(f)
+
+    monkeypatch.setattr(smoothlab.moduli, "transform", counted)
+    return calls
+
+
+class TestOneTransformPerCall:
+    @pytest.fixture(scope="class", params=["1d", "2d"])
+    def f(self, request):
+        if request.param == "1d":
+            return grid_function("gaussian", N=256, L=20.0)
+        return grid_function("gaussian2d", N=64, L=20.0)
+
+    @pytest.mark.parametrize("alpha,p", [(1.0, 2.0), (1.5, 2.0), (2.0, "inf"), (1.0, 0.5)])
+    def test_modulus_is_the_sup_over_steps(self, f, alpha, p):
+        ref = max(_per_step(f, _design_steps(f.grid.dimension, 0.6), alpha, p))
+        assert modulus(f, 0.6, alpha, p) == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+    def test_mixed_modulus_composes_axis_differences(self, f):
+        d = f.grid.dimension
+        orders = (1, 2)[:d]
+        ref = 0.0
+        for hvec in _design_steps(d, 0.6):
+            g = f
+            for axis, (h, k) in enumerate(zip(hvec, orders)):
+                if h == 0.0:
+                    g = GridFunction(f.grid, np.zeros(f.grid.shape))
+                    break
+                unit = [0.0] * d
+                unit[axis] = math.copysign(1.0, h)
+                g = frac_difference(g, Step(Direction(tuple(unit)), abs(h)), float(k))
+            ref = max(ref, quasi_norm(g, 2.0))
+        got = mixed_modulus(f, orders, 0.6, 2.0)
+        assert got == pytest.approx(ref, rel=1e-12, abs=1e-12 * quasi_norm(f, 2.0))
+
+    @pytest.mark.parametrize("inner", [False, True])
+    def test_averaged_modulus_is_the_step_average(self, f, inner):
+        d, delta, q = f.grid.dimension, 0.6, 1.0
+        mids = (np.linspace(-delta, delta, 17)[:-1] + np.linspace(-delta, delta, 17)[1:]) / 2
+        if d == 1:
+            nodes = [(h,) for h in mids]
+        else:
+            nodes = [(a, b) for a in mids for b in mids if math.hypot(a, b) <= delta]
+        w_cell = (2.0 * delta / 16) ** d
+        if inner:
+            acc = np.zeros(f.grid.shape)
+            for hvec in nodes:
+                h = math.hypot(*hvec)
+                step = Step(Direction(tuple(c / h for c in hvec)), h)
+                acc += np.abs(frac_difference(f, step, 1.0).values) ** q * w_cell
+            avg = GridFunction(f.grid, (acc / delta ** d) ** (1.0 / q))
+            ref = quasi_norm(avg, 2.0)
+        else:
+            norms = _per_step(f, nodes, 1.0, 2.0)
+            ref = (sum(n ** q * w_cell for n in norms) / delta ** d) ** (1.0 / q)
+        got = averaged_modulus(f, delta, 1.0, 2.0, q, inner=inner)
+        assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+    def test_each_transforms_once(self, f, count_transforms):
+        modulus(f, 0.6, 1.5, 2.0)
+        assert len(count_transforms) == 1
+        mixed_modulus(f, (1,) * f.grid.dimension, 0.6, 2.0)
+        assert len(count_transforms) == 2
+        averaged_modulus(f, 0.6, 1.0, 2.0, 1.0)
+        assert len(count_transforms) == 3

@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -255,3 +258,73 @@ class TestVerifyAll:
         a = verify_all({"quick": True, "threads": 1})
         b = verify_all({"quick": True, "threads": 8})
         assert canonical_json(a) == canonical_json(b)
+
+
+class TestWorkbenchCache:
+    def test_concurrent_requests_build_once(self):
+        bench, builds, results = Workbench(QUICK), [], []
+        start = threading.Barrier(2)
+
+        def builder():
+            builds.append(1)
+            time.sleep(0.2)
+            return object()
+
+        def ask():
+            start.wait()
+            results.append(bench._get(("slow",), builder))
+
+        threads = [threading.Thread(target=ask) for _ in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+            assert not t.is_alive()
+        assert len(builds) == 1
+        assert len(results) == 2 and results[0] is results[1]
+
+    def test_many_threads_many_keys(self):
+        bench, lock = Workbench(QUICK), threading.Lock()
+        builds, seen = {}, {}
+
+        def builder(key):
+            with lock:
+                builds[key] = builds.get(key, 0) + 1
+            time.sleep(0.001)
+            return object()
+
+        def ask(worker):
+            for i in range(40):
+                key = ("k", (i * 7 + worker) % 5)
+                value = bench._get(key, lambda key=key: builder(key))
+                with lock:
+                    seen.setdefault(key, set()).add(id(value))
+
+        saved = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=ask, args=(w,)) for w in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(saved)
+        assert builds == {("k", j): 1 for j in range(5)}
+        assert all(len(ids) == 1 for ids in seen.values())
+
+    def test_failed_build_is_not_cached(self):
+        bench = Workbench(QUICK)
+
+        def failing():
+            raise ParameterError("no")
+
+        with pytest.raises(ParameterError):
+            bench._get(("k",), failing)
+        assert bench._get(("k",), lambda: 7) == 7
+
+    def test_builder_may_request_other_keys(self):
+        bench = Workbench(QUICK)
+        outer = bench._get(("outer",), lambda: bench._get(("inner",), lambda: 3) + 1)
+        assert outer == 4
