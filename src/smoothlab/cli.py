@@ -111,9 +111,20 @@ def _load_config(args) -> dict:
         overrides.update(loaded)
     if getattr(args, "quick", False):
         overrides["quick"] = True
-    if getattr(args, "threads", None):
+    if getattr(args, "threads", None) is not None:
         overrides["threads"] = args.threads
     return overrides
+
+
+def _exponent_arg(args, flag: str) -> Exponent:
+    """The exponent given to ``--flag``; a bad value is a usage error naming it."""
+    text = getattr(args, flag)
+    try:
+        return Exponent.parse(text)
+    except ValueError:
+        raise ParameterError(
+            f"--{flag} must be a positive number or inf, got {text!r}"
+        ) from None
 
 
 def _emit(payload, args):
@@ -128,8 +139,13 @@ def _emit(payload, args):
     else:
         text = canonical_json(payload) + "\n"
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ParameterError(
+                f"--output: cannot write {args.output}: {exc.strerror}"
+            ) from None
         log.info("report written to %s", args.output)
     else:
         sys.stdout.write(text)
@@ -155,9 +171,9 @@ def _verify_params(args) -> dict:
         if val is not None:
             params[key] = val
     for key in ("p", "q"):
-        val = getattr(args, key, None)
-        if val is not None:
-            params[key] = "inf" if str(val).lower() == "inf" else float(val)
+        if getattr(args, key, None) is not None:
+            exponent = _exponent_arg(args, key)
+            params[key] = "inf" if exponent.is_inf else exponent.p
     return params
 
 
@@ -169,13 +185,13 @@ def main(argv=None) -> int:
         if args.command == "modulus":
             wb = Workbench(cfg)
             f = wb.fn(args.entry)
-            val = modulus(f, args.delta, args.alpha, Exponent.parse(args.p),
-                          method=args.method)
+            p = _exponent_arg(args, "p")
+            val = modulus(f, args.delta, args.alpha, p, method=args.method)
             _emit(
                 {
                     "entry": args.entry,
                     "alpha": args.alpha,
-                    "p": Exponent.parse(args.p).label(),
+                    "p": p.label(),
                     "delta": args.delta,
                     "value": val,
                 },
@@ -185,7 +201,7 @@ def main(argv=None) -> int:
         if args.command == "curve":
             wb = Workbench(cfg)
             f = wb.fn(args.entry)
-            c = modulus_curve(f, args.alpha, Exponent.parse(args.p),
+            c = modulus_curve(f, args.alpha, _exponent_arg(args, "p"),
                               deltas=wb.deltas(args.entry), method=args.method)
             if args.format == "csv":
                 _emit([
@@ -198,7 +214,7 @@ def main(argv=None) -> int:
             return EXIT_OK
         if args.command == "approx":
             wb = Workbench(cfg)
-            ac = wb.acurve(args.entry, Exponent.parse(args.p))
+            ac = wb.acurve(args.entry, _exponent_arg(args, "p"))
             if args.format == "csv":
                 _emit([
                     {"entry": args.entry, "p": ac.p_label, "sigma": s, "error": v}

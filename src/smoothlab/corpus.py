@@ -244,6 +244,7 @@ def grid_function(entry, N: int | None = None, L: float | None = None) -> GridFu
         else:
             f = periodize(entry, grid)
         f.metadata["entry"] = entry.name
+        f.values.flags.writeable = False  # shared by every caller
         _GRIDFN_CACHE[key] = f
     return _GRIDFN_CACHE[key]
 

@@ -5,6 +5,11 @@ c_xi = (1/N^d) sum_k f(x_k) exp(-2 pi i k.xi/N), so that
 f(x) = sum_xi c_xi exp(i w_xi . x) with physical frequencies
 w_xi = 2 pi xi / L.  Parseval then reads
 quasi_norm(f, 2)^2 = L^d * sum |c_xi|^2, exactly on the grid.
+
+Sampling operator: interp_V and interp_V_2d are Fourier folds, not dense
+kernels.  Per axis the coefficients are folded mod n = L sigma and
+weighted by phi(-x) exp(-i x sigma lam); one inverse FFT gives the
+values.  The per-axis targets and weights (N entries each) are cached.
 """
 
 from __future__ import annotations
@@ -220,53 +225,69 @@ def riesz_project(f: GridFunction, sigma: float) -> SpectralFunction:
 # sampling (quasi-interpolation) operator
 # ---------------------------------------------------------------------------
 
-def _periodized_kernel(u: np.ndarray, k: np.ndarray, n_samples: int, r: int) -> np.ndarray:
-    """Exact periodization of K(t) = int phi(xi) exp(-i t xi) dxi.
-
-    phi(xi) = (1 + i xi^(2r+1)) * cutoff(|xi|), support in [-1, 1]; the
-    odd imaginary part makes K real but asymmetric.  Because the samples
-    repeat with period n, Poisson summation turns sum_m K(t + m n) into a
-    finite Fourier sum over the modes xi_j = 2 pi j / n inside [-1, 1].
-    """
-    j_max = int(math.floor(n_samples / (2.0 * math.pi)))
-    xi = 2.0 * math.pi * np.arange(-j_max, j_max + 1) / n_samples
-    phi = (1.0 + 1j * xi ** (2 * r + 1)) * smooth_cutoff(np.abs(xi))
-    # t = u - k separates, so evaluate the Fourier sum as a factored
-    # product instead of one giant (len(u), len(k), modes) outer array
-    left = np.exp(-1j * np.outer(u, xi)) * phi
-    right = np.exp(1j * np.outer(xi, k))
-    return np.real(left @ right) * (2.0 * math.pi / n_samples)
-
-
-def _eval_at_uniform(F: SpectralFunction, n_samples: int, shift: float) -> np.ndarray:
-    """Trig-poly values at the n_samples uniform points j*L/n + shift (1-D)."""
-    grid = F.grid
-    w = grid.axis_frequencies()
-    shifted = F.coefficients * np.exp(1j * w * shift)
-    folded = np.zeros(n_samples, dtype=complex)
-    idx = np.fft.fftfreq(grid.points_per_axis, d=1.0 / grid.points_per_axis).astype(int)
-    np.add.at(folded, np.mod(idx, n_samples), shifted)
-    return np.fft.ifft(folded) * n_samples
-
-
 @lru_cache(maxsize=256)
 def _interp_v_axis_matrix(grid: TorusGrid, sigma: float, lam: float, r: int):
-    """(N x n_samples) kernel matrix of the 1-D sampling operator."""
+    """Per-axis fold of the sampling operator: (targets, weights, n_samples).
+
+    Coefficient xi of an axis goes to grid mode ``targets[xi]`` with factor
+    ``weights[xi]``; both arrays have one entry per grid point and are
+    read-only, because every caller with the same key shares them.
+
+    With n = L sigma samples, Poisson summation turns the periodized
+    kernel of phi(x) = (1 + i x^(2r+1)) cutoff(|x|) into the modes
+    x_q = 2 pi q / n with |q| <= J = floor(n / 2 pi), and the sampling sum
+    into a fold of the coefficients mod n.  So xi, centred mod n to
+    q in (-n/2, n/2], lands on grid mode q mod N with weight
+    phi(-x_q) exp(-i x_q sigma lam) exp(i w_xi lam); the cutoff makes that
+    weight 0 for |q| > J.
+    """
     n_samples_f = grid.period * sigma
     n_samples = int(round(n_samples_f))
     if abs(n_samples_f - n_samples) > 1e-9 or n_samples < 1:
         raise ParameterError(
             f"sampling rate sigma={sigma} incommensurate with period {grid.period}"
         )
-    x = grid.axis_coords()
-    kernel = _periodized_kernel(
-        sigma * (x - lam), np.arange(n_samples, dtype=float), n_samples, r
-    )
-    return kernel / (2.0 * math.pi), n_samples
+    n = grid.points_per_axis
+    xi = np.fft.fftfreq(n, d=1.0 / n).astype(int)
+    half = (n_samples - 1) // 2
+    q = np.mod(xi + half, n_samples) - half
+    x = 2.0 * math.pi * q / n_samples
+    phi = (1.0 + 1j * (-x) ** (2 * r + 1)) * smooth_cutoff(np.abs(x))
+    weights = phi * np.exp(-1j * x * sigma * lam) * np.exp(1j * grid.axis_frequencies() * lam)
+    targets = np.mod(q, n)
+    targets.flags.writeable = False
+    weights.flags.writeable = False
+    return targets, weights, n_samples
+
+
+def _sample_axis(coeffs: np.ndarray, axis: int, targets: np.ndarray,
+                 weights: np.ndarray) -> np.ndarray:
+    """Weight the coefficients along ``axis`` and fold them onto ``targets``."""
+    moved = np.moveaxis(coeffs, axis, 0)
+    out = np.zeros_like(moved)
+    np.add.at(out, targets, moved * weights.reshape((-1,) + (1,) * (moved.ndim - 1)))
+    return np.moveaxis(out, 0, axis)
+
+
+def _sampling_operator(f: GridFunction, sigma: float, lam: float, r: int) -> GridFunction:
+    """The sampling operator on every axis: one transform, one fold per axis,
+    one inverse."""
+    if not (0 < sigma <= f.grid.nyquist):
+        raise ParameterError("sampling band outside (0, nyquist]")
+    axis_grid = TorusGrid(1, f.grid.points_per_axis, f.grid.period)
+    targets, weights, _ = _interp_v_axis_matrix(axis_grid, sigma, lam, r)
+    coeffs = transform(f).coefficients
+    for axis in range(f.grid.dimension):
+        coeffs = _sample_axis(coeffs, axis, targets, weights)
+    return inverse(SpectralFunction(f.grid, coeffs, metadata={"interp_v": (sigma, lam, r)}))
 
 
 def interp_V(f: GridFunction, sigma: float, lam: float = 0.0, r: int = 1) -> GridFunction:
     """Bandlimited quasi-interpolant from samples at spacing 1/sigma, offset lam.
+
+    V f(x) = sum_j f(lam + j / sigma) K(sigma (x - lam) - j), with K the
+    inverse transform of phi(x) = (1 + i x^(2r+1)) cutoff(|x|); it is
+    applied as the Fourier fold of ``_interp_v_axis_matrix``.
 
     One-dimensional grids only; see interp_V_2d for the tensor composite.
     The result is entire of exponential type sigma and reproduces modes
@@ -274,35 +295,13 @@ def interp_V(f: GridFunction, sigma: float, lam: float = 0.0, r: int = 1) -> Gri
     """
     if f.grid.dimension != 1:
         raise ParameterError("interp_V is one-dimensional; use interp_V_2d")
-    if not (0 < sigma <= f.grid.nyquist):
-        raise ParameterError("sampling band outside (0, nyquist]")
-    kernel, n_samples = _interp_v_axis_matrix(f.grid, sigma, lam, r)
-    samples = _eval_at_uniform(transform(f), n_samples, lam)
-    vals = kernel @ samples
-    return GridFunction(f.grid, vals, {"interp_v": (sigma, lam, r)})
+    return _sampling_operator(f, sigma, lam, r)
 
 
 def interp_V_2d(f: GridFunction, sigma: float, lam: float = 0.0, r: int = 1) -> GridFunction:
-    """Axis-by-axis composition of the 1-D sampling operator on a 2-D grid."""
+    """Axis-by-axis composition of the 1-D sampling operator on a 2-D grid:
+    the per-axis fold of interp_V on both axes, between one transform and
+    one inverse."""
     if f.grid.dimension != 2:
         raise ParameterError("interp_V_2d needs a two-dimensional grid")
-    if not (0 < sigma <= f.grid.nyquist):
-        raise ParameterError("sampling band outside (0, nyquist]")
-    axis_grid = TorusGrid(1, f.grid.points_per_axis, f.grid.period)
-    kernel, n_samples = _interp_v_axis_matrix(axis_grid, sigma, lam, r)
-    vals = f.values
-    for axis in (0, 1):
-        moved = np.moveaxis(vals, axis, -1)
-        rows = np.fft.fft(moved, axis=-1) / moved.shape[-1]
-        w = axis_grid.axis_frequencies()
-        shifted = rows * np.exp(1j * w * lam)[None, :]
-        idx = np.mod(
-            np.fft.fftfreq(moved.shape[-1], d=1.0 / moved.shape[-1]).astype(int),
-            n_samples,
-        )
-        folded = np.zeros(moved.shape[:-1] + (n_samples,), dtype=complex)
-        np.add.at(folded, (slice(None), idx), shifted)
-        samples = np.fft.ifft(folded, axis=-1) * n_samples
-        moved = samples @ kernel.T
-        vals = np.moveaxis(moved, -1, axis)
-    return GridFunction(f.grid, vals, {"interp_v": (sigma, lam, r)})
+    return _sampling_operator(f, sigma, lam, r)

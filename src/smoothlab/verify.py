@@ -95,8 +95,15 @@ QUICK_OVERRIDES = {
 
 
 def make_config(overrides: dict | None = None) -> dict:
+    """DEFAULTS with ``overrides`` applied; unknown keys and a set ``threads``
+    that is not an integer >= 1 raise ParameterError."""
     cfg = json.loads(json.dumps(DEFAULTS))  # deep copy
     if overrides:
+        unknown = [k for k in overrides if k not in DEFAULTS]
+        if unknown:
+            raise ParameterError(f"unknown config keys: {', '.join(map(repr, unknown))}")
+        if overrides.get("threads") is not None:
+            _thread_count(overrides["threads"], "threads")
         if overrides.get("quick"):
             cfg.update(json.loads(json.dumps(QUICK_OVERRIDES)))
         for k, v in overrides.items():
@@ -1517,16 +1524,26 @@ def quick_matrix(cfg: dict) -> list:
     ]
 
 
+def _thread_count(value, source: str) -> int:
+    """A worker count: an integer >= 1, or its decimal text."""
+    count = None
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        try:
+            count = int(value)
+        except ValueError:
+            pass
+    if count is None or count < 1:
+        raise ParameterError(f"{source} must be an integer >= 1, got {value!r}")
+    return count
+
+
 def resolve_threads(cfg: dict) -> int:
     value, source = cfg.get("threads"), "threads"
-    if not value:
+    if value is None:
         value, source = os.environ.get("SMOOTHLAB_THREADS"), "SMOOTHLAB_THREADS"
-    if not value:
-        return 1
-    try:
-        return max(int(value), 1)
-    except (TypeError, ValueError):
-        raise ParameterError(f"{source} must be an integer, got {value!r}") from None
+        if not value:
+            return 1
+    return _thread_count(value, source)
 
 
 def verify_all(config: dict | None = None) -> dict:

@@ -150,3 +150,39 @@ class TestBadInputExitsTwo:
         monkeypatch.setenv("SMOOTHLAB_THREADS", "abc")
         msg = self.run_bad(capsys, caplog, "verify-all", "--quick")
         assert "SMOOTHLAB_THREADS" in msg
+
+    def test_non_numeric_exponent(self, capsys, caplog):
+        msg = self.run_bad(
+            capsys, caplog, "modulus", "gaussian", "--alpha", "1", "--delta", "0.5",
+            "--p", "abc", "--quick",
+        )
+        assert "--p" in msg
+
+    def test_non_numeric_verify_exponent(self, capsys, caplog):
+        msg = self.run_bad(
+            capsys, caplog, "verify", "P1a", "--entry", "gaussian", "--alpha", "1",
+            "--p", "2", "--q", "abc", "--quick",
+        )
+        assert "--q" in msg
+
+    def test_unwritable_output(self, capsys, caplog, tmp_path):
+        target = tmp_path / "missing" / "x.json"
+        msg = self.run_bad(capsys, caplog, "corpus", "--output", str(target))
+        assert "--output" in msg
+
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_thread_flag_below_one(self, capsys, caplog, count):
+        msg = self.run_bad(capsys, caplog, "verify-all", "--quick", "--threads", count)
+        assert "threads" in msg
+
+    @pytest.mark.parametrize("content", [{"threads": 0}, {"threads": 2.5}, {"thread": 4}])
+    def test_bad_config_values(self, capsys, caplog, tmp_path, content):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(content))
+        msg = self.run_bad(capsys, caplog, "verify-all", "--quick", "--config", str(cfg))
+        assert "thread" in msg
+
+    def test_thread_env_below_one(self, capsys, caplog, monkeypatch):
+        monkeypatch.setenv("SMOOTHLAB_THREADS", "0")
+        msg = self.run_bad(capsys, caplog, "verify-all", "--quick")
+        assert "SMOOTHLAB_THREADS" in msg

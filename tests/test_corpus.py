@@ -84,6 +84,15 @@ class TestGridFunctions:
         b = grid_function("gaussian", N=256, L=40.0)
         assert a is b
 
+    @pytest.mark.parametrize("entry", ["gaussian", "planewave", "gaussian2d"])
+    def test_cached_values_are_read_only(self, entry):
+        n = 256 if get_entry(entry).dimension == 1 else 64
+        f = grid_function(entry, N=n)
+        with pytest.raises(ValueError):
+            f.values[0] = 0.0
+        with pytest.raises(ValueError):
+            f.values *= 2.0
+
     def test_default_scale(self):
         sc1 = default_scale(get_entry("gaussian"))
         sc2 = default_scale(get_entry("gaussian2d"))

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+import smoothlab.spectral
+from smoothlab.approx import _sampling_offsets
 from smoothlab.errors import ParameterError
 from smoothlab.grid import GridFunction, TorusGrid, quasi_norm
 from smoothlab.spectral import (
@@ -18,6 +20,7 @@ from smoothlab.spectral import (
     riesz_project,
     sharp_project,
     smooth_cutoff,
+    _interp_v_axis_matrix,
     transform,
 )
 
@@ -166,3 +169,104 @@ class TestSamplingOperator:
         v = interp_V_2d(f, 4.0, 0.0)
         factor = 1.0 - 1j * (k / 4.0) ** 3
         assert np.max(np.abs(v.values - f.values * factor ** 2)) < 1e-3
+
+
+# ---------------------------------------------------------------------------
+# dense reference: the N x n_samples kernel form of the sampling operator
+# ---------------------------------------------------------------------------
+
+def _periodized_kernel(u, k, n_samples, r):
+    """Exact periodization of K(t) = int phi(xi) exp(-i t xi) dxi."""
+    j_max = int(math.floor(n_samples / (2.0 * math.pi)))
+    xi = 2.0 * math.pi * np.arange(-j_max, j_max + 1) / n_samples
+    phi = (1.0 + 1j * xi ** (2 * r + 1)) * smooth_cutoff(np.abs(xi))
+    left = np.exp(-1j * np.outer(u, xi)) * phi
+    right = np.exp(1j * np.outer(xi, k))
+    return np.real(left @ right) * (2.0 * math.pi / n_samples)
+
+
+def _dense_kernel(axis_grid, sigma, lam, r):
+    n_samples = int(round(axis_grid.period * sigma))
+    x = axis_grid.axis_coords()
+    kernel = _periodized_kernel(
+        sigma * (x - lam), np.arange(n_samples, dtype=float), n_samples, r
+    )
+    return kernel / (2.0 * math.pi), n_samples
+
+
+def _dense_samples(rows, axis_grid, n_samples, lam):
+    """Trig-poly values of each row at the points j * L / n + lam."""
+    n = axis_grid.points_per_axis
+    coeffs = np.fft.fft(rows, axis=-1) / n
+    shifted = coeffs * np.exp(1j * axis_grid.axis_frequencies() * lam)
+    idx = np.mod(np.fft.fftfreq(n, d=1.0 / n).astype(int), n_samples)
+    folded = np.zeros(rows.shape[:-1] + (n_samples,), dtype=complex)
+    np.add.at(folded, (..., idx), shifted)
+    return np.fft.ifft(folded, axis=-1) * n_samples
+
+
+def dense_interp_V(f, sigma, lam, r):
+    """Sample f at spacing 1/sigma and apply the dense kernel, axis by axis."""
+    axis_grid = TorusGrid(1, f.grid.points_per_axis, f.grid.period)
+    kernel, n_samples = _dense_kernel(axis_grid, sigma, lam, r)
+    vals = f.values
+    for axis in range(f.grid.dimension):
+        moved = np.moveaxis(vals, axis, -1)
+        moved = _dense_samples(moved, axis_grid, n_samples, lam) @ kernel.T
+        vals = np.moveaxis(moved, -1, axis)
+    return vals
+
+
+def random_function(grid, seed):
+    rng = np.random.default_rng(seed)
+    return GridFunction(
+        grid, rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+    )
+
+
+class TestSamplingFold:
+    """The Fourier fold against the dense kernel, below and above N samples."""
+
+    @pytest.mark.parametrize("sigma", [1.0, 64.0])  # n = 40 < N and n = 2560 > N
+    def test_1d_matches_dense_kernel(self, sigma):
+        f = random_function(TorusGrid(1, 1024, 40.0), seed=11)
+        for r in (1, 2):
+            for lam in _sampling_offsets(sigma):
+                ref = dense_interp_V(f, sigma, lam, r)
+                got = interp_V(f, sigma, lam, r).values
+                assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("sigma", [1.0, 8.0])  # n = 16 < N and n = 128 > N
+    def test_2d_matches_dense_kernel(self, sigma):
+        f = random_function(TorusGrid(2, 64, 16.0), seed=12)
+        for r in (1, 2):
+            for lam in _sampling_offsets(sigma):
+                ref = dense_interp_V(f, sigma, lam, r)
+                got = interp_V_2d(f, sigma, lam, r).values
+                assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_cached_arrays_are_small_and_read_only(self):
+        grid = TorusGrid(1, 1024, 40.0)
+        for sigma in (1.0, 64.0):
+            targets, weights, n_samples = _interp_v_axis_matrix(grid, sigma, 0.125, 1)
+            assert n_samples == int(40 * sigma)
+            for arr in (targets, weights):
+                assert arr.size <= grid.points_per_axis
+                with pytest.raises(ValueError):
+                    arr[0] = 0
+
+    def test_one_transform_per_call(self, monkeypatch):
+        calls = []
+        real = smoothlab.spectral.transform
+
+        def counting(f):
+            calls.append(f)
+            return real(f)
+
+        monkeypatch.setattr(smoothlab.spectral, "transform", counting)
+        f = random_function(TorusGrid(1, 256, 20.0), seed=13)
+        interp_V(f, 2.0, 0.25)
+        assert len(calls) == 1
+        f2 = random_function(TorusGrid(2, 64, 16.0), seed=14)
+        interp_V_2d(f2, 4.0, 0.25)
+        assert len(calls) == 2

@@ -17,6 +17,7 @@ from smoothlab.verify import (
     make_config,
     marchaud_rhs,
     norm_term_droppable,
+    resolve_threads,
     run_check,
     ulyanov_rhs,
     verify_all,
@@ -258,6 +259,35 @@ class TestVerifyAll:
         a = verify_all({"quick": True, "threads": 1})
         b = verify_all({"quick": True, "threads": 8})
         assert canonical_json(a) == canonical_json(b)
+
+
+class TestConfig:
+    def test_overrides_apply(self):
+        cfg = make_config({"quick": True, "threads": 8})
+        assert cfg["quick"] and cfg["threads"] == 8
+        assert cfg["scale_1d"] == {"N": 256, "L": 20.0}
+        assert make_config(cfg) == cfg
+
+    def test_unknown_key_rejected(self):
+        with pytest.raises(ParameterError, match="thread"):
+            make_config({"thread": 4})
+
+    @pytest.mark.parametrize("bad", [0, -3, 2.5, True, "two"])
+    def test_thread_count_must_be_positive_integer(self, bad):
+        with pytest.raises(ParameterError, match="threads"):
+            make_config({"threads": bad})
+        with pytest.raises(ParameterError, match="threads"):
+            resolve_threads({"threads": bad})
+
+    def test_thread_env(self, monkeypatch):
+        monkeypatch.setenv("SMOOTHLAB_THREADS", "3")
+        assert resolve_threads(make_config()) == 3
+        assert resolve_threads(make_config({"threads": 2})) == 2
+        monkeypatch.setenv("SMOOTHLAB_THREADS", "0")
+        with pytest.raises(ParameterError, match="SMOOTHLAB_THREADS"):
+            resolve_threads(make_config())
+        monkeypatch.delenv("SMOOTHLAB_THREADS")
+        assert resolve_threads(make_config()) == 1
 
 
 class TestWorkbenchCache:
