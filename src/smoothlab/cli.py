@@ -34,6 +34,15 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
+#: the ``verify`` flags, each a check parameter, and their types; the
+#: exponents ``--p``/``--q`` are parsed after argparse, so a bad one is an
+#: ``error:`` line naming the flag
+VERIFY_FLAGS = {
+    "entry": str, "entry2": str, "alpha": float, "beta": float, "gamma": float,
+    "p": Exponent, "q": Exponent, "r": int, "m": int, "lam": float, "sigma": float,
+    "d": int, "side": str, "form": str,
+}
+
 
 def _add_common(sp):
     sp.add_argument("--config", help="JSON file with option overrides (flags win)")
@@ -72,20 +81,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="run one inequality check")
     sp.add_argument("property_id")
-    sp.add_argument("--entry")
-    sp.add_argument("--entry2")
-    sp.add_argument("--alpha", type=float)
-    sp.add_argument("--beta", type=float)
-    sp.add_argument("--gamma", type=float)
-    sp.add_argument("--p")
-    sp.add_argument("--q")
-    sp.add_argument("--r", type=int)
-    sp.add_argument("--m", type=int)
-    sp.add_argument("--lam", type=float)
-    sp.add_argument("--sigma", type=float)
-    sp.add_argument("--d", type=int)
-    sp.add_argument("--side")
-    sp.add_argument("--form")
+    for flag, kind in VERIFY_FLAGS.items():
+        sp.add_argument(f"--{flag}", type=str if kind is Exponent else kind)
     _add_common(sp)
 
     sp = sub.add_parser("verify-all", help="run the whole check matrix")
@@ -153,27 +150,12 @@ def _emit(payload, args):
 
 def _verify_params(args) -> dict:
     params = {}
-    for key in (
-        "entry",
-        "entry2",
-        "alpha",
-        "beta",
-        "gamma",
-        "r",
-        "m",
-        "lam",
-        "sigma",
-        "d",
-        "side",
-        "form",
-    ):
-        val = getattr(args, key, None)
-        if val is not None:
-            params[key] = val
-    for key in ("p", "q"):
-        if getattr(args, key, None) is not None:
-            exponent = _exponent_arg(args, key)
-            params[key] = "inf" if exponent.is_inf else exponent.p
+    for flag, kind in VERIFY_FLAGS.items():
+        if getattr(args, flag) is not None:
+            params[flag] = getattr(args, flag)
+            if kind is Exponent:
+                exponent = _exponent_arg(args, flag)
+                params[flag] = "inf" if exponent.is_inf else exponent.p
     return params
 
 

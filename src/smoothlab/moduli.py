@@ -370,8 +370,8 @@ def direction_design(dimension: int) -> tuple:
 
 def magnitude_design(delta: float, n: int = N_MAGNITUDES) -> np.ndarray:
     """Step magnitudes delta * (1 - j/n), j = 0 .. n-1 (largest first)."""
-    if not (delta > 0):
-        raise ParameterError("delta must be positive")
+    if not (0 < delta < math.inf):
+        raise ParameterError(f"delta must be positive and finite, got {delta}")
     return delta * (1.0 - np.arange(n) / n)
 
 

@@ -37,12 +37,15 @@ Property identifiers
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
 import threading
+from collections.abc import Callable
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -52,9 +55,12 @@ from .errors import HypothesisError, ParameterError, RegimeError
 from .grid import Exponent, GridFunction, SmoothnessOrder, TorusGrid, quasi_norm
 from .moduli import (
     ModulusCurve,
+    Step,
     averaged_modulus,
     binom_power_constant,
+    default_deltas,
     frac_binomial,
+    frac_difference,
     mixed_modulus,
     modulus,
     modulus_curve,
@@ -62,9 +68,11 @@ from .moduli import (
     sobolev_seminorm,
 )
 from .spectral import (
+    Direction,
     SpectralFunction,
     apply_symbol,
     derivative_symbol,
+    directional_derivative,
     frequency_magnitude,
     inverse,
     transform,
@@ -287,8 +295,6 @@ class UlyanovParams:
 
     def __post_init__(self):
         p, q = Exponent(self.p), Exponent(self.q)
-        if not p.is_inf and q.is_inf:
-            pass
         if p.is_inf or not (p.p < (math.inf if q.is_inf else q.p)):
             raise HypothesisError("needs 0 < p < q <= inf")
         if self.gamma < 0:
@@ -515,9 +521,17 @@ class Workbench:
                 raise
         return entry.result()
 
+    def setting(self, key: str, dimension: int):
+        """The config value ``key_1d`` for d = 1, else ``key_2d``."""
+        return self.cfg[f"{key}_1d" if dimension == 1 else f"{key}_2d"]
+
+    def grid(self, dimension: int) -> TorusGrid:
+        sc = self.setting("scale", dimension)
+        return TorusGrid(dimension, sc["N"], sc["L"])
+
     def scale(self, entry) -> dict:
         e = corpus_mod.get_entry(entry) if isinstance(entry, str) else entry
-        return self.cfg["scale_1d"] if e.dimension == 1 else self.cfg["scale_2d"]
+        return self.setting("scale", e.dimension)
 
     def fn(self, name: str) -> GridFunction:
         sc = self.scale(name)
@@ -533,39 +547,27 @@ class Workbench:
         return self._get(("dfn", name, multi), build)
 
     def deltas(self, name: str) -> np.ndarray:
-        f = self.fn(name)
-        n = (
-            self.cfg["n_deltas_1d"]
-            if f.grid.dimension == 1
-            else self.cfg["n_deltas_2d"]
-        )
-        lo = 4.0 * f.grid.spacing
-        return np.geomspace(lo, 1.0, n)
+        grid = self.fn(name).grid
+        return default_deltas(grid, self.setting("n_deltas", grid.dimension))
 
     def curve(self, name: str, alpha: float, p, multi: tuple | None = None) -> ModulusCurve:
-        plabel = Exponent.parse(p).label()
-
-        def build():
-            f = self.fn(name) if multi is None else self.derived_fn(name, multi)
-            return modulus_curve(f, alpha, p, deltas=self.deltas(name))
-
-        return self._get(("curve", name, multi, round(alpha, 12), plabel), build)
+        return self._curve("curve", name, alpha, p, multi)
 
     def ext_curve(self, name: str, alpha: float, p, multi: tuple | None = None) -> ModulusCurve:
         """Wider curve (down to one grid cell) for quadrature inputs."""
+        return self._curve("ext", name, alpha, p, multi)
+
+    def _curve(self, kind: str, name: str, alpha: float, p, multi) -> ModulusCurve:
         plabel = Exponent.parse(p).label()
 
         def build():
             f = self.fn(name) if multi is None else self.derived_fn(name, multi)
-            n = (
-                self.cfg["n_deltas_1d"]
-                if f.grid.dimension == 1
-                else self.cfg["n_deltas_2d"]
-            ) + 8
-            deltas = np.geomspace(f.grid.spacing, 1.0, n)
-            return modulus_curve(f, alpha, p, deltas=deltas)
+            if kind == "curve":
+                return modulus_curve(f, alpha, p, deltas=self.deltas(name))
+            n = self.setting("n_deltas", f.grid.dimension) + 8
+            return modulus_curve(f, alpha, p, deltas=default_deltas(f.grid, n, floor_cells=1.0))
 
-        return self._get(("ext", name, multi, round(alpha, 12), plabel), build)
+        return self._get((kind, name, multi, round(alpha, 12), plabel), build)
 
     def point_modulus(self, name: str, delta: float, alpha: float, p) -> float:
         plabel = Exponent.parse(p).label()
@@ -579,9 +581,7 @@ class Workbench:
     def acurve(self, name: str, p):
         plabel = Exponent.parse(p).label()
         f = self.fn(name)
-        k_max = (
-            self.cfg["k_max_1d"] if f.grid.dimension == 1 else self.cfg["k_max_2d"]
-        )
+        k_max = self.setting("k_max", f.grid.dimension)
         return self._get(
             ("acurve", name, plabel), lambda: approx_curve(f, p, k_max=k_max)
         )
@@ -592,8 +592,7 @@ class Workbench:
         return self._get(key, lambda: near_best(self.fn(name), sigma, p))
 
     def poly(self, dimension: int, sigma: float, seed: int) -> GridFunction:
-        sc = self.cfg["scale_1d"] if dimension == 1 else self.cfg["scale_2d"]
-        grid = TorusGrid(dimension, sc["N"], sc["L"])
+        grid = self.grid(dimension)
         return self._get(
             ("poly", dimension, round(sigma, 12), seed),
             lambda: _random_poly(grid, sigma, seed),
@@ -601,841 +600,606 @@ class Workbench:
 
 
 # ---------------------------------------------------------------------------
-# individual checks
+# the check table
 # ---------------------------------------------------------------------------
 
 
-def _p(params, key, default=None):
-    if key in params:
-        return params[key]
-    if default is None:
-        raise ParameterError(f"missing parameter '{key}'")
-    return default
+@dataclass(frozen=True)
+class Gate:
+    """A hypothesis of the paper's statement: a check whose parsed
+    parameters ``a`` fail ``holds(wb, a)`` is refused with ``error``."""
+
+    holds: Callable
+    text: str
+    error: type = HypothesisError
 
 
-def _exponent(params, key, default=None):
-    raw = params.get(key, default)
-    if raw is None:
-        raise ParameterError(f"missing parameter '{key}'")
-    return Exponent.parse(raw)
+def _open(e: Exponent) -> bool:
+    return not e.is_inf and e.p > 1.0
 
 
-def check_p1a(wb, params):
-    alpha, p = _p(params, "alpha"), _exponent(params, "p")
-    c = wb.curve(_p(params, "entry"), alpha, p)
-    return _assemble(
-        "P1a",
-        params,
-        c.deltas[:-1],
-        c.values[:-1],
-        c.values[1:],
-        "exact",
-        wb.cfg,
-        notes=["nested step design makes monotonicity exact"],
-        exact_tol=1e-12,
-        check_slope=False,
-    )
+def _whole(x: float) -> bool:
+    return abs(x - round(x)) <= 1e-9
 
 
-def check_p1b(wb, params):
-    alpha, p = _p(params, "alpha"), _exponent(params, "p")
-    name1, name2 = _p(params, "entry"), _p(params, "entry2")
-    f1, f2 = wb.fn(name1), wb.fn(name2)
-    if f1.grid != f2.grid:
-        raise HypothesisError("the two entries must share a grid")
-    deltas = wb.deltas(name1)
-    csum = modulus_curve(f1 + f2, alpha, p, deltas=deltas)
-    c1 = wb.curve(name1, alpha, p)
-    c2 = wb.curve(name2, alpha, p)
-    const = 2.0 ** p.deficiency
-    return _assemble(
-        "P1b",
-        params,
-        deltas,
-        csum.values,
-        const * (c1.values + c2.values),
-        "exact",
-        wb.cfg,
-        notes=[f"quasi-triangle constant 2^(1/p-1)_+ = {const}"],
-        exact_tol=1e-12,
-        check_slope=False,
-    )
+def _band_fits(wb, a) -> bool:
+    grid = wb.grid(a.d)
+    return 2.0 * math.pi / grid.period <= a.sigma <= grid.nyquist
 
 
-def check_p1c(wb, params):
-    alpha, p = _p(params, "alpha"), _exponent(params, "p")
-    name = _p(params, "entry")
-    c = wb.curve(name, alpha, p)
-    const = binom_power_constant(alpha, p)
-    rhs = const * wb.norm(name, p) * np.ones_like(c.values)
-    return _assemble(
-        "P1c",
-        params,
-        c.deltas,
-        c.values,
-        rhs,
-        "upper",
-        wb.cfg,
-        notes=[
-            f"binomial-sum constant {const:.6g};"
-            " off-grid translations add interpolation slack beyond p = 2"
-        ],
-        max_ratio=1.1,
-        check_slope=False,
-    )
+def _gap(a) -> float:
+    """d (1/p - 1/q), the exponent shift between the metrics."""
+    return a.d * (1.0 / a.p.p - 1.0 / a.q.p)
 
 
-def check_p1d(wb, params):
-    raise HypothesisError(
-        "P1d compares against the limit delta -> infinity on R^d; on the torus"
-        " the modulus saturates and the statement is vacuous"
-    )
+def admissible(*orders: str) -> Gate:
+    """Each order (a parameter, or a sum such as 'alpha+gamma') is whole or
+    above (1/p - 1)_+, so its binomial series is p-power summable."""
+
+    def holds(wb, a):
+        return all(
+            SmoothnessOrder(sum(getattr(a, n) for n in o.split("+"))).admissible_for(a.p)
+            for o in orders
+        )
+
+    return Gate(holds, f"{', '.join(orders)} whole or > (1/p - 1)_+")
 
 
-def check_p2(wb, params):
-    alpha, p = _p(params, "alpha"), _exponent(params, "p")
-    lam = float(_p(params, "lam", 2.0))
-    if lam <= 1.0:
-        raise HypothesisError("lambda-scaling is checked for lambda > 1")
-    name = _p(params, "entry")
-    f = wb.fn(name)
-    c = wb.curve(name, alpha, p)
-    const = (1.0 + lam) ** (alpha + f.grid.dimension * p.deficiency)
+P_OPEN = Gate(lambda wb, a: _open(a.p), "1 < p < inf")
+Q_OPEN = Gate(lambda wb, a: _open(a.q), "1 < q < inf")
+P_NORMED = Gate(lambda wb, a: a.p.is_inf or a.p.p >= 1.0, "p >= 1")
+P_SMALL = Gate(lambda wb, a: not a.p.is_inf and a.p.p <= 1.0, "0 < p <= 1")
+P_BELOW_Q = Gate(lambda wb, a: a.p.p < a.q.p, "p < q")
+MULTIVARIATE = Gate(lambda wb, a: a.d >= 2, "d >= 2")
+SHARED_GRID = Gate(
+    lambda wb, a: wb.fn(a.entry).grid == wb.fn(a.entry2).grid, "both entries on one grid"
+)
+AVERAGED = Gate(lambda wb, a: SmoothnessOrder(a.r).is_integer or _open(a.p) or a.d == 1,
+                "a whole r, or 1 < p < inf, or d = 1")
+Q_BELOW_P = Gate(lambda wb, a: a.p.is_inf or a.q.q1 <= a.p.p, "q <= p")
+NO_ODD_SUM = Gate(
+    lambda wb, a: not (_whole(a.alpha + a.gamma) and int(round(a.alpha + a.gamma)) % 2 == 1),
+    "alpha + gamma off the odd whole numbers, where the multiplier argument breaks down",
+)
+
+
+@dataclass
+class Sides:
+    """What a check body computes: the series and its computed notes.  A
+    set ``veto`` turns a passing verdict into a fail (noted when nonempty);
+    a set ``slope`` replaces the fitted slope in the stats."""
+
+    grid: object
+    lhs: object
+    rhs: object
+    notes: list = field(default_factory=list)
+    veto: str | None = None
+    slope: float | None = None
+
+
+@dataclass(frozen=True)
+class Check:
+    """One row of the catalogue.
+
+    ``params`` maps each parameter to its type, or to (type, default);
+    ``variant`` is the (key, value) of the form or side this row checks,
+    the first row of a property being its default; ``derive`` adds values
+    computed from the parameters, which the report echoes.  ``mode`` may
+    be a function of the parameters; ``notes`` follow the body's notes;
+    ``opts`` are tolerance and asymptote overrides for ``_assemble``.
+    """
+
+    pid: str
+    body: Callable
+    params: dict
+    gates: tuple = ()
+    variant: tuple = ()
+    mode: str | Callable = "upper"
+    notes: tuple = ()
+    opts: dict = field(default_factory=dict)
+    derive: Callable | None = None
+
+
+def _parse(spec: dict, params: dict) -> SimpleNamespace:
+    a = SimpleNamespace()
+    for name, decl in spec.items():
+        kind, default = decl if isinstance(decl, tuple) else (decl, None)
+        raw = params.get(name, default)
+        if raw is None:
+            raise ParameterError(f"missing parameter '{name}'")
+        setattr(a, name, kind(raw))
+    if "entry" in spec:
+        a.d = corpus_mod.get_entry(a.entry).dimension
+    return a
+
+
+def _run(rows: tuple, wb, params: dict) -> InequalityReport:
+    """Parse, gate, compute and assemble one check of the table."""
+    row, echo = rows[0], dict(params)
+    if row.variant:
+        key, value = row.variant[0], params.get(row.variant[0], row.variant[1])
+        row = next((r for r in rows if r.variant[1] == value), None)
+        if row is None:
+            known = ", ".join(r.variant[1] for r in rows)
+            raise ParameterError(f"unknown {key} '{value}' for {rows[0].pid}; know {known}")
+        echo[key] = value
+    a = _parse(row.params, params)
+    label = row.pid
+    if row.variant:
+        setattr(a, *row.variant)
+        label += " {}={}".format(*row.variant)
+    if row.derive is not None:
+        derived = row.derive(a)
+        vars(a).update(derived)
+        echo.update(derived)
+    for gate in row.gates:
+        if not gate.holds(wb, a):
+            raise gate.error(f"{label} needs {gate.text}")
+    s = row.body(wb, a)
+    mode = row.mode(a) if callable(row.mode) else row.mode
+    rep = _assemble(row.pid, echo, s.grid, s.lhs, s.rhs, mode, wb.cfg,
+                    notes=[*s.notes, *row.notes], **row.opts)
+    if s.veto is not None and rep.verdict == "pass":
+        rep.verdict = "fail"
+        if s.veto:
+            rep.notes.append(s.veto)
+    if s.slope is not None:
+        rep.stats["slope"] = s.slope
+    return rep
+
+
+# ---------------------------------------------------------------------------
+# check bodies: the lhs/rhs computation of each row
+# ---------------------------------------------------------------------------
+
+
+def _p1a(wb, a):
+    c = wb.curve(a.entry, a.alpha, a.p)
+    return Sides(c.deltas[:-1], c.values[:-1], c.values[1:])
+
+
+def _p1b(wb, a):
+    deltas = wb.deltas(a.entry)
+    csum = modulus_curve(wb.fn(a.entry) + wb.fn(a.entry2), a.alpha, a.p, deltas=deltas)
+    c1, c2 = wb.curve(a.entry, a.alpha, a.p), wb.curve(a.entry2, a.alpha, a.p)
+    const = 2.0 ** a.p.deficiency
+    return Sides(deltas, csum.values, const * (c1.values + c2.values),
+                 [f"quasi-triangle constant 2^(1/p-1)_+ = {const}"])
+
+
+def _p1c(wb, a):
+    c = wb.curve(a.entry, a.alpha, a.p)
+    const = binom_power_constant(a.alpha, a.p)
+    rhs = const * wb.norm(a.entry, a.p) * np.ones_like(c.values)
+    notes = [f"binomial-sum constant {const:.6g};"
+             " off-grid translations add interpolation slack beyond p = 2"]
+    return Sides(c.deltas, c.values, rhs, notes)
+
+
+def _p2(wb, a):
+    c = wb.curve(a.entry, a.alpha, a.p)
+    const = (1.0 + a.lam) ** (a.alpha + a.d * a.p.deficiency)
     lhs = np.array(
-        [wb.point_modulus(name, float(lam * d), alpha, p) for d in c.deltas]
+        [wb.point_modulus(a.entry, float(a.lam * d), a.alpha, a.p) for d in c.deltas]
     )
-    return _assemble(
-        "P2",
-        params,
-        c.deltas,
-        lhs,
-        const * c.values,
-        "upper",
-        wb.cfg,
-        notes=[f"scaling constant (1+lambda)^(alpha+d(1/p-1)_+) = {const:.6g}"],
-    )
+    return Sides(c.deltas, lhs, const * c.values,
+                 [f"scaling constant (1+lambda)^(alpha+d(1/p-1)_+) = {const:.6g}"])
 
 
-def check_p3(wb, params):
-    r, p = int(_p(params, "r")), _exponent(params, "p")
-    name = _p(params, "entry")
-    f = wb.fn(name)
-    if f.grid.dimension != 2:
-        raise HypothesisError("mixed-moduli splitting is a d >= 2 statement")
-    deltas = wb.deltas(name)
-    lhs = wb.curve(name, float(r), p).values
+def _p3(wb, a):
+    f, r, deltas = wb.fn(a.entry), a.r, wb.deltas(a.entry)
     rhs = []
     for d in deltas:
-        total = partial_modulus(f, 0, float(d), r, p) + partial_modulus(
-            f, 1, float(d), r, p
-        )
+        total = sum(partial_modulus(f, axis, float(d), r, a.p) for axis in (0, 1))
         for k in range(1, r):
-            total += mixed_modulus(f, (k, r - k), float(d), p)
+            total += mixed_modulus(f, (k, r - k), float(d), a.p)
         rhs.append(total)
-    return _assemble("P3", params, deltas, lhs, rhs, "band", wb.cfg)
+    return Sides(deltas, wb.curve(a.entry, float(r), a.p).values, rhs)
 
 
-def check_p4(wb, params):
-    r, p = int(_p(params, "r")), _exponent(params, "p")
-    if p.is_inf or not (1.0 < p.p):
-        raise HypothesisError("Sobolev equivalence needs 1 < p < inf")
-    name = _p(params, "entry")
-    c = wb.curve(name, float(r), p)
-    ratios = c.values / c.deltas ** r
-    lhs = np.maximum.accumulate(ratios)
-    sem = sobolev_seminorm(wb.fn(name), r, p)
-    return _assemble(
-        "P4",
-        params,
-        c.deltas,
-        lhs,
-        sem * np.ones_like(lhs),
-        "band",
-        wb.cfg,
-        notes=["lhs is the running sup of modulus/delta^r over the step grid"],
-    )
+def _p4(wb, a):
+    c = wb.curve(a.entry, float(a.r), a.p)
+    lhs = np.maximum.accumulate(c.values / c.deltas ** a.r)
+    sem = sobolev_seminorm(wb.fn(a.entry), a.r, a.p)
+    return Sides(c.deltas, lhs, sem * np.ones_like(lhs))
 
 
-def check_p5(wb, params):
-    r = int(_p(params, "r"))
-    p, q = _exponent(params, "p"), _exponent(params, "q")
-    name1, name2 = _p(params, "entry"), _p(params, "entry2")
+def _p5(wb, a):
+    r, p, q = a.r, a.p, a.q
     inv_s = (0.0 if p.is_inf else 1.0 / p.p) + (0.0 if q.is_inf else 1.0 / q.p)
     s = Exponent(math.inf if inv_s == 0 else 1.0 / inv_s)
-    f1, f2 = wb.fn(name1), wb.fn(name2)
-    if f1.grid != f2.grid:
-        raise HypothesisError("the two entries must share a grid")
-    deltas = wb.deltas(name1)
-    lhs = modulus_curve(f1 * f2, float(r), s, deltas=deltas).values
+    deltas = wb.deltas(a.entry)
+    lhs = modulus_curve(wb.fn(a.entry) * wb.fn(a.entry2), float(r), s, deltas=deltas).values
     rhs = np.zeros_like(lhs)
     for k in range(r + 1):
         ck = frac_binomial(float(r), k)
-        wf = wb.norm(name1, p) if k == 0 else wb.curve(name1, float(k), p).values
-        wg = (
-            wb.norm(name2, q)
-            if k == r
-            else wb.curve(name2, float(r - k), q).values
-        )
+        wf = wb.norm(a.entry, p) if k == 0 else wb.curve(a.entry, float(k), p).values
+        wg = wb.norm(a.entry2, q) if k == r else wb.curve(a.entry2, float(r - k), q).values
         rhs = rhs + ck * np.asarray(wf) * np.asarray(wg)
     notes = []
     if not s.is_inf and s.p < 1.0:
         slack = (r + 1) ** (1.0 / s.p - 1.0)
         rhs = rhs * slack
         notes.append(f"s < 1: quasi-triangle slack {slack:.6g} applied to the sum")
-    exact = (not p.is_inf and p.p == 2.0) and (not q.is_inf and q.p == 2.0)
-    return _assemble(
-        "P5",
-        params,
-        deltas,
-        lhs,
-        rhs,
-        "exact" if exact else "upper",
-        wb.cfg,
-        notes=notes + ["product rule is exact at p = q = 2 up to aliasing"],
-        exact_tol=1e-6,
-        check_slope=False,
-    )
+    return Sides(deltas, lhs, rhs, notes)
 
 
-def check_p6(wb, params):
-    r = _p(params, "r")
-    p, q = _exponent(params, "p"), _exponent(params, "q")
-    form = _p(params, "form", "outer")
-    name = _p(params, "entry")
-    f = wb.fn(name)
-    order = SmoothnessOrder(float(r))
-    if not order.is_integer:
-        if not ((not p.is_inf and 1.0 < p.p) or f.grid.dimension == 1):
-            raise HypothesisError(
-                "fractional averaged moduli need 1 < p < inf, or d = 1"
-            )
-    if form == "inner" and not p.is_inf and q.q1 > p.p:
-        raise HypothesisError("inner averaging needs q <= p")
-    c = wb.curve(name, float(r), p)
+def _p6(wb, a):
+    f, c = wb.fn(a.entry), wb.curve(a.entry, a.r, a.p)
     rhs = np.array(
-        [
-            averaged_modulus(f, float(d), float(r), p, q, inner=(form == "inner"))
-            for d in c.deltas
-        ]
+        [averaged_modulus(f, float(d), a.r, a.p, a.q, inner=(a.form == "inner"))
+         for d in c.deltas]
     )
-    return _assemble("P6", dict(params, form=form), c.deltas, c.values, rhs, "band", wb.cfg)
+    return Sides(c.deltas, c.values, rhs)
 
 
-def check_p7(wb, params):
-    alpha, gamma = float(_p(params, "alpha")), float(_p(params, "gamma"))
-    p = _exponent(params, "p")
-    if gamma <= 0:
-        raise HypothesisError("gamma > 0 required")
-    for a in (alpha, alpha + gamma):
-        if not SmoothnessOrder(a).admissible_for(p):
-            raise HypothesisError(f"order {a} inadmissible for p={p.label()}")
-    name = _p(params, "entry")
-    c = wb.curve(name, alpha, p)
-    big = wb.ext_curve(name, alpha + gamma, p)
-    fn = wb.norm(name, p)
-    drop = bool(_p(params, "drop_norm", False))
+def _p7(wb, a):
+    c = wb.curve(a.entry, a.alpha, a.p)
+    big = wb.ext_curve(a.entry, a.alpha + a.gamma, a.p)
+    fnorm = wb.norm(a.entry, a.p)
     rhs = [
-        marchaud_rhs(big, float(d), alpha, p, fn, wb.cfg["n_quad"], drop_norm=drop)
+        marchaud_rhs(big, float(d), a.alpha, a.p, fnorm, wb.cfg["n_quad"], drop_norm=a.drop_norm)
         for d in c.deltas
     ]
-    return _assemble("P7", params, c.deltas, c.values, rhs, "upper", wb.cfg)
+    return Sides(c.deltas, c.values, rhs)
 
 
-def check_p8(wb, params):
-    alpha, beta = float(_p(params, "alpha")), float(_p(params, "beta"))
-    p = _exponent(params, "p")
-    form = _p(params, "form", "pointwise")
-    for a in (alpha, beta):
-        if not SmoothnessOrder(a).admissible_for(p):
-            raise HypothesisError(f"order {a} inadmissible for p={p.label()}")
-    name = _p(params, "entry")
-    if form == "pointwise":
-        chigh = wb.curve(name, alpha + beta, p)
-        clow = wb.curve(name, beta, p)
-        const = binom_power_constant(alpha, p)
-        exact = not p.is_inf and p.p == 2.0
-        return _assemble(
-            "P8",
-            dict(params, form=form),
-            chigh.deltas,
-            chigh.values,
-            const * clow.values,
-            "exact" if exact else "upper",
-            wb.cfg,
-            notes=[f"composition constant {const:.6g}"],
-            exact_tol=1e-9,
-            check_slope=False,
+def _p8_pointwise(wb, a):
+    chigh = wb.curve(a.entry, a.alpha + a.beta, a.p)
+    clow = wb.curve(a.entry, a.beta, a.p)
+    const = binom_power_constant(a.alpha, a.p)
+    return Sides(chigh.deltas, chigh.values, const * clow.values,
+                 [f"composition constant {const:.6g}"])
+
+
+def _p8_integral(wb, a):
+    alpha, tau = a.alpha, a.p.tau
+    big = wb.ext_curve(a.entry, alpha + a.beta, a.p)
+    clow = wb.curve(a.entry, a.beta, a.p)
+    lhs = []
+    for d in clow.deltas:
+        integral = log_integral(
+            lambda t: (big.interp(t) / t ** alpha) ** tau, float(d), 1.0, wb.cfg["n_quad"]
         )
-    if form == "integral":
-        if p.is_inf or not (1.0 < p.p):
-            raise HypothesisError("the integral strengthening needs 1 < p < inf")
-        tau = p.tau
-        big = wb.ext_curve(name, alpha + beta, p)
-        clow = wb.curve(name, beta, p)
-        lhs = []
-        for d in clow.deltas:
-            integral = log_integral(
-                lambda t: (big.interp(t) / t ** alpha) ** tau,
-                float(d),
-                1.0,
-                wb.cfg["n_quad"],
-            )
-            lhs.append(d ** alpha * integral ** (1.0 / tau))
-        return _assemble(
-            "P8", dict(params, form=form), clow.deltas, lhs, clow.values, "upper", wb.cfg
-        )
-    raise ParameterError(f"unknown form '{form}'")
+        lhs.append(d ** alpha * integral ** (1.0 / tau))
+    return Sides(clow.deltas, lhs, clow.values)
 
 
-def check_p9(wb, params):
-    name = _p(params, "entry")
-    f = wb.fn(name)
-    up = UlyanovParams(
-        p=float(_p(params, "p")),
-        q=math.inf if str(_p(params, "q")).lower() == "inf" else float(_p(params, "q")),
-        alpha=float(_p(params, "alpha")),
-        gamma=float(_p(params, "gamma")),
-        d=f.grid.dimension,
-    )
-    q = Exponent(up.q)
-    p = Exponent(up.p)
-    c = wb.curve(name, up.alpha, q)
-    big = wb.ext_curve(name, up.alpha + up.gamma, p)
-    fn = wb.norm(name, p)
+def _p9(wb, a):
+    up = UlyanovParams(p=a.p.p, q=a.q.p, alpha=a.alpha, gamma=a.gamma, d=a.d)
+    c = wb.curve(a.entry, up.alpha, a.q)
+    big = wb.ext_curve(a.entry, up.alpha + up.gamma, a.p)
+    fnorm = wb.norm(a.entry, a.p)
     rhs, tags, dropped = [], set(), None
     for d in c.deltas:
-        val, tag, drop = ulyanov_rhs(big, float(d), up, fn, wb.cfg["n_quad"])
+        val, tag, dropped = ulyanov_rhs(big, float(d), up, fnorm, wb.cfg["n_quad"])
         rhs.append(val)
         tags.add(tag)
-        dropped = drop
     notes = [f"rate regime: {sorted(tags)[0]}", f"norm term dropped: {dropped}"]
-    return _assemble("P9", params, c.deltas, c.values, rhs, "upper", wb.cfg, notes)
+    return Sides(c.deltas, c.values, rhs, notes)
 
 
-def check_p10(wb, params):
-    alpha = float(_p(params, "alpha"))
-    p, q = _exponent(params, "p"), _exponent(params, "q")
-    name = _p(params, "entry")
-    f = wb.fn(name)
-    d = f.grid.dimension
-    if q.is_inf or p.is_inf or not (p.p < q.p):
-        raise HypothesisError("needs p < q < inf")
-    if p.p == 1.0 and d == 1:
-        raise HypothesisError(
-            "the inequality fails for p = 1 in one dimension (d >= 2 required there)"
-        )
-    if p.p < 1.0 or (p.p == 1.0 and d == 1):
-        raise HypothesisError("needs 1 < p (or p = 1 with d >= 2)")
-    th = d * (1.0 / p.p - 1.0 / q.p)
-    if not (alpha > th):
-        raise HypothesisError(f"needs alpha > d(1/p - 1/q) = {th}")
-    cq = wb.ext_curve(name, alpha, q)
-    cp = wb.ext_curve(name, alpha, p)
-    deltas = wb.deltas(name)
-    lhs, rhs = [], []
+def _p10(wb, a):
+    alpha, p, q, th, n_quad = a.alpha, a.p.p, a.q.p, _gap(a), wb.cfg["n_quad"]
+    cq = wb.ext_curve(a.entry, alpha, a.q)
+    cp = wb.ext_curve(a.entry, alpha, a.p)
+    deltas = wb.deltas(a.entry)
     top = float(cq.deltas[-1])
+    # flat continuation of the curve beyond its top, integrated exactly
+    tail = cq.values[-1] ** p * top ** (-(alpha - th) * p) / ((alpha - th) * p)
+    lhs, rhs = [], []
     for dd in deltas:
         integral = log_integral(
-            lambda t: (cq.interp(t) / t ** (alpha - th)) ** p.p,
-            float(dd),
-            top,
-            wb.cfg["n_quad"],
+            lambda t: (cq.interp(t) / t ** (alpha - th)) ** p, float(dd), top, n_quad
         )
-        # flat continuation of the curve beyond its top, integrated exactly
-        tail = cq.values[-1] ** p.p * top ** (-(alpha - th) * p.p) / ((alpha - th) * p.p)
-        lhs.append(dd ** (alpha - th) * (integral + tail) ** (1.0 / p.p))
+        lhs.append(dd ** (alpha - th) * (integral + tail) ** (1.0 / p))
         inner = log_integral(
-            lambda t: (cp.interp(t) / t ** th) ** q.p,
-            float(cp.deltas[0] / 64.0),
+            lambda t: (cp.interp(t) / t ** th) ** q, float(cp.deltas[0] / 64.0), float(dd), n_quad
+        )
+        rhs.append(inner ** (1.0 / q))
+    return Sides(deltas, lhs, rhs)
+
+
+def _sup_derivative_modulus(wb, a) -> np.ndarray:
+    """max over |multi| = m of the order-r curve of D^multi f."""
+    multis = [(a.m,)] if a.d == 1 else [(k, a.m - k) for k in range(a.m + 1)]
+    curves = [wb.curve(a.entry, float(a.r), a.p, multi=multi) for multi in multis]
+    return np.max([c.values for c in curves], axis=0)
+
+
+def _derivative_tail(wb, a, expo: float) -> list:
+    """(int_0^delta (w_{r+m}(t) / t^m)^expo dt/t)^(1/expo) over the step grid."""
+    big = wb.ext_curve(a.entry, float(a.r + a.m), a.p)
+    return [
+        log_integral(
+            lambda t: (big.interp(t) / t ** a.m) ** expo,
+            float(big.deltas[0] / 64.0),
             float(dd),
             wb.cfg["n_quad"],
-        )
-        rhs.append(inner ** (1.0 / q.p))
-    return _assemble(
-        "P10",
-        params,
-        deltas,
-        lhs,
-        rhs,
-        "upper",
-        wb.cfg,
-        notes=["upper limit continued flat beyond delta = 1 (closed-form tail)"],
+        ) ** (1.0 / expo)
+        for dd in wb.deltas(a.entry)
+    ]
+
+
+def _p11_lower(wb, a):
+    deltas = wb.deltas(a.entry)
+    lhs = wb.curve(a.entry, float(a.r + a.m), a.p).values / deltas ** a.m
+    return Sides(deltas, lhs, _sup_derivative_modulus(wb, a))
+
+
+def _p11_upper(wb, a):
+    return Sides(wb.deltas(a.entry), _sup_derivative_modulus(wb, a), _derivative_tail(wb, a, 1.0))
+
+
+def _p11_trebels1(wb, a):
+    tail = _derivative_tail(wb, a, a.p.theta)
+    return Sides(wb.deltas(a.entry), _sup_derivative_modulus(wb, a), tail)
+
+
+def _p11_trebels2(wb, a):
+    axis_curves = [
+        wb.curve(a.entry, float(a.r), a.p, multi=tuple(a.m if j == ax else 0 for j in range(a.d)))
+        for ax in range(a.d)
+    ]
+    rhs = np.max([c.values for c in axis_curves], axis=0)
+    return Sides(wb.deltas(a.entry), _derivative_tail(wb, a, a.p.tau), rhs)
+
+
+def _bands(wb, a):
+    """The approximation curve and its bands sigma >= 1."""
+    ac = wb.acurve(a.entry, a.p)
+    return ac, [s for s in ac.sigmas if s >= 1.0]
+
+
+def _moduli_at(wb, a, sigmas) -> list:
+    return [wb.point_modulus(a.entry, 1.0 / s, a.alpha, a.p) for s in sigmas]
+
+
+def _band_sum(ac, alpha: float, expo: float, s: float, start: int) -> float:
+    """s^-alpha (sum_{k=start}^{s} (k+1)^(alpha expo - 1) E_k^expo)^(1/expo)."""
+    total = sum(
+        (k + 1.0) ** (alpha * expo - 1.0) * ac.value_at(float(k)) ** expo
+        for k in range(start, int(s) + 1)
     )
+    return s ** (-alpha) * total ** (1.0 / expo)
 
 
-def _multi_indices(d: int, m: int):
-    if d == 1:
-        return [(m,)]
-    return [(k, m - k) for k in range(m + 1)]
+def _p12_plain(wb, a):
+    ac, sigmas = _bands(wb, a)
+    return Sides(sigmas, [ac.value_at(s) for s in sigmas], _moduli_at(wb, a, sigmas))
 
 
-def check_p11(wb, params):
-    r, m = int(_p(params, "r")), int(_p(params, "m"))
-    p = _exponent(params, "p")
-    side = _p(params, "side", "lower")
-    if not p.is_inf and p.p < 1.0:
-        raise HypothesisError("derivative chains need 1 <= p <= inf")
-    name = _p(params, "entry")
-    f = wb.fn(name)
-    d = f.grid.dimension
-    deltas = wb.deltas(name)
-    sup_der = None
-    if side in ("lower", "upper", "trebels1"):
-        curves = [
-            wb.curve(name, float(r), p, multi=multi) for multi in _multi_indices(d, m)
-        ]
-        sup_der = np.max([c.values for c in curves], axis=0)
-    if side == "lower":
-        chigh = wb.curve(name, float(r + m), p)
-        lhs = chigh.values / deltas ** m
-        return _assemble(
-            "P11", dict(params, side=side), deltas, lhs, sup_der, "upper", wb.cfg
-        )
-    if side == "upper":
-        big = wb.ext_curve(name, float(r + m), p)
-        rhs = [
-            log_integral(
-                lambda t: big.interp(t) / t ** m,
-                float(big.deltas[0] / 64.0),
-                float(dd),
-                wb.cfg["n_quad"],
-            )
-            for dd in deltas
-        ]
-        return _assemble(
-            "P11", dict(params, side=side), deltas, sup_der, rhs, "upper", wb.cfg
-        )
-    if side in ("trebels1", "trebels2"):
-        if p.is_inf or not (1.0 < p.p):
-            raise HypothesisError("integral variants need 1 < p < inf")
-        big = wb.ext_curve(name, float(r + m), p)
-        expo = p.theta if side == "trebels1" else p.tau
-        series = [
-            log_integral(
-                lambda t: (big.interp(t) / t ** m) ** expo,
-                float(big.deltas[0] / 64.0),
-                float(dd),
-                wb.cfg["n_quad"],
-            )
-            ** (1.0 / expo)
-            for dd in deltas
-        ]
-        if side == "trebels1":
-            return _assemble(
-                "P11", dict(params, side=side), deltas, sup_der, series, "upper", wb.cfg
-            )
-        axis_curves = [
-            wb.curve(name, float(r), p, multi=tuple(m if j == ax else 0 for j in range(d)))
-            for ax in range(d)
-        ]
-        rhs = np.max([c.values for c in axis_curves], axis=0)
-        return _assemble(
-            "P11", dict(params, side=side), deltas, series, rhs, "upper", wb.cfg
-        )
-    raise ParameterError(f"unknown side '{side}'")
+def _p12_sharp(wb, a):
+    ac, sigmas = _bands(wb, a)
+    lhs = [_band_sum(ac, a.alpha, a.p.tau, s, 1) for s in sigmas]
+    return Sides(sigmas, lhs, _moduli_at(wb, a, sigmas))
 
 
-def check_p12(wb, params):
-    alpha = float(_p(params, "alpha"))
-    p = _exponent(params, "p")
-    form = _p(params, "form", "plain")
-    if not SmoothnessOrder(alpha).admissible_for(p):
-        raise HypothesisError(f"alpha={alpha} inadmissible for p={p.label()}")
-    name = _p(params, "entry")
-    ac = wb.acurve(name, p)
-    sigmas = [s for s in ac.sigmas if s >= 1.0]
-    if form == "plain":
-        lhs = [ac.value_at(s) for s in sigmas]
-        rhs = [wb.point_modulus(name, 1.0 / s, alpha, p) for s in sigmas]
-        return _assemble(
-            "P12", dict(params, form=form), sigmas, lhs, rhs, "upper", wb.cfg,
-            asym="large",
-        )
-    if form == "sharp":
-        if p.is_inf or not (1.0 < p.p):
-            raise HypothesisError("the sharp summed form needs 1 < p < inf")
-        tau = p.tau
-        lhs = []
-        for s in sigmas:
-            total = sum(
-                (k + 1.0) ** (alpha * tau - 1.0) * ac.value_at(float(k)) ** tau
-                for k in range(1, int(s) + 1)
-            )
-            lhs.append(s ** (-alpha) * total ** (1.0 / tau))
-        rhs = [wb.point_modulus(name, 1.0 / s, alpha, p) for s in sigmas]
-        return _assemble(
-            "P12", dict(params, form=form), sigmas, lhs, rhs, "upper", wb.cfg,
-            asym="large",
-        )
-    raise ParameterError(f"unknown form '{form}'")
+def _p13(wb, a):
+    ac, sigmas = _bands(wb, a)
+    rhs = [_band_sum(ac, a.alpha, a.p.theta, s, 0) for s in sigmas]
+    return Sides(sigmas, _moduli_at(wb, a, sigmas), rhs)
 
 
-def check_p13(wb, params):
-    alpha = float(_p(params, "alpha"))
-    p = _exponent(params, "p")
-    if not SmoothnessOrder(alpha).admissible_for(p):
-        raise HypothesisError(f"alpha={alpha} inadmissible for p={p.label()}")
-    name = _p(params, "entry")
-    ac = wb.acurve(name, p)
-    th = p.theta
-    sigmas = [s for s in ac.sigmas if s >= 1.0]
-    lhs = [wb.point_modulus(name, 1.0 / s, alpha, p) for s in sigmas]
-    rhs = []
-    for s in sigmas:
-        total = sum(
-            (k + 1.0) ** (alpha * th - 1.0) * ac.value_at(float(k)) ** th
-            for k in range(0, int(s) + 1)
-        )
-        rhs.append(s ** (-alpha) * total ** (1.0 / th))
-    return _assemble(
-        "P13",
-        params,
-        sigmas,
-        lhs,
-        rhs,
-        "upper",
-        wb.cfg,
-        asym="large",
-        notes=["between dyadic bands the error curve is continued as a step"],
-    )
-
-
-def check_p14(wb, params):
-    alpha = float(_p(params, "alpha"))
-    p = _exponent(params, "p")
-    side = _p(params, "side", "lower")
-    if not SmoothnessOrder(alpha).admissible_for(p):
-        raise HypothesisError(f"alpha={alpha} inadmissible for p={p.label()}")
-    name = _p(params, "entry")
-    f = wb.fn(name)
-    k_top = wb.cfg["k_max_1d"] if f.grid.dimension == 1 else wb.cfg["k_max_2d"]
+def _p14(wb, a):
+    k_top = wb.setting("k_max", a.d)
     sup_d = {
-        k: sup_directional(wb.nearbest(name, float(2 ** k), p).witness, alpha, p)
+        k: sup_directional(wb.nearbest(a.entry, float(2 ** k), a.p).witness, a.alpha, a.p)
         for k in range(k_top + 1)
     }
     ns = list(range(0, k_top))
     deltas = [2.0 ** (-n) for n in ns]
-    om = [wb.point_modulus(name, d, alpha, p) for d in deltas]
-    if side == "lower":
-        lhs = [2.0 ** (-n * alpha) * sup_d[n] for n in ns]
-        return _assemble(
-            "P14", dict(params, side=side), deltas, lhs, om, "upper", wb.cfg
-        )
-    if side == "upper":
-        rhs = [
-            sum(2.0 ** (-k * alpha) * sup_d[k] for k in range(n + 1, k_top + 1))
-            for n in ns
-        ]
-        return _assemble(
-            "P14",
-            dict(params, side=side),
-            deltas,
-            om,
-            rhs,
-            "upper",
-            wb.cfg,
-            notes=[f"series truncated at the top band 2^{k_top}"],
-        )
-    raise ParameterError(f"unknown side '{side}'")
+    om = [wb.point_modulus(a.entry, d, a.alpha, a.p) for d in deltas]
+    if a.side == "lower":
+        return Sides(deltas, [2.0 ** (-n * a.alpha) * sup_d[n] for n in ns], om)
+    rhs = [
+        sum(2.0 ** (-k * a.alpha) * sup_d[k] for k in range(n + 1, k_top + 1)) for n in ns
+    ]
+    return Sides(deltas, om, rhs, [f"series truncated at the top band 2^{k_top}"])
 
 
-def check_p15(wb, params):
+def _p15(wb, a):
     """Exploratory: does the modulus freeze across orders exactly when it
     tracks the approximation error?  Reported, never asserted."""
-    alpha, beta = float(_p(params, "alpha")), float(_p(params, "beta"))
-    p = _exponent(params, "p")
-    name = _p(params, "entry")
-    c1 = wb.curve(name, alpha, p)
-    c2 = wb.curve(name, beta, p)
-    ac = wb.acurve(name, p)
+    c1, c2 = wb.curve(a.entry, a.alpha, a.p), wb.curve(a.entry, a.beta, a.p)
+    ac, sigmas = _bands(wb, a)
     sig_ratio = [
-        wb.point_modulus(name, 1.0 / s, alpha, p) / max(ac.value_at(s), 1e-300)
-        for s in ac.sigmas
-        if s >= 1.0
+        om / max(ac.value_at(s), 1e-300) for om, s in zip(_moduli_at(wb, a, sigmas), sigmas)
     ]
+    orders = c1.values / c2.values
     notes = [
-        "order-ratio spread: "
-        f"{float(np.max(c1.values / c2.values) / np.min(c1.values / c2.values)):.4g}",
-        "modulus/error spread: "
-        f"{float(np.max(sig_ratio) / np.min(sig_ratio)):.4g}",
-        "both spreads should be moderate together or large together",
+        f"order-ratio spread: {float(np.max(orders) / np.min(orders)):.4g}",
+        f"modulus/error spread: {float(np.max(sig_ratio) / np.min(sig_ratio)):.4g}",
     ]
-    return _assemble(
-        "P15", params, c1.deltas, c1.values, c2.values, "info", wb.cfg, notes
-    )
+    return Sides(c1.deltas, c1.values, c2.values, notes)
 
 
-def check_p16(wb, params):
-    alpha = float(_p(params, "alpha"))
-    p = _exponent(params, "p")
-    if not p.is_inf and p.p < 1.0:
-        raise HypothesisError("K-functional equivalence needs p >= 1")
-    name = _p(params, "entry")
-    f = wb.fn(name)
-    c = wb.curve(name, alpha, p)
-    rhs = [k_functional(f, float(d), alpha, p) for d in c.deltas]
-    return _assemble("P16", params, c.deltas, c.values, rhs, "band", wb.cfg)
+def _p16(wb, a):
+    f, c = wb.fn(a.entry), wb.curve(a.entry, a.alpha, a.p)
+    return Sides(c.deltas, c.values, [k_functional(f, float(d), a.alpha, a.p) for d in c.deltas])
 
 
-def check_p17(wb, params):
-    alpha = float(_p(params, "alpha"))
-    p = _exponent(params, "p")
-    if not SmoothnessOrder(alpha).admissible_for(p):
-        raise HypothesisError(f"alpha={alpha} inadmissible for p={p.label()}")
-    name = _p(params, "entry")
-    f = wb.fn(name)
-    c = wb.curve(name, alpha, p)
-    rhs = [realization(f, float(d), alpha, p)[0] for d in c.deltas]
-    return _assemble("P17", params, c.deltas, c.values, rhs, "band", wb.cfg)
+def _p17(wb, a):
+    f, c = wb.fn(a.entry), wb.curve(a.entry, a.alpha, a.p)
+    rhs = [realization(f, float(d), a.alpha, a.p)[0] for d in c.deltas]
+    return Sides(c.deltas, c.values, rhs)
 
 
-def check_nsb(wb, params):
-    alpha = float(_p(params, "alpha"))
-    p = _exponent(params, "p")
-    sigma = float(_p(params, "sigma", 8.0))
-    n_seeds = int(_p(params, "n_seeds", 8))
-    seed0 = int(_p(params, "seed", 0))
-    d = int(_p(params, "d", 1))
-    from .moduli import Step, frac_difference  # local import to avoid cycle noise
-    from .spectral import Direction, directional_derivative
-
-    zeta = Direction((1.0,)) if d == 1 else Direction.of(1.0, 1.0)
-    hs = [(j + 1) / (8.0 * sigma) for j in range(8)]
-    grid_vals, lhs, rhs = [], [], []
-    end_devs = []
-    for s in range(n_seeds):
-        P = wb.poly(d, sigma, seed0 + s)
-        der = quasi_norm(directional_derivative(P, zeta, alpha), p)
+def _nsb(wb, a):
+    zeta = Direction((1.0,)) if a.d == 1 else Direction.of(1.0, 1.0)
+    hs = [(j + 1) / (8.0 * a.sigma) for j in range(8)]
+    grid_vals, lhs, rhs, end_devs = [], [], [], []
+    for s in range(a.n_seeds):
+        P = wb.poly(a.d, a.sigma, a.seed + s)
+        der = quasi_norm(directional_derivative(P, zeta, a.alpha), a.p)
         for h in hs:
-            dif = quasi_norm(frac_difference(P, Step(zeta, h), alpha), p) / h ** alpha
+            dif = quasi_norm(frac_difference(P, Step(zeta, h), a.alpha), a.p) / h ** a.alpha
             grid_vals.append(h)
             lhs.append(der)
             rhs.append(dif)
-            if h == hs[-1]:
-                end_devs.append(abs(der / dif - 1.0))
-    rep = _assemble(
-        "NSB",
-        params,
-        grid_vals,
-        lhs,
-        rhs,
-        "band",
-        wb.cfg,
-        band_limit=10.0,
-        check_slope=False,
-        notes=[f"max deviation from the h->0 limit at h = 1/sigma: {max(end_devs):.4g}"],
-    )
-    if max(end_devs) > 0.2 and rep.verdict == "pass":
-        rep.verdict = "fail"
-        rep.notes.append("deviation at h = 1/sigma exceeded 0.2")
-    return rep
+        end_devs.append(abs(der / dif - 1.0))  # at the coarsest step h = 1/sigma
+    worst = max(end_devs)
+    veto = "deviation at h = 1/sigma exceeded 0.2" if worst > 0.2 else None
+    notes = [f"max deviation from the h->0 limit at h = 1/sigma: {worst:.4g}"]
+    return Sides(grid_vals, lhs, rhs, notes, veto=veto)
 
 
-def check_bern(wb, params):
-    alpha = float(_p(params, "alpha"))
-    p = _exponent(params, "p")
-    d = int(_p(params, "d", 1))
-    n_seeds = int(_p(params, "n_seeds", 4))
-    base_band = 1.0
+def _bern(wb, a):
+    # keep every dilated mode of the band-1 base strictly inside the grid's band
+    top = wb.grid(a.d).nyquist
+    sigmas = [2.0 ** k for k in range(1, 7 if a.d == 1 else 5) if 2.0 ** k <= top]
     grid_vals, lhs, rhs, slopes = [], [], [], []
-    sigmas = None
-    for s in range(n_seeds):
-        base = wb.poly(d, base_band, 1000 + s)
-        if sigmas is None:
-            # keep every dilated mode strictly inside the representable band
-            top = base.grid.nyquist / base_band
-            sigmas = [2.0 ** k for k in range(1, 7 if d == 1 else 5) if 2.0 ** k <= top]
+    for s in range(a.n_seeds):
+        base = wb.poly(a.d, 1.0, 1000 + s)
         curve = []
         for sg in sigmas:
             P = _dilate_poly(base, int(sg))
-            num = sup_directional(P, alpha, p)
-            den = sg ** alpha * quasi_norm(P, p)
+            num = sup_directional(P, a.alpha, a.p)
+            den = sg ** a.alpha * quasi_norm(P, a.p)
             grid_vals.append(sg)
             lhs.append(num)
             rhs.append(den)
             curve.append(num / den)
         slopes.append(_fit_slope(np.asarray(sigmas), np.asarray(curve)))
     worst = max(abs(s) for s in slopes if s is not None)
-    rep = _assemble(
-        "BERN",
-        params,
-        grid_vals,
-        lhs,
-        rhs,
-        "upper",
-        wb.cfg,
-        check_slope=False,
-        notes=[f"dilation family: worst per-seed |slope| = {worst:.3g}"],
-    )
-    if worst > wb.cfg["slope_tol"] and rep.verdict == "pass":
-        rep.verdict = "fail"
-    rep.stats["slope"] = worst
-    return rep
+    notes = [f"dilation family: worst per-seed |slope| = {worst:.3g}"]
+    veto = "" if worst > wb.cfg["slope_tol"] else None
+    return Sides(grid_vals, lhs, rhs, notes, veto=veto, slope=worst)
 
 
-def check_nik(wb, params):
-    p, q = _exponent(params, "p"), _exponent(params, "q")
-    d = int(_p(params, "d", 1))
-    pv = p.p
-    qv = math.inf if q.is_inf else q.p
-    if not pv < qv:
-        raise HypothesisError("needs p < q")
-    gap = d * (1.0 / pv - (0.0 if q.is_inf else 1.0 / qv))
-    sc = wb.cfg["scale_1d"] if d == 1 else wb.cfg["scale_2d"]
-    grid = TorusGrid(d, sc["N"], sc["L"])
-    sigmas = [2.0 ** k for k in range(0, 5 if d == 1 else 4)]
-    lhs, rhs = [], []
-    for sg in sigmas:
-        mag = frequency_magnitude(grid)
+def _nik(wb, a):
+    grid, gap = wb.grid(a.d), _gap(a)
+    mag = frequency_magnitude(grid)
+    sigmas, lhs, rhs = [], [], []
+    for sg in [2.0 ** k for k in range(0, 5 if a.d == 1 else 4)]:
         band = 4.0 * sg
         if band > grid.nyquist:
             break
         coeffs = np.clip(1.0 - mag / band, 0.0, None).astype(complex)
         P = inverse(SpectralFunction(grid, coeffs, band_radius=band))
-        lhs.append(quasi_norm(P, q))
-        rhs.append(band ** gap * quasi_norm(P, p))
-    return _assemble(
-        "NIK",
-        params,
-        sigmas[: len(lhs)],
-        lhs,
-        rhs,
-        "upper",
-        wb.cfg,
-        notes=["witness family: dilated triangle-spectrum kernels"],
-        asym="large",
-    )
+        sigmas.append(sg)
+        lhs.append(quasi_norm(P, a.q))
+        rhs.append(band ** gap * quasi_norm(P, a.p))
+    return Sides(sigmas, lhs, rhs)
 
 
-def _hln_common(wb, params, d: int):
-    n_seeds = int(_p(params, "n_seeds", 4))
-    tops = [2.0 ** k for k in range(1, 6 if d == 1 else 4)]
-    return n_seeds, tops
+def _hln(seed0: int, pair: Callable) -> Callable:
+    """A body over seeded random polynomials P of band sigma = 2, 4, ...
+    (up to 32 in d = 1, 8 in d = 2); ``pair(P, sigma, a)`` is (lhs, rhs)."""
+
+    def body(wb, a):
+        grid_vals, lhs, rhs = [], [], []
+        for s in range(a.n_seeds):
+            for sg in [2.0 ** k for k in range(1, 6 if a.d == 1 else 4)]:
+                left, right = pair(wb.poly(a.d, sg, seed0 + s), sg, a)
+                grid_vals.append(sg)
+                lhs.append(left)
+                rhs.append(right)
+        return Sides(grid_vals, lhs, rhs)
+
+    return body
 
 
-def check_hln1(wb, params):
-    alpha = float(_p(params, "alpha"))
-    p, q = _exponent(params, "p"), _exponent(params, "q")
-    d = int(_p(params, "d", 1))
-    if p.is_inf or p.p > 1.0:
-        raise HypothesisError("needs 0 < p <= 1")
-    if q.is_inf or not (1.0 < q.p):
-        raise HypothesisError("needs 1 < q < inf")
-    gamma = d * (1.0 - 1.0 / q.p)
-    ag = alpha + gamma
-    if abs(ag - round(ag)) < 1e-9 and int(round(ag)) % 2 == 1:
-        raise HypothesisError(
-            f"alpha + gamma = {ag} is an odd whole number; the multiplier"
-            " argument breaks down there and the bound is not asserted"
-        )
-    n_seeds, tops = _hln_common(wb, params, d)
-    grid_vals, lhs, rhs = [], [], []
-    for s in range(n_seeds):
-        for sg in tops:
-            P = wb.poly(d, sg, 2000 + s)
-            num = sup_directional(P, alpha, q)
-            den = (
-                sg ** (d * (1.0 / p.p - 1.0))
-                * math.log(sg + 1.0) ** (1.0 / q.p)
-                * sup_directional(P, ag, p)
-                + quasi_norm(P, q)
-            )
-            grid_vals.append(sg)
-            lhs.append(num)
-            rhs.append(den)
-    return _assemble(
-        "HLN1", dict(params, gamma=gamma), grid_vals, lhs, rhs, "upper", wb.cfg,
-        asym="large",
-    )
+def _hln1(P, sg, a):
+    weight = sg ** (a.d * (1.0 / a.p.p - 1.0)) * math.log(sg + 1.0) ** (1.0 / a.q.p)
+    rhs = weight * sup_directional(P, a.alpha + a.gamma, a.p) + quasi_norm(P, a.q)
+    return sup_directional(P, a.alpha, a.q), rhs
 
 
-def check_hln2(wb, params):
-    alpha = float(_p(params, "alpha"))
-    p, q = _exponent(params, "p"), _exponent(params, "q")
-    d = int(_p(params, "d", 2))
-    if d < 2:
-        raise HypothesisError("needs d >= 2")
-    if p.is_inf or p.p > 1.0:
-        raise HypothesisError("needs 0 < p <= 1")
-    qv = math.inf if q.is_inf else q.p
-    if not qv > 1.0:
-        raise HypothesisError("needs q > 1")
-    gamma = d * (1.0 - (0.0 if q.is_inf else 1.0 / qv))
-    if gamma < 1.0:
-        raise HypothesisError("needs d(1 - 1/q) >= 1")
-    ag = alpha + gamma
-    if abs(ag - round(ag)) > 1e-9:
-        raise HypothesisError("needs alpha + gamma to be a whole number")
-    n_seeds, tops = _hln_common(wb, params, d)
-    grid_vals, lhs, rhs = [], [], []
-    for s in range(n_seeds):
-        for sg in tops:
-            P = wb.poly(d, sg, 3000 + s)
-            num = sup_directional(P, alpha, q)
-            den = sg ** (d * (1.0 / p.p - 1.0)) * sup_directional(P, ag, p)
-            grid_vals.append(sg)
-            lhs.append(num)
-            rhs.append(den)
-    return _assemble(
-        "HLN2", dict(params, gamma=gamma), grid_vals, lhs, rhs, "upper", wb.cfg,
-        asym="large",
-    )
+def _hln2(P, sg, a):
+    rhs = sg ** (a.d * (1.0 / a.p.p - 1.0)) * sup_directional(P, a.alpha + a.gamma, a.p)
+    return sup_directional(P, a.alpha, a.q), rhs
 
 
-def check_hln3(wb, params):
-    alpha = float(_p(params, "alpha"))
-    p = _exponent(params, "p")
-    d = int(_p(params, "d", 1))
-    if p.is_inf or not (1.0 < p.p):
-        raise HypothesisError("needs 1 < p < inf")
-    gamma = d / p.p
-    n_seeds, tops = _hln_common(wb, params, d)
-    grid_vals, lhs, rhs = [], [], []
-    for s in range(n_seeds):
-        for sg in tops:
-            P = wb.poly(d, sg, 4000 + s)
-            num = sup_directional(P, alpha, Exponent(math.inf))
-            den = (
-                math.log(sg + 1.0) ** (1.0 / p.conjugate)
-                * sup_directional(P, alpha + gamma, p)
-                + quasi_norm(P, p)
-            )
-            grid_vals.append(sg)
-            lhs.append(num)
-            rhs.append(den)
-    return _assemble(
-        "HLN3", dict(params, gamma=gamma), grid_vals, lhs, rhs, "upper", wb.cfg,
-        asym="large",
-    )
+def _hln3(P, sg, a):
+    weight = math.log(sg + 1.0) ** (1.0 / a.p.conjugate)
+    rhs = weight * sup_directional(P, a.alpha + a.gamma, a.p) + quasi_norm(P, a.p)
+    return sup_directional(P, a.alpha, Exponent(math.inf)), rhs
 
 
+def _hln_gamma(a) -> dict:
+    return {"gamma": a.d * (1.0 - 1.0 / a.q.p)}
+
+
+EXP = Exponent.parse
+EAP = {"entry": str, "alpha": float, "p": EXP}
+P6_PARAMS = {"entry": str, "r": float, "p": EXP, "q": EXP}
+P11_PARAMS = {"entry": str, "r": int, "m": int, "p": EXP}
+HLN_PARAMS = {"alpha": float, "p": EXP, "n_seeds": (int, 4)}
+EXACT = {"exact_tol": 1e-12, "check_slope": False}
+LARGE = {"asym": "large"}
+
+#: the catalogue: one row per property, and one per form/side variant
+TABLE = (
+    Check("P1a", _p1a, EAP, mode="exact", opts=EXACT,
+          notes=("nested step design makes monotonicity exact",)),
+    Check("P1b", _p1b, {**EAP, "entry2": str}, (SHARED_GRID,), mode="exact", opts=EXACT),
+    Check("P1c", _p1c, EAP, opts={"max_ratio": 1.1, "check_slope": False}),
+    Check("P1d", None, {}, (Gate(lambda wb, a: False, "delta -> infinity on R^d; on the torus"
+                                 " the modulus saturates and the statement is vacuous"),)),
+    Check("P2", _p2, {**EAP, "lam": (float, 2.0)},
+          (Gate(lambda wb, a: not a.lam <= 1.0, "lambda > 1"),)),
+    Check("P3", _p3, {"entry": str, "r": int, "p": EXP}, (MULTIVARIATE,), mode="band"),
+    Check("P4", _p4, {"entry": str, "r": int, "p": EXP}, (P_OPEN,), mode="band",
+          notes=("lhs is the running sup of modulus/delta^r over the step grid",)),
+    Check("P5", _p5, {"entry": str, "entry2": str, "r": int, "p": EXP, "q": EXP},
+          (SHARED_GRID,), mode=lambda a: "exact" if a.p.p == a.q.p == 2.0 else "upper",
+          notes=("product rule is exact at p = q = 2 up to aliasing",),
+          opts={"exact_tol": 1e-6, "check_slope": False}),
+    Check("P6", _p6, P6_PARAMS, (AVERAGED,), ("form", "outer"), mode="band"),
+    Check("P6", _p6, P6_PARAMS, (AVERAGED, Q_BELOW_P), ("form", "inner"), mode="band"),
+    Check("P7", _p7, {**EAP, "gamma": float, "drop_norm": (bool, False)},
+          (Gate(lambda wb, a: not a.gamma <= 0, "gamma > 0"), admissible("alpha", "alpha+gamma"))),
+    Check("P8", _p8_pointwise, {**EAP, "beta": float}, (admissible("alpha", "beta"),),
+          ("form", "pointwise"), mode=lambda a: "exact" if a.p.p == 2.0 else "upper",
+          opts={"exact_tol": 1e-9, "check_slope": False}),
+    Check("P8", _p8_integral, {**EAP, "beta": float}, (admissible("alpha", "beta"), P_OPEN),
+          ("form", "integral")),
+    Check("P9", _p9, {**EAP, "gamma": float, "q": EXP}),
+    Check("P10", _p10, {**EAP, "q": EXP}, (
+        Gate(lambda wb, a: not a.q.is_inf and a.p.p < a.q.p, "p < q < inf"),
+        Gate(lambda wb, a: a.p.p > 1.0 or (a.p.p == 1.0 and a.d >= 2),
+             "1 < p, or p = 1 with d >= 2 (the inequality fails for p = 1 in one dimension)"),
+        Gate(lambda wb, a: a.alpha > _gap(a), "alpha > d(1/p - 1/q)"),
+    ), notes=("upper limit continued flat beyond delta = 1 (closed-form tail)",)),
+    Check("P11", _p11_lower, P11_PARAMS, (P_NORMED,), ("side", "lower")),
+    Check("P11", _p11_upper, P11_PARAMS, (P_NORMED,), ("side", "upper")),
+    Check("P11", _p11_trebels1, P11_PARAMS, (P_NORMED, P_OPEN), ("side", "trebels1")),
+    Check("P11", _p11_trebels2, P11_PARAMS, (P_NORMED, P_OPEN), ("side", "trebels2")),
+    Check("P12", _p12_plain, EAP, (admissible("alpha"),), ("form", "plain"), opts=LARGE),
+    Check("P12", _p12_sharp, EAP, (admissible("alpha"), P_OPEN), ("form", "sharp"), opts=LARGE),
+    Check("P13", _p13, EAP, (admissible("alpha"),), opts=LARGE,
+          notes=("between dyadic bands the error curve is continued as a step",)),
+    Check("P14", _p14, EAP, (admissible("alpha"),), ("side", "lower")),
+    Check("P14", _p14, EAP, (admissible("alpha"),), ("side", "upper")),
+    Check("P15", _p15, {**EAP, "beta": float}, mode="info",
+          notes=("both spreads should be moderate together or large together",)),
+    Check("P16", _p16, EAP, (P_NORMED,), mode="band"),
+    Check("P17", _p17, EAP, (admissible("alpha"),), mode="band"),
+    Check("NSB", _nsb, {"alpha": float, "p": EXP, "sigma": (float, 8.0), "n_seeds": (int, 8),
+                        "seed": (int, 0), "d": (int, 1)},
+          (Gate(_band_fits, "sigma in [2 pi/L, pi N/L], the band of its polynomial grid",
+                ParameterError),),
+          mode="band", opts={"band_limit": 10.0, "check_slope": False}),
+    Check("BERN", _bern, {"alpha": float, "p": EXP, "d": (int, 1), "n_seeds": (int, 4)},
+          opts={"check_slope": False}),
+    Check("NIK", _nik, {"p": EXP, "q": EXP, "d": (int, 1)}, (P_BELOW_Q,), opts=LARGE,
+          notes=("witness family: dilated triangle-spectrum kernels",)),
+    Check("HLN1", _hln(2000, _hln1), {**HLN_PARAMS, "q": EXP, "d": (int, 1)},
+          (P_SMALL, Q_OPEN, NO_ODD_SUM), opts=LARGE, derive=_hln_gamma),
+    Check("HLN2", _hln(3000, _hln2), {**HLN_PARAMS, "q": EXP, "d": (int, 2)},
+          (MULTIVARIATE, P_SMALL, Gate(lambda wb, a: a.q.p > 1.0, "q > 1"),
+           Gate(lambda wb, a: a.gamma >= 1.0, "d(1 - 1/q) >= 1"),
+           Gate(lambda wb, a: _whole(a.alpha + a.gamma), "alpha + gamma a whole number")),
+          opts=LARGE, derive=_hln_gamma),
+    Check("HLN3", _hln(4000, _hln3), {**HLN_PARAMS, "d": (int, 1)}, (P_OPEN,),
+          opts=LARGE, derive=lambda a: {"gamma": a.d / a.p.p}),
+)
+
+#: property id -> check(wb, params), each covering its gates, body and report
 CHECKS = {
-    "P1a": check_p1a,
-    "P1b": check_p1b,
-    "P1c": check_p1c,
-    "P1d": check_p1d,
-    "P2": check_p2,
-    "P3": check_p3,
-    "P4": check_p4,
-    "P5": check_p5,
-    "P6": check_p6,
-    "P7": check_p7,
-    "P8": check_p8,
-    "P9": check_p9,
-    "P10": check_p10,
-    "P11": check_p11,
-    "P12": check_p12,
-    "P13": check_p13,
-    "P14": check_p14,
-    "P15": check_p15,
-    "P16": check_p16,
-    "P17": check_p17,
-    "NSB": check_nsb,
-    "BERN": check_bern,
-    "NIK": check_nik,
-    "HLN1": check_hln1,
-    "HLN2": check_hln2,
-    "HLN3": check_hln3,
+    pid: functools.partial(_run, tuple(row for row in TABLE if row.pid == pid))
+    for pid in dict.fromkeys(row.pid for row in TABLE)
 }
 
 
@@ -1451,77 +1215,64 @@ def run_check(property_id: str, params: dict, config: dict | None = None,
 # the default matrix
 # ---------------------------------------------------------------------------
 
+#: (property, params, in the quick matrix): one row per regime the harness
+#: exercises; the three 2-D rows come last
+MATRIX = (
+    ("P1a", {"entry": "gaussian", "alpha": 1.0, "p": 2.0}, True),
+    ("P1a", {"entry": "cusp05", "alpha": 1.5, "p": 0.5}, False),
+    ("P1b", {"entry": "gaussian", "entry2": "bump", "alpha": 1.0, "p": 0.5}, False),
+    ("P1c", {"entry": "gaussian", "alpha": 1.5, "p": 2.0}, False),
+    ("P2", {"entry": "gaussian", "alpha": 1.0, "p": 2.0, "lam": 2.0}, True),
+    ("P2", {"entry": "cusp05", "alpha": 2.0, "p": 0.5, "lam": 4.0}, False),
+    ("P4", {"entry": "gaussian", "r": 1, "p": 2.0}, False),
+    ("P5", {"entry": "gaussian", "entry2": "bump", "r": 2, "p": 2.0, "q": 2.0}, False),
+    ("P6", {"entry": "gaussian", "r": 1, "p": 2.0, "q": 1.0}, False),
+    ("P6", {"entry": "gaussian", "r": 1, "p": 2.0, "q": 2.0, "form": "inner"}, False),
+    ("P7", {"entry": "gaussian", "alpha": 1.0, "gamma": 1.0, "p": 2.0}, True),
+    ("P7", {"entry": "cusp05", "alpha": 1.5, "gamma": 1.0, "p": 0.5}, False),
+    ("P7", {"entry": "bump", "alpha": 1.0, "gamma": 1.0, "p": "inf"}, False),
+    ("P8", {"entry": "gaussian", "alpha": 1.0, "beta": 1.0, "p": 2.0}, False),
+    ("P8", {"entry": "gaussian", "alpha": 1.0, "beta": 1.0, "p": 2.0, "form": "integral"},
+     False),
+    ("P9", {"entry": "gaussian", "alpha": 2.0, "gamma": 1.0, "p": 0.5, "q": 1.0}, False),
+    ("P9", {"entry": "cusp05", "alpha": 2.0, "gamma": 0.5, "p": 0.5, "q": 2.0}, False),
+    ("P9", {"entry": "gaussian", "alpha": 2.0, "gamma": 0.5, "p": 1.0, "q": 2.0}, False),
+    ("P9", {"entry": "gaussian", "alpha": 2.0, "gamma": 0.25, "p": 2.0, "q": 4.0}, False),
+    ("P9", {"entry": "gaussian", "alpha": 2.0, "gamma": 0.5, "p": 2.0, "q": "inf"}, False),
+    ("P10", {"entry": "gaussian", "alpha": 1.0, "p": 2.0, "q": 4.0}, False),
+    ("P11", {"entry": "gaussian", "r": 1, "m": 1, "p": 2.0, "side": "lower"}, False),
+    ("P11", {"entry": "gaussian", "r": 1, "m": 1, "p": 2.0, "side": "upper"}, False),
+    ("P11", {"entry": "gaussian", "r": 1, "m": 1, "p": 2.0, "side": "trebels1"}, False),
+    ("P11", {"entry": "gaussian", "r": 1, "m": 1, "p": 2.0, "side": "trebels2"}, False),
+    ("P12", {"entry": "gaussian", "alpha": 2.0, "p": 2.0}, True),
+    ("P12", {"entry": "cusp05", "alpha": 2.0, "p": 0.5}, False),
+    ("P12", {"entry": "gaussian", "alpha": 1.0, "p": 2.0, "form": "sharp"}, False),
+    ("P13", {"entry": "gaussian", "alpha": 1.0, "p": 2.0}, False),
+    ("P13", {"entry": "cusp05", "alpha": 1.5, "p": 0.5}, False),
+    ("P14", {"entry": "gaussian", "alpha": 1.0, "p": 2.0, "side": "lower"}, False),
+    ("P14", {"entry": "gaussian", "alpha": 1.0, "p": 2.0, "side": "upper"}, False),
+    ("P15", {"entry": "fejer", "alpha": 1.0, "beta": 2.0, "p": 2.0}, False),
+    ("P16", {"entry": "gaussian", "alpha": 1.0, "p": 2.0}, True),
+    ("P16", {"entry": "bump", "alpha": 1.5, "p": "inf"}, False),
+    ("P17", {"entry": "gaussian", "alpha": 1.0, "p": 2.0}, True),
+    ("P17", {"entry": "cusp05", "alpha": 1.5, "p": 0.5}, False),
+    ("NSB", {"alpha": 1.0, "p": 2.0, "sigma": 8.0}, True),
+    ("NSB", {"alpha": 0.5, "p": 0.5, "sigma": 8.0}, False),
+    ("BERN", {"alpha": 1.0, "p": 2.0}, True),
+    ("BERN", {"alpha": 0.5, "p": "inf"}, False),
+    ("NIK", {"p": 1.0, "q": 2.0}, False),
+    ("NIK", {"p": 2.0, "q": "inf"}, False),
+    ("HLN1", {"alpha": 1.0, "p": 0.5, "q": 2.0, "d": 1}, False),
+    ("HLN3", {"alpha": 1.0, "p": 2.0, "d": 1}, False),
+    ("P3", {"entry": "gaussian2d", "r": 2, "p": 2.0}, False),
+    ("P6", {"entry": "gaussian2d", "r": 1, "p": 2.0, "q": 1.0}, False),
+    ("HLN2", {"alpha": 1.0, "p": 1.0, "q": 2.0, "d": 2}, False),
+)
+
 
 def default_matrix(cfg: dict) -> list:
-    """One (property, params) row per regime the harness exercises."""
-    rows = [
-        ("P1a", {"entry": "gaussian", "alpha": 1.0, "p": 2.0}),
-        ("P1a", {"entry": "cusp05", "alpha": 1.5, "p": 0.5}),
-        ("P1b", {"entry": "gaussian", "entry2": "bump", "alpha": 1.0, "p": 0.5}),
-        ("P1c", {"entry": "gaussian", "alpha": 1.5, "p": 2.0}),
-        ("P2", {"entry": "gaussian", "alpha": 1.0, "p": 2.0, "lam": 2.0}),
-        ("P2", {"entry": "cusp05", "alpha": 2.0, "p": 0.5, "lam": 4.0}),
-        ("P4", {"entry": "gaussian", "r": 1, "p": 2.0}),
-        ("P5", {"entry": "gaussian", "entry2": "bump", "r": 2, "p": 2.0, "q": 2.0}),
-        ("P6", {"entry": "gaussian", "r": 1, "p": 2.0, "q": 1.0}),
-        ("P6", {"entry": "gaussian", "r": 1, "p": 2.0, "q": 2.0, "form": "inner"}),
-        ("P7", {"entry": "gaussian", "alpha": 1.0, "gamma": 1.0, "p": 2.0}),
-        ("P7", {"entry": "cusp05", "alpha": 1.5, "gamma": 1.0, "p": 0.5}),
-        ("P7", {"entry": "bump", "alpha": 1.0, "gamma": 1.0, "p": "inf"}),
-        ("P8", {"entry": "gaussian", "alpha": 1.0, "beta": 1.0, "p": 2.0}),
-        ("P8", {"entry": "gaussian", "alpha": 1.0, "beta": 1.0, "p": 2.0,
-                "form": "integral"}),
-        ("P9", {"entry": "gaussian", "alpha": 2.0, "gamma": 1.0, "p": 0.5, "q": 1.0}),
-        ("P9", {"entry": "cusp05", "alpha": 2.0, "gamma": 0.5, "p": 0.5, "q": 2.0}),
-        ("P9", {"entry": "gaussian", "alpha": 2.0, "gamma": 0.5, "p": 1.0, "q": 2.0}),
-        ("P9", {"entry": "gaussian", "alpha": 2.0, "gamma": 0.25, "p": 2.0, "q": 4.0}),
-        ("P9", {"entry": "gaussian", "alpha": 2.0, "gamma": 0.5, "p": 2.0, "q": "inf"}),
-        ("P10", {"entry": "gaussian", "alpha": 1.0, "p": 2.0, "q": 4.0}),
-        ("P11", {"entry": "gaussian", "r": 1, "m": 1, "p": 2.0, "side": "lower"}),
-        ("P11", {"entry": "gaussian", "r": 1, "m": 1, "p": 2.0, "side": "upper"}),
-        ("P11", {"entry": "gaussian", "r": 1, "m": 1, "p": 2.0, "side": "trebels1"}),
-        ("P11", {"entry": "gaussian", "r": 1, "m": 1, "p": 2.0, "side": "trebels2"}),
-        ("P12", {"entry": "gaussian", "alpha": 2.0, "p": 2.0}),
-        ("P12", {"entry": "cusp05", "alpha": 2.0, "p": 0.5}),
-        ("P12", {"entry": "gaussian", "alpha": 1.0, "p": 2.0, "form": "sharp"}),
-        ("P13", {"entry": "gaussian", "alpha": 1.0, "p": 2.0}),
-        ("P13", {"entry": "cusp05", "alpha": 1.5, "p": 0.5}),
-        ("P14", {"entry": "gaussian", "alpha": 1.0, "p": 2.0, "side": "lower"}),
-        ("P14", {"entry": "gaussian", "alpha": 1.0, "p": 2.0, "side": "upper"}),
-        ("P15", {"entry": "fejer", "alpha": 1.0, "beta": 2.0, "p": 2.0}),
-        ("P16", {"entry": "gaussian", "alpha": 1.0, "p": 2.0}),
-        ("P16", {"entry": "bump", "alpha": 1.5, "p": "inf"}),
-        ("P17", {"entry": "gaussian", "alpha": 1.0, "p": 2.0}),
-        ("P17", {"entry": "cusp05", "alpha": 1.5, "p": 0.5}),
-        ("NSB", {"alpha": 1.0, "p": 2.0, "sigma": 8.0}),
-        ("NSB", {"alpha": 0.5, "p": 0.5, "sigma": 8.0}),
-        ("BERN", {"alpha": 1.0, "p": 2.0}),
-        ("BERN", {"alpha": 0.5, "p": "inf"}),
-        ("NIK", {"p": 1.0, "q": 2.0}),
-        ("NIK", {"p": 2.0, "q": "inf"}),
-        ("HLN1", {"alpha": 1.0, "p": 0.5, "q": 2.0, "d": 1}),
-        ("HLN3", {"alpha": 1.0, "p": 2.0, "d": 1}),
-    ]
-    if not cfg["quick"]:
-        rows += [
-            ("P3", {"entry": "gaussian2d", "r": 2, "p": 2.0}),
-            ("P6", {"entry": "gaussian2d", "r": 1, "p": 2.0, "q": 1.0}),
-            ("HLN2", {"alpha": 1.0, "p": 1.0, "q": 2.0, "d": 2}),
-        ]
-    return rows
-
-
-def quick_matrix(cfg: dict) -> list:
-    return [
-        ("P1a", {"entry": "gaussian", "alpha": 1.0, "p": 2.0}),
-        ("P2", {"entry": "gaussian", "alpha": 1.0, "p": 2.0, "lam": 2.0}),
-        ("P7", {"entry": "gaussian", "alpha": 1.0, "gamma": 1.0, "p": 2.0}),
-        ("P12", {"entry": "gaussian", "alpha": 2.0, "p": 2.0}),
-        ("P16", {"entry": "gaussian", "alpha": 1.0, "p": 2.0}),
-        ("P17", {"entry": "gaussian", "alpha": 1.0, "p": 2.0}),
-        ("NSB", {"alpha": 1.0, "p": 2.0, "sigma": 8.0}),
-        ("BERN", {"alpha": 1.0, "p": 2.0}),
-    ]
+    """The (property, params) rows of the matrix; with ``quick``, the quick rows."""
+    return [(pid, dict(params)) for pid, params, quick in MATRIX if quick or not cfg["quick"]]
 
 
 def _thread_count(value, source: str) -> int:
@@ -1551,7 +1302,7 @@ def verify_all(config: dict | None = None) -> dict:
     is bitwise independent of the worker count."""
     cfg = make_config(config)
     wb = Workbench(cfg)
-    matrix = quick_matrix(cfg) if cfg["quick"] else default_matrix(cfg)
+    matrix = default_matrix(cfg)
     n_threads = resolve_threads(cfg)
 
     def job(row):

@@ -186,3 +186,28 @@ class TestBadInputExitsTwo:
         monkeypatch.setenv("SMOOTHLAB_THREADS", "0")
         msg = self.run_bad(capsys, caplog, "verify-all", "--quick")
         assert "SMOOTHLAB_THREADS" in msg
+
+    @pytest.mark.parametrize("sigma", ["0.1", "0", "1e-300", "1e300"])
+    def test_polynomial_band_outside_grid(self, capsys, caplog, sigma):
+        msg = self.run_bad(
+            capsys, caplog, "verify", "NSB", "--alpha", "1", "--p", "2", "--sigma", sigma,
+            "--quick",
+        )
+        assert "sigma" in msg
+
+    def test_unknown_form(self, capsys, caplog):
+        msg = self.run_bad(
+            capsys, caplog, "verify", "P6", "--entry", "gaussian", "--r", "1", "--p", "2",
+            "--q", "1", "--form", "bogus", "--quick",
+        )
+        assert "form" in msg
+
+    @pytest.mark.parametrize("argv", [
+        ("modulus", "gaussian", "--alpha", "1", "--delta", "inf"),
+        ("modulus", "gaussian", "--alpha", "1", "--delta", "nan"),
+        ("verify", "P2", "--entry", "gaussian", "--alpha", "1", "--p", "2", "--lam", "inf"),
+    ])
+    def test_non_finite_step(self, capsys, caplog, recwarn, argv):
+        msg = self.run_bad(capsys, caplog, *argv, "--quick")
+        assert "delta" in msg
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from smoothlab.corpus import grid_function
-from smoothlab.errors import AdmissibilityError
+from smoothlab.errors import AdmissibilityError, ParameterError
 from smoothlab.grid import GridFunction, TorusGrid, quasi_norm
 import smoothlab.moduli
 from smoothlab.moduli import (
@@ -148,6 +148,12 @@ class TestModulus:
         f = grid_function("gaussian", N=256, L=20.0)
         with pytest.raises(AdmissibilityError):
             modulus(f, 0.5, 0.7, 0.5)
+
+    @pytest.mark.parametrize("delta", [0.0, -0.5, math.inf, math.nan])
+    def test_step_scale_must_be_positive_and_finite(self, delta):
+        f = grid_function("gaussian", N=256, L=20.0)
+        with pytest.raises(ParameterError, match="delta"):
+            modulus(f, delta, 1.0, 2.0)
 
     def test_designs(self):
         assert len(direction_design(1)) == 2

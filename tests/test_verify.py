@@ -6,12 +6,15 @@ import time
 import numpy as np
 import pytest
 
+from smoothlab import verify
 from smoothlab.errors import HypothesisError, ParameterError
 from smoothlab.moduli import ModulusCurve
 from smoothlab.verify import (
+    CHECKS,
     UlyanovParams,
     Workbench,
     canonical_json,
+    default_matrix,
     eta_regime,
     log_integral,
     make_config,
@@ -230,6 +233,126 @@ class TestGating:
     def test_unknown_property(self, wb):
         with pytest.raises(ParameterError):
             run_check("P99", {}, workbench=wb)
+
+
+def _refused(pid, params, error=HypothesisError, label=""):
+    return pytest.param(pid, params, error, id=f"{pid}-{label}" if label else pid)
+
+
+G, G2 = {"entry": "gaussian"}, {"entry": "gaussian2d"}
+
+#: one refused input per hypothesis gate of every check, plus the unknown
+#: variants and the missing-parameter errors
+REFUSED = [
+    _refused("P1b", {**G, "entry2": "gaussian2d", "alpha": 1.0, "p": 2.0}, label="grid"),
+    _refused("P1d", {}),
+    _refused("P2", {**G, "alpha": 1.0, "p": 2.0, "lam": 1.0}, label="lam"),
+    _refused("P2", {**G, "alpha": 1.0, "p": 2.0, "lam": math.inf}, ParameterError,
+             label="lam-inf"),
+    _refused("P3", {**G, "r": 2, "p": 2.0}, label="d"),
+    _refused("P4", {**G, "r": 1, "p": "inf"}, label="p-inf"),
+    _refused("P5", {**G, "entry2": "gaussian2d", "r": 1, "p": 2.0, "q": 2.0}, label="grid"),
+    _refused("P6", {**G2, "r": 0.5, "p": 1.0, "q": 1.0}, label="fractional"),
+    _refused("P6", {**G, "r": 1, "p": 1.0, "q": 2.0, "form": "inner"}, label="inner"),
+    _refused("P6", {**G, "r": 1, "p": 2.0, "q": 1.0, "form": "bogus"}, ParameterError,
+             label="form"),
+    _refused("P7", {**G, "alpha": 1.0, "gamma": 0.0, "p": 2.0}, label="gamma"),
+    _refused("P7", {**G, "alpha": 0.5, "gamma": 1.0, "p": 0.5}, label="alpha"),
+    _refused("P7", {**G, "alpha": 1.0, "gamma": 0.5, "p": 0.25}, label="alpha+gamma"),
+    _refused("P8", {**G, "alpha": 0.5, "beta": 1.0, "p": 0.5}, label="alpha"),
+    _refused("P8", {**G, "alpha": 1.0, "beta": 0.5, "p": 0.5}, label="beta"),
+    _refused("P8", {**G, "alpha": 1.0, "beta": 1.0, "p": 1.0, "form": "integral"},
+             label="integral"),
+    _refused("P8", {**G, "alpha": 1.0, "beta": 1.0, "p": 2.0, "form": "bogus"},
+             ParameterError, label="form"),
+    _refused("P9", {**G, "alpha": 2.0, "gamma": 0.0, "p": 2.0, "q": 1.0}, label="p<q"),
+    _refused("P9", {**G, "alpha": 2.0, "gamma": -0.5, "p": 0.5, "q": 2.0}, label="gamma"),
+    _refused("P9", {**G, "alpha": 0.3, "gamma": 2.0, "p": 1.0, "q": 2.0}, label="alpha"),
+    _refused("P9", {**G, "alpha": 0.8, "gamma": 0.1, "p": 0.5, "q": 2.0},
+             label="alpha+gamma"),
+    _refused("P10", {**G, "alpha": 1.0, "p": 2.0, "q": "inf"}, label="q-inf"),
+    _refused("P10", {**G, "alpha": 1.0, "p": 4.0, "q": 2.0}, label="p<q"),
+    _refused("P10", {**G, "alpha": 1.0, "p": 0.5, "q": 2.0}, label="p<1"),
+    _refused("P10", {**G, "alpha": 0.2, "p": 2.0, "q": 4.0}, label="alpha"),
+    _refused("P11", {**G, "r": 1, "m": 1, "p": 0.5}, label="p<1"),
+    _refused("P11", {**G, "r": 1, "m": 1, "p": 1.0, "side": "trebels1"}, label="trebels1"),
+    _refused("P11", {**G, "r": 1, "m": 1, "p": "inf", "side": "trebels2"}, label="trebels2"),
+    _refused("P11", {**G, "r": 1, "m": 1, "p": 2.0, "side": "bogus"}, ParameterError,
+             label="side"),
+    _refused("P12", {**G, "alpha": 0.5, "p": 0.5}, label="alpha"),
+    _refused("P12", {**G, "alpha": 1.0, "p": 1.0, "form": "sharp"}, label="sharp"),
+    _refused("P12", {**G, "alpha": 1.0, "p": 2.0, "form": "bogus"}, ParameterError,
+             label="form"),
+    _refused("P13", {**G, "alpha": 0.5, "p": 0.5}, label="alpha"),
+    _refused("P14", {**G, "alpha": 0.5, "p": 0.5}, label="alpha"),
+    _refused("P14", {**G, "alpha": 1.0, "p": 2.0, "side": "bogus"}, ParameterError,
+             label="side"),
+    _refused("P17", {**G, "alpha": 0.5, "p": 0.5}, label="alpha"),
+    _refused("NSB", {"alpha": 1.0, "p": 2.0, "sigma": 0.1}, ParameterError, label="sigma"),
+    _refused("NSB", {"alpha": 1.0, "p": 2.0, "sigma": 0.0}, ParameterError, label="sigma0"),
+    _refused("NSB", {"alpha": 1.0, "p": 2.0, "sigma": 1e-300}, ParameterError,
+             label="sigma-tiny"),
+    _refused("NSB", {"alpha": 1.0, "p": 2.0, "sigma": 1e300}, ParameterError,
+             label="sigma-huge"),
+    _refused("NIK", {"p": 2.0, "q": 1.0}, label="p<q"),
+    _refused("HLN1", {"alpha": 1.0, "p": 2.0, "q": 2.0}, label="p<=1"),
+    _refused("HLN1", {"alpha": 1.0, "p": 0.5, "q": "inf"}, label="q"),
+    _refused("HLN2", {"alpha": 1.0, "p": 1.0, "q": 2.0, "d": 1}, label="d"),
+    _refused("HLN2", {"alpha": 1.0, "p": 2.0, "q": 4.0}, label="p<=1"),
+    _refused("HLN2", {"alpha": 1.0, "p": 0.5, "q": 1.0}, label="q"),
+    _refused("HLN2", {"alpha": 1.0, "p": 1.0, "q": 1.5}, label="gamma"),
+    _refused("HLN2", {"alpha": 0.5, "p": 1.0, "q": 2.0}, label="whole"),
+    _refused("HLN3", {"alpha": 1.0, "p": 1.0}, label="p"),
+    _refused("P1a", {"alpha": 1.0, "p": 2.0}, ParameterError, label="missing-entry"),
+    _refused("P4", {**G, "r": 1}, ParameterError, label="missing-p"),
+    _refused("P7", {**G, "alpha": 1.0, "p": 2.0}, ParameterError, label="missing-gamma"),
+    _refused("NIK", {"p": 1.0}, ParameterError, label="missing-q"),
+]
+
+
+class TestGateTable:
+    @pytest.mark.parametrize("pid, params, error", REFUSED)
+    def test_refused(self, wb, pid, params, error):
+        with pytest.raises(error):
+            run_check(pid, params, workbench=wb)
+
+    def test_sigma_error_names_sigma(self, wb):
+        with pytest.raises(ParameterError, match="sigma"):
+            run_check("NSB", {"alpha": 1.0, "p": 2.0, "sigma": 0.1}, workbench=wb)
+
+
+class TestBenchmarkHooks:
+    """``bench/tracer.py`` replaces the values of ``CHECKS``;
+    ``bench/workloads.py`` reads ``default_matrix`` and calls ``run_check``."""
+
+    def test_checks_hold_the_catalogue(self):
+        assert sorted(CHECKS) == sorted(
+            ["P1a", "P1b", "P1c", "P1d"]
+            + [f"P{k}" for k in range(2, 18)]
+            + ["NSB", "BERN", "NIK", "HLN1", "HLN2", "HLN3"]
+        )
+        assert all(callable(fn) for fn in CHECKS.values())
+
+    def test_run_check_reads_checks_at_call_time(self, wb, monkeypatch):
+        calls = []
+
+        def stub(bench, params):
+            calls.append((bench, params))
+            return "stub"
+
+        monkeypatch.setitem(verify.CHECKS, "P4", stub)
+        assert run_check("P4", {"r": 1}, workbench=wb) == "stub"
+        assert calls == [(wb, {"r": 1})]
+
+    def test_matrix_sizes(self):
+        full = default_matrix(make_config())
+        quick = default_matrix(make_config({"quick": True}))
+        assert len(full) == 48
+        assert [pid for pid, _ in quick] == [
+            "P1a", "P2", "P7", "P12", "P16", "P17", "NSB", "BERN"
+        ]
+        assert all(row in full for row in quick)
+        assert [full.index(row) for row in quick] == sorted(full.index(row) for row in quick)
 
 
 class TestReports:
