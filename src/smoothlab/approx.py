@@ -26,6 +26,7 @@ from .spectral import (
     inverse,
     riesz_project,
     sharp_project,
+    sup_norm,
     transform,
 )
 
@@ -80,7 +81,6 @@ def near_best(f: GridFunction, sigma: float, p, r: int = 1) -> NearBest:
         errors[name] = err
         if err < best_err:
             best_name, best_fn, best_err = name, g, err
-    best_fn.metadata["band_radius"] = sigma
     return NearBest(sigma, p.label(), best_err, best_fn, best_name, errors)
 
 
@@ -146,11 +146,8 @@ def sup_directional(P: GridFunction, alpha, p) -> float:
     """max over the shared direction design of ||D_zeta^alpha P||_p."""
     order = alpha if isinstance(alpha, SmoothnessOrder) else SmoothnessOrder(alpha)
     p = Exponent.parse(p)
-    F = transform(P)
-    return max(
-        quasi_norm(apply_symbol(F, directional_symbol(P.grid, zeta, order)), p)
-        for zeta in direction_design(P.grid.dimension)
-    )
+    return sup_norm(transform(P), direction_design(P.grid.dimension),
+                    lambda zeta: directional_symbol(P.grid, zeta, order), p)
 
 
 def realization(f: GridFunction, delta: float, alpha, p):

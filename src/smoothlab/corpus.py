@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .grid import GridFunction, TorusGrid, periodize
+from .spectral import SpectralFunction, inverse
 
 DESK_1D = {"N": 1024, "L": 40.0}
 DESK_2D = {"N": 256, "L": 20.0}
@@ -214,11 +215,7 @@ def _build_spectral(entry: CorpusEntry, grid: TorusGrid) -> GridFunction:
     coeffs = np.asarray(entry.fourier(*ws), dtype=complex) / L ** grid.dimension
     phase = sum(np.broadcast_to(w, grid.shape) for w in ws) * (L / 2.0)
     coeffs = coeffs * np.exp(-1j * phase)
-    n = grid.points_per_axis
-    vals = np.fft.ifftn(np.broadcast_to(coeffs, grid.shape)) * float(
-        n ** grid.dimension
-    )
-    return GridFunction(grid, vals, {"periodize_tail_bound": 0.0})
+    return inverse(SpectralFunction(grid, np.broadcast_to(coeffs, grid.shape)))
 
 
 _GRIDFN_CACHE: dict = {}
@@ -243,7 +240,6 @@ def grid_function(entry, N: int | None = None, L: float | None = None) -> GridFu
             f = _build_spectral(entry, grid)
         else:
             f = periodize(entry, grid)
-        f.metadata["entry"] = entry.name
         f.values.flags.writeable = False  # shared by every caller
         _GRIDFN_CACHE[key] = f
     return _GRIDFN_CACHE[key]

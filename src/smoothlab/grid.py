@@ -9,7 +9,7 @@ interpolant of the samples.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,6 +87,11 @@ class Exponent:
         return "inf" if self.is_inf else repr(self.p)
 
 
+#: largest order: an order-alpha difference can scale a norm by 2^alpha, which
+#: must stay a finite double (whole orders also cost alpha multiplications)
+MAX_ORDER = 1023.0
+
+
 @dataclass(frozen=True)
 class SmoothnessOrder:
     """Order alpha > 0 of a (fractional) difference or derivative."""
@@ -94,8 +99,10 @@ class SmoothnessOrder:
     alpha: float
 
     def __post_init__(self):
-        if not (self.alpha > 0):
-            raise ParameterError(f"order must be positive, got {self.alpha}")
+        if not (0 < self.alpha < INF):
+            raise ParameterError(f"order must be positive and finite, got {self.alpha}")
+        if self.alpha > MAX_ORDER:
+            raise ParameterError(f"order must be at most {MAX_ORDER:g}, got {self.alpha}")
 
     @property
     def is_integer(self) -> bool:
@@ -167,13 +174,12 @@ class TorusGrid:
         return (w[:, None], w[None, :])
 
 
-@dataclass
+@dataclass(frozen=True)
 class GridFunction:
-    """Complex samples on a TorusGrid plus optional metadata notes."""
+    """Complex samples on a TorusGrid."""
 
     grid: TorusGrid
     values: np.ndarray
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=complex)
@@ -183,12 +189,7 @@ class GridFunction:
             )
         if not np.all(np.isfinite(vals)):
             raise ParameterError("grid function has non-finite samples")
-        self.values = vals
-
-    def copy_with(self, values, **notes) -> "GridFunction":
-        meta = dict(self.metadata)
-        meta.update(notes)
-        return GridFunction(self.grid, values, meta)
+        object.__setattr__(self, "values", vals)
 
     def __add__(self, other: "GridFunction") -> "GridFunction":
         if other.grid != self.grid:
@@ -221,7 +222,8 @@ def quasi_norm(f: GridFunction, p) -> float:
     absvals = np.abs(f.values)
     if p.is_inf:
         return float(absvals.max())
-    s = float(np.sum(absvals ** p.p))
+    # a numpy scalar: where the 1/p power overflows the norm is inf, not an error
+    s = np.sum(absvals ** p.p)
     return float((s * f.grid.cell_volume) ** (1.0 / p.p))
 
 
@@ -263,4 +265,4 @@ def periodize(entry, grid: TorusGrid, m_images: int | None = None) -> GridFuncti
                     entry.evaluate((x1 - L / 2 + m1 * L, x2 - L / 2 + m2 * L)),
                     dtype=complex,
                 )
-    return GridFunction(grid, total, {"periodize_tail_bound": bound})
+    return GridFunction(grid, total)

@@ -10,8 +10,8 @@ itself, and the closed multiplier exp(i a th) (1 - exp(-i th))^a with
 th = (h, w); they must agree and that agreement is tested.
 
 Every difference is a Fourier multiplier on the coefficients of f, so
-the moduli transform f once and hand one symbol per step to
-``spectral.apply_symbol``.  The closed symbol is built from per-axis
+the moduli transform f once and take ``spectral.sup_norm`` over the
+step design of ``step_design``, one symbol per step.  The closed symbol is built from per-axis
 factors: z = exp(-i th) is the outer product of the 1-D arrays
 exp(-i h_j w_j), a whole order r is (exp(i th) - 1)^r by repeated
 multiplication, a fractional order is |1 - z|^a exp(i a (th + Arg(1 - z)))
@@ -30,12 +30,25 @@ import numpy as np
 
 from .errors import AdmissibilityError, ParameterError
 from .grid import Exponent, GridFunction, SmoothnessOrder, TorusGrid, quasi_norm
-from .spectral import Direction, SpectralFunction, apply_symbol, derivative_symbol, transform
+from .spectral import (Direction, SpectralFunction, apply_symbol, derivative_symbol, sup_norm,
+                       transform)
 
 #: number of step magnitudes sampled per direction when taking the sup
 N_MAGNITUDES = 16
 #: default truncation tolerance for series bookkeeping
 SERIES_TOL = 1e-10
+
+
+def _admissible(alpha, p) -> tuple:
+    """(order, exponent), refused unless the order is admissible for p."""
+    order = alpha if isinstance(alpha, SmoothnessOrder) else SmoothnessOrder(alpha)
+    p = Exponent.parse(p)
+    if not order.admissible_for(p):
+        raise AdmissibilityError(
+            f"alpha={order.alpha} inadmissible for p={p.label()}: "
+            f"needs alpha > {p.deficiency}"
+        )
+    return order, p
 
 
 def frac_binomial(alpha: float, nu: int) -> float:
@@ -89,10 +102,7 @@ def binom_power_constant(alpha, p, tol: float = 1e-12) -> float:
     inequality (or its pt-power form for p < 1) over the series terms, each
     a translate of f.
     """
-    order = alpha if isinstance(alpha, SmoothnessOrder) else SmoothnessOrder(alpha)
-    p = Exponent.parse(p)
-    if not order.admissible_for(p):
-        raise AdmissibilityError(f"alpha={order.alpha} inadmissible for p={p.label()}")
+    order, p = _admissible(alpha, p)
     pt = min(p.q1, 1.0)
     a = order.alpha
     if order.is_integer:
@@ -120,13 +130,7 @@ def series_truncation(alpha, p, tol: float = SERIES_TOL) -> int:
     for small alpha and tight tolerances; no summation of that length is
     ever attempted elsewhere (the evaluator sums the tail in closed form).
     """
-    order = alpha if isinstance(alpha, SmoothnessOrder) else SmoothnessOrder(alpha)
-    p = Exponent.parse(p)
-    if not order.admissible_for(p):
-        raise AdmissibilityError(
-            f"alpha={order.alpha} inadmissible for p={p.label()}: "
-            f"needs alpha > {p.deficiency}"
-        )
+    order, p = _admissible(alpha, p)
     if not (tol > 0):
         raise ParameterError("tol must be positive")
     if order.is_integer:
@@ -289,12 +293,6 @@ class Step:
         return tuple(self.magnitude * c for c in self.direction.vector)
 
 
-def _step_phase(grid: TorusGrid, hvec) -> np.ndarray:
-    ws = grid.frequencies()
-    theta = sum(h * w for h, w in zip(hvec, ws))
-    return np.broadcast_to(theta, grid.shape)
-
-
 def frac_difference(
     f: GridFunction,
     step: Step,
@@ -311,33 +309,25 @@ def frac_difference(
     """
     order = alpha if isinstance(alpha, SmoothnessOrder) else SmoothnessOrder(alpha)
     if p is not None:
-        p = Exponent.parse(p)
-        if not order.admissible_for(p):
-            raise AdmissibilityError(
-                f"alpha={order.alpha} inadmissible for p={p.label()}"
-            )
+        _admissible(order, p)
     if step.direction.dimension != f.grid.dimension:
         raise ParameterError("step dimension does not match the grid")
-    return _difference(transform(f), step.vector, order.alpha, method)
+    F = transform(f)
+    return apply_symbol(F, _symbol(F, step.vector, order.alpha, method))
 
 
-def _difference(F: SpectralFunction, hvec, alpha: float, method: str) -> GridFunction:
-    """Order-alpha difference with step hvec of the function with coefficients F."""
+def _symbol(F: SpectralFunction, hvec, alpha: float, method: str) -> np.ndarray:
+    """Symbol of the order-alpha difference with step hvec, on the modes of F."""
     if method == "spectral":
-        return apply_symbol(F, difference_symbol(F.grid, hvec, alpha))
+        return difference_symbol(F.grid, hvec, alpha)
     if method != "series":
         raise ParameterError(f"unknown method '{method}'")
-    theta = _step_phase(F.grid, hvec)
-    coeffs = F.coefficients
-    cmax = float(np.abs(coeffs).max())
-    occupied = np.abs(coeffs) > 1e-300
+    w = F.grid.axis_frequencies()
+    theta = _outer(np.add, [h * w for h in hvec])
+    occupied = np.abs(F.coefficients) > 1e-300
     symbol = np.zeros(F.grid.shape, dtype=complex)
-    sub, unresolved = _series_symbol(alpha, theta[occupied])
-    symbol[occupied] = sub
-    out = apply_symbol(F, symbol)
-    if np.any(unresolved & (np.abs(coeffs[occupied]) > 1e-12 * cmax)):
-        out.metadata["series_unresolved_modes"] = int(np.sum(unresolved))
-    return out
+    symbol[occupied] = _series_symbol(alpha, theta[occupied])[0]
+    return symbol
 
 
 # ---------------------------------------------------------------------------
@@ -375,6 +365,13 @@ def magnitude_design(delta: float, n: int = N_MAGNITUDES) -> np.ndarray:
     return delta * (1.0 - np.arange(n) / n)
 
 
+def step_design(delta: float, directions) -> list:
+    """Step vectors t * zeta for every magnitude t of ``magnitude_design(delta)``
+    (largest first) and, within each, every direction of ``directions``."""
+    return [tuple(float(t) * c for c in zeta.vector)
+            for t in magnitude_design(delta) for zeta in directions]
+
+
 def modulus(
     f: GridFunction,
     delta: float,
@@ -385,19 +382,16 @@ def modulus(
 ) -> float:
     """Sampled modulus of smoothness: max over the shared step design of
     the L_p quasi-norm of the order-alpha difference."""
-    order = alpha if isinstance(alpha, SmoothnessOrder) else SmoothnessOrder(alpha)
-    p = Exponent.parse(p)
-    if not order.admissible_for(p):
-        raise AdmissibilityError(f"alpha={order.alpha} inadmissible for p={p.label()}")
+    order, p = _admissible(alpha, p)
+    return _modulus(transform(f), delta, order.alpha, p, method, directions)
+
+
+def _modulus(F: SpectralFunction, delta: float, alpha: float, p: Exponent, method: str,
+             directions=None) -> float:
     if directions is None:
-        directions = direction_design(f.grid.dimension)
-    F = transform(f)
-    best = 0.0
-    for t in magnitude_design(delta):
-        for zeta in directions:
-            d = _difference(F, Step(zeta, float(t)).vector, order.alpha, method)
-            best = max(best, quasi_norm(d, p))
-    return best
+        directions = direction_design(F.grid.dimension)
+    return sup_norm(F, step_design(delta, directions),
+                    lambda h: _symbol(F, h, alpha, method), p)
 
 
 def default_deltas(grid: TorusGrid, n: int = 24, floor_cells: float = 4.0,
@@ -469,12 +463,12 @@ class ModulusCurve:
 def modulus_curve(
     f: GridFunction, alpha, p, deltas=None, method: str = "spectral"
 ) -> ModulusCurve:
-    order = alpha if isinstance(alpha, SmoothnessOrder) else SmoothnessOrder(alpha)
-    p = Exponent.parse(p)
+    order, p = _admissible(alpha, p)
     if deltas is None:
         deltas = default_deltas(f.grid)
     deltas = np.asarray(deltas, dtype=float)
-    vals = np.array([modulus(f, float(d), order, p, method=method) for d in deltas])
+    F = transform(f)
+    vals = np.array([_modulus(F, float(d), order.alpha, p, method) for d in deltas])
     # running max: the step design at delta_k then contains every step used
     # at smaller deltas, so monotonicity in delta is exact by construction
     vals = np.maximum.accumulate(vals)
@@ -509,15 +503,12 @@ def mixed_modulus(f: GridFunction, orders, delta: float, p) -> float:
         raise ParameterError("one whole order >= 1 per axis is required")
     p = Exponent.parse(p)
     w = f.grid.axis_frequencies()
-    F = transform(f)
-    best = 0.0
-    for t in magnitude_design(delta):
-        for zeta in direction_design(d):
-            hvec = [float(t) * c for c in zeta.vector]
-            axis_symbols = [_whole_power(np.exp(1j * h * w), k) for h, k in zip(hvec, orders)]
-            g = apply_symbol(F, _outer(np.multiply, axis_symbols))
-            best = max(best, quasi_norm(g, p))
-    return best
+
+    def symbol_of(hvec):
+        return _outer(np.multiply, [_whole_power(np.exp(1j * h * w), k)
+                                    for h, k in zip(hvec, orders)])
+
+    return sup_norm(transform(f), step_design(delta, direction_design(d)), symbol_of, p)
 
 
 def averaged_modulus(
@@ -536,8 +527,7 @@ def averaged_modulus(
         raise ParameterError("averaged modulus needs a finite averaging exponent")
     if inner and not q.q1 <= (math.inf if p.is_inf else p.p):
         raise ParameterError("inner form needs q <= p")
-    if not order.admissible_for(p):
-        raise AdmissibilityError(f"alpha={order.alpha} inadmissible for p={p.label()}")
+    _admissible(order, p)
     d = f.grid.dimension
     n = N_MAGNITUDES
     edges = np.linspace(-delta, delta, n + 1)

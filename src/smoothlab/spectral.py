@@ -15,18 +15,16 @@ values.  The per-axis targets and weights (N entries each) are cached.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import ParameterError
-from .grid import GridFunction, SmoothnessOrder, TorusGrid
+from .grid import GridFunction, SmoothnessOrder, TorusGrid, quasi_norm
 
 #: fraction of the Nyquist frequency beyond which spectral mass counts as tail
 TAIL_FRACTION = 0.75
-#: relative l2 tail above which derivative results get a warning flag
-TAIL_WARN = 1e-8
 
 
 @dataclass(frozen=True)
@@ -63,7 +61,6 @@ class SpectralFunction:
     grid: TorusGrid
     coefficients: np.ndarray
     band_radius: float | None = None
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         c = np.asarray(self.coefficients, dtype=complex)
@@ -86,28 +83,23 @@ def frequency_magnitude(grid: TorusGrid) -> np.ndarray:
 def transform(f: GridFunction) -> SpectralFunction:
     n = f.grid.points_per_axis
     coeffs = np.fft.fftn(f.values) / float(n ** f.grid.dimension)
-    return SpectralFunction(f.grid, coeffs, metadata=dict(f.metadata))
+    return SpectralFunction(f.grid, coeffs)
 
 
 def inverse(F: SpectralFunction) -> GridFunction:
     n = F.grid.points_per_axis
     vals = np.fft.ifftn(F.coefficients) * float(n ** F.grid.dimension)
-    return GridFunction(F.grid, vals, dict(F.metadata))
-
-
-def _tail_fraction(F: SpectralFunction) -> float:
-    c = F.coefficients
-    mag = frequency_magnitude(F.grid)
-    total = float(np.sum(np.abs(c) ** 2))
-    if total == 0.0:
-        return 0.0
-    hi = float(np.sum(np.abs(c[mag >= TAIL_FRACTION * F.grid.nyquist]) ** 2))
-    return math.sqrt(hi / total)
+    return GridFunction(F.grid, vals)
 
 
 def spectral_tail_fraction(f: GridFunction) -> float:
     """Relative l2 mass at frequencies above TAIL_FRACTION * Nyquist."""
-    return _tail_fraction(transform(f))
+    c = transform(f).coefficients
+    total = float(np.sum(np.abs(c) ** 2))
+    if total == 0.0:
+        return 0.0
+    tail = frequency_magnitude(f.grid) >= TAIL_FRACTION * f.grid.nyquist
+    return math.sqrt(float(np.sum(np.abs(c[tail]) ** 2)) / total)
 
 
 def apply_symbol(F: SpectralFunction, symbol: np.ndarray) -> GridFunction:
@@ -115,18 +107,22 @@ def apply_symbol(F: SpectralFunction, symbol: np.ndarray) -> GridFunction:
 
     ``symbol`` is an array broadcastable to the grid shape.  Callers that
     apply many symbols to one function transform it once and call this
-    for every symbol; the result carries F's metadata.
+    for every symbol.
     """
-    return inverse(SpectralFunction(F.grid, F.coefficients * symbol, metadata=F.metadata))
+    return inverse(SpectralFunction(F.grid, F.coefficients * symbol))
 
 
-def multiplier_apply(f: GridFunction, symbol) -> GridFunction:
-    """Apply a Fourier multiplier; ``symbol`` maps frequency arrays to values."""
-    sym = np.asarray(symbol(*f.grid.frequencies()), dtype=complex)
-    sym = np.broadcast_to(sym, f.grid.shape)
-    if not np.all(np.isfinite(sym)):
-        raise ParameterError("multiplier symbol has non-finite values")
-    return apply_symbol(transform(f), sym)
+def sup_norm(F: SpectralFunction, design, symbol_of, p) -> float:
+    """max over ``design`` of the L_p quasi-norm of ``apply_symbol(F, symbol_of(x))``:
+    the sampled supremum behind every modulus and directional bound."""
+    best = 0.0
+    for x in design:
+        # g stays bound until the next one is built; a generator inside max()
+        # would free each grid-sized array first, so glibc trims the heap and
+        # faults in fresh pages at every step, which made 2-D moduli slower
+        g = apply_symbol(F, symbol_of(x))
+        best = max(best, quasi_norm(g, p))
+    return best
 
 
 def derivative_symbol(grid: TorusGrid, multi: tuple) -> np.ndarray:
@@ -152,29 +148,16 @@ def directional_derivative(f: GridFunction, zeta: Direction, alpha) -> GridFunct
     """Fractional derivative of order alpha along zeta.
 
     Symbol (i (w, zeta))^alpha on the principal branch, set to 0 at the
-    zero frequency.  A warning flag lands in the metadata when the input
-    has significant spectral mass near the Nyquist frequency (the result
-    is then dominated by barely-resolved modes).
+    zero frequency.
     """
     order = alpha if isinstance(alpha, SmoothnessOrder) else SmoothnessOrder(alpha)
-    symbol = directional_symbol(f.grid, zeta, order)
-    F = transform(f)
-    out = apply_symbol(F, symbol)
-    tail = _tail_fraction(F)
-    if tail > TAIL_WARN:
-        out.metadata["spectral_tail_warning"] = tail
-    return out
+    return apply_symbol(transform(f), directional_symbol(f.grid, zeta, order))
 
 
 def fractional_laplacian(f: GridFunction, alpha) -> GridFunction:
     """Multiplier |w|^alpha (the Riesz symbol), zero at frequency zero."""
     order = alpha if isinstance(alpha, SmoothnessOrder) else SmoothnessOrder(alpha)
-
-    def symbol(*ws):
-        mag = frequency_magnitude(f.grid)
-        return np.power(mag, order.alpha).astype(complex)
-
-    return multiplier_apply(f, symbol)
+    return apply_symbol(transform(f), np.power(frequency_magnitude(f.grid), order.alpha))
 
 
 def smooth_cutoff(s):
@@ -279,7 +262,7 @@ def _sampling_operator(f: GridFunction, sigma: float, lam: float, r: int) -> Gri
     coeffs = transform(f).coefficients
     for axis in range(f.grid.dimension):
         coeffs = _sample_axis(coeffs, axis, targets, weights)
-    return inverse(SpectralFunction(f.grid, coeffs, metadata={"interp_v": (sigma, lam, r)}))
+    return inverse(SpectralFunction(f.grid, coeffs))
 
 
 def interp_V(f: GridFunction, sigma: float, lam: float = 0.0, r: int = 1) -> GridFunction:

@@ -482,16 +482,8 @@ def _dilate_poly(base: GridFunction, factor: int) -> GridFunction:
     n = base.grid.points_per_axis
     idx = np.fft.fftfreq(n, d=1.0 / n).astype(int)
     out = np.zeros(base.grid.shape, dtype=complex)
-    if base.grid.dimension == 1:
-        src = np.nonzero(np.abs(F.coefficients) > 0)[0]
-        for s in src:
-            out[np.mod(idx[s] * factor, n)] += F.coefficients[s]
-    else:
-        src = np.argwhere(np.abs(F.coefficients) > 0)
-        for s1, s2 in src:
-            out[np.mod(idx[s1] * factor, n), np.mod(idx[s2] * factor, n)] += (
-                F.coefficients[s1, s2]
-            )
+    src = np.nonzero(np.abs(F.coefficients) > 0)
+    np.add.at(out, tuple(np.mod(idx[s] * factor, n) for s in src), F.coefficients[src])
     return inverse(SpectralFunction(base.grid, out))
 
 
@@ -1121,11 +1113,16 @@ def _hln_gamma(a) -> dict:
     return {"gamma": a.d * (1.0 - 1.0 / a.q.p)}
 
 
+def _order(raw) -> float:
+    """An order parameter, refused unless positive and finite."""
+    return SmoothnessOrder(float(raw)).alpha
+
+
 EXP = Exponent.parse
-EAP = {"entry": str, "alpha": float, "p": EXP}
+EAP = {"entry": str, "alpha": _order, "p": EXP}
 P6_PARAMS = {"entry": str, "r": float, "p": EXP, "q": EXP}
 P11_PARAMS = {"entry": str, "r": int, "m": int, "p": EXP}
-HLN_PARAMS = {"alpha": float, "p": EXP, "n_seeds": (int, 4)}
+HLN_PARAMS = {"alpha": _order, "p": EXP, "n_seeds": (int, 4)}
 EXACT = {"exact_tol": 1e-12, "check_slope": False}
 LARGE = {"asym": "large"}
 
@@ -1176,12 +1173,12 @@ TABLE = (
           notes=("both spreads should be moderate together or large together",)),
     Check("P16", _p16, EAP, (P_NORMED,), mode="band"),
     Check("P17", _p17, EAP, (admissible("alpha"),), mode="band"),
-    Check("NSB", _nsb, {"alpha": float, "p": EXP, "sigma": (float, 8.0), "n_seeds": (int, 8),
+    Check("NSB", _nsb, {"alpha": _order, "p": EXP, "sigma": (float, 8.0), "n_seeds": (int, 8),
                         "seed": (int, 0), "d": (int, 1)},
           (Gate(_band_fits, "sigma in [2 pi/L, pi N/L], the band of its polynomial grid",
                 ParameterError),),
           mode="band", opts={"band_limit": 10.0, "check_slope": False}),
-    Check("BERN", _bern, {"alpha": float, "p": EXP, "d": (int, 1), "n_seeds": (int, 4)},
+    Check("BERN", _bern, {"alpha": _order, "p": EXP, "d": (int, 1), "n_seeds": (int, 4)},
           opts={"check_slope": False}),
     Check("NIK", _nik, {"p": EXP, "q": EXP, "d": (int, 1)}, (P_BELOW_Q,), opts=LARGE,
           notes=("witness family: dilated triangle-spectrum kernels",)),

@@ -1,7 +1,10 @@
+import contextlib
+import io
 import json
 import logging
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from smoothlab.cli import main
 
@@ -211,3 +214,36 @@ class TestBadInputExitsTwo:
         msg = self.run_bad(capsys, caplog, *argv, "--quick")
         assert "delta" in msg
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "P1a", "--entry", "gaussian", "--alpha", "inf", "--p", "2"),
+        ("verify", "HLN1", "--alpha", "nan", "--p", "0.5", "--q", "2"),
+        ("modulus", "gaussian", "--alpha", "inf", "--p", "2", "--delta", "0.1"),
+        ("curve", "gaussian", "--alpha", "inf", "--p", "2"),
+    ])
+    def test_non_finite_order(self, capsys, caplog, argv):
+        msg = self.run_bad(capsys, caplog, *argv, "--quick")
+        assert "order must be positive and finite" in msg
+
+
+def _numbers(*extra):
+    """Option values as typed: non-finite, zero, negative and ordinary floats."""
+    special = ["inf", "-inf", "nan", "0", "-0.0", "-1", *extra]
+    return st.one_of(st.sampled_from(special), st.floats(-4.0, 4.0).map(repr))
+
+
+@settings(max_examples=60, deadline=None)
+@given(entry=st.sampled_from(["gaussian", "bump", "planewave"]),
+       command=st.sampled_from(["modulus", "curve"]),
+       alpha=_numbers("1023", "1024", "1e300"), delta=_numbers("1e-300", "1e300"),
+       p=_numbers("1e-300", "1e300"))
+def test_bad_numbers_exit_0_or_2_without_traceback(entry, command, alpha, delta, p):
+    """Exit 1 means a failed check, so no value of these options may reach it."""
+    argv = [command, entry, f"--alpha={alpha}", f"--p={p}", "--quick"]
+    if command == "modulus":
+        argv.append(f"--delta={delta}")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2)
+    assert "Traceback" not in err.getvalue()

@@ -1,3 +1,4 @@
+import dataclasses
 
 import numpy as np
 import pytest
@@ -92,6 +93,9 @@ class TestGridFunctions:
             f.values[0] = 0.0
         with pytest.raises(ValueError):
             f.values *= 2.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            f.values = np.zeros(f.grid.shape)
+        assert grid_function(entry, N=n) is f and np.all(f.values != 0.0)
 
     def test_default_scale(self):
         sc1 = default_scale(get_entry("gaussian"))

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from smoothlab.errors import ParameterError
-from smoothlab.grid import Exponent, GridFunction, SmoothnessOrder, TorusGrid, quasi_norm
+from smoothlab.grid import (MAX_ORDER, Exponent, GridFunction, SmoothnessOrder, TorusGrid,
+                            quasi_norm)
 
 
 def make_grid(d=1, n=64, L=10.0):
@@ -62,6 +63,19 @@ class TestSmoothnessOrder:
     def test_rejects_nonpositive(self):
         with pytest.raises(ParameterError):
             SmoothnessOrder(0.0)
+
+    @pytest.mark.parametrize("alpha", [math.inf, math.nan, -math.inf])
+    def test_rejects_non_finite(self, alpha):
+        with pytest.raises(ParameterError, match="positive and finite"):
+            SmoothnessOrder(alpha)
+
+    def test_rejects_orders_whose_bound_overflows(self):
+        assert SmoothnessOrder(MAX_ORDER).is_integer
+        assert 2.0 ** MAX_ORDER < math.inf
+        with pytest.raises(ParameterError, match="at most"):
+            SmoothnessOrder(np.nextafter(MAX_ORDER, math.inf))
+        with pytest.raises(ParameterError, match="at most"):
+            SmoothnessOrder(1e300)
 
     def test_admissibility(self):
         # any whole order is fine; fractional orders need alpha > (1/p - 1)_+

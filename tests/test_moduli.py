@@ -26,6 +26,7 @@ from smoothlab.moduli import (
     partial_modulus,
     series_truncation,
     sobolev_seminorm,
+    step_design,
 )
 from smoothlab.spectral import Direction
 
@@ -341,3 +342,14 @@ class TestOneTransformPerCall:
         assert len(count_transforms) == 2
         averaged_modulus(f, 0.6, 1.0, 2.0, 1.0)
         assert len(count_transforms) == 3
+        modulus_curve(f, 1.5, 2.0, deltas=[0.2, 0.4, 0.6])
+        assert len(count_transforms) == 4
+
+    def test_curve_is_the_running_max_of_moduli(self, f):
+        deltas = [0.2, 0.4, 0.6]
+        ref = np.maximum.accumulate([modulus(f, d, 1.5, 0.5) for d in deltas])
+        assert np.array_equal(modulus_curve(f, 1.5, 0.5, deltas=deltas).values, ref)
+
+    def test_step_design_order(self, f):
+        dirs = direction_design(f.grid.dimension)
+        assert step_design(0.6, dirs) == [tuple(h) for h in _design_steps(f.grid.dimension, 0.6)]

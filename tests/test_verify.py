@@ -9,6 +9,7 @@ import pytest
 from smoothlab import verify
 from smoothlab.errors import HypothesisError, ParameterError
 from smoothlab.moduli import ModulusCurve
+from smoothlab.spectral import SpectralFunction, inverse, transform
 from smoothlab.verify import (
     CHECKS,
     UlyanovParams,
@@ -319,6 +320,25 @@ class TestGateTable:
     def test_sigma_error_names_sigma(self, wb):
         with pytest.raises(ParameterError, match="sigma"):
             run_check("NSB", {"alpha": 1.0, "p": 2.0, "sigma": 0.1}, workbench=wb)
+
+
+def _dilate_per_mode(base, factor):
+    """Reference: move each nonzero coefficient of mode k to mode k * factor, one at a time."""
+    coeffs = transform(base).coefficients
+    n = base.grid.points_per_axis
+    idx = np.fft.fftfreq(n, d=1.0 / n).astype(int)
+    out = np.zeros(base.grid.shape, dtype=complex)
+    for s in np.argwhere(np.abs(coeffs) > 0):
+        out[tuple(np.mod(idx[s] * factor, n))] += coeffs[tuple(s)]
+    return inverse(SpectralFunction(base.grid, out))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("factor", [2, 8])
+def test_dilate_poly_matches_per_mode_loop(wb, d, factor):
+    base = wb.poly(d, 1.0, 1000)
+    got = verify._dilate_poly(base, factor)
+    assert np.array_equal(got.values, _dilate_per_mode(base, factor).values)
 
 
 class TestBenchmarkHooks:
