@@ -35,7 +35,6 @@ from .moduli import (
     modulus,
     modulus_curve,
     partial_modulus,
-    series_truncation,
     sobolev_seminorm,
 )
 from .spectral import (
@@ -95,7 +94,6 @@ __all__ = [
     "modulus",
     "modulus_curve",
     "partial_modulus",
-    "series_truncation",
     "sobolev_seminorm",
     "Direction",
     "SpectralFunction",

@@ -50,7 +50,7 @@ def _sampling_offsets(sigma: float) -> list:
     return [(-1.0 + (2.0 * k + 1.0) / N_OFFSETS) / sigma for k in range(N_OFFSETS)]
 
 
-def near_best(f: GridFunction, sigma: float, p, r: int = 1) -> NearBest:
+def near_best(f: GridFunction, sigma: float, p) -> NearBest:
     """Upper bound for the type-sigma approximation error, with witness.
 
     Candidates enter in a fixed documented order (hard cutoff, smooth
@@ -71,7 +71,7 @@ def near_best(f: GridFunction, sigma: float, p, r: int = 1) -> NearBest:
     if abs(n_samples - round(n_samples)) < 1e-9 and round(n_samples) >= 2:
         make = interp_V if f.grid.dimension == 1 else interp_V_2d
         for lam in _sampling_offsets(sigma):
-            candidates.append((f"sampling[{lam:.4f}]", make(f, sigma, lam, r)))
+            candidates.append((f"sampling[{lam:.4f}]", make(f, sigma, lam)))
     candidates.append(("zero", GridFunction(f.grid, np.zeros(f.grid.shape))))
 
     best_name, best_fn, best_err = None, None, math.inf
@@ -122,7 +122,7 @@ class ApproximationCurve:
         }
 
 
-def approx_curve(f: GridFunction, p, k_max: int = 6, r: int = 1) -> ApproximationCurve:
+def approx_curve(f: GridFunction, p, k_max: int = 6) -> ApproximationCurve:
     p = Exponent.parse(p)
     sigmas = [0.0]
     raw = [quasi_norm(f, p)]
@@ -131,7 +131,7 @@ def approx_curve(f: GridFunction, p, k_max: int = 6, r: int = 1) -> Approximatio
         sigma = float(2 ** k)
         if sigma > f.grid.nyquist:
             break
-        nb = near_best(f, sigma, p, r=r)
+        nb = near_best(f, sigma, p)
         sigmas.append(sigma)
         raw.append(nb.error)
         witnesses.append(nb)

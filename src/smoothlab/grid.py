@@ -16,6 +16,8 @@ import numpy as np
 from .errors import ParameterError
 
 INF = math.inf
+#: smallest positive normal double
+_NORMAL_MIN = float(np.finfo(float).tiny)
 
 
 def _is_integer(x: float, tol: float = 1e-12) -> bool:
@@ -216,23 +218,33 @@ def quasi_norm(f: GridFunction, p) -> float:
 
     Finite p: (sum |f|^p * h^d)^(1/p) with h the grid spacing; p = inf is
     the max of |f|.  Summation relies on numpy's pairwise reduction over
-    a fixed memory order, so results are bit-stable run to run.
+    a fixed memory order, so results are bit-stable run to run.  Where the
+    sum of |f|^p is not a positive normal float (every term underflowed,
+    or one overflowed), the norm is taken in the scaled form
+    M (sum (|f|/M)^p * h^d)^(1/p), M = max |f|.  A norm beyond the
+    double range is inf.
     """
     p = Exponent.parse(p)
     absvals = np.abs(f.values)
     if p.is_inf:
         return float(absvals.max())
-    # a numpy scalar: where the 1/p power overflows the norm is inf, not an error
-    s = np.sum(absvals ** p.p)
-    return float((s * f.grid.cell_volume) ** (1.0 / p.p))
+    # numpy scalars throughout: an overflowing power is inf, not an error
+    with np.errstate(over="ignore"):
+        s = np.sum(absvals ** p.p)
+        if not _NORMAL_MIN <= s < math.inf:
+            top = absvals.max()
+            if top > 0:
+                s = np.sum((absvals / top) ** p.p)
+                return float(top * (s * f.grid.cell_volume) ** (1.0 / p.p))
+        return float((s * f.grid.cell_volume) ** (1.0 / p.p))
 
 
 #: relative mass allowed outside the fundamental cell when periodizing
 PERIODIZE_TOL = 1e-10
 
 
-def periodize(entry, grid: TorusGrid, m_images: int | None = None) -> GridFunction:
-    """Sample sum_m entry(x + m*L) on the grid.
+def periodize(entry, grid: TorusGrid) -> GridFunction:
+    """Sample sum_m entry(x + m*L), |m_j| <= entry.m_tail (default 1), on the grid.
 
     ``entry`` must expose ``evaluate(coords) -> values`` (coords a tuple of
     broadcastable coordinate arrays, centered convention: the fundamental
@@ -246,8 +258,7 @@ def periodize(entry, grid: TorusGrid, m_images: int | None = None) -> GridFuncti
             f"period {grid.period} too small for '{getattr(entry, 'name', '?')}':"
             f" tail bound {bound:.3e} exceeds {PERIODIZE_TOL:.0e}"
         )
-    if m_images is None:
-        m_images = int(getattr(entry, "m_tail", 1))
+    m_images = int(getattr(entry, "m_tail", 1))
     L = grid.period
     coords = grid.coords()
     total = np.zeros(grid.shape, dtype=complex)

@@ -59,8 +59,8 @@ from .moduli import (
     averaged_modulus,
     binom_power_constant,
     default_deltas,
+    difference_symbol,
     frac_binomial,
-    frac_difference,
     mixed_modulus,
     modulus,
     modulus_curve,
@@ -72,7 +72,7 @@ from .spectral import (
     SpectralFunction,
     apply_symbol,
     derivative_symbol,
-    directional_derivative,
+    directional_symbol,
     frequency_magnitude,
     inverse,
     transform,
@@ -1023,9 +1023,11 @@ def _nsb(wb, a):
     grid_vals, lhs, rhs, end_devs = [], [], [], []
     for s in range(a.n_seeds):
         P = wb.poly(a.d, a.sigma, a.seed + s)
-        der = quasi_norm(directional_derivative(P, zeta, a.alpha), a.p)
+        F, order = transform(P), SmoothnessOrder(a.alpha)
+        der = quasi_norm(apply_symbol(F, directional_symbol(P.grid, zeta, order)), a.p)
         for h in hs:
-            dif = quasi_norm(frac_difference(P, Step(zeta, h), a.alpha), a.p) / h ** a.alpha
+            sym = difference_symbol(P.grid, Step(zeta, h).vector, a.alpha)
+            dif = quasi_norm(apply_symbol(F, sym), a.p) / h ** a.alpha
             grid_vals.append(h)
             lhs.append(der)
             rhs.append(dif)

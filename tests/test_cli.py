@@ -38,6 +38,16 @@ class TestModulusCommand:
         payload = json.loads(out)
         assert payload["value"] == pytest.approx(0.4948, abs=1e-3)
 
+    def test_large_p_tends_to_the_sup(self, capsys):
+        # every |difference|^1000 underflows; the L_1000 norm stays below
+        # the sup, by the factor (peak width)^(1/1000), here 2.2e-3
+        args = ("modulus", "gaussian", "--alpha", "1", "--delta", "0.1", "--quick")
+        sup = json.loads(run(capsys, *args, "--p", "inf")[1])["value"]
+        for p, rel in (("1000", 5e-3), ("1e300", 0.0)):
+            code, out = run(capsys, *args, "--p", p)
+            assert code == 0
+            assert json.loads(out)["value"] == pytest.approx(sup, rel=rel, abs=0.0)
+
     def test_curve_schema(self, capsys):
         code, out = run(
             capsys, "curve", "gaussian", "--alpha", "1", "--p", "2", "--quick"

@@ -1,9 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from smoothlab.corpus import grid_function
 from smoothlab.errors import ParameterError
 from smoothlab.grid import (MAX_ORDER, Exponent, GridFunction, SmoothnessOrder, TorusGrid,
                             quasi_norm)
@@ -133,6 +135,19 @@ class TestQuasiNorm:
         g = make_grid()
         f = GridFunction(g, np.sin(g.axis_coords()))
         assert quasi_norm(c * f, 0.5) == pytest.approx(abs(c) * quasi_norm(f, 0.5))
+
+    @pytest.mark.parametrize("scale", [1.0, 10.0])
+    def test_large_p_tends_to_the_sup(self, scale):
+        # every |f|^p underflows (scale 1) or the largest overflows (scale 10)
+        f = scale * grid_function("gaussian", N=256, L=20.0)
+        assert quasi_norm(f, 1e300) == quasi_norm(f, "inf")
+        assert quasi_norm(f, 1000.0) == pytest.approx(quasi_norm(f, "inf"), rel=1e-2)
+
+    def test_small_p_warns_nothing(self):
+        f = grid_function("gaussian", N=256, L=20.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert quasi_norm(f, 0.001) == math.inf
 
     def test_arithmetic(self):
         g = make_grid()

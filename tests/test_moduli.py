@@ -8,10 +8,13 @@ from smoothlab.corpus import grid_function
 from smoothlab.errors import AdmissibilityError, ParameterError
 from smoothlab.grid import GridFunction, TorusGrid, quasi_norm
 import smoothlab.moduli
+import smoothlab.spectral
+import smoothlab.verify
 from smoothlab.moduli import (
     ModulusCurve,
     Step,
     _series_symbol,
+    _symbol,
     averaged_modulus,
     binom_power_constant,
     binom_power_constant as bpc,
@@ -24,11 +27,11 @@ from smoothlab.moduli import (
     modulus,
     modulus_curve,
     partial_modulus,
-    series_truncation,
     sobolev_seminorm,
     step_design,
 )
-from smoothlab.spectral import Direction
+from smoothlab.spectral import Direction, transform
+from smoothlab.verify import run_check
 
 
 def _spectral_symbol(alpha, theta):
@@ -71,28 +74,6 @@ class TestBinomials:
             binom_power_constant(0.5, 0.5)
 
 
-class TestSeriesTruncation:
-    def test_whole_order_terminates(self):
-        assert series_truncation(2.0, 2.0) == 2
-        assert series_truncation(3.0, 0.5) == 3
-
-    def test_fractional_order_is_finite_and_certified(self):
-        from smoothlab.moduli import _tail_majorant
-
-        n = series_truncation(1.5, 2.0, tol=1e-6)
-        assert _tail_majorant(1.5, 1.0, n) < 1e-6
-        assert _tail_majorant(1.5, 1.0, n - 1) >= 1e-6
-
-    def test_small_p_lengths_are_huge(self):
-        # near the admissibility edge the certified length explodes; the
-        # evaluator never sums that far (it folds the tail in closed form)
-        assert series_truncation(1.5, 0.5, tol=1e-10) > 10 ** 6
-
-    def test_inadmissible_rejected(self):
-        with pytest.raises(AdmissibilityError):
-            series_truncation(0.5, 0.5)
-
-
 class TestSymbols:
     def test_series_matches_closed_form(self):
         rng = np.random.default_rng(1)
@@ -118,6 +99,19 @@ class TestSymbols:
             s, _ = _series_symbol(a, th)
             assert np.allclose(np.abs(s), (2 * np.sin(th / 2.0)) ** a, atol=1e-12)
 
+    def test_series_sums_only_the_occupied_modes(self):
+        # fejer occupies 51 of its 1024 modes; the rest is FFT round-off
+        F = transform(grid_function("fejer", N=1024, L=40.0))
+        h = (0.3,)
+        theta = 0.3 * F.grid.axis_frequencies()
+        mag = np.abs(F.coefficients)
+        dropped = mag <= 1e-14 * mag.max()
+        assert 0 < np.count_nonzero(~dropped) < 64
+        for a in (0.5, 1.5, 2.0, 3.2):
+            s = _symbol(F, h, a, "series")
+            assert np.all(s[dropped] == 0.0)
+            assert np.max(np.abs(s[~dropped] - _spectral_symbol(a, theta[~dropped]))) < 1e-10
+
 
 class TestFracDifference:
     def test_series_spectral_agree_on_bandlimited(self):
@@ -126,6 +120,13 @@ class TestFracDifference:
             d1 = frac_difference(f, Step(Direction((1.0,)), 0.3), a, method="spectral")
             d2 = frac_difference(f, Step(Direction((1.0,)), 0.3), a, method="series")
             assert np.max(np.abs(d1.values - d2.values)) < 1e-10
+
+    def test_series_spectral_agree_in_2d(self):
+        f = grid_function("gaussian2d", N=256, L=20.0)
+        step = Step(Direction.of(1.0, 2.0), 0.37)
+        d1 = frac_difference(f, step, 1.5, method="spectral")
+        d2 = frac_difference(f, step, 1.5, method="series")
+        assert np.max(np.abs(d1.values - d2.values)) < 1e-8 * np.max(np.abs(f.values))
 
     def test_whole_order_matches_direct_stencil(self):
         grid = TorusGrid(1, 256, 2 * math.pi)
@@ -273,14 +274,21 @@ def _design_steps(d, delta):
 @pytest.fixture
 def count_transforms(monkeypatch):
     calls = []
-    real = smoothlab.moduli.transform
+    real = smoothlab.spectral.transform
 
     def counted(f):
         calls.append(f)
         return real(f)
 
-    monkeypatch.setattr(smoothlab.moduli, "transform", counted)
+    for module in (smoothlab.spectral, smoothlab.moduli, smoothlab.verify):
+        monkeypatch.setattr(module, "transform", counted)
     return calls
+
+
+def test_nsb_transforms_each_polynomial_once(count_transforms):
+    # the derivative and the 8 differences of each of the 8 polynomials share one transform
+    run_check("NSB", {"alpha": 1.0, "p": 2.0}, config={"quick": True})
+    assert len(count_transforms) == 8
 
 
 class TestOneTransformPerCall:
