@@ -40,13 +40,9 @@ from .moduli import (
 from .spectral import (
     Direction,
     SpectralFunction,
-    bandlimit_project,
     directional_derivative,
-    fractional_laplacian,
     interp_V,
-    interp_V_2d,
     inverse,
-    sharp_project,
     transform,
 )
 from .verify import (
@@ -97,13 +93,9 @@ __all__ = [
     "sobolev_seminorm",
     "Direction",
     "SpectralFunction",
-    "bandlimit_project",
     "directional_derivative",
-    "fractional_laplacian",
     "interp_V",
-    "interp_V_2d",
     "inverse",
-    "sharp_project",
     "transform",
     "InequalityReport",
     "UlyanovParams",

@@ -5,6 +5,10 @@ is bounded above by minimizing over a fixed candidate set: the hard and
 smooth spectral cutoffs, a first-order Riesz mean, and the sampling
 quasi-interpolants over a set of offsets.  For p = 2 the hard cutoff is
 the exact minimizer (Parseval), so there the bound is the true error.
+
+Every candidate acts on one transform of f: the cutoffs and the Riesz
+mean are the band windows of ``spectral.band_windows`` applied with
+``apply_symbol``, and the sampling operators fold the same coefficients.
 """
 
 from __future__ import annotations
@@ -18,14 +22,11 @@ from .errors import ParameterError
 from .grid import Exponent, GridFunction, SmoothnessOrder, quasi_norm
 from .moduli import direction_design
 from .spectral import (
+    SpectralFunction,
+    _sampling_operator,
     apply_symbol,
-    bandlimit_project,
+    band_windows,
     directional_symbol,
-    interp_V,
-    interp_V_2d,
-    inverse,
-    riesz_project,
-    sharp_project,
     sup_norm,
     transform,
 )
@@ -62,26 +63,23 @@ def near_best(f: GridFunction, sigma: float, p) -> NearBest:
         raise ParameterError(
             f"sigma={sigma} outside (0, nyquist={f.grid.nyquist:.3f}]"
         )
-    candidates: list[tuple[str, GridFunction]] = [
-        ("sharp", inverse(sharp_project(f, sigma))),
-        ("smooth", inverse(bandlimit_project(f, sigma))),
-        ("riesz", inverse(riesz_project(f, sigma))),
-    ]
+    return _near_best(f, transform(f), sigma, p)
+
+
+def _near_best(f: GridFunction, F: SpectralFunction, sigma: float, p: Exponent) -> NearBest:
+    """near_best with the transform F of f given and sigma already checked."""
+    candidates = [(name, apply_symbol(F, window))
+                  for name, window in band_windows(f.grid, sigma).items()]
     n_samples = f.grid.period * sigma
     if abs(n_samples - round(n_samples)) < 1e-9 and round(n_samples) >= 2:
-        make = interp_V if f.grid.dimension == 1 else interp_V_2d
         for lam in _sampling_offsets(sigma):
-            candidates.append((f"sampling[{lam:.4f}]", make(f, sigma, lam)))
+            candidates.append((f"sampling[{lam:.4f}]", _sampling_operator(F, sigma, lam, 1)))
     candidates.append(("zero", GridFunction(f.grid, np.zeros(f.grid.shape))))
 
-    best_name, best_fn, best_err = None, None, math.inf
-    errors = {}
-    for name, g in candidates:
-        err = quasi_norm(f - g, p)
-        errors[name] = err
-        if err < best_err:
-            best_name, best_fn, best_err = name, g, err
-    return NearBest(sigma, p.label(), best_err, best_fn, best_name, errors)
+    errors = {name: quasi_norm(f - g, p) for name, g in candidates}
+    # min returns the first of equal keys: ties, all-inf ones too, keep the earliest
+    name, witness = min(candidates, key=lambda c: errors[c[0]])
+    return NearBest(sigma, p.label(), errors[name], witness, name, errors)
 
 
 @dataclass
@@ -96,7 +94,6 @@ class ApproximationCurve:
     sigmas: np.ndarray
     values: np.ndarray
     raw_values: np.ndarray
-    witnesses: list
     metadata: dict = field(default_factory=dict)
 
     def value_at(self, sigma: float) -> float:
@@ -124,22 +121,18 @@ class ApproximationCurve:
 
 def approx_curve(f: GridFunction, p, k_max: int = 6) -> ApproximationCurve:
     p = Exponent.parse(p)
+    F = transform(f)
     sigmas = [0.0]
     raw = [quasi_norm(f, p)]
-    witnesses = [None]
     for k in range(k_max + 1):
         sigma = float(2 ** k)
         if sigma > f.grid.nyquist:
             break
-        nb = near_best(f, sigma, p)
         sigmas.append(sigma)
-        raw.append(nb.error)
-        witnesses.append(nb)
+        raw.append(_near_best(f, F, sigma, p).error)
     raw_arr = np.asarray(raw)
     repaired = np.minimum.accumulate(raw_arr)
-    return ApproximationCurve(
-        p.label(), np.asarray(sigmas), repaired, raw_arr, witnesses
-    )
+    return ApproximationCurve(p.label(), np.asarray(sigmas), repaired, raw_arr)
 
 
 def sup_directional(P: GridFunction, alpha, p) -> float:
@@ -183,12 +176,12 @@ def k_functional(f: GridFunction, delta: float, alpha, p) -> float:
         raise ParameterError("K-functional degenerates for p < 1; use realization")
     if not (delta > 0):
         raise ParameterError("delta must be positive")
+    F = transform(f)
     candidates = [f, GridFunction(f.grid, np.zeros(f.grid.shape))]
     for scale in K_SCALES:
         sigma = scale / delta
         if 0 < sigma <= f.grid.nyquist:
-            candidates.append(inverse(bandlimit_project(f, sigma)))
-    F = transform(f)
+            candidates.append(apply_symbol(F, band_windows(f.grid, sigma)["smooth"]))
     mag2 = sum(np.broadcast_to(w, f.grid.shape) ** 2 for w in f.grid.frequencies())
     for scale in K_SCALES:
         t = scale * delta

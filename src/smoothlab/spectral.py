@@ -1,4 +1,4 @@
-"""Discrete Fourier machinery: multipliers, derivatives, projections.
+"""Discrete Fourier machinery: multipliers, derivatives, band windows.
 
 Convention: for samples f on a TorusGrid the coefficients are
 c_xi = (1/N^d) sum_k f(x_k) exp(-2 pi i k.xi/N), so that
@@ -6,10 +6,15 @@ f(x) = sum_xi c_xi exp(i w_xi . x) with physical frequencies
 w_xi = 2 pi xi / L.  Parseval then reads
 quasi_norm(f, 2)^2 = L^d * sum |c_xi|^2, exactly on the grid.
 
-Sampling operator: interp_V and interp_V_2d are Fourier folds, not dense
-kernels.  Per axis the coefficients are folded mod n = L sigma and
-weighted by phi(-x) exp(-i x sigma lam); one inverse FFT gives the
-values.  The per-axis targets and weights (N entries each) are cached.
+The band windows of radius sigma (``band_windows``) are multipliers for
+``apply_symbol`` and the sampling operator is a fold of the coefficients,
+so a caller that applies many of them to one function transforms it once.
+
+Sampling operator: interp_V is a Fourier fold, not a dense kernel, on
+1-D and 2-D grids alike.  Per axis the coefficients are folded mod
+n = L sigma and weighted by phi(-x) exp(-i x sigma lam); one inverse FFT
+gives the values.  The per-axis targets and weights (N entries each) are
+cached.
 """
 
 from __future__ import annotations
@@ -22,10 +27,6 @@ import numpy as np
 
 from .errors import ParameterError
 from .grid import GridFunction, SmoothnessOrder, TorusGrid, quasi_norm
-
-#: fraction of the Nyquist frequency beyond which spectral mass counts as tail
-TAIL_FRACTION = 0.75
-
 
 @dataclass(frozen=True)
 class Direction:
@@ -92,16 +93,6 @@ def inverse(F: SpectralFunction) -> GridFunction:
     return GridFunction(F.grid, vals)
 
 
-def spectral_tail_fraction(f: GridFunction) -> float:
-    """Relative l2 mass at frequencies above TAIL_FRACTION * Nyquist."""
-    c = transform(f).coefficients
-    total = float(np.sum(np.abs(c) ** 2))
-    if total == 0.0:
-        return 0.0
-    tail = frequency_magnitude(f.grid) >= TAIL_FRACTION * f.grid.nyquist
-    return math.sqrt(float(np.sum(np.abs(c[tail]) ** 2)) / total)
-
-
 def apply_symbol(F: SpectralFunction, symbol: np.ndarray) -> GridFunction:
     """The multiplier primitive: inverse transform of F times ``symbol``.
 
@@ -154,12 +145,6 @@ def directional_derivative(f: GridFunction, zeta: Direction, alpha) -> GridFunct
     return apply_symbol(transform(f), directional_symbol(f.grid, zeta, order))
 
 
-def fractional_laplacian(f: GridFunction, alpha) -> GridFunction:
-    """Multiplier |w|^alpha (the Riesz symbol), zero at frequency zero."""
-    order = alpha if isinstance(alpha, SmoothnessOrder) else SmoothnessOrder(alpha)
-    return apply_symbol(transform(f), np.power(frequency_magnitude(f.grid), order.alpha))
-
-
 def smooth_cutoff(s):
     """C^inf cutoff: 1 for s <= 1/2, exp(1 - 1/(1-(2s-1)^2)) inside (1/2, 1), 0 after."""
     s = np.asarray(s, dtype=float)
@@ -171,37 +156,19 @@ def smooth_cutoff(s):
     return out
 
 
-def bandlimit_project(f: GridFunction, sigma: float) -> SpectralFunction:
-    """Smooth low-pass to band radius sigma (cutoff value at |w|/sigma).
-
-    Reproduces every mode with |w| <= sigma/2 exactly and vanishes beyond
-    sigma.  sigma must not exceed the grid Nyquist frequency.
+def band_windows(grid: TorusGrid, sigma: float) -> dict:
+    """The band windows of radius sigma, 0 < sigma <= nyquist, by name:
+    ``sharp`` is the indicator of |w| <= sigma (the best L_2 approximation),
+    ``smooth`` the cutoff at |w|/sigma (exact for |w| <= sigma/2) and
+    ``riesz`` the first-order Riesz mean (1 - (|w|/sigma)^2)_+.  Each
+    vanishes for |w| > sigma; apply one with ``apply_symbol``.
     """
-    if not (0 < sigma <= f.grid.nyquist):
-        raise ParameterError(
-            f"band radius {sigma} outside (0, nyquist={f.grid.nyquist:.3f}]"
-        )
-    F = transform(f)
-    window = smooth_cutoff(frequency_magnitude(f.grid) / sigma)
-    return SpectralFunction(f.grid, F.coefficients * window, band_radius=sigma)
-
-
-def sharp_project(f: GridFunction, sigma: float) -> SpectralFunction:
-    """Hard truncation to the ball |w| <= sigma (best L_2 approximation)."""
-    if not (0 < sigma <= f.grid.nyquist):
-        raise ParameterError("band radius outside (0, nyquist]")
-    F = transform(f)
-    window = (frequency_magnitude(f.grid) <= sigma).astype(float)
-    return SpectralFunction(f.grid, F.coefficients * window, band_radius=sigma)
-
-
-def riesz_project(f: GridFunction, sigma: float) -> SpectralFunction:
-    """First-order Riesz mean: coefficients weighted by (1 - (|w|/sigma)^2)_+."""
-    if not (0 < sigma <= f.grid.nyquist):
-        raise ParameterError("band radius outside (0, nyquist]")
-    F = transform(f)
-    window = np.clip(1.0 - (frequency_magnitude(f.grid) / sigma) ** 2, 0.0, None)
-    return SpectralFunction(f.grid, F.coefficients * window, band_radius=sigma)
+    mag = frequency_magnitude(grid)
+    return {
+        "sharp": (mag <= sigma).astype(float),
+        "smooth": smooth_cutoff(mag / sigma),
+        "riesz": np.clip(1.0 - (mag / sigma) ** 2, 0.0, None),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -252,17 +219,18 @@ def _sample_axis(coeffs: np.ndarray, axis: int, targets: np.ndarray,
     return np.moveaxis(out, 0, axis)
 
 
-def _sampling_operator(f: GridFunction, sigma: float, lam: float, r: int) -> GridFunction:
-    """The sampling operator on every axis: one transform, one fold per axis,
-    one inverse."""
-    if not (0 < sigma <= f.grid.nyquist):
+def _sampling_operator(F: SpectralFunction, sigma: float, lam: float, r: int) -> GridFunction:
+    """The sampling operator on every axis of the coefficients F: one fold
+    per axis, one inverse."""
+    grid = F.grid
+    if not (0 < sigma <= grid.nyquist):
         raise ParameterError("sampling band outside (0, nyquist]")
-    axis_grid = TorusGrid(1, f.grid.points_per_axis, f.grid.period)
+    axis_grid = TorusGrid(1, grid.points_per_axis, grid.period)
     targets, weights, _ = _interp_v_axis_matrix(axis_grid, sigma, lam, r)
-    coeffs = transform(f).coefficients
-    for axis in range(f.grid.dimension):
+    coeffs = F.coefficients
+    for axis in range(grid.dimension):
         coeffs = _sample_axis(coeffs, axis, targets, weights)
-    return inverse(SpectralFunction(f.grid, coeffs))
+    return inverse(SpectralFunction(grid, coeffs))
 
 
 def interp_V(f: GridFunction, sigma: float, lam: float = 0.0, r: int = 1) -> GridFunction:
@@ -272,19 +240,9 @@ def interp_V(f: GridFunction, sigma: float, lam: float = 0.0, r: int = 1) -> Gri
     inverse transform of phi(x) = (1 + i x^(2r+1)) cutoff(|x|); it is
     applied as the Fourier fold of ``_interp_v_axis_matrix``.
 
-    One-dimensional grids only; see interp_V_2d for the tensor composite.
-    The result is entire of exponential type sigma and reproduces modes
-    with |w| <= sigma/2 up to the factor (1 - i (w/sigma)^(2r+1)).
+    On a 2-D grid the 1-D operator acts on both axes (the tensor
+    composite).  The result is entire of exponential type sigma and
+    reproduces modes with |w| <= sigma/2 up to the factor
+    (1 - i (w/sigma)^(2r+1)) per axis.
     """
-    if f.grid.dimension != 1:
-        raise ParameterError("interp_V is one-dimensional; use interp_V_2d")
-    return _sampling_operator(f, sigma, lam, r)
-
-
-def interp_V_2d(f: GridFunction, sigma: float, lam: float = 0.0, r: int = 1) -> GridFunction:
-    """Axis-by-axis composition of the 1-D sampling operator on a 2-D grid:
-    the per-axis fold of interp_V on both axes, between one transform and
-    one inverse."""
-    if f.grid.dimension != 2:
-        raise ParameterError("interp_V_2d needs a two-dimensional grid")
-    return _sampling_operator(f, sigma, lam, r)
+    return _sampling_operator(transform(f), sigma, lam, r)

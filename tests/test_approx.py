@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from smoothlab.approx import (
+    K_SCALES,
     approx_curve,
     k_functional,
     near_best,
@@ -49,6 +50,43 @@ class TestNearBest:
         f = grid_function("fejer", N=512, L=40.0)  # band radius 4
         nb = near_best(f, 8.0, 2.0)
         assert nb.error < 1e-10
+
+    def test_all_inf_tie_keeps_the_first_candidate(self, gaussian):
+        # at p = 0.001 every candidate's quasi-norm overflows; the witness
+        # is still the first candidate, not missing
+        nb = near_best(gaussian, 8.0, 0.001)
+        assert all(math.isinf(e) for e in nb.all_errors.values())
+        assert nb.candidate == "sharp"
+        assert nb.witness is not None
+
+
+class TestOneTransform:
+    """Every candidate of an approximation acts on one transform of f."""
+
+    def test_near_best_1d_with_sampling(self, gaussian, count_transforms):
+        nb = near_best(gaussian, 1.0, 0.5)  # L sigma = 40 samples
+        assert any(name.startswith("sampling[") for name in nb.all_errors)
+        assert len(count_transforms) == 1
+
+    def test_near_best_2d(self, count_transforms):
+        f = grid_function("gaussian2d", N=64, L=20.0)
+        nb = near_best(f, 1.0, 0.5)
+        assert any(name.startswith("sampling[") for name in nb.all_errors)
+        assert len(count_transforms) == 1
+
+    def test_approx_curve(self, gaussian, count_transforms):
+        approx_curve(gaussian, 2.0, k_max=5)
+        assert len(count_transforms) == 1
+
+    def test_k_functional_is_f_plus_one_per_candidate(self, gaussian, count_transforms):
+        # delta = 0.02: two of the smooth bands fit below Nyquist (40.2);
+        # the candidates are f, zero, those two and the Gaussian mollifiers,
+        # and sup_directional transforms each of them once
+        delta = 0.02
+        bands = sum(scale / delta <= gaussian.grid.nyquist for scale in K_SCALES)
+        assert bands == 2
+        k_functional(gaussian, delta, 1.0, 2.0)
+        assert len(count_transforms) == 1 + (2 + bands + len(K_SCALES))
 
 
 class TestApproxCurve:

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import logging
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -94,6 +95,17 @@ class TestVerifyCommand:
         assert code == 0
         header = out.splitlines()[0]
         assert "ratio" in header and "property_id" in header
+
+    @pytest.mark.parametrize("pid", ["P14", "P17"])
+    def test_overflowing_near_best_fails_with_a_report(self, capsys, pid):
+        # at p = 0.001 every near-best candidate's error overflows: the
+        # check reports inf sides and fails instead of crashing
+        code, out = run(capsys, "verify", pid, "--entry", "gaussian", "--alpha", "1",
+                        "--p", "0.001", "--quick")
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["verdict"] == "fail"
+        assert all(math.isinf(v) for v in payload["lhs"] + payload["rhs"])
 
 
 class TestVerifyAllCommand:
@@ -244,12 +256,14 @@ def _numbers(*extra):
 
 @settings(max_examples=60, deadline=None)
 @given(entry=st.sampled_from(["gaussian", "bump", "planewave"]),
-       command=st.sampled_from(["modulus", "curve"]),
+       command=st.sampled_from(["modulus", "curve", "approx"]),
        alpha=_numbers("1023", "1024", "1e300"), delta=_numbers("1e-300", "1e300"),
        p=_numbers("1e-300", "1e300"))
 def test_bad_numbers_exit_0_or_2_without_traceback(entry, command, alpha, delta, p):
     """Exit 1 means a failed check, so no value of these options may reach it."""
-    argv = [command, entry, f"--alpha={alpha}", f"--p={p}", "--quick"]
+    argv = [command, entry, f"--p={p}", "--quick"]
+    if command != "approx":
+        argv.append(f"--alpha={alpha}")
     if command == "modulus":
         argv.append(f"--delta={delta}")
     out, err = io.StringIO(), io.StringIO()

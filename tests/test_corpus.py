@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -6,7 +7,17 @@ import pytest
 from smoothlab.corpus import corpus_list, default_scale, get_entry, grid_function
 from smoothlab.errors import ParameterError
 from smoothlab.grid import quasi_norm
-from smoothlab.spectral import spectral_tail_fraction, transform, frequency_magnitude
+from smoothlab.spectral import transform, frequency_magnitude
+
+
+def spectral_tail_fraction(f):
+    """Relative l2 mass at frequencies |w| >= 0.75 * Nyquist."""
+    c = transform(f).coefficients
+    total = float(np.sum(np.abs(c) ** 2))
+    if total == 0.0:
+        return 0.0
+    tail = frequency_magnitude(f.grid) >= 0.75 * f.grid.nyquist
+    return math.sqrt(float(np.sum(np.abs(c[tail]) ** 2)) / total)
 
 
 class TestCatalogue:

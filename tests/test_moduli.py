@@ -7,9 +7,6 @@ from hypothesis import given, settings, strategies as st
 from smoothlab.corpus import grid_function
 from smoothlab.errors import AdmissibilityError, ParameterError
 from smoothlab.grid import GridFunction, TorusGrid, quasi_norm
-import smoothlab.moduli
-import smoothlab.spectral
-import smoothlab.verify
 from smoothlab.moduli import (
     ModulusCurve,
     Step,
@@ -269,20 +266,6 @@ def _per_step(f, hvecs, alpha, p):
 def _design_steps(d, delta):
     return [[t * c for c in zeta.vector]
             for t in magnitude_design(delta) for zeta in direction_design(d)]
-
-
-@pytest.fixture
-def count_transforms(monkeypatch):
-    calls = []
-    real = smoothlab.spectral.transform
-
-    def counted(f):
-        calls.append(f)
-        return real(f)
-
-    for module in (smoothlab.spectral, smoothlab.moduli, smoothlab.verify):
-        monkeypatch.setattr(module, "transform", counted)
-    return calls
 
 
 def test_nsb_transforms_each_polynomial_once(count_transforms):

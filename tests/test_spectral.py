@@ -3,22 +3,18 @@ import math
 import numpy as np
 import pytest
 
-import smoothlab.spectral
 from smoothlab.approx import _sampling_offsets
 from smoothlab.errors import ParameterError
 from smoothlab.grid import GridFunction, TorusGrid, quasi_norm
 from smoothlab.spectral import (
     Direction,
     SpectralFunction,
-    bandlimit_project,
+    apply_symbol,
+    band_windows,
     directional_derivative,
-    fractional_laplacian,
     frequency_magnitude,
     interp_V,
-    interp_V_2d,
     inverse,
-    riesz_project,
-    sharp_project,
     smooth_cutoff,
     _interp_v_axis_matrix,
     transform,
@@ -78,18 +74,16 @@ class TestDerivatives:
         d = directional_derivative(f, Direction((1.0,)), 2.0)
         assert np.allclose(d.values, -9 * np.sin(3 * x), atol=1e-10)
 
-    def test_fractional_laplacian_radial(self):
-        grid = TorusGrid(2, 32, 2 * math.pi)
-        x, y = grid.coords()
-        f = GridFunction(grid, np.exp(1j * (2 * x + 1 * y)))
-        lap = fractional_laplacian(f, 1.0)
-        assert quasi_norm(lap, "inf") == pytest.approx(math.sqrt(5.0), rel=1e-12)
-
     def test_direction_sign_matters_for_fractional(self, grid):
         f = plane_wave(grid, 1.0)
         d_plus = directional_derivative(f, Direction((1.0,)), 0.5)
         d_minus = directional_derivative(f, Direction((-1.0,)), 0.5)
         assert not np.allclose(d_plus.values, d_minus.values)
+
+
+def project(f, sigma, name):
+    """f filtered by its band window ``name`` of radius sigma."""
+    return apply_symbol(transform(f), band_windows(f.grid, sigma)[name])
 
 
 class TestProjections:
@@ -102,19 +96,19 @@ class TestProjections:
 
     def test_bandlimit_reproduces_low_modes(self, grid):
         f = plane_wave(grid, 2.0)
-        P = inverse(bandlimit_project(f, 8.0))  # 2 <= 8/2: untouched
+        P = project(f, 8.0, "smooth")  # 2 <= 8/2: untouched
         assert np.allclose(P.values, f.values, atol=1e-12)
 
     def test_bandlimit_kills_high_modes(self, grid):
         f = plane_wave(grid, 30.0)
-        P = inverse(bandlimit_project(f, 8.0))
+        P = project(f, 8.0, "smooth")
         assert quasi_norm(P, "inf") < 1e-12
 
     def test_sharp_is_l2_best(self, grid):
         rng = np.random.default_rng(1)
         f = GridFunction(grid, rng.standard_normal(256))
         sigma = 10.0
-        P = inverse(sharp_project(f, sigma))
+        P = project(f, sigma, "sharp")
         err = quasi_norm(f - P, 2.0)
         coeffs = transform(f).coefficients
         mag = frequency_magnitude(grid)
@@ -123,8 +117,21 @@ class TestProjections:
 
     def test_riesz_weights_triangle(self, grid):
         f = plane_wave(grid, 2.0)
-        P = inverse(riesz_project(f, 4.0))
+        P = project(f, 4.0, "riesz")
         assert quasi_norm(P, "inf") == pytest.approx(1.0 - (2.0 / 4.0) ** 2, rel=1e-12)
+
+    @pytest.mark.parametrize("grid", [TorusGrid(1, 256, 2 * math.pi), TorusGrid(2, 64, 16.0)],
+                             ids=["1d", "2d"])
+    @pytest.mark.parametrize("sigma", [3.0, 4.0, 7.5])
+    def test_windows_vanish_outside_band(self, grid, sigma):
+        # the windows are exactly 0 beyond the band radius, so every
+        # projection is bandlimited by construction
+        mag = frequency_magnitude(grid)
+        windows = band_windows(grid, sigma)
+        assert list(windows) == ["sharp", "smooth", "riesz"]
+        for window in windows.values():
+            assert np.all(window[mag > sigma] == 0.0)
+        assert np.array_equal(windows["sharp"], (mag <= sigma).astype(float))
 
 
 class TestSamplingOperator:
@@ -166,7 +173,7 @@ class TestSamplingOperator:
         x, y = grid.coords()
         k = 2 * math.pi / 16.0
         f = GridFunction(grid, np.exp(1j * k * x) * np.exp(1j * k * y))
-        v = interp_V_2d(f, 4.0, 0.0)
+        v = interp_V(f, 4.0, 0.0)
         factor = 1.0 - 1j * (k / 4.0) ** 3
         assert np.max(np.abs(v.values - f.values * factor ** 2)) < 1e-3
 
@@ -242,7 +249,7 @@ class TestSamplingFold:
         for r in (1, 2):
             for lam in _sampling_offsets(sigma):
                 ref = dense_interp_V(f, sigma, lam, r)
-                got = interp_V_2d(f, sigma, lam, r).values
+                got = interp_V(f, sigma, lam, r).values
                 assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_cached_arrays_are_small_and_read_only(self):
@@ -255,18 +262,10 @@ class TestSamplingFold:
                 with pytest.raises(ValueError):
                     arr[0] = 0
 
-    def test_one_transform_per_call(self, monkeypatch):
-        calls = []
-        real = smoothlab.spectral.transform
-
-        def counting(f):
-            calls.append(f)
-            return real(f)
-
-        monkeypatch.setattr(smoothlab.spectral, "transform", counting)
+    def test_one_transform_per_call(self, count_transforms):
         f = random_function(TorusGrid(1, 256, 20.0), seed=13)
         interp_V(f, 2.0, 0.25)
-        assert len(calls) == 1
+        assert len(count_transforms) == 1
         f2 = random_function(TorusGrid(2, 64, 16.0), seed=14)
-        interp_V_2d(f2, 4.0, 0.25)
-        assert len(calls) == 2
+        interp_V(f2, 4.0, 0.25)
+        assert len(count_transforms) == 2
