@@ -6,9 +6,12 @@ smooth spectral cutoffs, a first-order Riesz mean, and the sampling
 quasi-interpolants over a set of offsets.  For p = 2 the hard cutoff is
 the exact minimizer (Parseval), so there the bound is the true error.
 
-Every candidate acts on one transform of f: the cutoffs and the Riesz
-mean are the band windows of ``spectral.band_windows`` applied with
-``apply_symbol``, and the sampling operators fold the same coefficients.
+Every candidate is a multiplier or a fold on the spectrum of f, and a
+function's spectrum is computed once, on first use: the cutoffs and the
+Riesz mean are the band windows of ``spectral.band_windows`` applied with
+``apply_symbol``, the sampling operators are ``interp_V``, and every band
+of a curve, every scale of a realization and every check on one f share
+its one transform.
 """
 
 from __future__ import annotations
@@ -21,15 +24,7 @@ import numpy as np
 from .errors import ParameterError
 from .grid import Exponent, GridFunction, SmoothnessOrder, quasi_norm
 from .moduli import direction_design
-from .spectral import (
-    SpectralFunction,
-    _sampling_operator,
-    apply_symbol,
-    band_windows,
-    directional_symbol,
-    sup_norm,
-    transform,
-)
+from .spectral import apply_symbol, band_windows, directional_symbol, interp_V, sup_norm
 
 #: offsets (as multiples of 1/sigma, within [-1, 1]) for the sampling operator
 N_OFFSETS = 8
@@ -63,17 +58,12 @@ def near_best(f: GridFunction, sigma: float, p) -> NearBest:
         raise ParameterError(
             f"sigma={sigma} outside (0, nyquist={f.grid.nyquist:.3f}]"
         )
-    return _near_best(f, transform(f), sigma, p)
-
-
-def _near_best(f: GridFunction, F: SpectralFunction, sigma: float, p: Exponent) -> NearBest:
-    """near_best with the transform F of f given and sigma already checked."""
-    candidates = [(name, apply_symbol(F, window))
+    candidates = [(name, apply_symbol(f, window))
                   for name, window in band_windows(f.grid, sigma).items()]
     n_samples = f.grid.period * sigma
     if abs(n_samples - round(n_samples)) < 1e-9 and round(n_samples) >= 2:
         for lam in _sampling_offsets(sigma):
-            candidates.append((f"sampling[{lam:.4f}]", _sampling_operator(F, sigma, lam, 1)))
+            candidates.append((f"sampling[{lam:.4f}]", interp_V(f, sigma, lam, 1)))
     candidates.append(("zero", GridFunction(f.grid, np.zeros(f.grid.shape))))
 
     errors = {name: quasi_norm(f - g, p) for name, g in candidates}
@@ -121,7 +111,6 @@ class ApproximationCurve:
 
 def approx_curve(f: GridFunction, p, k_max: int = 6) -> ApproximationCurve:
     p = Exponent.parse(p)
-    F = transform(f)
     sigmas = [0.0]
     raw = [quasi_norm(f, p)]
     for k in range(k_max + 1):
@@ -129,7 +118,7 @@ def approx_curve(f: GridFunction, p, k_max: int = 6) -> ApproximationCurve:
         if sigma > f.grid.nyquist:
             break
         sigmas.append(sigma)
-        raw.append(_near_best(f, F, sigma, p).error)
+        raw.append(near_best(f, sigma, p).error)
     raw_arr = np.asarray(raw)
     repaired = np.minimum.accumulate(raw_arr)
     return ApproximationCurve(p.label(), np.asarray(sigmas), repaired, raw_arr)
@@ -139,7 +128,7 @@ def sup_directional(P: GridFunction, alpha, p) -> float:
     """max over the shared direction design of ||D_zeta^alpha P||_p."""
     order = alpha if isinstance(alpha, SmoothnessOrder) else SmoothnessOrder(alpha)
     p = Exponent.parse(p)
-    return sup_norm(transform(P), direction_design(P.grid.dimension),
+    return sup_norm(P, direction_design(P.grid.dimension),
                     lambda zeta: directional_symbol(P.grid, zeta, order), p)
 
 
@@ -176,16 +165,15 @@ def k_functional(f: GridFunction, delta: float, alpha, p) -> float:
         raise ParameterError("K-functional degenerates for p < 1; use realization")
     if not (delta > 0):
         raise ParameterError("delta must be positive")
-    F = transform(f)
     candidates = [f, GridFunction(f.grid, np.zeros(f.grid.shape))]
     for scale in K_SCALES:
         sigma = scale / delta
         if 0 < sigma <= f.grid.nyquist:
-            candidates.append(apply_symbol(F, band_windows(f.grid, sigma)["smooth"]))
+            candidates.append(apply_symbol(f, band_windows(f.grid, sigma)["smooth"]))
     mag2 = sum(np.broadcast_to(w, f.grid.shape) ** 2 for w in f.grid.frequencies())
     for scale in K_SCALES:
         t = scale * delta
-        candidates.append(apply_symbol(F, np.exp(-0.5 * t * t * mag2)))
+        candidates.append(apply_symbol(f, np.exp(-0.5 * t * t * mag2)))
     best = math.inf
     for g in candidates:
         val = quasi_norm(f - g, p) + delta ** order.alpha * sup_directional(

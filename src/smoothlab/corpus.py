@@ -240,7 +240,7 @@ def grid_function(entry, N: int | None = None, L: float | None = None) -> GridFu
             f = _build_spectral(entry, grid)
         else:
             f = periodize(entry, grid)
-        f.values.flags.writeable = False  # shared by every caller
-        _GRIDFN_CACHE[key] = f
+        # threads that built the same key concurrently all get the object
+        # stored first, so its spectrum is computed once
+        _GRIDFN_CACHE.setdefault(key, f)
     return _GRIDFN_CACHE[key]
-

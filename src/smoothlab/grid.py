@@ -9,7 +9,7 @@ interpolant of the samples.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -178,19 +178,27 @@ class TorusGrid:
 
 @dataclass(frozen=True)
 class GridFunction:
-    """Complex samples on a TorusGrid."""
+    """Complex samples on a TorusGrid.
+
+    ``values`` is a read-only view: no caller of a shared function (the
+    corpus cache hands out one object per entry) can change the samples
+    under the spectrum that ``spectral.transform`` computes once, on first
+    use, and keeps in ``_spectrum``.
+    """
 
     grid: TorusGrid
     values: np.ndarray
+    _spectrum: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=complex)
+        vals = np.asarray(self.values, dtype=complex).view()
         if vals.shape != self.grid.shape:
             raise ParameterError(
                 f"values shape {vals.shape} does not match grid {self.grid.shape}"
             )
         if not np.all(np.isfinite(vals)):
             raise ParameterError("grid function has non-finite samples")
+        vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
     def __add__(self, other: "GridFunction") -> "GridFunction":
@@ -211,6 +219,13 @@ class GridFunction:
         return GridFunction(self.grid, self.values * c)
 
     __rmul__ = __mul__
+
+
+def power(base: float, exponent: float) -> float:
+    """base ** exponent for base >= 0, inf where the result is beyond the
+    double range (a float ``**`` raises OverflowError there)."""
+    with np.errstate(over="ignore"):
+        return float(np.float64(base) ** exponent)
 
 
 def quasi_norm(f: GridFunction, p) -> float:

@@ -9,21 +9,25 @@ Two evaluation routes are provided: summing the (translated) series
 itself, and the closed multiplier exp(i a th) (1 - exp(-i th))^a with
 th = (h, w); they must agree and that agreement is tested.
 
-Every difference is a Fourier multiplier on the coefficients of f, so
-the moduli transform f once and take ``spectral.sup_norm`` over the
-step design of ``step_design``, one symbol per step.  The closed symbol is built from per-axis
-factors: z = exp(-i th) is the outer product of the 1-D arrays
-exp(-i h_j w_j), a whole order r is (exp(i th) - 1)^r by repeated
-multiplication, a fractional order is |1 - z|^a exp(i a (th + Arg(1 - z)))
-(the principal branch; for a < 1, z is taken from the full phase th), and
-the mixed modulus takes the outer product of the 1-D axis symbols.
+Every difference is a Fourier multiplier on the coefficients of f, and
+a function's spectrum is computed once, on first use
+(``spectral.transform``), so each modulus is ``spectral.sup_norm`` of f
+over the step design of ``step_design``, one symbol per step, however
+many moduli, curves and checks ask for the same f.  The closed symbol is
+built from per-axis factors: z = exp(-i th) is the outer product of the
+1-D arrays exp(-i h_j w_j), a whole order r is (exp(i th) - 1)^r by
+repeated multiplication, a fractional order is
+|1 - z|^a exp(i a (th + Arg(1 - z))) (the principal branch; for a < 1, z
+is taken from the full phase th), and the mixed modulus takes the outer
+product of the 1-D axis symbols.
 
-The series route shares only the transform.  It sums the binomial series
-mode by mode, on the occupied modes only (|F| > 1e-14 max|F|, with the
-bound on what the dropped modes contribute stated in ``_symbol``): a
-partial sum whose length adapts to min |1 - w|, plus 12 summation-by-parts
-terms that fold in the remainder.  It carries no certified truncation
-length; its accuracy is checked against the closed symbol.
+The series route shares only the spectrum, whose modes it reads.  It
+sums the binomial series mode by mode, on the occupied modes only
+(|F| > 1e-14 max|F|, with the bound on what the dropped modes contribute
+stated in ``_symbol``): a partial sum whose length adapts to min |1 - w|,
+plus 12 summation-by-parts terms that fold in the remainder.  It carries
+no certified truncation length; its accuracy is checked against the
+closed symbol.
 """
 
 from __future__ import annotations
@@ -35,9 +39,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import AdmissibilityError, ParameterError
-from .grid import Exponent, GridFunction, SmoothnessOrder, TorusGrid, quasi_norm
-from .spectral import (Direction, SpectralFunction, apply_symbol, derivative_symbol, sup_norm,
-                       transform)
+from .grid import Exponent, GridFunction, SmoothnessOrder, TorusGrid, power, quasi_norm
+from .spectral import Direction, apply_symbol, derivative_symbol, sup_norm, transform
 
 #: number of step magnitudes sampled per direction when taking the sup
 N_MAGNITUDES = 16
@@ -106,14 +109,14 @@ def binom_power_constant(alpha, p) -> float:
     a = order.alpha
     if order.is_integer:
         total = sum(abs(c) ** pt for c in _binom_array(a, int(round(a)) + 1).tolist())
-        return float(total ** (1.0 / pt))
+        return power(total, 1.0 / pt)
     n = 16 + int(math.ceil(a))
     while _tail_majorant(a, pt, n) >= _POWER_SUM_TOL and n < 2 ** 20:
         n *= 2
     # the remainder is covered by the majorant, so the result is an upper bound
     mags = np.abs(_binom_array(a, n + 1))
     total = float(np.sum(mags ** pt)) + _tail_majorant(a, pt, n)
-    return float(total ** (1.0 / pt))
+    return power(total, 1.0 / pt)
 
 
 # ---------------------------------------------------------------------------
@@ -262,14 +265,14 @@ def frac_difference(f: GridFunction, step: Step, alpha, method: str = "spectral"
     order = alpha if isinstance(alpha, SmoothnessOrder) else SmoothnessOrder(alpha)
     if step.direction.dimension != f.grid.dimension:
         raise ParameterError("step dimension does not match the grid")
-    F = transform(f)
-    return apply_symbol(F, _symbol(F, step.vector, order.alpha, method))
+    return apply_symbol(f, _symbol(f, step.vector, order.alpha, method))
 
 
-def _symbol(F: SpectralFunction, hvec, alpha: float, method: str) -> np.ndarray:
-    """Symbol of the order-alpha difference with step hvec, on the modes of F.
+def _symbol(f: GridFunction, hvec, alpha: float, method: str) -> np.ndarray:
+    """Symbol of the order-alpha difference with step hvec, on the modes of f.
 
-    The series route sums only the occupied modes, |F| > _OCCUPIED max|F|,
+    The series route sums only the occupied modes of the spectrum F of f,
+    |F| > _OCCUPIED max|F|,
     and leaves the symbol 0 elsewhere.  Since |symbol| <= 2^alpha, a
     dropped mode changes any output sample by at most
     _OCCUPIED max|F| 2^alpha, and all of them together by at most
@@ -277,14 +280,14 @@ def _symbol(F: SpectralFunction, hvec, alpha: float, method: str) -> np.ndarray:
     in 1-D at N = 1024 and alpha <= 3.2.
     """
     if method == "spectral":
-        return difference_symbol(F.grid, hvec, alpha)
+        return difference_symbol(f.grid, hvec, alpha)
     if method != "series":
         raise ParameterError(f"unknown method '{method}'")
-    w = F.grid.axis_frequencies()
+    w = f.grid.axis_frequencies()
     theta = _outer(np.add, [h * w for h in hvec])
-    mag = np.abs(F.coefficients)
+    mag = np.abs(transform(f).coefficients)
     occupied = mag > _OCCUPIED * mag.max()
-    symbol = np.zeros(F.grid.shape, dtype=complex)
+    symbol = np.zeros(f.grid.shape, dtype=complex)
     symbol[occupied] = _series_symbol(alpha, theta[occupied])[0]
     return symbol
 
@@ -343,15 +346,8 @@ def modulus(
     """Sampled modulus of smoothness: max over the shared step design of
     the L_p quasi-norm of the order-alpha difference."""
     order, p = _admissible(alpha, p)
-    return _modulus(transform(f), delta, order.alpha, p, method, directions)
-
-
-def _modulus(F: SpectralFunction, delta: float, alpha: float, p: Exponent, method: str,
-             directions=None) -> float:
-    if directions is None:
-        directions = direction_design(F.grid.dimension)
-    return sup_norm(F, step_design(delta, directions),
-                    lambda h: _symbol(F, h, alpha, method), p)
+    steps = step_design(delta, directions or direction_design(f.grid.dimension))
+    return sup_norm(f, steps, lambda h: _symbol(f, h, order.alpha, method), p)
 
 
 def default_deltas(grid: TorusGrid, n: int = 24, floor_cells: float = 4.0) -> np.ndarray:
@@ -426,8 +422,7 @@ def modulus_curve(
     if deltas is None:
         deltas = default_deltas(f.grid)
     deltas = np.asarray(deltas, dtype=float)
-    F = transform(f)
-    vals = np.array([_modulus(F, float(d), order.alpha, p, method) for d in deltas])
+    vals = np.array([modulus(f, float(d), order, p, method) for d in deltas])
     # running max: the step design at delta_k then contains every step used
     # at smaller deltas, so monotonicity in delta is exact by construction
     vals = np.maximum.accumulate(vals)
@@ -467,7 +462,7 @@ def mixed_modulus(f: GridFunction, orders, delta: float, p) -> float:
         return _outer(np.multiply, [_whole_power(np.exp(1j * h * w), k)
                                     for h, k in zip(hvec, orders)])
 
-    return sup_norm(transform(f), step_design(delta, direction_design(d)), symbol_of, p)
+    return sup_norm(f, step_design(delta, direction_design(d)), symbol_of, p)
 
 
 def averaged_modulus(
@@ -501,13 +496,12 @@ def averaged_modulus(
             for h2 in mids
             if math.hypot(h1, h2) <= delta
         ]
-    F = transform(f)
     acc = 0.0
     acc_grid = np.zeros(f.grid.shape)
     for hvec in nodes:
         if all(abs(h) < 1e-300 for h in hvec):
             continue
-        g = apply_symbol(F, difference_symbol(f.grid, hvec, order.alpha))
+        g = apply_symbol(f, difference_symbol(f.grid, hvec, order.alpha))
         if inner:
             acc_grid = acc_grid + np.abs(g.values) ** q.q1 * w_cell
         else:
@@ -524,6 +518,5 @@ def sobolev_seminorm(f: GridFunction, r: int, p) -> float:
     if not (isinstance(r, int) and r >= 1):
         raise ParameterError("whole order r >= 1 required")
     p = Exponent.parse(p)
-    F = transform(f)
     multis = [(r,)] if f.grid.dimension == 1 else [(k, r - k) for k in range(r + 1)]
-    return sum(quasi_norm(apply_symbol(F, derivative_symbol(f.grid, m)), p) for m in multis)
+    return sum(quasi_norm(apply_symbol(f, derivative_symbol(f.grid, m)), p) for m in multis)

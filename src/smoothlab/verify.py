@@ -52,7 +52,7 @@ import numpy as np
 from . import corpus as corpus_mod
 from .approx import approx_curve, k_functional, near_best, realization, sup_directional
 from .errors import HypothesisError, ParameterError, RegimeError
-from .grid import Exponent, GridFunction, SmoothnessOrder, TorusGrid, quasi_norm
+from .grid import Exponent, GridFunction, SmoothnessOrder, TorusGrid, power, quasi_norm
 from .moduli import (
     ModulusCurve,
     Step,
@@ -155,9 +155,21 @@ class InequalityReport:
         return self.verdict in ("pass", "info")
 
 
+def _finite_json(obj):
+    """obj with each non-finite float spelled as the exponent labels spell
+    it: "inf", "-inf" or "nan"."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return str(float(obj))
+    if isinstance(obj, dict):
+        return {k: _finite_json(v) for k, v in obj.items()}
+    return [_finite_json(v) for v in obj] if isinstance(obj, (list, tuple)) else obj
+
+
 def canonical_json(obj) -> str:
-    """Deterministic serialization: sorted keys, no whitespace drift."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    """Deterministic, strict (RFC 8259) serialization: sorted keys, no
+    whitespace drift, and non-finite floats as strings."""
+    return json.dumps(_finite_json(obj), sort_keys=True, separators=(",", ":"),
+                      allow_nan=False)
 
 
 def report_rows(report: InequalityReport) -> list:
@@ -219,12 +231,15 @@ def _assemble(
             rhs > 0, lhs / np.where(rhs > 0, rhs, 1.0), np.where(lhs > 0, np.inf, 1.0)
         )
     finite = ratio[np.isfinite(ratio)]
-    # degenerate points (both sides in the noise floor) are excluded from
-    # the trend fit; they carry no rate information
-    floor = 1e-10 * max(float(lhs.max(initial=0.0)), 1e-300)
-    keep = (lhs > floor) & (rhs > 0) & np.isfinite(ratio)
-    if int(keep.sum()) < len(grid):
-        notes.append(f"{len(grid) - int(keep.sum())} underflow points left out of the slope fit")
+    # degenerate points (both sides in the noise floor) and points with a
+    # side that overflowed are excluded from the trend fit; they carry no
+    # rate information
+    sides = np.isfinite(lhs) & np.isfinite(rhs)
+    floor = 1e-10 * max(float(lhs[sides].max(initial=0.0)), 1e-300)
+    keep = sides & (lhs > floor) & (rhs > 0) & np.isfinite(ratio)
+    for kind, left_out in (("underflow", sides & ~keep), ("non-finite", ~sides)):
+        if left_out.any():
+            notes.append(f"{int(left_out.sum())} {kind} points left out of the slope fit")
     slope = _fit_slope(grid[keep], ratio[keep]) if check_slope else None
     stats = {
         "max": float(finite.max()) if finite.size else math.inf,
@@ -423,7 +438,7 @@ def marchaud_rhs(
         lambda t: (curve.interp(t) / t ** alpha) ** th, delta, upper, n_quad
     )
     extra = 0.0 if drop_norm else fnorm ** th
-    return float(delta ** alpha * (integral + extra) ** (1.0 / th))
+    return float(delta ** alpha * power(integral + extra, 1.0 / th))
 
 
 def ulyanov_rhs(
@@ -452,7 +467,7 @@ def ulyanov_rhs(
         return (curve.interp(t) * t ** (-up.gamma) * eta) ** q1
 
     integral = log_integral(integrand, t_lo, delta, n_quad)
-    value = integral ** (1.0 / q1)
+    value = power(integral, 1.0 / q1)
     if not drop_norm:
         value += delta ** up.alpha * fnorm
     return float(value), regime["tag"], bool(drop_norm)
@@ -534,7 +549,7 @@ class Workbench:
 
         def build():
             f = self.fn(name)
-            return apply_symbol(transform(f), derivative_symbol(f.grid, multi))
+            return apply_symbol(f, derivative_symbol(f.grid, multi))
 
         return self._get(("dfn", name, multi), build)
 
@@ -727,7 +742,8 @@ def _run(rows: tuple, wb, params: dict) -> InequalityReport:
     for gate in row.gates:
         if not gate.holds(wb, a):
             raise gate.error(f"{label} needs {gate.text}")
-    s = row.body(wb, a)
+    with np.errstate(over="ignore"):  # a side beyond the double range is inf: the row fails
+        s = row.body(wb, a)
     mode = row.mode(a) if callable(row.mode) else row.mode
     rep = _assemble(row.pid, echo, s.grid, s.lhs, s.rhs, mode, wb.cfg,
                     notes=[*s.notes, *row.notes], **row.opts)
@@ -754,7 +770,7 @@ def _p1b(wb, a):
     deltas = wb.deltas(a.entry)
     csum = modulus_curve(wb.fn(a.entry) + wb.fn(a.entry2), a.alpha, a.p, deltas=deltas)
     c1, c2 = wb.curve(a.entry, a.alpha, a.p), wb.curve(a.entry2, a.alpha, a.p)
-    const = 2.0 ** a.p.deficiency
+    const = power(2.0, a.p.deficiency)
     return Sides(deltas, csum.values, const * (c1.values + c2.values),
                  [f"quasi-triangle constant 2^(1/p-1)_+ = {const}"])
 
@@ -770,7 +786,7 @@ def _p1c(wb, a):
 
 def _p2(wb, a):
     c = wb.curve(a.entry, a.alpha, a.p)
-    const = (1.0 + a.lam) ** (a.alpha + a.d * a.p.deficiency)
+    const = power(1.0 + a.lam, a.alpha + a.d * a.p.deficiency)
     lhs = np.array(
         [wb.point_modulus(a.entry, float(a.lam * d), a.alpha, a.p) for d in c.deltas]
     )
@@ -810,7 +826,7 @@ def _p5(wb, a):
         rhs = rhs + ck * np.asarray(wf) * np.asarray(wg)
     notes = []
     if not s.is_inf and s.p < 1.0:
-        slack = (r + 1) ** (1.0 / s.p - 1.0)
+        slack = power(r + 1, 1.0 / s.p - 1.0)
         rhs = rhs * slack
         notes.append(f"s < 1: quasi-triangle slack {slack:.6g} applied to the sum")
     return Sides(deltas, lhs, rhs, notes)
@@ -950,10 +966,10 @@ def _moduli_at(wb, a, sigmas) -> list:
 def _band_sum(ac, alpha: float, expo: float, s: float, start: int) -> float:
     """s^-alpha (sum_{k=start}^{s} (k+1)^(alpha expo - 1) E_k^expo)^(1/expo)."""
     total = sum(
-        (k + 1.0) ** (alpha * expo - 1.0) * ac.value_at(float(k)) ** expo
+        power(k + 1.0, alpha * expo - 1.0) * ac.value_at(float(k)) ** expo
         for k in range(start, int(s) + 1)
     )
-    return s ** (-alpha) * total ** (1.0 / expo)
+    return power(s, -alpha) * power(total, 1.0 / expo)
 
 
 def _p12_plain(wb, a):
@@ -998,7 +1014,8 @@ def _p15(wb, a):
     sig_ratio = [
         om / max(ac.value_at(s), 1e-300) for om, s in zip(_moduli_at(wb, a, sigmas), sigmas)
     ]
-    orders = c1.values / c2.values
+    with np.errstate(invalid="ignore"):
+        orders = c1.values / c2.values
     notes = [
         f"order-ratio spread: {float(np.max(orders) / np.min(orders)):.4g}",
         f"modulus/error spread: {float(np.max(sig_ratio) / np.min(sig_ratio)):.4g}",
@@ -1019,15 +1036,15 @@ def _p17(wb, a):
 
 def _nsb(wb, a):
     zeta = Direction((1.0,)) if a.d == 1 else Direction.of(1.0, 1.0)
+    order = SmoothnessOrder(a.alpha)
     hs = [(j + 1) / (8.0 * a.sigma) for j in range(8)]
     grid_vals, lhs, rhs, end_devs = [], [], [], []
     for s in range(a.n_seeds):
         P = wb.poly(a.d, a.sigma, a.seed + s)
-        F, order = transform(P), SmoothnessOrder(a.alpha)
-        der = quasi_norm(apply_symbol(F, directional_symbol(P.grid, zeta, order)), a.p)
+        der = quasi_norm(apply_symbol(P, directional_symbol(P.grid, zeta, order)), a.p)
         for h in hs:
             sym = difference_symbol(P.grid, Step(zeta, h).vector, a.alpha)
-            dif = quasi_norm(apply_symbol(F, sym), a.p) / h ** a.alpha
+            dif = quasi_norm(apply_symbol(P, sym), a.p) / h ** a.alpha
             grid_vals.append(h)
             lhs.append(der)
             rhs.append(dif)
@@ -1095,13 +1112,13 @@ def _hln(seed0: int, pair: Callable) -> Callable:
 
 
 def _hln1(P, sg, a):
-    weight = sg ** (a.d * (1.0 / a.p.p - 1.0)) * math.log(sg + 1.0) ** (1.0 / a.q.p)
+    weight = power(sg, a.d * (1.0 / a.p.p - 1.0)) * math.log(sg + 1.0) ** (1.0 / a.q.p)
     rhs = weight * sup_directional(P, a.alpha + a.gamma, a.p) + quasi_norm(P, a.q)
     return sup_directional(P, a.alpha, a.q), rhs
 
 
 def _hln2(P, sg, a):
-    rhs = sg ** (a.d * (1.0 / a.p.p - 1.0)) * sup_directional(P, a.alpha + a.gamma, a.p)
+    rhs = power(sg, a.d * (1.0 / a.p.p - 1.0)) * sup_directional(P, a.alpha + a.gamma, a.p)
     return sup_directional(P, a.alpha, a.q), rhs
 
 

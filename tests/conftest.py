@@ -1,13 +1,9 @@
 """Shared pytest plumbing: collect acceptance-criterion result lines and
 print them in the terminal summary, where output capture cannot hide them;
-and the transform counter the one-transform tests share."""
+and the forward-FFT counter the one-transform tests share."""
 
+import numpy as np
 import pytest
-
-import smoothlab.approx
-import smoothlab.moduli
-import smoothlab.spectral
-import smoothlab.verify
 
 ACCEPTANCE_LINES = []
 
@@ -25,15 +21,18 @@ def pytest_terminal_summary(terminalreporter):
 
 @pytest.fixture
 def count_transforms(monkeypatch):
-    """The list of arguments of every ``transform`` call, through each
-    module that calls it."""
+    """The list of the input arrays of every forward FFT (``np.fft.fftn``).
+
+    A function keeps its spectrum once computed, so a counting test builds
+    fresh GridFunctions: a cached corpus function may carry its spectrum
+    from an earlier test.
+    """
     calls = []
-    real = smoothlab.spectral.transform
+    real = np.fft.fftn
 
-    def counted(f):
-        calls.append(f)
-        return real(f)
+    def counted(a, *args, **kwargs):
+        calls.append(a)
+        return real(a, *args, **kwargs)
 
-    for module in (smoothlab.spectral, smoothlab.moduli, smoothlab.approx, smoothlab.verify):
-        monkeypatch.setattr(module, "transform", counted)
+    monkeypatch.setattr(np.fft, "fftn", counted)
     return calls

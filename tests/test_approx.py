@@ -11,10 +11,12 @@ from smoothlab.approx import (
     realization,
     sup_directional,
 )
+import smoothlab.corpus
 from smoothlab.corpus import grid_function
 from smoothlab.errors import ParameterError
-from smoothlab.grid import quasi_norm
+from smoothlab.grid import GridFunction, quasi_norm
 from smoothlab.spectral import frequency_magnitude, transform
+from smoothlab.verify import run_check
 
 
 @pytest.fixture(scope="module")
@@ -60,33 +62,47 @@ class TestNearBest:
         assert nb.witness is not None
 
 
+def fresh(f):
+    """A new GridFunction with the samples of f and no spectrum yet."""
+    return GridFunction(f.grid, f.values)
+
+
 class TestOneTransform:
-    """Every candidate of an approximation acts on one transform of f."""
+    """Every candidate of an approximation acts on the one spectrum of f."""
 
     def test_near_best_1d_with_sampling(self, gaussian, count_transforms):
-        nb = near_best(gaussian, 1.0, 0.5)  # L sigma = 40 samples
+        nb = near_best(fresh(gaussian), 1.0, 0.5)  # L sigma = 40 samples
         assert any(name.startswith("sampling[") for name in nb.all_errors)
         assert len(count_transforms) == 1
 
     def test_near_best_2d(self, count_transforms):
-        f = grid_function("gaussian2d", N=64, L=20.0)
+        f = fresh(grid_function("gaussian2d", N=64, L=20.0))
         nb = near_best(f, 1.0, 0.5)
         assert any(name.startswith("sampling[") for name in nb.all_errors)
         assert len(count_transforms) == 1
 
     def test_approx_curve(self, gaussian, count_transforms):
-        approx_curve(gaussian, 2.0, k_max=5)
+        approx_curve(fresh(gaussian), 2.0, k_max=5)
         assert len(count_transforms) == 1
 
     def test_k_functional_is_f_plus_one_per_candidate(self, gaussian, count_transforms):
         # delta = 0.02: two of the smooth bands fit below Nyquist (40.2);
         # the candidates are f, zero, those two and the Gaussian mollifiers,
-        # and sup_directional transforms each of them once
+        # and sup_directional transforms each of them once -- f's own
+        # spectrum, computed for the other candidates, is among them
         delta = 0.02
         bands = sum(scale / delta <= gaussian.grid.nyquist for scale in K_SCALES)
         assert bands == 2
-        k_functional(gaussian, delta, 1.0, 2.0)
-        assert len(count_transforms) == 1 + (2 + bands + len(K_SCALES))
+        k_functional(fresh(gaussian), delta, 1.0, 2.0)
+        assert len(count_transforms) == 2 + bands + len(K_SCALES)
+
+    def test_realization_check_transforms_its_entry_once(self, monkeypatch, count_transforms):
+        # a fresh corpus cache, so the entry has no spectrum from other tests;
+        # the curve, every near-best scale and every realization share it
+        monkeypatch.setattr(smoothlab.corpus, "_GRIDFN_CACHE", {})
+        run_check("P17", {"entry": "gaussian", "alpha": 1.0, "p": 2.0}, config={"quick": True})
+        f = grid_function("gaussian", N=256, L=20.0)
+        assert sum(a is f.values for a in count_transforms) == 1
 
 
 class TestApproxCurve:

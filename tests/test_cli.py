@@ -2,7 +2,6 @@ import contextlib
 import io
 import json
 import logging
-import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +13,15 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def strict_json(text):
+    """json.loads refusing the NaN/Infinity tokens that RFC 8259 does not allow."""
+
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    return json.loads(text, parse_constant=refuse)
 
 
 class TestCorpusCommand:
@@ -103,9 +111,24 @@ class TestVerifyCommand:
         code, out = run(capsys, "verify", pid, "--entry", "gaussian", "--alpha", "1",
                         "--p", "0.001", "--quick")
         assert code == 1
-        payload = json.loads(out)
+        payload = strict_json(out)
         assert payload["verdict"] == "fail"
-        assert all(math.isinf(v) for v in payload["lhs"] + payload["rhs"])
+        assert all(v == "inf" for v in payload["lhs"] + payload["rhs"])
+        assert payload["notes"][0].endswith("non-finite points left out of the slope fit")
+
+    @pytest.mark.parametrize("argv", [
+        ("P2", "--alpha", "1"),
+        ("P5", "--entry2", "bump", "--r", "2", "--q", "2"),
+    ])
+    def test_overflowing_constant_fails_with_a_report(self, capsys, argv):
+        # at p = 0.001 the row's constant, (1 + lambda)^(alpha + d(1/p - 1))
+        # or (r + 1)^(1/s - 1), is beyond the double range: it is inf
+        code, out = run(capsys, "verify", *argv, "--entry", "gaussian", "--p", "0.001",
+                        "--quick")
+        assert code == 1
+        payload = strict_json(out)
+        assert payload["verdict"] == "fail"
+        assert "inf" in payload["rhs"]
 
 
 class TestVerifyAllCommand:
@@ -271,3 +294,31 @@ def test_bad_numbers_exit_0_or_2_without_traceback(entry, command, alpha, delta,
         code = main(argv)
     assert code in (0, 2)
     assert "Traceback" not in err.getvalue()
+    if code == 0:
+        strict_json(out.getvalue())
+
+
+#: gaussian rows of ``verify --quick`` and the flags each takes besides --p;
+#: P5 takes no order, and its second exponent --q is drawn like --p
+VERIFY_ROWS = {
+    "P1c": ("--alpha",), "P2": ("--alpha",), "P12": ("--alpha",), "P17": ("--alpha",),
+    "P5": ("--entry2", "bump", "--r", "2", "--q"),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(pid=st.sampled_from(sorted(VERIFY_ROWS)),
+       number=_numbers("1023", "1024", "1e300", "0.001"),
+       p=_numbers("1e-300", "1e300", "0.001"))
+def test_verify_exits_0_1_or_2_with_strict_json(pid, number, p):
+    """A row may fail (exit 1), but with a report, never with a traceback."""
+    *flags, last = VERIFY_ROWS[pid]
+    argv = ["verify", pid, "--entry", "gaussian", f"--p={p}", "--quick", *flags,
+            f"{last}={number}"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code in (0, 1):
+        strict_json(out.getvalue())

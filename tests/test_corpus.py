@@ -1,9 +1,12 @@
 import dataclasses
 import math
+import threading
+import time
 
 import numpy as np
 import pytest
 
+import smoothlab.corpus
 from smoothlab.corpus import corpus_list, default_scale, get_entry, grid_function
 from smoothlab.errors import ParameterError
 from smoothlab.grid import quasi_norm
@@ -95,6 +98,43 @@ class TestGridFunctions:
         a = grid_function("gaussian", N=256, L=40.0)
         b = grid_function("gaussian", N=256, L=40.0)
         assert a is b
+
+    def test_concurrent_builds_return_one_object(self, monkeypatch):
+        # two threads miss the cache together; the one that stores last
+        # must still get the object stored first, or each pays its own FFT
+        monkeypatch.setattr(smoothlab.corpus, "_GRIDFN_CACHE", {})
+        barrier, real = threading.Barrier(2, timeout=10), smoothlab.corpus.periodize
+
+        def meeting(entry, grid):
+            if barrier.wait() == 0:
+                time.sleep(0.05)
+            return real(entry, grid)
+
+        monkeypatch.setattr(smoothlab.corpus, "periodize", meeting)
+        results = [None, None]
+
+        def build(i):
+            results[i] = grid_function("gaussian", N=64, L=20.0)
+
+        threads = [threading.Thread(target=build, args=(i,)) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+        assert not any(t.is_alive() for t in threads)
+        assert results[0] is not None and results[0] is results[1]
+
+    @pytest.mark.parametrize("entry", [e.name for e in corpus_list() if e.fourier is not None])
+    def test_spectrum_matches_the_closed_form(self, entry):
+        # the coefficients of the periodization are F(w)/L^d, shifted by
+        # the half-period centering of ``periodize``
+        e = get_entry(entry)
+        f = grid_function(e)
+        ws, L = f.grid.frequencies(), f.grid.period
+        phase = sum(np.broadcast_to(w, f.grid.shape) for w in ws) * (L / 2.0)
+        want = e.fourier(*ws) / L ** e.dimension * np.exp(-1j * phase)
+        got = transform(f).coefficients
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("entry", ["gaussian", "planewave", "gaussian2d"])
     def test_cached_values_are_read_only(self, entry):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -155,3 +156,17 @@ class TestQuasiNorm:
         h = f + f - f
         assert np.allclose(h.values, 1.0)
         assert np.allclose((f * f).values, 1.0)
+
+
+class TestGridFunction:
+    def test_values_are_read_only(self):
+        samples = np.ones(64, dtype=complex)
+        f = GridFunction(make_grid(), samples)
+        with pytest.raises(ValueError):
+            f.values[0] = 2.0
+        with pytest.raises(ValueError):
+            f.values *= 2.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            f.values = np.zeros(64)
+        # the view is read-only; the caller's own array keeps its flags
+        assert samples.flags.writeable

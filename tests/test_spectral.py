@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -43,6 +44,23 @@ class TestTransform:
         assert F.coefficients[3] == pytest.approx(1.0)
         assert np.sum(np.abs(F.coefficients) > 1e-12) == 1
 
+    def test_spectrum_is_computed_once_and_kept(self, grid, count_transforms):
+        f = plane_wave(grid, 3.0)
+        F = transform(f)
+        assert transform(f) is F
+        apply_symbol(f, 2.0)
+        assert len(count_transforms) == 1
+
+    def test_coefficients_are_read_only(self, grid):
+        F = transform(plane_wave(grid, 3.0))
+        with pytest.raises(ValueError):
+            F.coefficients[0] = 1.0
+        with pytest.raises(ValueError):
+            F.coefficients *= 2.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            F.coefficients = np.zeros(grid.shape)
+        assert transform(plane_wave(grid, 3.0)).coefficients[3] == pytest.approx(1.0)
+
     def test_band_radius_enforced(self, grid):
         coeffs = np.zeros(256, dtype=complex)
         coeffs[10] = 1.0  # frequency 10 > claimed band 5
@@ -83,7 +101,7 @@ class TestDerivatives:
 
 def project(f, sigma, name):
     """f filtered by its band window ``name`` of radius sigma."""
-    return apply_symbol(transform(f), band_windows(f.grid, sigma)[name])
+    return apply_symbol(f, band_windows(f.grid, sigma)[name])
 
 
 class TestProjections:
