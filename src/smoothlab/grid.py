@@ -183,7 +183,8 @@ class GridFunction:
     ``values`` is a read-only view: no caller of a shared function (the
     corpus cache hands out one object per entry) can change the samples
     under the spectrum that ``spectral.transform`` computes once, on first
-    use, and keeps in ``_spectrum``.
+    use, and keeps in ``_spectrum``.  An array the caller can still write
+    is copied; a read-only one (the multiplier's fresh result) is kept.
     """
 
     grid: TorusGrid
@@ -191,7 +192,9 @@ class GridFunction:
     _spectrum: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=complex).view()
+        vals = self.values
+        readonly = isinstance(vals, np.ndarray) and not vals.flags.writeable
+        vals = np.asarray(vals, dtype=complex) if readonly else np.array(vals, dtype=complex)
         if vals.shape != self.grid.shape:
             raise ParameterError(
                 f"values shape {vals.shape} does not match grid {self.grid.shape}"

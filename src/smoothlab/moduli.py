@@ -132,13 +132,13 @@ _OCCUPIED = 1e-14
 def _series_symbol(alpha: float, theta: np.ndarray):
     """Difference symbol by summing the binomial series at w = exp(-i th).
 
-    Returns (symbol, unresolved_mask).  A whole order m sums its m + 1
-    terms.  A fractional order sums to a partial length adapted to
-    min |1 - w| and folds the remainder in exactly through repeated
-    summation by parts, which maps the order-alpha tail onto order
-    alpha+1, alpha+2, ... tails divided by powers of (1 - w); there,
-    points with 0 < |1 - w| below the resolution floor are reported as
-    unresolved (value 0), and th = 0 itself is (1-1)^alpha = 0 exactly.
+    A whole order m sums its m + 1 terms.  A fractional order sums to a
+    partial length adapted to min |1 - w| and folds the remainder in
+    exactly through repeated summation by parts, which maps the order-alpha
+    tail onto order alpha+1, alpha+2, ... tails divided by powers of
+    (1 - w); there, points with 0 < |1 - w| below the resolution floor
+    are left unresolved at 0, as is th = 0 itself, where (1-1)^alpha = 0
+    exactly.
     """
     theta = np.asarray(theta, dtype=float)
     w = np.exp(-1j * theta)
@@ -148,14 +148,11 @@ def _series_symbol(alpha: float, theta: np.ndarray):
     if whole:
         n_partial = int(round(alpha))
         res = np.ones(theta.shape, dtype=bool)
-        unresolved = ~res
     else:
         au = np.abs(u)
-        zero = au == 0.0
-        unresolved = (~zero) & (au < _UNRESOLVED)
-        res = ~(zero | unresolved)
+        res = au >= _UNRESOLVED
         if not np.any(res):
-            return symbol, unresolved
+            return symbol
         au_min = float(au[res].min())
         n_partial = int(min(max(_SERIES_PARTIAL, math.ceil(64.0 / au_min)), 2 ** 20))
 
@@ -187,7 +184,7 @@ def _series_symbol(alpha: float, theta: np.ndarray):
             wtop = wtop * wr
             upow = upow * ur
     symbol[res] = np.exp(1j * alpha * theta[res]) * acc
-    return symbol, unresolved
+    return symbol
 
 
 def _outer(ufunc, factors):
@@ -288,7 +285,7 @@ def _symbol(f: GridFunction, hvec, alpha: float, method: str) -> np.ndarray:
     mag = np.abs(transform(f).coefficients)
     occupied = mag > _OCCUPIED * mag.max()
     symbol = np.zeros(f.grid.shape, dtype=complex)
-    symbol[occupied] = _series_symbol(alpha, theta[occupied])[0]
+    symbol[occupied] = _series_symbol(alpha, theta[occupied])
     return symbol
 
 
@@ -376,17 +373,19 @@ class ModulusCurve:
         if np.any(np.diff(self.deltas) <= 0):
             raise ParameterError("deltas must increase")
 
-    def interp(self, t: float) -> float:
-        """Log-log linear interpolation; power-law extension below the
-        smallest delta (slope fitted on the lowest points), flat above."""
+    def interp(self, t):
+        """Log-log linear interpolation at t > 0, elementwise over an array
+        (a scalar t gives a float); power-law extension below the smallest
+        delta (slope fitted on the lowest points), flat above."""
         d, v = self.deltas, np.maximum(self.values, 1e-300)
-        if t <= 0:
+        ts = np.asarray(t, dtype=float)
+        if np.any(ts <= 0):
             raise ParameterError("t must be positive")
-        if t >= d[-1]:
-            return float(v[-1])
-        if t < d[0]:
-            return float(v[0] * (t / d[0]) ** self._low_slope)
-        return float(np.exp(np.interp(math.log(t), np.log(d), np.log(v))))
+        # the low branch sees min(t, d[0]), so it stays finite where unused
+        low = v[0] * (np.minimum(ts, d[0]) / d[0]) ** self._low_slope
+        mid = np.exp(np.interp(np.log(ts), np.log(d), np.log(v)))
+        out = np.where(ts < d[0], low, np.where(ts >= d[-1], v[-1], mid))
+        return float(out) if out.ndim == 0 else out
 
     @cached_property
     def _low_slope(self) -> float:

@@ -108,8 +108,12 @@ def inverse(F: SpectralFunction) -> GridFunction:
 
 def _synthesize(grid: TorusGrid, coeffs: np.ndarray) -> GridFunction:
     """The samples with coefficients ``coeffs``: ``inverse`` without building
-    a SpectralFunction, for the multiplier and the fold, which run per step."""
-    return GridFunction(grid, np.fft.ifftn(coeffs) * float(grid.points_per_axis ** grid.dimension))
+    a SpectralFunction, for the multiplier and the fold, which run per step.
+    Nothing else holds the fresh samples, so they are handed over read-only,
+    which spares GridFunction its copy."""
+    values = np.fft.ifftn(coeffs) * float(grid.points_per_axis ** grid.dimension)
+    values.flags.writeable = False
+    return GridFunction(grid, values)
 
 
 def apply_symbol(f: GridFunction, symbol: np.ndarray) -> GridFunction:

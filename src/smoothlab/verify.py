@@ -220,7 +220,7 @@ def _assemble(
     for degree grids (sigma -> inf).  A one-sided check fails only when
     the ratio trends in that direction AND visibly escapes the bulk;
     benign transitional drift across a finite window is reported, not
-    punished.
+    punished.  A non-finite side (inf or nan) fails every mode but "info".
     """
     grid = np.asarray(grid, dtype=float)
     lhs = np.asarray(lhs, dtype=float)
@@ -257,7 +257,7 @@ def _assemble(
         growing = trending and escaped
         if growing:
             notes.append("ratio grows toward the asymptotic end of the grid")
-    ok = bool(np.all(np.isfinite(ratio)))
+    ok = bool(np.all(np.isfinite(ratio)) and sides.all())
     if mode == "exact":
         tol = cfg["exact_tol"] if exact_tol is None else exact_tol
         ok = ok and stats["max"] <= 1.0 + tol
@@ -411,34 +411,34 @@ def norm_term_droppable(p: float, q: float, alpha: float, gamma: float, d: int) 
 # ---------------------------------------------------------------------------
 
 
-def log_integral(fn, a: float, b: float, n: int) -> float:
-    """integral_a^b fn(t) dt/t by the trapezoid rule on a log grid."""
-    if not (0 < a < b):
-        return 0.0
-    ts = np.geomspace(a, b, n)
-    ys = np.array([fn(float(t)) for t in ts])
+def log_integral(fn, a, b, n: int):
+    """integral_a^b fn(t) dt/t by the trapezoid rule on a log grid of n
+    nodes, elementwise over arrays of limits, and 0 wherever not
+    0 < a < b.  fn is called once, on the array of every node (the nodes
+    of one integral along the last axis)."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    ok = (0 < a) & (a < b)
+    # a degenerate pair integrates over [1, 2] instead, and reads 0
+    ts = np.geomspace(np.where(ok, a, 1.0), np.where(ok, b, 2.0), n, axis=-1)
     trapezoid = getattr(np, "trapezoid", None) or np.trapz
-    return float(trapezoid(ys, np.log(ts)))
+    return np.where(ok, trapezoid(fn(ts), np.log(ts), axis=-1), 0.0)[()]
 
 
 def marchaud_rhs(
     curve: ModulusCurve,
-    delta: float,
+    delta,
     alpha: float,
     p,
     fnorm: float,
     n_quad: int = 96,
-    upper: float = 1.0,
     drop_norm: bool = False,
-) -> float:
-    """delta^a (int_delta^1 (w(t)/t^a)^th dt/t + ||f||^th)^(1/th), th = min(p,2)."""
-    p = Exponent.parse(p)
-    th = p.theta
-    integral = log_integral(
-        lambda t: (curve.interp(t) / t ** alpha) ** th, delta, upper, n_quad
-    )
+):
+    """delta^a (int_delta^1 (w(t)/t^a)^th dt/t + ||f||^th)^(1/th), th = min(p,2),
+    elementwise over an array of deltas (or at one delta)."""
+    th = Exponent.parse(p).theta
+    integral = log_integral(lambda t: (curve.interp(t) / t ** alpha) ** th, delta, 1.0, n_quad)
     extra = 0.0 if drop_norm else fnorm ** th
-    return float(delta ** alpha * power(integral + extra, 1.0 / th))
+    return delta ** alpha * (integral + extra) ** (1.0 / th)
 
 
 def ulyanov_rhs(
@@ -449,7 +449,8 @@ def ulyanov_rhs(
     n_quad: int = 96,
     drop_norm: bool | None = None,
 ):
-    """Sharp between-metrics right-hand side at scale delta.
+    """Sharp between-metrics right-hand side, elementwise over an array of
+    deltas (or at one delta).
 
     curve must hold the order alpha+gamma modulus in the source metric p.
     The integral over (0, delta] is truncated at a fraction of the curve
@@ -460,17 +461,14 @@ def ulyanov_rhs(
     if drop_norm is None:
         drop_norm = norm_term_droppable(up.p, up.q, up.alpha, up.gamma, up.d)
     q1 = up.q1
-    t_lo = curve.deltas[0] / 64.0
 
     def integrand(t):
-        eta = float(eta_value(1.0 / t, regime))
-        return (curve.interp(t) * t ** (-up.gamma) * eta) ** q1
+        return (curve.interp(t) * t ** (-up.gamma) * eta_value(1.0 / t, regime)) ** q1
 
-    integral = log_integral(integrand, t_lo, delta, n_quad)
-    value = power(integral, 1.0 / q1)
+    value = log_integral(integrand, curve.deltas[0] / 64.0, delta, n_quad) ** (1.0 / q1)
     if not drop_norm:
-        value += delta ** up.alpha * fnorm
-    return float(value), regime["tag"], bool(drop_norm)
+        value = value + delta ** up.alpha * fnorm
+    return value, regime["tag"], bool(drop_norm)
 
 
 # ---------------------------------------------------------------------------
@@ -742,7 +740,8 @@ def _run(rows: tuple, wb, params: dict) -> InequalityReport:
     for gate in row.gates:
         if not gate.holds(wb, a):
             raise gate.error(f"{label} needs {gate.text}")
-    with np.errstate(over="ignore"):  # a side beyond the double range is inf: the row fails
+    # a side beyond the double range is inf (or nan): the row fails
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         s = row.body(wb, a)
     mode = row.mode(a) if callable(row.mode) else row.mode
     rep = _assemble(row.pid, echo, s.grid, s.lhs, s.rhs, mode, wb.cfg,
@@ -844,11 +843,8 @@ def _p6(wb, a):
 def _p7(wb, a):
     c = wb.curve(a.entry, a.alpha, a.p)
     big = wb.ext_curve(a.entry, a.alpha + a.gamma, a.p)
-    fnorm = wb.norm(a.entry, a.p)
-    rhs = [
-        marchaud_rhs(big, float(d), a.alpha, a.p, fnorm, wb.cfg["n_quad"], drop_norm=a.drop_norm)
-        for d in c.deltas
-    ]
+    rhs = marchaud_rhs(big, c.deltas, a.alpha, a.p, wb.norm(a.entry, a.p), wb.cfg["n_quad"],
+                       drop_norm=a.drop_norm)
     return Sides(c.deltas, c.values, rhs)
 
 
@@ -864,48 +860,31 @@ def _p8_integral(wb, a):
     alpha, tau = a.alpha, a.p.tau
     big = wb.ext_curve(a.entry, alpha + a.beta, a.p)
     clow = wb.curve(a.entry, a.beta, a.p)
-    lhs = []
-    for d in clow.deltas:
-        integral = log_integral(
-            lambda t: (big.interp(t) / t ** alpha) ** tau, float(d), 1.0, wb.cfg["n_quad"]
-        )
-        lhs.append(d ** alpha * integral ** (1.0 / tau))
-    return Sides(clow.deltas, lhs, clow.values)
+    integral = log_integral(
+        lambda t: (big.interp(t) / t ** alpha) ** tau, clow.deltas, 1.0, wb.cfg["n_quad"]
+    )
+    return Sides(clow.deltas, clow.deltas ** alpha * integral ** (1.0 / tau), clow.values)
 
 
 def _p9(wb, a):
     up = UlyanovParams(p=a.p.p, q=a.q.p, alpha=a.alpha, gamma=a.gamma, d=a.d)
     c = wb.curve(a.entry, up.alpha, a.q)
     big = wb.ext_curve(a.entry, up.alpha + up.gamma, a.p)
-    fnorm = wb.norm(a.entry, a.p)
-    rhs, tags, dropped = [], set(), None
-    for d in c.deltas:
-        val, tag, dropped = ulyanov_rhs(big, float(d), up, fnorm, wb.cfg["n_quad"])
-        rhs.append(val)
-        tags.add(tag)
-    notes = [f"rate regime: {sorted(tags)[0]}", f"norm term dropped: {dropped}"]
-    return Sides(c.deltas, c.values, rhs, notes)
+    rhs, tag, dropped = ulyanov_rhs(big, c.deltas, up, wb.norm(a.entry, a.p), wb.cfg["n_quad"])
+    return Sides(c.deltas, c.values, rhs, [f"rate regime: {tag}", f"norm term dropped: {dropped}"])
 
 
 def _p10(wb, a):
     alpha, p, q, th, n_quad = a.alpha, a.p.p, a.q.p, _gap(a), wb.cfg["n_quad"]
     cq = wb.ext_curve(a.entry, alpha, a.q)
     cp = wb.ext_curve(a.entry, alpha, a.p)
-    deltas = wb.deltas(a.entry)
-    top = float(cq.deltas[-1])
+    deltas, top = wb.deltas(a.entry), cq.deltas[-1]
     # flat continuation of the curve beyond its top, integrated exactly
     tail = cq.values[-1] ** p * top ** (-(alpha - th) * p) / ((alpha - th) * p)
-    lhs, rhs = [], []
-    for dd in deltas:
-        integral = log_integral(
-            lambda t: (cq.interp(t) / t ** (alpha - th)) ** p, float(dd), top, n_quad
-        )
-        lhs.append(dd ** (alpha - th) * (integral + tail) ** (1.0 / p))
-        inner = log_integral(
-            lambda t: (cp.interp(t) / t ** th) ** q, float(cp.deltas[0] / 64.0), float(dd), n_quad
-        )
-        rhs.append(inner ** (1.0 / q))
-    return Sides(deltas, lhs, rhs)
+    outer = log_integral(lambda t: (cq.interp(t) / t ** (alpha - th)) ** p, deltas, top, n_quad)
+    inner = log_integral(lambda t: (cp.interp(t) / t ** th) ** q, cp.deltas[0] / 64.0, deltas,
+                         n_quad)
+    return Sides(deltas, deltas ** (alpha - th) * (outer + tail) ** (1.0 / p), inner ** (1.0 / q))
 
 
 def _sup_derivative_modulus(wb, a) -> np.ndarray:
@@ -915,18 +894,12 @@ def _sup_derivative_modulus(wb, a) -> np.ndarray:
     return np.max([c.values for c in curves], axis=0)
 
 
-def _derivative_tail(wb, a, expo: float) -> list:
+def _derivative_tail(wb, a, expo: float) -> np.ndarray:
     """(int_0^delta (w_{r+m}(t) / t^m)^expo dt/t)^(1/expo) over the step grid."""
     big = wb.ext_curve(a.entry, float(a.r + a.m), a.p)
-    return [
-        log_integral(
-            lambda t: (big.interp(t) / t ** a.m) ** expo,
-            float(big.deltas[0] / 64.0),
-            float(dd),
-            wb.cfg["n_quad"],
-        ) ** (1.0 / expo)
-        for dd in wb.deltas(a.entry)
-    ]
+    integral = log_integral(lambda t: (big.interp(t) / t ** a.m) ** expo,
+                            big.deltas[0] / 64.0, wb.deltas(a.entry), wb.cfg["n_quad"])
+    return integral ** (1.0 / expo)
 
 
 def _p11_lower(wb, a):

@@ -130,6 +130,20 @@ class TestVerifyCommand:
         assert payload["verdict"] == "fail"
         assert "inf" in payload["rhs"]
 
+    @pytest.mark.parametrize("argv", [
+        ("P7", "--gamma", "1", "--alpha", "500"),
+        ("P9", "--gamma", "1", "--q", "4", "--alpha", "500"),
+        ("P10", "--q", "4", "--alpha", "1023"),
+    ])
+    def test_overflowing_integral_side_fails_with_a_report(self, capsys, argv):
+        # at such orders the integral side is beyond the double range: it is
+        # inf, and a finite lhs over it (a ratio of 0) must not pass
+        code, out = run(capsys, "verify", *argv, "--entry", "gaussian", "--p", "2", "--quick")
+        assert code == 1
+        payload = strict_json(out)
+        assert payload["verdict"] == "fail"
+        assert "inf" in payload["rhs"]
+
 
 class TestVerifyAllCommand:
     def test_quick_run(self, capsys, tmp_path):
@@ -303,6 +317,8 @@ def test_bad_numbers_exit_0_or_2_without_traceback(entry, command, alpha, delta,
 VERIFY_ROWS = {
     "P1c": ("--alpha",), "P2": ("--alpha",), "P12": ("--alpha",), "P17": ("--alpha",),
     "P5": ("--entry2", "bump", "--r", "2", "--q"),
+    "P7": ("--gamma", "1", "--alpha"), "P9": ("--gamma", "1", "--q", "4", "--alpha"),
+    "P10": ("--q", "4", "--alpha"),
 }
 
 

@@ -10,6 +10,7 @@ from smoothlab.corpus import grid_function
 from smoothlab.errors import ParameterError
 from smoothlab.grid import (MAX_ORDER, Exponent, GridFunction, SmoothnessOrder, TorusGrid,
                             quasi_norm)
+from smoothlab.spectral import transform
 
 
 def make_grid(d=1, n=64, L=10.0):
@@ -168,5 +169,14 @@ class TestGridFunction:
             f.values *= 2.0
         with pytest.raises(dataclasses.FrozenInstanceError):
             f.values = np.zeros(64)
-        # the view is read-only; the caller's own array keeps its flags
+        # the kept samples are read-only; the caller's own array keeps its flags
         assert samples.flags.writeable
+
+    def test_caller_writes_do_not_reach_the_function(self):
+        samples = np.ones(64, dtype=complex)
+        f = GridFunction(make_grid(), samples)
+        kept = transform(f)
+        samples[0] = 5.0
+        assert f.values[0] == 1.0
+        assert transform(f) is kept
+        assert np.array_equal(kept.coefficients, np.fft.fft(f.values) / 64.0)

@@ -156,13 +156,14 @@ class TestQuadratures:
         return ModulusCurve(1.0, "1", deltas, np.full(40, c))
 
     def test_marchaud_constant_curve_oracle(self):
-        # theta = 1 at p = 1: rhs = d^a (c (d^-a - 1)/a + ||f||)
+        # theta = 1 at p = 1: rhs = d^a (c (d^-a - 1)/a + ||f||), at each
+        # delta of an array
         curve = self.constant_curve(2.0)
         alpha, fnorm = 1.0, 3.0
-        for d in (0.01, 0.1, 0.5):
-            expected = d ** alpha * (2.0 * (d ** -alpha - 1.0) / alpha + fnorm)
-            got = marchaud_rhs(curve, d, alpha, 1.0, fnorm, n_quad=400)
-            assert got == pytest.approx(expected, rel=1e-3)
+        d = np.array([0.01, 0.1, 0.5])
+        expected = d ** alpha * (2.0 * (d ** -alpha - 1.0) / alpha + fnorm)
+        got = marchaud_rhs(curve, d, alpha, 1.0, fnorm, n_quad=400)
+        assert got == pytest.approx(expected, rel=1e-3)
 
     def test_marchaud_quadrature_self_convergence(self):
         curve = self.constant_curve(2.0)
@@ -183,13 +184,12 @@ class TestQuadratures:
         # eta(1/t) = t^(-pow): exponent of t inside the q1 power
         expo = s - up.gamma - reg["pow"]
         q1 = up.q1
-        for d in (0.05, 0.2):
-            expected = (d ** (expo * q1) / (expo * q1)) ** (1.0 / q1)
-            got, tag, dropped = ulyanov_rhs(curve, d, up, fnorm=0.0, n_quad=600,
-                                            drop_norm=True)
-            assert tag == "supercritical"
-            assert dropped
-            assert got == pytest.approx(expected, rel=2e-2)
+        d = np.array([0.05, 0.2])
+        expected = (d ** (expo * q1) / (expo * q1)) ** (1.0 / q1)
+        got, tag, dropped = ulyanov_rhs(curve, d, up, fnorm=0.0, n_quad=600, drop_norm=True)
+        assert tag == "supercritical"
+        assert dropped
+        assert got == pytest.approx(expected, rel=2e-2)
 
     def test_ulyanov_self_convergence(self):
         up = UlyanovParams(p=0.5, q=2.0, alpha=2.0, gamma=0.5, d=1)
@@ -198,11 +198,32 @@ class TestQuadratures:
         b, _, _ = ulyanov_rhs(curve, 0.1, up, fnorm=1.0, n_quad=192)
         assert abs(a - b) / b < 1e-3
 
+    @pytest.mark.parametrize("pid, params, sides", [
+        ("P7", {"entry": "gaussian", "alpha": 1.0, "gamma": 1.0, "p": 2.0}, 1),
+        ("P10", {"entry": "gaussian", "alpha": 1.0, "p": 2.0, "q": 4.0}, 2),
+    ])
+    def test_one_interp_call_per_integral_side(self, wb, monkeypatch, pid, params, sides):
+        # each integral side evaluates its curve once, on every node of
+        # every delta at the same time
+        shapes, interp = [], ModulusCurve.interp
+
+        def counted(curve, t):
+            shapes.append(np.shape(t))
+            return interp(curve, t)
+
+        monkeypatch.setattr(ModulusCurve, "interp", counted)
+        run_check(pid, params, workbench=wb)
+        assert shapes == [(wb.setting("n_deltas", 1), wb.cfg["n_quad"])] * sides
+
     def test_log_integral_oracle(self):
-        # int_a^b t dt/t = b - a
+        # int_a^b t dt/t = b - a, elementwise over arrays of limits, and 0
+        # wherever not 0 < a < b
         assert log_integral(lambda t: t, 0.1, 2.0, 2000) == pytest.approx(
             1.9, rel=1e-5
         )
+        a, b = np.array([0.1, 0.5, 1.0, 0.0]), np.array([2.0, 1.0, 1.0, 1.0])
+        got = log_integral(lambda t: t, a, b, 2000)
+        assert got == pytest.approx([1.9, 0.5, 0.0, 0.0], rel=1e-5)
 
 
 class TestGating:
