@@ -22,9 +22,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParameterError
-from .grid import Exponent, GridFunction, SmoothnessOrder, quasi_norm
+from .grid import Exponent, GridFunction, SmoothnessOrder, quasi_norm, readonly_array
 from .moduli import direction_design
-from .spectral import apply_symbol, band_windows, directional_symbol, interp_V, sup_norm
+from .spectral import (apply_symbol, band_windows, directional_gain, directional_symbol,
+                       interp_V, sup_norm, transform)
 
 #: offsets (as multiples of 1/sigma, within [-1, 1]) for the sampling operator
 N_OFFSETS = 8
@@ -58,6 +59,7 @@ def near_best(f: GridFunction, sigma: float, p) -> NearBest:
         raise ParameterError(
             f"sigma={sigma} outside (0, nyquist={f.grid.nyquist:.3f}]"
         )
+    transform(f)  # the spectrum before the first window (see spectral.step_norms)
     candidates = [(name, apply_symbol(f, window))
                   for name, window in band_windows(f.grid, sigma).items()]
     n_samples = f.grid.period * sigma
@@ -72,12 +74,13 @@ def near_best(f: GridFunction, sigma: float, p) -> NearBest:
     return NearBest(sigma, p.label(), errors[name], witness, name, errors)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ApproximationCurve:
     """Near-best errors over dyadic bands 2^0 .. 2^K, plus sigma = 0.
 
     values are made nonincreasing by a running minimum (the raw sequence
-    is retained); the zero-band error is the norm itself.
+    is retained); the zero-band error is the norm itself.  Frozen, with
+    read-only arrays: a cached curve is shared by every check on its entry.
     """
 
     p_label: str
@@ -85,6 +88,10 @@ class ApproximationCurve:
     values: np.ndarray
     raw_values: np.ndarray
     metadata: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        for name in ("sigmas", "values", "raw_values"):
+            object.__setattr__(self, name, readonly_array(getattr(self, name), float))
 
     def value_at(self, sigma: float) -> float:
         """Step interpolation: the error at the largest band <= sigma.
@@ -129,7 +136,8 @@ def sup_directional(P: GridFunction, alpha, p) -> float:
     order = alpha if isinstance(alpha, SmoothnessOrder) else SmoothnessOrder(alpha)
     p = Exponent.parse(p)
     return sup_norm(P, direction_design(P.grid.dimension),
-                    lambda zeta: directional_symbol(P.grid, zeta, order), p)
+                    lambda zeta: directional_symbol(P.grid, zeta, order), p,
+                    lambda zeta: directional_gain(P.grid, zeta, order))
 
 
 def realization(f: GridFunction, delta: float, alpha, p):
@@ -165,6 +173,7 @@ def k_functional(f: GridFunction, delta: float, alpha, p) -> float:
         raise ParameterError("K-functional degenerates for p < 1; use realization")
     if not (delta > 0):
         raise ParameterError("delta must be positive")
+    transform(f)  # the spectrum before the first window (see spectral.step_norms)
     candidates = [f, GridFunction(f.grid, np.zeros(f.grid.shape))]
     for scale in K_SCALES:
         sigma = scale / delta

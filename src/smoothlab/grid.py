@@ -176,6 +176,16 @@ class TorusGrid:
         return (w[:, None], w[None, :])
 
 
+def readonly_array(values, dtype) -> np.ndarray:
+    """``values`` as a read-only array of ``dtype``.  A read-only ndarray
+    (a fresh result nothing else holds) is kept; anything a caller could
+    still write is copied, so no later write reaches the holder."""
+    keep = isinstance(values, np.ndarray) and not values.flags.writeable
+    out = np.asarray(values, dtype=dtype) if keep else np.array(values, dtype=dtype)
+    out.flags.writeable = False
+    return out
+
+
 @dataclass(frozen=True)
 class GridFunction:
     """Complex samples on a TorusGrid.
@@ -183,8 +193,9 @@ class GridFunction:
     ``values`` is a read-only view: no caller of a shared function (the
     corpus cache hands out one object per entry) can change the samples
     under the spectrum that ``spectral.transform`` computes once, on first
-    use, and keeps in ``_spectrum``.  An array the caller can still write
-    is copied; a read-only one (the multiplier's fresh result) is kept.
+    use, and keeps in ``_spectrum``.  The samples go through
+    ``readonly_array``: a writeable array is copied, a read-only one (the
+    multiplier's fresh result) is kept.
     """
 
     grid: TorusGrid
@@ -192,16 +203,13 @@ class GridFunction:
     _spectrum: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        vals = self.values
-        readonly = isinstance(vals, np.ndarray) and not vals.flags.writeable
-        vals = np.asarray(vals, dtype=complex) if readonly else np.array(vals, dtype=complex)
+        vals = readonly_array(self.values, complex)
         if vals.shape != self.grid.shape:
             raise ParameterError(
                 f"values shape {vals.shape} does not match grid {self.grid.shape}"
             )
         if not np.all(np.isfinite(vals)):
             raise ParameterError("grid function has non-finite samples")
-        vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
     def __add__(self, other: "GridFunction") -> "GridFunction":

@@ -21,6 +21,17 @@ repeated multiplication, a fractional order is
 is taken from the full phase th), and the mixed modulus takes the outer
 product of the 1-D axis symbols.
 
+At p = 2 no symbol is built: the L_2 modulus is Plancherel's
+sup_h (L^d sum (4 sin^2(th/2))^a |F|^2)^(1/2), summed by
+``spectral.step_norms`` from the real gain of ``difference_gain`` in the
+scaled form 2^a (sum sin^(2a)(th/2) |F|^2)^(1/2), finite for every order
+up to MAX_ORDER.  sin(th/2) comes by angle addition from per-axis sines
+and cosines, which keeps th = 0 an exact 0 on h = (t, -t).  The mixed
+modulus multiplies the axis gains sin^(2 k_j)(h_j w_j / 2), and the outer
+``averaged_modulus`` averages the same step norms.  ``TestParsevalRoute``
+in ``tests/test_moduli.py`` checks every p = 2 sup and average against
+``apply_symbol`` + ``quasi_norm`` at each design point.
+
 The series route shares only the spectrum, whose modes it reads.  It
 sums the binomial series mode by mode, on the occupied modes only
 (|F| > 1e-14 max|F|, with the bound on what the dropped modes contribute
@@ -39,8 +50,10 @@ from functools import cached_property
 import numpy as np
 
 from .errors import AdmissibilityError, ParameterError
-from .grid import Exponent, GridFunction, SmoothnessOrder, TorusGrid, power, quasi_norm
-from .spectral import Direction, apply_symbol, derivative_symbol, sup_norm, transform
+from .grid import (Exponent, GridFunction, SmoothnessOrder, TorusGrid, power, quasi_norm,
+                   readonly_array)
+from .spectral import (Direction, apply_symbol, derivative_symbol, step_norms, sup_norm,
+                       transform)
 
 #: number of step magnitudes sampled per direction when taking the sup
 N_MAGNITUDES = 16
@@ -236,6 +249,28 @@ def difference_symbol(grid: TorusGrid, hvec, alpha: float) -> np.ndarray:
     return b
 
 
+def difference_gain(grid: TorusGrid, hvec, alpha: float) -> tuple:
+    """|difference_symbol|^2 = (4 sin^2(th/2))^alpha in the scaled form of
+    ``spectral.step_norms``: (2^alpha, sin^(2 alpha)(th/2)), real and <= 1.
+
+    sin(th/2) comes by angle addition from the per-axis half phases
+    h_j w_j / 2, an outer product of 1-D sines and cosines: on h = (t, -t)
+    the two products cancel exactly, so th = 0 gives an exact 0 at every
+    order, where a product of axis factors would give eps^alpha.
+    """
+    w = grid.axis_frequencies()
+    half = [0.5 * h * w for h in hvec]
+    if len(half) == 1:
+        gain = np.sin(half[0])
+    else:
+        a, b = half
+        gain = np.multiply.outer(np.sin(a), np.cos(b))
+        gain += np.multiply.outer(np.cos(a), np.sin(b))
+    np.square(gain, out=gain)
+    gain **= alpha
+    return power(2.0, alpha), gain
+
+
 @dataclass(frozen=True)
 class Step:
     """A difference step: unit direction times magnitude."""
@@ -344,7 +379,9 @@ def modulus(
     the L_p quasi-norm of the order-alpha difference."""
     order, p = _admissible(alpha, p)
     steps = step_design(delta, directions or direction_design(f.grid.dimension))
-    return sup_norm(f, steps, lambda h: _symbol(f, h, order.alpha, method), p)
+    a = order.alpha
+    gain_of = (lambda h: difference_gain(f.grid, h, a)) if method == "spectral" else None
+    return sup_norm(f, steps, lambda h: _symbol(f, h, a, method), p, gain_of)
 
 
 def default_deltas(grid: TorusGrid, n: int = 24, floor_cells: float = 4.0) -> np.ndarray:
@@ -355,9 +392,13 @@ def default_deltas(grid: TorusGrid, n: int = 24, floor_cells: float = 4.0) -> np
     return np.geomspace(lo, 1.0, n)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModulusCurve:
-    """Modulus values over a delta grid, with log-log interpolation."""
+    """Modulus values over a delta grid, with log-log interpolation.
+
+    Frozen, with read-only arrays: a cached curve is shared by every check
+    that asks for it, and its fitted ``_low_slope`` must stay its own.
+    """
 
     alpha: float
     p_label: str
@@ -366,8 +407,8 @@ class ModulusCurve:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.deltas = np.asarray(self.deltas, dtype=float)
-        self.values = np.asarray(self.values, dtype=float)
+        object.__setattr__(self, "deltas", readonly_array(self.deltas, float))
+        object.__setattr__(self, "values", readonly_array(self.values, float))
         if self.deltas.shape != self.values.shape or self.deltas.ndim != 1:
             raise ParameterError("deltas and values must be matching 1-D arrays")
         if np.any(np.diff(self.deltas) <= 0):
@@ -461,7 +502,12 @@ def mixed_modulus(f: GridFunction, orders, delta: float, p) -> float:
         return _outer(np.multiply, [_whole_power(np.exp(1j * h * w), k)
                                     for h, k in zip(hvec, orders)])
 
-    return sup_norm(f, step_design(delta, direction_design(d)), symbol_of, p)
+    def gain_of(hvec):
+        # the scaled form of prod_j (4 sin^2(h_j w_j / 2))^k_j
+        factors = [np.sin(0.5 * h * w) ** (2 * k) for h, k in zip(hvec, orders)]
+        return power(2.0, sum(orders)), _outer(np.multiply, factors)
+
+    return sup_norm(f, step_design(delta, direction_design(d)), symbol_of, p, gain_of)
 
 
 def averaged_modulus(
@@ -471,7 +517,9 @@ def averaged_modulus(
 
     Outer form: (delta^-d int_{|h|<=delta} ||D_h^r f||_p^q dh)^(1/q).
     Inner form (requires q <= p): the h-average is taken pointwise under
-    the L_p norm.  Midpoint rule with 16 nodes per axis.
+    the L_p norm.  Midpoint rule with 16 nodes per axis.  The outer form
+    takes its node norms from ``spectral.step_norms``, so at p = 2 it is
+    Parseval on ``difference_gain``; only the inner form keeps samples.
     """
     order = r if isinstance(r, SmoothnessOrder) else SmoothnessOrder(r)
     p = Exponent.parse(p)
@@ -481,6 +529,7 @@ def averaged_modulus(
     if inner and not q.q1 <= (math.inf if p.is_inf else p.p):
         raise ParameterError("inner form needs q <= p")
     _admissible(order, p)
+    transform(f)  # the spectrum before the first symbol (see step_norms)
     d = f.grid.dimension
     n = N_MAGNITUDES
     edges = np.linspace(-delta, delta, n + 1)
@@ -495,20 +544,17 @@ def averaged_modulus(
             for h2 in mids
             if math.hypot(h1, h2) <= delta
         ]
-    acc = 0.0
-    acc_grid = np.zeros(f.grid.shape)
-    for hvec in nodes:
-        if all(abs(h) < 1e-300 for h in hvec):
-            continue
-        g = apply_symbol(f, difference_symbol(f.grid, hvec, order.alpha))
-        if inner:
-            acc_grid = acc_grid + np.abs(g.values) ** q.q1 * w_cell
-        else:
-            acc += quasi_norm(g, p) ** q.q1 * w_cell
+    a = order.alpha
     scale = delta ** (-d)
     if inner:
-        avg = GridFunction(f.grid, (scale * acc_grid) ** (1.0 / q.q1))
-        return quasi_norm(avg, p)
+        acc = np.zeros(f.grid.shape)
+        for hvec in nodes:
+            g = apply_symbol(f, difference_symbol(f.grid, hvec, a))
+            acc += np.abs(g.values) ** q.q1 * w_cell
+        return quasi_norm(GridFunction(f.grid, (scale * acc) ** (1.0 / q.q1)), p)
+    norms = step_norms(f, nodes, lambda h: difference_symbol(f.grid, h, a), p,
+                       lambda h: difference_gain(f.grid, h, a))
+    acc = sum(norm ** q.q1 * w_cell for norm in norms)
     return float((scale * acc) ** (1.0 / q.q1))
 
 
@@ -517,5 +563,6 @@ def sobolev_seminorm(f: GridFunction, r: int, p) -> float:
     if not (isinstance(r, int) and r >= 1):
         raise ParameterError("whole order r >= 1 required")
     p = Exponent.parse(p)
+    transform(f)  # the spectrum before the first symbol (see spectral.step_norms)
     multis = [(r,)] if f.grid.dimension == 1 else [(k, r - k) for k in range(r + 1)]
     return sum(quasi_norm(apply_symbol(f, derivative_symbol(f.grid, m)), p) for m in multis)

@@ -8,9 +8,19 @@ quasi_norm(f, 2)^2 = L^d * sum |c_xi|^2, exactly on the grid.
 
 A function's spectrum is computed once, on first use: ``transform``
 keeps it on the (immutable) GridFunction, so every multiplier applied to
-one function -- ``apply_symbol``, each step of ``sup_norm``, the band
+one function -- ``apply_symbol``, each step of ``step_norms``, the band
 windows of ``band_windows`` and the sampling fold -- shares one forward
 FFT, and callers pass the function, never its coefficients.
+
+Every sup and average over a step design is one ``step_norms`` loop.  At
+p = 2 it applies no symbol: each step is the real Parseval sum
+L^d sum gain |F|^2, with |F|^2 formed once per call and the gain
+|symbol|^2 supplied by the caller in a scaled form (scale, gain <= 1), so
+no power of a large order overflows.  The closed gains are
+``directional_gain`` here and ``moduli.difference_gain``; a symbol
+without one gets |symbol|^2 over its max.  ``tests/test_moduli.py``
+checks the route against ``apply_symbol`` + ``quasi_norm`` at every
+design point.
 
 Sampling operator: interp_V is a Fourier fold, not a dense kernel, on
 1-D and 2-D grids alike.  Per axis the coefficients are folded mod
@@ -28,7 +38,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ParameterError
-from .grid import GridFunction, SmoothnessOrder, TorusGrid, power, quasi_norm
+from .grid import (Exponent, GridFunction, SmoothnessOrder, TorusGrid, power, quasi_norm,
+                   readonly_array)
 
 @dataclass(frozen=True)
 class Direction:
@@ -61,8 +72,9 @@ class Direction:
 class SpectralFunction:
     """Fourier coefficients on a grid, FFT layout, optional band radius.
 
-    ``coefficients`` is a read-only view: the spectrum of a GridFunction
-    is shared by every caller of ``transform``.
+    ``coefficients`` is read-only, by GridFunction's rule (``readonly_array``):
+    the spectrum of a GridFunction is shared by every caller of
+    ``transform``, and a band checked at construction stays checked.
     """
 
     grid: TorusGrid
@@ -70,10 +82,9 @@ class SpectralFunction:
     band_radius: float | None = None
 
     def __post_init__(self):
-        c = np.asarray(self.coefficients, dtype=complex).view()
+        c = readonly_array(self.coefficients, complex)
         if c.shape != self.grid.shape:
             raise ParameterError("coefficient shape does not match grid")
-        c.flags.writeable = False
         object.__setattr__(self, "coefficients", c)
         if self.band_radius is not None:
             outside = frequency_magnitude(self.grid) > self.band_radius + 1e-9
@@ -93,11 +104,15 @@ def transform(f: GridFunction) -> SpectralFunction:
 
     No lock, which would serialize the transforms of a verify thread pool:
     two threads that race here compute the same bits, and either may stay.
+    Nothing else holds the fresh coefficients, so they are handed over
+    read-only, which spares SpectralFunction its copy.
     """
     F = f._spectrum
     if F is None:
-        n = f.grid.points_per_axis
-        F = SpectralFunction(f.grid, np.fft.fftn(f.values) / float(n ** f.grid.dimension))
+        coeffs = np.fft.fftn(f.values)
+        coeffs /= float(f.grid.points_per_axis ** f.grid.dimension)
+        coeffs.flags.writeable = False
+        F = SpectralFunction(f.grid, coeffs)
         object.__setattr__(f, "_spectrum", F)
     return F
 
@@ -122,19 +137,62 @@ def apply_symbol(f: GridFunction, symbol: np.ndarray) -> GridFunction:
     return _synthesize(f.grid, transform(f).coefficients * symbol)
 
 
-def sup_norm(f: GridFunction, design, symbol_of, p) -> float:
-    """max over ``design`` of the L_p quasi-norm of ``apply_symbol(f, symbol_of(x))``:
-    the sampled supremum behind every modulus and directional bound."""
-    # the spectrum, which f keeps, is computed before the first symbol, and g
-    # stays bound until the next one is built: a spectrum computed while a
-    # symbol is live, or a generator inside max() that frees each grid-sized
-    # array first, leaves a heap layout in which every 2-D step faults in
-    # fresh pages (60 times the page faults, 10-20 % slower moduli)
-    transform(f)
-    best = 0.0
+def step_norms(f: GridFunction, design, symbol_of, p, gain_of=None):
+    """The L_p quasi-norm of ``apply_symbol(f, symbol_of(x))`` for each x of
+    ``design``, in order: the one step loop behind every sup and average.
+
+    At p = 2 no symbol is applied.  By discrete Parseval
+    ||g||_2^2 = L^d sum |symbol|^2 |F|^2, so a step is one real sum over the
+    modes: no complex symbol, no inverse FFT, no samples.  ``gain_of(x)``
+    gives the step's scaled gain (scale, gain), a fresh real grid array with
+    scale^2 gain = |symbol_of(x)|^2 and gain <= 1, so that no power of a large
+    order overflows; without it the gain is |symbol|^2 over its max.  The
+    norm is scale max|F| (L^d sum gain (|F| / max|F|)^2)^(1/2), inf where
+    that is beyond the double range.
+    """
+    # the spectrum, which f keeps, is computed before the first symbol or
+    # gain, and each stays bound until the next one is built: a spectrum
+    # computed while a symbol is live, or a generator inside max() that frees
+    # each grid-sized array first, leaves a heap layout in which every 2-D
+    # step faults in fresh pages (60 times the page faults, 10-20 % slower)
+    F = transform(f).coefficients
+    if Exponent.parse(p).p != 2.0:
+        for x in design:
+            g = apply_symbol(f, symbol_of(x))
+            yield quasi_norm(g, p)
+        return
+    spectrum = np.abs(F)
+    top = float(spectrum.max())
+    if top > 0:
+        spectrum /= top
+    np.square(spectrum, out=spectrum)
+    volume = f.grid.period ** f.grid.dimension
     for x in design:
-        g = apply_symbol(f, symbol_of(x))
-        best = max(best, quasi_norm(g, p))
+        scale, gain = gain_of(x) if gain_of else _symbol_gain(symbol_of(x))
+        gain *= spectrum
+        s = float(gain.sum())
+        if not math.isfinite(s):
+            raise ParameterError("multiplier symbol has non-finite values")
+        yield scale * (top * math.sqrt(volume * s)) if s > 0 else 0.0
+
+
+def _symbol_gain(symbol: np.ndarray) -> tuple:
+    """(max|symbol|, (|symbol| / max|symbol|)^2): the scaled gain of a
+    symbol that has no closed one."""
+    gain = np.abs(symbol)
+    top = float(gain.max())
+    if top > 0:
+        gain /= top
+    np.square(gain, out=gain)
+    return top, gain
+
+
+def sup_norm(f: GridFunction, design, symbol_of, p, gain_of=None) -> float:
+    """max over ``design`` of ``step_norms``: the sampled supremum behind
+    every modulus and directional bound."""
+    best = 0.0
+    for norm in step_norms(f, design, symbol_of, p, gain_of):
+        best = max(best, norm)
     return best
 
 
@@ -148,15 +206,30 @@ def derivative_symbol(grid: TorusGrid, multi: tuple) -> np.ndarray:
     return out
 
 
-def directional_symbol(grid: TorusGrid, zeta: Direction, order: SmoothnessOrder) -> np.ndarray:
-    """Symbol (i (w, zeta))^alpha on the principal branch, 0 at w = 0."""
+def _direction_dot(grid: TorusGrid, zeta: Direction, order: SmoothnessOrder) -> np.ndarray:
+    """(w, zeta) on the grid, refused where |(w, zeta)|^alpha overflows."""
     if zeta.dimension != grid.dimension:
         raise ParameterError("direction dimension does not match the grid")
     dot = sum(z * w for z, w in zip(zeta.vector, grid.frequencies()))
     dot = np.broadcast_to(dot, grid.shape)
     if power(float(np.abs(dot).max()), order.alpha) == math.inf:
         raise ParameterError(f"order {order.alpha:g} too large: |(w, zeta)|^alpha overflows")
-    return np.power(1j * dot, order.alpha)
+    return dot
+
+
+def directional_symbol(grid: TorusGrid, zeta: Direction, order: SmoothnessOrder) -> np.ndarray:
+    """Symbol (i (w, zeta))^alpha on the principal branch, 0 at w = 0."""
+    return np.power(1j * _direction_dot(grid, zeta, order), order.alpha)
+
+
+def directional_gain(grid: TorusGrid, zeta: Direction, order: SmoothnessOrder) -> tuple:
+    """|directional_symbol|^2 = |(w, zeta)|^(2 alpha) in the scaled form of
+    ``step_norms``: (M^alpha, (|(w, zeta)| / M)^(2 alpha)), M = max |(w, zeta)|."""
+    gain = np.abs(_direction_dot(grid, zeta, order))
+    top = float(gain.max())
+    gain /= top
+    gain **= 2.0 * order.alpha
+    return power(top, order.alpha), gain
 
 
 def directional_derivative(f: GridFunction, zeta: Direction, alpha) -> GridFunction:

@@ -1,9 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from smoothlab import approx, moduli, spectral
+from smoothlab.approx import k_functional, near_best, sup_directional
 from smoothlab.corpus import grid_function
 from smoothlab.errors import AdmissibilityError, ParameterError
 from smoothlab.grid import GridFunction, TorusGrid, quasi_norm
@@ -15,6 +18,7 @@ from smoothlab.moduli import (
     averaged_modulus,
     binom_power_constant,
     binom_power_constant as bpc,
+    difference_gain,
     difference_symbol,
     frac_binomial,
     frac_difference,
@@ -27,7 +31,7 @@ from smoothlab.moduli import (
     sobolev_seminorm,
     step_design,
 )
-from smoothlab.spectral import Direction, transform
+from smoothlab.spectral import Direction, apply_symbol, transform
 from smoothlab.verify import run_check
 
 
@@ -348,3 +352,131 @@ class TestOneTransformPerCall:
     def test_step_design_order(self, f):
         dirs = direction_design(f.grid.dimension)
         assert step_design(0.6, dirs) == [tuple(h) for h in _design_steps(f.grid.dimension, 0.6)]
+
+
+# ---------------------------------------------------------------------------
+# p = 2 through Parseval, checked against the samples at each design point
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def parseval_pairs(monkeypatch):
+    """(p = 2 route, apply_symbol + quasi_norm) for every design point that
+    any sup or average of the call under test visits, in order."""
+    pairs, real = [], spectral.step_norms
+
+    def spy(f, design, symbol_of, p, gain_of=None):
+        design = list(design)
+        for x, norm in zip(design, real(f, design, symbol_of, p, gain_of)):
+            pairs.append((norm, quasi_norm(apply_symbol(f, symbol_of(x)), p)))
+            yield norm
+
+    monkeypatch.setattr(spectral, "step_norms", spy)
+    monkeypatch.setattr(moduli, "step_norms", spy)
+    return pairs
+
+
+@pytest.fixture(scope="module", params=["1d", "2d"])
+def smooth(request):
+    if request.param == "1d":
+        return grid_function("gaussian", N=256, L=20.0)
+    return grid_function("gaussian2d", N=32, L=20.0)
+
+
+class TestParsevalRoute:
+    def _assert_pairs(self, pairs, n):
+        assert len(pairs) == n
+        for parseval, samples in pairs:
+            assert parseval == pytest.approx(samples, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0, 3.2])
+    def test_modulus(self, smooth, parseval_pairs, alpha):
+        got = modulus(smooth, 0.6, alpha, 2.0)
+        self._assert_pairs(parseval_pairs, len(_design_steps(smooth.grid.dimension, 0.6)))
+        assert got == max(norm for norm, _ in parseval_pairs)
+
+    def test_partial_modulus(self, smooth, parseval_pairs):
+        partial_modulus(smooth, smooth.grid.dimension - 1, 0.6, 2, 2.0)
+        self._assert_pairs(parseval_pairs, 2 * 16)
+
+    @pytest.mark.parametrize("orders", [(1, 1), (2, 1)])
+    def test_mixed_modulus(self, smooth, parseval_pairs, orders):
+        got = mixed_modulus(smooth, orders[:smooth.grid.dimension], 0.6, 2.0)
+        self._assert_pairs(parseval_pairs, len(_design_steps(smooth.grid.dimension, 0.6)))
+        assert got == max(norm for norm, _ in parseval_pairs)
+
+    def test_sup_directional(self, smooth, parseval_pairs):
+        sup_directional(smooth, 1.5, 2.0)
+        self._assert_pairs(parseval_pairs, len(direction_design(smooth.grid.dimension)))
+
+    def test_averaged_modulus_outer(self, smooth, parseval_pairs):
+        averaged_modulus(smooth, 0.6, 1.5, 2.0, 1.0)
+        mids = 0.6 * (np.arange(16) + 0.5 - 8.0) / 8.0
+        in_disk = int(np.sum(np.hypot.outer(mids, mids) <= 0.6))
+        n_nodes = 16 if smooth.grid.dimension == 1 else in_disk
+        self._assert_pairs(parseval_pairs, n_nodes)
+
+    def test_no_inverse_transform_at_p2(self, smooth, monkeypatch):
+        calls, real = [], np.fft.ifftn
+        monkeypatch.setattr(np.fft, "ifftn", lambda a: calls.append(1) or real(a))
+        d = smooth.grid.dimension
+        modulus(smooth, 0.6, 1.5, 2.0)
+        if d == 1:  # the 2-D series route is slow at small steps
+            modulus(smooth, 0.6, 1.5, 2.0, method="series")
+        partial_modulus(smooth, 0, 0.6, 2, 2.0)
+        mixed_modulus(smooth, (1,) * d, 0.6, 2.0)
+        sup_directional(smooth, 1.5, 2.0)
+        averaged_modulus(smooth, 0.6, 1.0, 2.0, 1.0)
+        assert calls == []
+
+    def test_diagonal_step_gain_is_exactly_zero(self):
+        # on h = (t, -t), th = t (w_1 - w_2) vanishes on the diagonal
+        grid = TorusGrid(2, 64, 20.0)
+        scale, gain = difference_gain(grid, (0.3, -0.3), 0.5)
+        assert scale == math.sqrt(2.0)
+        assert np.all(np.diagonal(gain) == 0.0)
+        assert np.all(gain[~np.eye(64, dtype=bool)] > 0.0)
+
+    def test_diagonal_step_leaves_a_diagonal_function_unchanged(self, parseval_pairs):
+        # f(x_1 + x_2) lives on the diagonal modes: every (t, -t) difference is 0,
+        # not the eps^alpha = 1e-8 that a product of axis factors would give
+        grid = TorusGrid(2, 64, 20.0)
+        x1, x2 = grid.coords()
+        f = GridFunction(grid, np.exp(np.cos(2.0 * math.pi * (x1 + x2) / grid.period)))
+        got = modulus(f, 0.6, 0.5, 2.0, directions=(Direction.of(1.0, -1.0),))
+        assert got <= 1e-14 * quasi_norm(f, 2.0)
+        assert all(samples <= 1e-14 * quasi_norm(f, 2.0) for _, samples in parseval_pairs)
+
+    @pytest.mark.parametrize("alpha", [300.0, 600.0, 1023.0])
+    def test_large_orders_match_the_samples(self, alpha):
+        f = grid_function("gaussian")
+        steps = step_design(0.5, direction_design(1))
+        ref = max(quasi_norm(apply_symbol(f, difference_symbol(f.grid, h, alpha)), 2.0)
+                  for h in steps)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = modulus(f, 0.5, alpha, 2.0)
+        assert math.isfinite(got)
+        assert got == pytest.approx(ref, rel=1e-10, abs=0.0)
+
+
+@pytest.mark.parametrize("call,builder", [
+    (lambda f: averaged_modulus(f, 0.6, 1.0, 1.0, 1.0), "moduli.difference_symbol"),
+    (lambda f: averaged_modulus(f, 0.6, 1.0, 2.0, 1.0, inner=True), "moduli.difference_symbol"),
+    (lambda f: sobolev_seminorm(f, 2, 2.0), "moduli.derivative_symbol"),
+    (lambda f: near_best(f, 2.0, 2.0), "approx.band_windows"),
+    (lambda f: k_functional(f, 0.5, 1.0, 2.0), "approx.band_windows"),
+])
+def test_spectrum_before_the_first_symbol(monkeypatch, call, builder):
+    # a spectrum computed while a grid-sized symbol is live leaves a heap
+    # layout in which every later 2-D step faults in fresh pages
+    events, fft = [], np.fft.fftn
+    module, name = builder.split(".")
+    module = {"moduli": moduli, "approx": approx}[module]
+    build = getattr(module, name)
+    monkeypatch.setattr(np.fft, "fftn", lambda a: events.append("fft") or fft(a))
+    monkeypatch.setattr(module, name,
+                        lambda *args: events.append("symbol") or build(*args))
+    f = grid_function("gaussian2d", N=32, L=20.0)
+    call(GridFunction(f.grid, f.values))
+    assert events[0] == "fft" and "symbol" in events

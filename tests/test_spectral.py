@@ -61,6 +61,22 @@ class TestTransform:
             F.coefficients = np.zeros(grid.shape)
         assert transform(plane_wave(grid, 3.0)).coefficients[3] == pytest.approx(1.0)
 
+    def test_a_writeable_array_is_copied(self, grid):
+        # a band-1 spectrum cannot gain mode 20 through the caller's array
+        c = np.zeros(256, dtype=complex)
+        c[1] = 1.0
+        F = SpectralFunction(grid, c, band_radius=1.0)
+        c[20] = 1.0
+        assert F.coefficients[20] == 0.0
+        assert not np.shares_memory(F.coefficients, c)
+
+    def test_transform_hands_over_its_fresh_result(self, grid, monkeypatch):
+        # the fftn output is the kept spectrum itself: no copy is made
+        outputs, real = [], np.fft.fftn
+        monkeypatch.setattr(np.fft, "fftn", lambda a: outputs.append(real(a)) or outputs[-1])
+        F = transform(plane_wave(grid, 3.0))
+        assert np.shares_memory(F.coefficients, outputs[0])
+
     def test_band_radius_enforced(self, grid):
         coeffs = np.zeros(256, dtype=complex)
         coeffs[10] = 1.0  # frequency 10 > claimed band 5

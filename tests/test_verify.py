@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 import threading
@@ -522,3 +523,24 @@ class TestWorkbenchCache:
         bench = Workbench(QUICK)
         outer = bench._get(("outer",), lambda: bench._get(("inner",), lambda: 3) + 1)
         assert outer == 4
+
+    def test_cached_curves_are_read_only(self, wb):
+        # a cached curve is shared by every check: no caller may change it
+        curve = wb.curve("gaussian", 1.0, 2.0)
+        with pytest.raises(ValueError):
+            curve.values[0] = 1.0
+        with pytest.raises(ValueError):
+            curve.deltas[0] = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            curve.values = np.ones_like(curve.values)
+        ac = wb.acurve("gaussian", 2.0)
+        for arr in (ac.sigmas, ac.values, ac.raw_values):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+
+    def test_curves_copy_a_writeable_array(self):
+        deltas, values = np.array([0.1, 0.2, 0.4]), np.array([1.0, 2.0, 4.0])
+        curve = ModulusCurve(1.0, "2.0", deltas, values)
+        slope = curve._low_slope
+        values[0] = 123.0
+        assert curve.values[0] == 1.0 and curve._low_slope == slope
