@@ -24,8 +24,7 @@ import numpy as np
 from .errors import ParameterError
 from .grid import Exponent, GridFunction, SmoothnessOrder, quasi_norm, readonly_array
 from .moduli import direction_design
-from .spectral import (apply_symbol, band_windows, directional_gain, directional_symbol,
-                       interp_V, sup_norm, transform)
+from .spectral import apply_symbol, band_windows, directional_symbol, interp_V, sup_norm, transform
 
 #: offsets (as multiples of 1/sigma, within [-1, 1]) for the sampling operator
 N_OFFSETS = 8
@@ -136,8 +135,7 @@ def sup_directional(P: GridFunction, alpha, p) -> float:
     order = alpha if isinstance(alpha, SmoothnessOrder) else SmoothnessOrder(alpha)
     p = Exponent.parse(p)
     return sup_norm(P, direction_design(P.grid.dimension),
-                    lambda zeta: directional_symbol(P.grid, zeta, order), p,
-                    lambda zeta: directional_gain(P.grid, zeta, order))
+                    lambda zeta: directional_symbol(P.grid, zeta, order), p)
 
 
 def realization(f: GridFunction, delta: float, alpha, p):

@@ -21,16 +21,17 @@ repeated multiplication, a fractional order is
 is taken from the full phase th), and the mixed modulus takes the outer
 product of the 1-D axis symbols.
 
-At p = 2 no symbol is built: the L_2 modulus is Plancherel's
-sup_h (L^d sum (4 sin^2(th/2))^a |F|^2)^(1/2), summed by
+At p = 2 the closed route builds no symbol: the L_2 modulus is
+Plancherel's sup_h (L^d sum (4 sin^2(th/2))^a |F|^2)^(1/2), summed by
 ``spectral.step_norms`` from the real gain of ``difference_gain`` in the
 scaled form 2^a (sum sin^(2a)(th/2) |F|^2)^(1/2), finite for every order
 up to MAX_ORDER.  sin(th/2) comes by angle addition from per-axis sines
-and cosines, which keeps th = 0 an exact 0 on h = (t, -t).  The mixed
-modulus multiplies the axis gains sin^(2 k_j)(h_j w_j / 2), and the outer
-``averaged_modulus`` averages the same step norms.  ``TestParsevalRoute``
-in ``tests/test_moduli.py`` checks every p = 2 sup and average against
-``apply_symbol`` + ``quasi_norm`` at each design point.
+and cosines, which keeps th = 0 an exact 0 on h = (t, -t).  The outer
+``averaged_modulus`` averages the same step norms.  The mixed modulus and
+the series route still build their symbols, but at p = 2 only |symbol|^2
+is summed.  ``TestParsevalRoute`` in ``tests/test_moduli.py`` checks every
+p = 2 sup and average against ``apply_symbol`` + ``quasi_norm`` at each
+design point.
 
 The series route shares only the spectrum, whose modes it reads.  It
 sums the binomial series mode by mode, on the occupied modes only
@@ -502,12 +503,7 @@ def mixed_modulus(f: GridFunction, orders, delta: float, p) -> float:
         return _outer(np.multiply, [_whole_power(np.exp(1j * h * w), k)
                                     for h, k in zip(hvec, orders)])
 
-    def gain_of(hvec):
-        # the scaled form of prod_j (4 sin^2(h_j w_j / 2))^k_j
-        factors = [np.sin(0.5 * h * w) ** (2 * k) for h, k in zip(hvec, orders)]
-        return power(2.0, sum(orders)), _outer(np.multiply, factors)
-
-    return sup_norm(f, step_design(delta, direction_design(d)), symbol_of, p, gain_of)
+    return sup_norm(f, step_design(delta, direction_design(d)), symbol_of, p)
 
 
 def averaged_modulus(
@@ -529,7 +525,6 @@ def averaged_modulus(
     if inner and not q.q1 <= (math.inf if p.is_inf else p.p):
         raise ParameterError("inner form needs q <= p")
     _admissible(order, p)
-    transform(f)  # the spectrum before the first symbol (see step_norms)
     d = f.grid.dimension
     n = N_MAGNITUDES
     edges = np.linspace(-delta, delta, n + 1)
@@ -547,6 +542,7 @@ def averaged_modulus(
     a = order.alpha
     scale = delta ** (-d)
     if inner:
+        transform(f)  # the spectrum before the first grid array (see step_norms)
         acc = np.zeros(f.grid.shape)
         for hvec in nodes:
             g = apply_symbol(f, difference_symbol(f.grid, hvec, a))

@@ -15,12 +15,12 @@ FFT, and callers pass the function, never its coefficients.
 Every sup and average over a step design is one ``step_norms`` loop.  At
 p = 2 it applies no symbol: each step is the real Parseval sum
 L^d sum gain |F|^2, with |F|^2 formed once per call and the gain
-|symbol|^2 supplied by the caller in a scaled form (scale, gain <= 1), so
-no power of a large order overflows.  The closed gains are
-``directional_gain`` here and ``moduli.difference_gain``; a symbol
-without one gets |symbol|^2 over its max.  ``tests/test_moduli.py``
-checks the route against ``apply_symbol`` + ``quasi_norm`` at every
-design point.
+|symbol|^2 in a scaled form (scale, gain <= 1), so no power of a large
+order overflows.  The one closed gain is ``moduli.difference_gain``, which
+builds no complex symbol; any other symbol gives |symbol|^2 over its max.
+A sum too small to keep its digits is taken from the samples instead.
+``tests/test_moduli.py`` checks the route against ``apply_symbol`` +
+``quasi_norm`` at every design point.
 
 Sampling operator: interp_V is a Fourier fold, not a dense kernel, on
 1-D and 2-D grids alike.  Per axis the coefficients are folded mod
@@ -143,12 +143,14 @@ def step_norms(f: GridFunction, design, symbol_of, p, gain_of=None):
 
     At p = 2 no symbol is applied.  By discrete Parseval
     ||g||_2^2 = L^d sum |symbol|^2 |F|^2, so a step is one real sum over the
-    modes: no complex symbol, no inverse FFT, no samples.  ``gain_of(x)``
-    gives the step's scaled gain (scale, gain), a fresh real grid array with
+    modes: no inverse FFT, no samples.  ``gain_of(x)`` gives the step's
+    scaled gain (scale, gain), a fresh real grid array with
     scale^2 gain = |symbol_of(x)|^2 and gain <= 1, so that no power of a large
     order overflows; without it the gain is |symbol|^2 over its max.  The
     norm is scale max|F| (L^d sum gain (|F| / max|F|)^2)^(1/2), inf where
-    that is beyond the double range.
+    that is beyond the double range.  A sum below _PARSEVAL_FLOOR may have
+    lost digits to subnormal terms, or underflowed to 0 where the samples
+    are still representable, so that step is taken from the samples.
     """
     # the spectrum, which f keeps, is computed before the first symbol or
     # gain, and each stays bound until the next one is built: a spectrum
@@ -173,7 +175,17 @@ def step_norms(f: GridFunction, design, symbol_of, p, gain_of=None):
         s = float(gain.sum())
         if not math.isfinite(s):
             raise ParameterError("multiplier symbol has non-finite values")
-        yield scale * (top * math.sqrt(volume * s)) if s > 0 else 0.0
+        if s >= _PARSEVAL_FLOOR:
+            yield scale * (top * math.sqrt(volume * s))
+        elif scale == 0 or top == 0:
+            yield 0.0
+        else:
+            yield quasi_norm(apply_symbol(f, symbol_of(x)), p)
+
+
+#: a Parseval sum of at least tiny / eps (about 1e-292) keeps its digits:
+#: each of its N^d terms loses at most eps tiny to subnormal rounding
+_PARSEVAL_FLOOR = float(np.finfo(float).tiny / np.finfo(float).eps)
 
 
 def _symbol_gain(symbol: np.ndarray) -> tuple:
@@ -206,30 +218,15 @@ def derivative_symbol(grid: TorusGrid, multi: tuple) -> np.ndarray:
     return out
 
 
-def _direction_dot(grid: TorusGrid, zeta: Direction, order: SmoothnessOrder) -> np.ndarray:
-    """(w, zeta) on the grid, refused where |(w, zeta)|^alpha overflows."""
+def directional_symbol(grid: TorusGrid, zeta: Direction, order: SmoothnessOrder) -> np.ndarray:
+    """Symbol (i (w, zeta))^alpha on the principal branch, 0 at w = 0."""
     if zeta.dimension != grid.dimension:
         raise ParameterError("direction dimension does not match the grid")
     dot = sum(z * w for z, w in zip(zeta.vector, grid.frequencies()))
     dot = np.broadcast_to(dot, grid.shape)
     if power(float(np.abs(dot).max()), order.alpha) == math.inf:
         raise ParameterError(f"order {order.alpha:g} too large: |(w, zeta)|^alpha overflows")
-    return dot
-
-
-def directional_symbol(grid: TorusGrid, zeta: Direction, order: SmoothnessOrder) -> np.ndarray:
-    """Symbol (i (w, zeta))^alpha on the principal branch, 0 at w = 0."""
-    return np.power(1j * _direction_dot(grid, zeta, order), order.alpha)
-
-
-def directional_gain(grid: TorusGrid, zeta: Direction, order: SmoothnessOrder) -> tuple:
-    """|directional_symbol|^2 = |(w, zeta)|^(2 alpha) in the scaled form of
-    ``step_norms``: (M^alpha, (|(w, zeta)| / M)^(2 alpha)), M = max |(w, zeta)|."""
-    gain = np.abs(_direction_dot(grid, zeta, order))
-    top = float(gain.max())
-    gain /= top
-    gain **= 2.0 * order.alpha
-    return power(top, order.alpha), gain
+    return np.power(1j * dot, order.alpha)
 
 
 def directional_derivative(f: GridFunction, zeta: Direction, alpha) -> GridFunction:

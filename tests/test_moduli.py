@@ -447,6 +447,16 @@ class TestParsevalRoute:
         assert got <= 1e-14 * quasi_norm(f, 2.0)
         assert all(samples <= 1e-14 * quasi_norm(f, 2.0) for _, samples in parseval_pairs)
 
+    def test_an_underflowing_sum_falls_back_to_the_samples(self, smooth, parseval_pairs):
+        # at order 100 and step 1e-3 every scaled gain sin^200(th/2) underflows,
+        # while the samples, of size |2 sin(th/2)|^100 |F|, are representable
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = modulus(smooth, 1e-3, 100.0, 2.0)
+        self._assert_pairs(parseval_pairs, len(_design_steps(smooth.grid.dimension, 1e-3)))
+        assert got == max(norm for norm, _ in parseval_pairs)
+        assert 0.0 < got <= modulus(smooth, 1e-3, 100.0, "inf") * smooth.grid.period
+
     @pytest.mark.parametrize("alpha", [300.0, 600.0, 1023.0])
     def test_large_orders_match_the_samples(self, alpha):
         f = grid_function("gaussian")
