@@ -39,15 +39,13 @@ from .moduli import (
 )
 from .spectral import (
     Direction,
-    SpectralFunction,
     directional_derivative,
     interp_V,
-    inverse,
+    synthesize,
     transform,
 )
 from .verify import (
     InequalityReport,
-    UlyanovParams,
     Workbench,
     canonical_json,
     eta_regime,
@@ -92,13 +90,11 @@ __all__ = [
     "partial_modulus",
     "sobolev_seminorm",
     "Direction",
-    "SpectralFunction",
     "directional_derivative",
     "interp_V",
-    "inverse",
+    "synthesize",
     "transform",
     "InequalityReport",
-    "UlyanovParams",
     "Workbench",
     "canonical_json",
     "eta_regime",

@@ -124,9 +124,10 @@ def _exponent_arg(args, flag: str) -> Exponent:
         ) from None
 
 
-def _emit(payload, args):
+def _emit(args, payload, rows):
+    """Write ``payload`` as canonical JSON, or with ``--format csv`` the list
+    of dicts ``rows``, its flat form."""
     if args.format == "csv":
-        rows = payload if isinstance(payload, list) else payload.get("rows", [])
         buf = io.StringIO()
         if rows:
             writer = csv.DictWriter(buf, fieldnames=list(rows[0]))
@@ -169,53 +170,39 @@ def main(argv=None) -> int:
             f = wb.fn(args.entry)
             p = _exponent_arg(args, "p")
             val = modulus(f, args.delta, args.alpha, p, method=args.method)
-            _emit(
-                {
-                    "entry": args.entry,
-                    "alpha": args.alpha,
-                    "p": p.label(),
-                    "delta": args.delta,
-                    "value": val,
-                },
-                args,
-            )
+            row = {"entry": args.entry, "alpha": args.alpha, "p": p.label(),
+                   "delta": args.delta, "value": val}
+            _emit(args, row, [row])
             return EXIT_OK
         if args.command == "curve":
             wb = Workbench(cfg)
             f = wb.fn(args.entry)
             c = modulus_curve(f, args.alpha, _exponent_arg(args, "p"),
                               deltas=wb.deltas(args.entry), method=args.method)
-            if args.format == "csv":
-                _emit([
-                    {"entry": args.entry, "alpha": args.alpha, "p": c.p_label,
-                     "delta": d, "value": v}
-                    for d, v in zip(c.to_dict()["deltas"], c.to_dict()["values"])
-                ], args)
-            else:
-                _emit(dict(c.to_dict(), entry=args.entry), args)
+            payload = dict(c.to_dict(), entry=args.entry)
+            _emit(args, payload, [
+                {"entry": args.entry, "alpha": args.alpha, "p": c.p_label, "delta": d, "value": v}
+                for d, v in zip(payload["deltas"], payload["values"])
+            ])
             return EXIT_OK
         if args.command == "approx":
             wb = Workbench(cfg)
             ac = wb.acurve(args.entry, _exponent_arg(args, "p"))
-            if args.format == "csv":
-                _emit([
-                    {"entry": args.entry, "p": ac.p_label, "sigma": s, "error": v}
-                    for s, v in zip(ac.to_dict()["sigmas"], ac.to_dict()["values"])
-                ], args)
-            else:
-                _emit(dict(ac.to_dict(), entry=args.entry), args)
+            payload = dict(ac.to_dict(), entry=args.entry)
+            _emit(args, payload, [
+                {"entry": args.entry, "p": ac.p_label, "sigma": s, "error": v}
+                for s, v in zip(payload["sigmas"], payload["values"])
+            ])
             return EXIT_OK
         if args.command == "verify":
             report = run_check(args.property_id, _verify_params(args), cfg)
-            if args.format == "csv":
-                _emit(report_rows(report), args)
-            else:
-                _emit(report.to_dict(), args)
+            payload = report.to_dict()
+            _emit(args, payload, report_rows(payload))
             log.info("%s: %s", args.property_id, report.verdict)
             return EXIT_OK if report.passed else EXIT_CHECK_FAILED
         if args.command == "verify-all":
             result = verify_all(cfg)
-            _emit(result, args)
+            _emit(args, result, [row for r in result["reports"] for row in report_rows(r)])
             summary = result["summary"]
             log.info(
                 "checks: %d pass, %d info, %d fail",
@@ -233,7 +220,7 @@ def main(argv=None) -> int:
                 }
                 for e in corpus_mod.corpus_list()
             ]
-            _emit(entries if args.format == "csv" else {"entries": entries}, args)
+            _emit(args, {"entries": entries}, entries)
             return EXIT_OK
         raise SmoothlabError(f"unknown command {args.command}")
     except HypothesisError as exc:

@@ -4,7 +4,11 @@ Each entry is a profile centered at the origin together with whatever
 closed forms it has (continuum Fourier transform, band radius, tail
 bounds).  Grid realizations are periodizations over the torus; for the
 bandlimited entries the periodization is built directly from the exact
-Fourier coefficients, which is the same sum evaluated in closed form.
+Fourier coefficients, which is the same sum evaluated in closed form, and
+synthesized with ``spectral.synthesize``.
+
+``DESK_1D`` and ``DESK_2D`` are the desk scales {N, L} of every entry
+without a period of its own; ``verify.DEFAULTS`` reads them.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .grid import GridFunction, TorusGrid, periodize
-from .spectral import SpectralFunction, inverse
+from .spectral import synthesize
 
 DESK_1D = {"N": 1024, "L": 40.0}
 DESK_2D = {"N": 256, "L": 20.0}
@@ -215,7 +219,7 @@ def _build_spectral(entry: CorpusEntry, grid: TorusGrid) -> GridFunction:
     coeffs = np.asarray(entry.fourier(*ws), dtype=complex) / L ** grid.dimension
     phase = sum(np.broadcast_to(w, grid.shape) for w in ws) * (L / 2.0)
     coeffs = coeffs * np.exp(-1j * phase)
-    return inverse(SpectralFunction(grid, np.broadcast_to(coeffs, grid.shape)))
+    return synthesize(grid, coeffs)
 
 
 _GRIDFN_CACHE: dict = {}

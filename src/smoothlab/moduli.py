@@ -33,7 +33,8 @@ is summed.  ``TestParsevalRoute`` in ``tests/test_moduli.py`` checks every
 p = 2 sup and average against ``apply_symbol`` + ``quasi_norm`` at each
 design point.
 
-The series route shares only the spectrum, whose modes it reads.  It
+The series route shares only the spectrum, the read-only array of
+``spectral.transform``, whose modes it reads.  It
 sums the binomial series mode by mode, on the occupied modes only
 (|F| > 1e-14 max|F|, with the bound on what the dropped modes contribute
 stated in ``_symbol``): a partial sum whose length adapts to min |1 - w|,
@@ -318,7 +319,7 @@ def _symbol(f: GridFunction, hvec, alpha: float, method: str) -> np.ndarray:
         raise ParameterError(f"unknown method '{method}'")
     w = f.grid.axis_frequencies()
     theta = _outer(np.add, [h * w for h in hvec])
-    mag = np.abs(transform(f).coefficients)
+    mag = np.abs(transform(f))
     occupied = mag > _OCCUPIED * mag.max()
     symbol = np.zeros(f.grid.shape, dtype=complex)
     symbol[occupied] = _series_symbol(alpha, theta[occupied])
@@ -464,8 +465,9 @@ def modulus_curve(
         deltas = default_deltas(f.grid)
     deltas = np.asarray(deltas, dtype=float)
     vals = np.array([modulus(f, float(d), order, p, method) for d in deltas])
-    # running max: the step design at delta_k then contains every step used
-    # at smaller deltas, so monotonicity in delta is exact by construction
+    # running max: the value at delta_k is the sup over the union of the step
+    # designs at deltas <= delta_k (no two deltas share a step), so
+    # monotonicity in delta is exact by construction
     vals = np.maximum.accumulate(vals)
     return ModulusCurve(
         order.alpha,

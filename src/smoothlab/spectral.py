@@ -6,11 +6,15 @@ f(x) = sum_xi c_xi exp(i w_xi . x) with physical frequencies
 w_xi = 2 pi xi / L.  Parseval then reads
 quasi_norm(f, 2)^2 = L^d * sum |c_xi|^2, exactly on the grid.
 
-A function's spectrum is computed once, on first use: ``transform``
-keeps it on the (immutable) GridFunction, so every multiplier applied to
-one function -- ``apply_symbol``, each step of ``step_norms``, the band
-windows of ``band_windows`` and the sampling fold -- shares one forward
-FFT, and callers pass the function, never its coefficients.
+A spectrum is a read-only coefficient array in FFT layout.  A function's
+spectrum is computed once, on first use: ``transform`` keeps it on the
+(immutable) GridFunction, so every multiplier applied to one function --
+``apply_symbol``, each step of ``step_norms``, the band windows of
+``band_windows`` and the sampling fold -- shares one forward FFT, and
+callers pass the function, never its coefficients.  ``synthesize`` is
+the one way back from coefficients to samples: the multiplier, the fold
+and every function built from its spectrum (the bandlimited corpus
+entries, the seeded polynomials of ``verify``) go through it.
 
 Every sup and average over a step design is one ``step_norms`` loop.  At
 p = 2 it applies no symbol: each step is the real Parseval sum
@@ -38,8 +42,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ParameterError
-from .grid import (Exponent, GridFunction, SmoothnessOrder, TorusGrid, power, quasi_norm,
-                   readonly_array)
+from .grid import Exponent, GridFunction, SmoothnessOrder, TorusGrid, power, quasi_norm
 
 @dataclass(frozen=True)
 class Direction:
@@ -68,30 +71,6 @@ class Direction:
         return len(self.vector)
 
 
-@dataclass(frozen=True)
-class SpectralFunction:
-    """Fourier coefficients on a grid, FFT layout, optional band radius.
-
-    ``coefficients`` is read-only, by GridFunction's rule (``readonly_array``):
-    the spectrum of a GridFunction is shared by every caller of
-    ``transform``, and a band checked at construction stays checked.
-    """
-
-    grid: TorusGrid
-    coefficients: np.ndarray
-    band_radius: float | None = None
-
-    def __post_init__(self):
-        c = readonly_array(self.coefficients, complex)
-        if c.shape != self.grid.shape:
-            raise ParameterError("coefficient shape does not match grid")
-        object.__setattr__(self, "coefficients", c)
-        if self.band_radius is not None:
-            outside = frequency_magnitude(self.grid) > self.band_radius + 1e-9
-            if np.any(np.abs(c[outside]) > 1e-12 * (np.abs(c).max() + 1e-300)):
-                raise ParameterError("coefficients exceed the declared band radius")
-
-
 def frequency_magnitude(grid: TorusGrid) -> np.ndarray:
     ws = grid.frequencies()
     if grid.dimension == 1:
@@ -99,42 +78,35 @@ def frequency_magnitude(grid: TorusGrid) -> np.ndarray:
     return np.sqrt(ws[0] ** 2 + ws[1] ** 2)
 
 
-def transform(f: GridFunction) -> SpectralFunction:
-    """The spectrum of f, computed on the first call and kept on f.
+def transform(f: GridFunction) -> np.ndarray:
+    """The spectrum of f, its read-only coefficient array (module docstring
+    convention), computed on the first call and kept on f.
 
     No lock, which would serialize the transforms of a verify thread pool:
     two threads that race here compute the same bits, and either may stay.
-    Nothing else holds the fresh coefficients, so they are handed over
-    read-only, which spares SpectralFunction its copy.
     """
     F = f._spectrum
     if F is None:
-        coeffs = np.fft.fftn(f.values)
-        coeffs /= float(f.grid.points_per_axis ** f.grid.dimension)
-        coeffs.flags.writeable = False
-        F = SpectralFunction(f.grid, coeffs)
+        F = np.fft.fftn(f.values)
+        F /= float(f.grid.points_per_axis ** f.grid.dimension)
+        F.flags.writeable = False
         object.__setattr__(f, "_spectrum", F)
     return F
 
 
-def inverse(F: SpectralFunction) -> GridFunction:
-    return _synthesize(F.grid, F.coefficients)
-
-
-def _synthesize(grid: TorusGrid, coeffs: np.ndarray) -> GridFunction:
-    """The samples with coefficients ``coeffs``: ``inverse`` without building
-    a SpectralFunction, for the multiplier and the fold, which run per step.
-    Nothing else holds the fresh samples, so they are handed over read-only,
-    which spares GridFunction its copy."""
+def synthesize(grid: TorusGrid, coeffs: np.ndarray) -> GridFunction:
+    """The samples on ``grid`` whose coefficients are ``coeffs``: the inverse
+    of ``transform``.  Nothing else holds the fresh samples, so they are
+    handed over read-only, which spares GridFunction its copy."""
     values = np.fft.ifftn(coeffs) * float(grid.points_per_axis ** grid.dimension)
     values.flags.writeable = False
     return GridFunction(grid, values)
 
 
 def apply_symbol(f: GridFunction, symbol: np.ndarray) -> GridFunction:
-    """The multiplier primitive: inverse transform of the spectrum of f
-    times ``symbol``, an array broadcastable to the grid shape."""
-    return _synthesize(f.grid, transform(f).coefficients * symbol)
+    """The multiplier primitive: ``synthesize`` of the spectrum of f times
+    ``symbol``, an array broadcastable to the grid shape."""
+    return synthesize(f.grid, transform(f) * symbol)
 
 
 def step_norms(f: GridFunction, design, symbol_of, p, gain_of=None):
@@ -157,7 +129,7 @@ def step_norms(f: GridFunction, design, symbol_of, p, gain_of=None):
     # computed while a symbol is live, or a generator inside max() that frees
     # each grid-sized array first, leaves a heap layout in which every 2-D
     # step faults in fresh pages (60 times the page faults, 10-20 % slower)
-    F = transform(f).coefficients
+    F = transform(f)
     if Exponent.parse(p).p != 2.0:
         for x in design:
             g = apply_symbol(f, symbol_of(x))
@@ -331,7 +303,7 @@ def interp_V(f: GridFunction, sigma: float, lam: float = 0.0, r: int = 1) -> Gri
         raise ParameterError("sampling band outside (0, nyquist]")
     axis_grid = TorusGrid(1, grid.points_per_axis, grid.period)
     targets, weights, _ = _interp_v_axis_matrix(axis_grid, sigma, lam, r)
-    coeffs = transform(f).coefficients
+    coeffs = transform(f)
     for axis in range(grid.dimension):
         coeffs = _sample_axis(coeffs, axis, targets, weights)
-    return _synthesize(grid, coeffs)
+    return synthesize(grid, coeffs)

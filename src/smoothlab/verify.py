@@ -9,7 +9,7 @@ equivalences additionally require the ratio to stay inside a band and
 its trend to be flat on both sides.
 
 Property identifiers
-    P1a  monotonicity of the modulus in delta (exact, nested design)
+    P1a  monotonicity of the modulus in delta (exact, by the running max)
     P1b  quasi-subadditivity with constant 2^(1/p-1)_+ (exact)
     P1c  modulus bounded by the binomial-sum constant times the norm
     P1d  vanishing at infinity -- not checkable on the torus (gated)
@@ -69,12 +69,11 @@ from .moduli import (
 )
 from .spectral import (
     Direction,
-    SpectralFunction,
     apply_symbol,
     derivative_symbol,
     directional_symbol,
     frequency_magnitude,
-    inverse,
+    synthesize,
     transform,
 )
 
@@ -86,8 +85,8 @@ DEFAULTS = {
     "band_limit": 50.0,
     "exact_tol": 1e-9,
     "n_quad": 96,
-    "scale_1d": {"N": 1024, "L": 40.0},
-    "scale_2d": {"N": 256, "L": 20.0},
+    "scale_1d": corpus_mod.DESK_1D,
+    "scale_2d": corpus_mod.DESK_2D,
     "n_deltas_1d": 24,
     "n_deltas_2d": 8,
     "k_max_1d": 6,
@@ -102,9 +101,36 @@ QUICK_OVERRIDES = {
 }
 
 
+def _integer(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _number(v) -> bool:
+    """A finite JSON number; a bool is none."""
+    return _integer(v) or (isinstance(v, float) and math.isfinite(v))
+
+
+#: the rule of each config value but ``threads``: (holds, what it must be)
+CONFIG_RULES = {
+    "quick": (lambda v: isinstance(v, bool), "true or false"),
+    **dict.fromkeys(("max_ratio", "band_limit"),
+                    (lambda v: _number(v) and v > 0, "a positive finite number")),
+    **dict.fromkeys(("slope_tol", "exact_tol"),
+                    (lambda v: _number(v) and v >= 0, "a non-negative finite number")),
+    **dict.fromkeys(("n_quad", "n_deltas_1d", "n_deltas_2d"),
+                    (lambda v: _integer(v) and v >= 2, "an integer >= 2")),
+    **dict.fromkeys(("k_max_1d", "k_max_2d"), (lambda v: _integer(v) and v >= 1, "an integer >= 1")),
+    **dict.fromkeys(("scale_1d", "scale_2d"), (
+        lambda v: isinstance(v, dict) and set(v) == {"N", "L"} and _integer(v["N"])
+        and _number(v["L"]) and v["L"] > 0,
+        'an object of exactly an integer "N" and a positive finite "L"')),
+}
+
+
 def make_config(overrides: dict | None = None) -> dict:
-    """DEFAULTS with ``overrides`` applied; unknown keys and a set ``threads``
-    that is not an integer >= 1 raise ParameterError."""
+    """DEFAULTS with ``overrides`` applied; an unknown key, a set ``threads``
+    that is not an integer >= 1, and a value that breaks its CONFIG_RULES
+    entry raise ParameterError."""
     cfg = json.loads(json.dumps(DEFAULTS))  # deep copy
     if overrides:
         unknown = [k for k in overrides if k not in DEFAULTS]
@@ -112,6 +138,9 @@ def make_config(overrides: dict | None = None) -> dict:
             raise ParameterError(f"unknown config keys: {', '.join(map(repr, unknown))}")
         if overrides.get("threads") is not None:
             _thread_count(overrides["threads"], "threads")
+        for k, v in overrides.items():
+            if k in CONFIG_RULES and not CONFIG_RULES[k][0](v):
+                raise ParameterError(f"config {k!r} must be {CONFIG_RULES[k][1]}, got {v!r}")
         if overrides.get("quick"):
             cfg.update(json.loads(json.dumps(QUICK_OVERRIDES)))
         for k, v in overrides.items():
@@ -172,23 +201,15 @@ def canonical_json(obj) -> str:
                       allow_nan=False)
 
 
-def report_rows(report: InequalityReport) -> list:
-    """Flatten a report for CSV output (lossy: stats/notes are repeated)."""
-    rows = []
-    pblob = canonical_json(report.params)
-    for g, l, r, q in zip(report.grid, report.lhs, report.rhs, report.ratio):
-        rows.append(
-            {
-                "property_id": report.property_id,
-                "params": pblob,
-                "grid": g,
-                "lhs": l,
-                "rhs": r,
-                "ratio": q,
-                "verdict": report.verdict,
-            }
-        )
-    return rows
+def report_rows(report: dict) -> list:
+    """Flatten a report's ``to_dict`` form for CSV output, one row per grid
+    point (lossy: stats and notes are left out)."""
+    pblob = canonical_json(report["params"])
+    return [
+        {"property_id": report["property_id"], "params": pblob, "grid": g, "lhs": l, "rhs": r,
+         "ratio": q, "verdict": report["verdict"]}
+        for g, l, r, q in zip(report["grid"], report["lhs"], report["rhs"], report["ratio"])
+    ]
 
 
 def _fit_slope(xs: np.ndarray, ys: np.ndarray) -> float | None:
@@ -296,40 +317,6 @@ _EQ_TOL = 1e-12
 
 def _close(a, b):
     return abs(a - b) <= _EQ_TOL
-
-
-@dataclass(frozen=True)
-class UlyanovParams:
-    """Parameters of the between-metrics inequality, validated on creation."""
-
-    p: float
-    q: float
-    alpha: float
-    gamma: float
-    d: int = 1
-
-    def __post_init__(self):
-        p, q = Exponent(self.p), Exponent(self.q)
-        if p.is_inf or not (p.p < (math.inf if q.is_inf else q.p)):
-            raise HypothesisError("needs 0 < p < q <= inf")
-        if self.gamma < 0:
-            raise HypothesisError("gamma must be nonnegative")
-        a = SmoothnessOrder(self.alpha)
-        # alpha admissible for the target metric: whole, or > (1 - 1/q)_+
-        lim = max(1.0 - (0.0 if q.is_inf else 1.0 / q.p), 0.0)
-        if not (a.is_integer or self.alpha > lim):
-            raise HypothesisError(
-                f"alpha={self.alpha} must be a whole number or exceed {lim}"
-            )
-        ag = SmoothnessOrder(self.alpha + self.gamma)
-        if not ag.admissible_for(p):
-            raise HypothesisError(
-                f"alpha+gamma={self.alpha + self.gamma} inadmissible for p={self.p}"
-            )
-
-    @property
-    def q1(self) -> float:
-        return Exponent(self.q).q1
 
 
 def eta_regime(p: float, q: float, alpha: float, gamma: float, d: int) -> dict:
@@ -444,7 +431,11 @@ def marchaud_rhs(
 def ulyanov_rhs(
     curve: ModulusCurve,
     delta: float,
-    up: UlyanovParams,
+    p: float,
+    q: float,
+    alpha: float,
+    gamma: float,
+    d: int,
     fnorm: float,
     n_quad: int = 96,
     drop_norm: bool | None = None,
@@ -457,17 +448,17 @@ def ulyanov_rhs(
     floor; below the floor the curve is continued by its fitted power law.
     Returns (value, regime_tag, dropped_norm_term).
     """
-    regime = eta_regime(up.p, up.q, up.alpha, up.gamma, up.d)
+    regime = eta_regime(p, q, alpha, gamma, d)
     if drop_norm is None:
-        drop_norm = norm_term_droppable(up.p, up.q, up.alpha, up.gamma, up.d)
-    q1 = up.q1
+        drop_norm = norm_term_droppable(p, q, alpha, gamma, d)
+    q1 = Exponent(q).q1
 
     def integrand(t):
-        return (curve.interp(t) * t ** (-up.gamma) * eta_value(1.0 / t, regime)) ** q1
+        return (curve.interp(t) * t ** (-gamma) * eta_value(1.0 / t, regime)) ** q1
 
     value = log_integral(integrand, curve.deltas[0] / 64.0, delta, n_quad) ** (1.0 / q1)
     if not drop_norm:
-        value = value + delta ** up.alpha * fnorm
+        value = value + delta ** alpha * fnorm
     return value, regime["tag"], bool(drop_norm)
 
 
@@ -486,7 +477,7 @@ def _random_poly(grid: TorusGrid, sigma: float, seed: int) -> GridFunction:
     coeffs[mask] = rng.standard_normal(n_in) + 1j * rng.standard_normal(n_in)
     scale = math.sqrt(float(np.sum(np.abs(coeffs) ** 2)))
     coeffs /= scale
-    return inverse(SpectralFunction(grid, coeffs, band_radius=sigma))
+    return synthesize(grid, coeffs)
 
 
 def _dilate_poly(base: GridFunction, factor: int) -> GridFunction:
@@ -495,9 +486,9 @@ def _dilate_poly(base: GridFunction, factor: int) -> GridFunction:
     n = base.grid.points_per_axis
     idx = np.fft.fftfreq(n, d=1.0 / n).astype(int)
     out = np.zeros(base.grid.shape, dtype=complex)
-    src = np.nonzero(np.abs(F.coefficients) > 0)
-    np.add.at(out, tuple(np.mod(idx[s] * factor, n) for s in src), F.coefficients[src])
-    return inverse(SpectralFunction(base.grid, out))
+    src = np.nonzero(np.abs(F) > 0)
+    np.add.at(out, tuple(np.mod(idx[s] * factor, n) for s in src), F[src])
+    return synthesize(base.grid, out)
 
 
 class Workbench:
@@ -867,10 +858,10 @@ def _p8_integral(wb, a):
 
 
 def _p9(wb, a):
-    up = UlyanovParams(p=a.p.p, q=a.q.p, alpha=a.alpha, gamma=a.gamma, d=a.d)
-    c = wb.curve(a.entry, up.alpha, a.q)
-    big = wb.ext_curve(a.entry, up.alpha + up.gamma, a.p)
-    rhs, tag, dropped = ulyanov_rhs(big, c.deltas, up, wb.norm(a.entry, a.p), wb.cfg["n_quad"])
+    c = wb.curve(a.entry, a.alpha, a.q)
+    big = wb.ext_curve(a.entry, a.alpha + a.gamma, a.p)
+    rhs, tag, dropped = ulyanov_rhs(big, c.deltas, a.p.p, a.q.p, a.alpha, a.gamma, a.d,
+                                    wb.norm(a.entry, a.p), wb.cfg["n_quad"])
     return Sides(c.deltas, c.values, rhs, [f"rate regime: {tag}", f"norm term dropped: {dropped}"])
 
 
@@ -1060,7 +1051,7 @@ def _nik(wb, a):
         if band > grid.nyquist:
             break
         coeffs = np.clip(1.0 - mag / band, 0.0, None).astype(complex)
-        P = inverse(SpectralFunction(grid, coeffs, band_radius=band))
+        P = synthesize(grid, coeffs)
         sigmas.append(sg)
         lhs.append(quasi_norm(P, a.q))
         rhs.append(band ** gap * quasi_norm(P, a.p))
@@ -1121,7 +1112,7 @@ LARGE = {"asym": "large"}
 #: the catalogue: one row per property, and one per form/side variant
 TABLE = (
     Check("P1a", _p1a, EAP, mode="exact", opts=EXACT,
-          notes=("nested step design makes monotonicity exact",)),
+          notes=("a running max over the step designs makes monotonicity exact",)),
     Check("P1b", _p1b, {**EAP, "entry2": str}, (SHARED_GRID,), mode="exact", opts=EXACT),
     Check("P1c", _p1c, EAP, opts={"max_ratio": 1.1, "check_slope": False}),
     Check("P1d", None, {}, (Gate(lambda wb, a: False, "delta -> infinity on R^d; on the torus"
@@ -1144,7 +1135,13 @@ TABLE = (
           opts={"exact_tol": 1e-9, "check_slope": False}),
     Check("P8", _p8_integral, {**EAP, "beta": float}, (admissible("alpha", "beta"), P_OPEN),
           ("form", "integral")),
-    Check("P9", _p9, {**EAP, "gamma": float, "q": EXP}),
+    Check("P9", _p9, {**EAP, "gamma": float, "q": EXP}, (
+        P_BELOW_Q,
+        Gate(lambda wb, a: not a.gamma < 0, "gamma >= 0"),
+        Gate(lambda wb, a: SmoothnessOrder(a.alpha).is_integer
+             or a.alpha > max(1.0 - 1.0 / a.q.p, 0.0), "alpha whole or > (1 - 1/q)_+"),
+        admissible("alpha+gamma"),
+    )),
     Check("P10", _p10, {**EAP, "q": EXP}, (
         Gate(lambda wb, a: not a.q.is_inf and a.p.p < a.q.p, "p < q < inf"),
         Gate(lambda wb, a: a.p.p > 1.0 or (a.p.p == 1.0 and a.d >= 2),

@@ -159,7 +159,7 @@ def test_criterion_06_approximation_error_vs_modulus(wb):
     worst_tail = 0.0
     for name in ONE_D:
         f = wb.fn(name)
-        coeffs = transform(f).coefficients
+        coeffs = transform(f)
         mag = frequency_magnitude(f.grid)
         for k in range(7):
             sigma = float(2 ** k)

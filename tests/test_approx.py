@@ -30,7 +30,7 @@ class TestNearBest:
         # its error is the coefficient tail, exactly
         for sigma in (2.0, 4.0, 8.0):
             nb = near_best(gaussian, sigma, 2.0)
-            coeffs = transform(gaussian).coefficients
+            coeffs = transform(gaussian)
             mag = frequency_magnitude(gaussian.grid)
             tail = math.sqrt(40.0 * float(np.sum(np.abs(coeffs[mag > sigma]) ** 2)))
             assert nb.error == pytest.approx(tail, abs=1e-12)
@@ -38,7 +38,7 @@ class TestNearBest:
 
     def test_witness_is_bandlimited(self, gaussian):
         nb = near_best(gaussian, 4.0, "inf")
-        coeffs = transform(nb.witness).coefficients
+        coeffs = transform(nb.witness)
         mag = frequency_magnitude(gaussian.grid)
         assert np.abs(coeffs[mag > 4.0]).max(initial=0.0) < 1e-12
 

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import logging
@@ -177,6 +178,31 @@ class TestConfigMerging:
         assert json.loads(target.read_text())["value"] > 0
 
 
+P7_ARGV = ("verify", "P7", "--entry", "gaussian", "--alpha", "1", "--gamma", "1", "--p", "2",
+           "--quick")
+P12_ARGV = ("verify", "P12", "--entry", "gaussian", "--alpha", "2", "--p", "2", "--quick")
+P1A_ARGV = ("verify", "P1a", "--entry", "gaussian", "--alpha", "1", "--p", "2", "--quick")
+
+
+@pytest.mark.parametrize("argv", [
+    ("corpus",),
+    ("modulus", "gaussian", "--alpha", "1", "--delta", "0.1"),
+    ("curve", "gaussian", "--alpha", "1"),
+    ("approx", "gaussian"),
+    P1A_ARGV,
+    ("verify-all",),
+])
+def test_csv_has_a_header_and_rows(capsys, argv):
+    code, out = run(capsys, *argv, "--quick", "--format", "csv")
+    assert code == 0
+    header, *rows = list(csv.reader(io.StringIO(out)))
+    assert rows and all(len(row) == len(header) for row in rows)
+    if argv[0] == "verify-all":
+        # the rows of every report, in matrix order
+        assert list(dict.fromkeys(row[0] for row in rows)) == [
+            "P1a", "P2", "P7", "P12", "P16", "P17", "NSB", "BERN"]
+
+
 class TestBadInputExitsTwo:
     """Bad input exits 2 with a one-line error; 1 is kept for failed checks."""
 
@@ -243,6 +269,32 @@ class TestBadInputExitsTwo:
         cfg.write_text(json.dumps(content))
         msg = self.run_bad(capsys, caplog, "verify-all", "--quick", "--config", str(cfg))
         assert "thread" in msg
+
+    @pytest.mark.parametrize("argv, content, key", [
+        (P7_ARGV, '{"n_quad": "x"}', "n_quad"),
+        (P7_ARGV, '{"n_quad": 0}', "n_quad"),
+        (P7_ARGV, '{"n_quad": true}', "n_quad"),
+        (P7_ARGV, '{"scale_1d": 5}', "scale_1d"),
+        (P7_ARGV, '{"scale_1d": {"N": 256}}', "scale_1d"),
+        (P7_ARGV, '{"scale_1d": {"N": 256, "L": "x"}}', "scale_1d"),
+        (P7_ARGV, '{"scale_1d": {"N": 256, "L": 20, "M": 1}}', "scale_1d"),
+        (P7_ARGV, '{"slope_tol": "x"}', "slope_tol"),
+        (P7_ARGV, '{"n_deltas_1d": 2.5}', "n_deltas_1d"),
+        (("verify-all",), '{"quick": "no"}', "quick"),
+        (P12_ARGV, '{"max_ratio": "a"}', "max_ratio"),
+        (P12_ARGV, '{"max_ratio": Infinity}', "max_ratio"),
+        (P12_ARGV, '{"k_max_1d": -1}', "k_max_1d"),
+        (P1A_ARGV, '{"n_deltas_1d": 0}', "n_deltas_1d"),
+        (("verify-all", "--quick"), '{"slope_tol": "x"}', "slope_tol"),
+    ])
+    def test_mistyped_config_values(self, capsys, caplog, tmp_path, argv, content, key):
+        # each once printed a traceback and exited 1, gave a false verdict,
+        # or ran on an empty quadrature or the quick matrix
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(content)
+        msg = self.run_bad(capsys, caplog, *argv, "--config", str(cfg))
+        assert repr(key) in msg
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_thread_env_below_one(self, capsys, caplog, monkeypatch):
         monkeypatch.setenv("SMOOTHLAB_THREADS", "0")

@@ -15,7 +15,7 @@ from smoothlab.spectral import transform, frequency_magnitude
 
 def spectral_tail_fraction(f):
     """Relative l2 mass at frequencies |w| >= 0.75 * Nyquist."""
-    c = transform(f).coefficients
+    c = transform(f)
     total = float(np.sum(np.abs(c) ** 2))
     if total == 0.0:
         return 0.0
@@ -70,7 +70,7 @@ class TestGridFunctions:
 
     def test_plane_wave_is_single_mode(self):
         f = grid_function("planewave", N=256)
-        coeffs = transform(f).coefficients
+        coeffs = transform(f)
         assert np.sum(np.abs(coeffs) > 1e-12) == 1
 
     def test_bandlimited_entries_have_exact_band(self):
@@ -78,7 +78,7 @@ class TestGridFunctions:
             e = get_entry(name)
             n = 512 if e.dimension == 1 else 64
             f = grid_function(name, N=n)
-            coeffs = transform(f).coefficients
+            coeffs = transform(f)
             mag = frequency_magnitude(f.grid)
             outside = np.abs(coeffs[mag > e.band_radius * 1.0001])
             assert outside.max(initial=0.0) < 1e-14
@@ -133,7 +133,7 @@ class TestGridFunctions:
         ws, L = f.grid.frequencies(), f.grid.period
         phase = sum(np.broadcast_to(w, f.grid.shape) for w in ws) * (L / 2.0)
         want = e.fourier(*ws) / L ** e.dimension * np.exp(-1j * phase)
-        got = transform(f).coefficients
+        got = transform(f)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("entry", ["gaussian", "planewave", "gaussian2d"])

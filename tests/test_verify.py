@@ -7,13 +7,12 @@ import time
 import numpy as np
 import pytest
 
-from smoothlab import verify
+from smoothlab import corpus, verify
 from smoothlab.errors import HypothesisError, ParameterError
 from smoothlab.moduli import ModulusCurve
-from smoothlab.spectral import SpectralFunction, inverse, transform
+from smoothlab.spectral import synthesize, transform
 from smoothlab.verify import (
     CHECKS,
-    UlyanovParams,
     Workbench,
     canonical_json,
     default_matrix,
@@ -132,25 +131,6 @@ class TestDropList:
         assert not norm_term_droppable(2.0, math.inf, 1.0, 0.5, d=1)
 
 
-class TestUlyanovParams:
-    def test_valid(self):
-        up = UlyanovParams(p=0.5, q=2.0, alpha=2.0, gamma=0.5, d=1)
-        assert up.q1 == 2.0
-
-    def test_rejects_wrong_order(self):
-        with pytest.raises(HypothesisError):
-            UlyanovParams(p=2.0, q=2.0, alpha=1.0, gamma=0.0, d=1)
-
-    def test_rejects_inadmissible_source_order(self):
-        # alpha + gamma = 0.9 is below the p = 0.5 admissibility line
-        with pytest.raises(HypothesisError):
-            UlyanovParams(p=0.5, q=2.0, alpha=0.8, gamma=0.1, d=1)
-
-    def test_rejects_inadmissible_target_order(self):
-        with pytest.raises(HypothesisError):
-            UlyanovParams(p=1.0, q=2.0, alpha=0.3, gamma=2.0, d=1)
-
-
 class TestQuadratures:
     def constant_curve(self, c=2.0):
         deltas = np.geomspace(1e-3, 1.0, 40)
@@ -178,25 +158,24 @@ class TestQuadratures:
 
     def test_ulyanov_power_curve_oracle(self):
         # pure-power regime: integrand = t^((s - gamma + pow(eta at 1/t)) q1 - 1)
-        up = UlyanovParams(p=0.5, q=2.0, alpha=2.0, gamma=2.0, d=1)  # supercritical
-        reg = eta_regime(0.5, 2.0, 2.0, 2.0, d=1)
+        gamma, q1 = 2.0, 2.0  # supercritical at p = 0.5, q = 2
+        reg = eta_regime(0.5, q1, 2.0, gamma, d=1)
         s = 3.5  # keeps s - gamma - pow away from the log-degenerate zero
         curve = self.power_curve(s)
         # eta(1/t) = t^(-pow): exponent of t inside the q1 power
-        expo = s - up.gamma - reg["pow"]
-        q1 = up.q1
+        expo = s - gamma - reg["pow"]
         d = np.array([0.05, 0.2])
         expected = (d ** (expo * q1) / (expo * q1)) ** (1.0 / q1)
-        got, tag, dropped = ulyanov_rhs(curve, d, up, fnorm=0.0, n_quad=600, drop_norm=True)
+        got, tag, dropped = ulyanov_rhs(curve, d, 0.5, q1, 2.0, gamma, 1, fnorm=0.0, n_quad=600,
+                                        drop_norm=True)
         assert tag == "supercritical"
         assert dropped
         assert got == pytest.approx(expected, rel=2e-2)
 
     def test_ulyanov_self_convergence(self):
-        up = UlyanovParams(p=0.5, q=2.0, alpha=2.0, gamma=0.5, d=1)
         curve = self.power_curve(2.0)
-        a, _, _ = ulyanov_rhs(curve, 0.1, up, fnorm=1.0, n_quad=96)
-        b, _, _ = ulyanov_rhs(curve, 0.1, up, fnorm=1.0, n_quad=192)
+        a, _, _ = ulyanov_rhs(curve, 0.1, 0.5, 2.0, 2.0, 0.5, 1, fnorm=1.0, n_quad=96)
+        b, _, _ = ulyanov_rhs(curve, 0.1, 0.5, 2.0, 2.0, 0.5, 1, fnorm=1.0, n_quad=192)
         assert abs(a - b) / b < 1e-3
 
     @pytest.mark.parametrize("pid, params, sides", [
@@ -289,6 +268,7 @@ REFUSED = [
     _refused("P8", {**G, "alpha": 1.0, "beta": 1.0, "p": 2.0, "form": "bogus"},
              ParameterError, label="form"),
     _refused("P9", {**G, "alpha": 2.0, "gamma": 0.0, "p": 2.0, "q": 1.0}, label="p<q"),
+    _refused("P9", {**G, "alpha": 1.0, "gamma": 0.0, "p": 2.0, "q": 2.0}, label="p=q"),
     _refused("P9", {**G, "alpha": 2.0, "gamma": -0.5, "p": 0.5, "q": 2.0}, label="gamma"),
     _refused("P9", {**G, "alpha": 0.3, "gamma": 2.0, "p": 1.0, "q": 2.0}, label="alpha"),
     _refused("P9", {**G, "alpha": 0.8, "gamma": 0.1, "p": 0.5, "q": 2.0},
@@ -346,13 +326,13 @@ class TestGateTable:
 
 def _dilate_per_mode(base, factor):
     """Reference: move each nonzero coefficient of mode k to mode k * factor, one at a time."""
-    coeffs = transform(base).coefficients
+    coeffs = transform(base)
     n = base.grid.points_per_axis
     idx = np.fft.fftfreq(n, d=1.0 / n).astype(int)
     out = np.zeros(base.grid.shape, dtype=complex)
     for s in np.argwhere(np.abs(coeffs) > 0):
         out[tuple(np.mod(idx[s] * factor, n))] += coeffs[tuple(s)]
-    return inverse(SpectralFunction(base.grid, out))
+    return synthesize(base.grid, out)
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -432,6 +412,14 @@ class TestConfig:
         assert cfg["quick"] and cfg["threads"] == 8
         assert cfg["scale_1d"] == {"N": 256, "L": 20.0}
         assert make_config(cfg) == cfg
+
+    def test_desk_scales_come_from_the_corpus(self):
+        cfg = make_config()
+        assert (cfg["scale_1d"], cfg["scale_2d"]) == (corpus.DESK_1D, corpus.DESK_2D)
+
+    def test_quick_matrix_passes_at_the_least_counts(self):
+        least = {"n_quad": 2, "n_deltas_1d": 2, "n_deltas_2d": 2, "k_max_1d": 1, "k_max_2d": 1}
+        assert verify_all({"quick": True, **least})["summary"]["all_pass"]
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ParameterError, match="thread"):
