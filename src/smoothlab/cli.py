@@ -34,12 +34,19 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
+def number(text: str) -> int | float:
+    """A whole number as an int, any other number as a float: ``--r`` is
+    an int order for P3, P4, P5 and P11 and a float one for P6."""
+    value = float(text)
+    return int(value) if value.is_integer() else value
+
+
 #: the ``verify`` flags, each a check parameter, and their types; the
 #: exponents ``--p``/``--q`` are parsed after argparse, so a bad one is an
 #: ``error:`` line naming the flag
 VERIFY_FLAGS = {
     "entry": str, "entry2": str, "alpha": float, "beta": float, "gamma": float,
-    "p": Exponent, "q": Exponent, "r": int, "m": int, "lam": float, "sigma": float,
+    "p": Exponent, "q": Exponent, "r": number, "m": int, "lam": float, "sigma": float,
     "d": int, "side": str, "form": str,
 }
 

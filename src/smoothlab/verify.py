@@ -5,8 +5,8 @@ parameter grid and reports the ratio series.  "lhs <~ rhs" (an estimate
 up to an unknowable constant) is operationalized as: the ratio stays
 below a generous cap AND its log-log slope does not grow (a decaying
 ratio cannot falsify a one-sided estimate, growth can).  Two-sided
-equivalences additionally require the ratio to stay inside a band and
-its trend to be flat on both sides.
+equivalences require every ratio to lie in a band [1/cap, cap]; their
+slope is reported, not tested.
 
 Property identifiers
     P1a  monotonicity of the modulus in delta (exact, by the running max)
@@ -44,7 +44,7 @@ import os
 import threading
 from collections.abc import Callable
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from types import SimpleNamespace
 
 import numpy as np
@@ -122,8 +122,8 @@ CONFIG_RULES = {
     **dict.fromkeys(("k_max_1d", "k_max_2d"), (lambda v: _integer(v) and v >= 1, "an integer >= 1")),
     **dict.fromkeys(("scale_1d", "scale_2d"), (
         lambda v: isinstance(v, dict) and set(v) == {"N", "L"} and _integer(v["N"])
-        and _number(v["L"]) and v["L"] > 0,
-        'an object of exactly an integer "N" and a positive finite "L"')),
+        and v["N"] >= 8 and v["N"] & (v["N"] - 1) == 0 and _number(v["L"]) and v["L"] > 0,
+        'an object of exactly an "N" that is a power of 2 >= 8 and a positive finite "L"')),
 }
 
 
@@ -167,17 +167,7 @@ class InequalityReport:
     notes: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "property_id": self.property_id,
-            "params": self.params,
-            "grid": self.grid,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "ratio": self.ratio,
-            "stats": self.stats,
-            "verdict": self.verdict,
-            "notes": self.notes,
-        }
+        return asdict(self)
 
     @property
     def passed(self) -> bool:
@@ -219,22 +209,12 @@ def _fit_slope(xs: np.ndarray, ys: np.ndarray) -> float | None:
     return float(np.polyfit(np.log(xs[mask]), np.log(ys[mask]), 1)[0])
 
 
-def _assemble(
-    pid: str,
-    params: dict,
-    grid,
-    lhs,
-    rhs,
-    mode: str,
-    cfg: dict,
-    notes=None,
-    max_ratio: float | None = None,
-    band_limit: float | None = None,
-    exact_tol: float | None = None,
-    check_slope: bool = True,
-    asym: str = "small",
-) -> InequalityReport:
-    """Turn a lhs/rhs series into a report.
+def _assemble(pid: str, params: dict, sides, mode: str, opts: dict,
+              notes: list) -> InequalityReport:
+    """Turn a body's ``Sides`` into a report, under the row's settings
+    ``opts`` (the config with the row's overrides: ``max_ratio``,
+    ``band_limit``, ``exact_tol``, ``slope_tol``, and ``check_slope`` and
+    ``asym``, which default to True and "small").
 
     ``asym`` names the asymptotic end of the grid where a hidden-constant
     blow-up would surface: "small" for step grids (delta -> 0), "large"
@@ -242,11 +222,16 @@ def _assemble(
     the ratio trends in that direction AND visibly escapes the bulk;
     benign transitional drift across a finite window is reported, not
     punished.  A non-finite side (inf or nan) fails every mode but "info".
+    A set ``veto`` turns a pass into a fail and a set ``slope`` replaces
+    the fitted one.  A series with no point is a ParameterError: the grid
+    is too coarse for the check.
     """
-    grid = np.asarray(grid, dtype=float)
-    lhs = np.asarray(lhs, dtype=float)
-    rhs = np.asarray(rhs, dtype=float)
-    notes = list(notes or [])
+    grid = np.asarray(sides.grid, dtype=float)
+    if not grid.size:
+        raise ParameterError(f"{pid} has no point on this grid: its bands lie beyond pi N/L")
+    lhs = np.asarray(sides.lhs, dtype=float)
+    rhs = np.asarray(sides.rhs, dtype=float)
+    notes = list(notes)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(
             rhs > 0, lhs / np.where(rhs > 0, rhs, 1.0), np.where(lhs > 0, np.inf, 1.0)
@@ -255,57 +240,45 @@ def _assemble(
     # degenerate points (both sides in the noise floor) and points with a
     # side that overflowed are excluded from the trend fit; they carry no
     # rate information
-    sides = np.isfinite(lhs) & np.isfinite(rhs)
-    floor = 1e-10 * max(float(lhs[sides].max(initial=0.0)), 1e-300)
-    keep = sides & (lhs > floor) & (rhs > 0) & np.isfinite(ratio)
-    for kind, left_out in (("underflow", sides & ~keep), ("non-finite", ~sides)):
+    ends = np.isfinite(lhs) & np.isfinite(rhs)
+    floor = 1e-10 * max(float(lhs[ends].max(initial=0.0)), 1e-300)
+    keep = ends & (lhs > floor) & (rhs > 0) & np.isfinite(ratio)
+    for kind, left_out in (("underflow", ends & ~keep), ("non-finite", ~ends)):
         if left_out.any():
             notes.append(f"{int(left_out.sum())} {kind} points left out of the slope fit")
-    slope = _fit_slope(grid[keep], ratio[keep]) if check_slope else None
+    fit = _fit_slope(grid[keep], ratio[keep]) if opts.get("check_slope", True) else None
     stats = {
         "max": float(finite.max()) if finite.size else math.inf,
         "min": float(finite.min()) if finite.size else math.inf,
         "median": float(np.median(finite)) if finite.size else math.inf,
-        "slope": slope,
+        "slope": fit if sides.slope is None else sides.slope,
     }
-    slope_tol = cfg["slope_tol"]
     growing = False
-    if slope is not None and int(keep.sum()) >= 2:
+    if fit is not None:  # so at least two points are kept
         kept_grid, kept_ratio = grid[keep], ratio[keep]
-        end_idx = int(np.argmin(kept_grid)) if asym == "small" else int(np.argmax(kept_grid))
-        trending = slope < -slope_tol if asym == "small" else slope > slope_tol
-        escaped = kept_ratio[end_idx] > 3.0 * stats["median"]
-        growing = trending and escaped
+        small = opts.get("asym", "small") == "small"
+        end_idx = int(np.argmin(kept_grid)) if small else int(np.argmax(kept_grid))
+        trending = fit < -opts["slope_tol"] if small else fit > opts["slope_tol"]
+        growing = trending and kept_ratio[end_idx] > 3.0 * stats["median"]
         if growing:
             notes.append("ratio grows toward the asymptotic end of the grid")
-    ok = bool(np.all(np.isfinite(ratio)) and sides.all())
+    ok = bool(np.all(np.isfinite(ratio)) and ends.all())
     if mode == "exact":
-        tol = cfg["exact_tol"] if exact_tol is None else exact_tol
-        ok = ok and stats["max"] <= 1.0 + tol
-        verdict = "pass" if ok else "fail"
+        ok = ok and stats["max"] <= 1.0 + opts["exact_tol"]
     elif mode == "upper":
-        cap = cfg["max_ratio"] if max_ratio is None else max_ratio
-        ok = ok and stats["max"] <= cap and not growing
-        verdict = "pass" if ok else "fail"
+        ok = ok and stats["max"] <= opts["max_ratio"] and not growing
     elif mode == "band":
-        cap = cfg["band_limit"] if band_limit is None else band_limit
+        cap = opts["band_limit"]
         ok = ok and stats["max"] <= cap and stats["min"] >= 1.0 / cap
-        verdict = "pass" if ok else "fail"
-    elif mode == "info":
-        verdict = "info"
-    else:
+    elif mode != "info":
         raise ParameterError(f"unknown mode {mode}")
-    return InequalityReport(
-        pid,
-        params,
-        [float(g) for g in grid],
-        [float(v) for v in lhs],
-        [float(v) for v in rhs],
-        [float(v) for v in ratio],
-        stats,
-        verdict,
-        notes,
-    )
+    verdict = "info" if mode == "info" else "pass" if ok else "fail"
+    if sides.veto is not None and verdict == "pass":
+        verdict = "fail"
+        if sides.veto:
+            notes.append(sides.veto)
+    return InequalityReport(pid, params, grid.tolist(), lhs.tolist(), rhs.tolist(),
+                            ratio.tolist(), stats, verdict, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -682,7 +655,8 @@ class Check:
     the first row of a property being its default; ``derive`` adds values
     computed from the parameters, which the report echoes.  ``mode`` may
     be a function of the parameters; ``notes`` follow the body's notes;
-    ``opts`` are tolerance and asymptote overrides for ``_assemble``.
+    ``opts`` override the config's tolerances for ``_assemble``, which
+    also reads ``check_slope`` and ``asym`` from them.
     """
 
     pid: str
@@ -703,6 +677,8 @@ def _parse(spec: dict, params: dict) -> SimpleNamespace:
         raw = params.get(name, default)
         if raw is None:
             raise ParameterError(f"missing parameter '{name}'")
+        if kind is int and not float(raw).is_integer():
+            raise ParameterError(f"parameter '{name}' must be a whole number, got {raw!r}")
         setattr(a, name, kind(raw))
     if "entry" in spec:
         a.d = corpus_mod.get_entry(a.entry).dimension
@@ -735,15 +711,7 @@ def _run(rows: tuple, wb, params: dict) -> InequalityReport:
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         s = row.body(wb, a)
     mode = row.mode(a) if callable(row.mode) else row.mode
-    rep = _assemble(row.pid, echo, s.grid, s.lhs, s.rhs, mode, wb.cfg,
-                    notes=[*s.notes, *row.notes], **row.opts)
-    if s.veto is not None and rep.verdict == "pass":
-        rep.verdict = "fail"
-        if s.veto:
-            rep.notes.append(s.veto)
-    if s.slope is not None:
-        rep.stats["slope"] = s.slope
-    return rep
+    return _assemble(row.pid, echo, s, mode, {**wb.cfg, **row.opts}, [*s.notes, *row.notes])
 
 
 # ---------------------------------------------------------------------------
@@ -998,79 +966,85 @@ def _p17(wb, a):
     return Sides(c.deltas, c.values, rhs)
 
 
+def _dyadic(grid: TorusGrid, start: int, top: int, scale: float = 1.0) -> list:
+    """The bands 2^k, start <= k <= top, whose ``scale`` multiple the grid
+    holds (at most its Nyquist band pi N/L)."""
+    return [2.0 ** k for k in range(start, top + 1) if scale * 2.0 ** k <= grid.nyquist]
+
+
+def _seeded(points, pair: Callable, n_seeds: int = 1) -> Sides:
+    """The series of ``pair(s, x) = (lhs, rhs)`` over the points x, seed by
+    seed for s = 0, ..., n_seeds - 1."""
+    if n_seeds < 1:
+        raise ParameterError(f"n_seeds must be >= 1, got {n_seeds}")
+    grid = [x for _ in range(n_seeds) for x in points]
+    sides = [pair(s, x) for s in range(n_seeds) for x in points]
+    return Sides(grid, [left for left, _ in sides], [right for _, right in sides])
+
+
 def _nsb(wb, a):
     zeta = Direction((1.0,)) if a.d == 1 else Direction.of(1.0, 1.0)
     order = SmoothnessOrder(a.alpha)
     hs = [(j + 1) / (8.0 * a.sigma) for j in range(8)]
-    grid_vals, lhs, rhs, end_devs = [], [], [], []
-    for s in range(a.n_seeds):
+
+    @functools.cache
+    def derivative(s):
         P = wb.poly(a.d, a.sigma, a.seed + s)
-        der = quasi_norm(apply_symbol(P, directional_symbol(P.grid, zeta, order)), a.p)
-        for h in hs:
-            sym = difference_symbol(P.grid, Step(zeta, h).vector, a.alpha)
-            dif = quasi_norm(apply_symbol(P, sym), a.p) / h ** a.alpha
-            grid_vals.append(h)
-            lhs.append(der)
-            rhs.append(dif)
-        end_devs.append(abs(der / dif - 1.0))  # at the coarsest step h = 1/sigma
-    worst = max(end_devs)
-    veto = "deviation at h = 1/sigma exceeded 0.2" if worst > 0.2 else None
-    notes = [f"max deviation from the h->0 limit at h = 1/sigma: {worst:.4g}"]
-    return Sides(grid_vals, lhs, rhs, notes, veto=veto)
+        return P, quasi_norm(apply_symbol(P, directional_symbol(P.grid, zeta, order)), a.p)
+
+    def pair(s, h):
+        P, der = derivative(s)
+        sym = difference_symbol(P.grid, Step(zeta, h).vector, a.alpha)
+        return der, quasi_norm(apply_symbol(P, sym), a.p) / h ** a.alpha
+
+    sides, n = _seeded(hs, pair, a.n_seeds), len(hs)
+    # the last step of each seed is the coarsest, h = 1/sigma
+    ends = zip(sides.lhs[n - 1::n], sides.rhs[n - 1::n])
+    worst = max(abs(der / dif - 1.0) for der, dif in ends)
+    sides.notes = [f"max deviation from the h->0 limit at h = 1/sigma: {worst:.4g}"]
+    sides.veto = "deviation at h = 1/sigma exceeded 0.2" if worst > 0.2 else None
+    return sides
 
 
 def _bern(wb, a):
-    # keep every dilated mode of the band-1 base strictly inside the grid's band
-    top = wb.grid(a.d).nyquist
-    sigmas = [2.0 ** k for k in range(1, 7 if a.d == 1 else 5) if 2.0 ** k <= top]
-    grid_vals, lhs, rhs, slopes = [], [], [], []
-    for s in range(a.n_seeds):
-        base = wb.poly(a.d, 1.0, 1000 + s)
-        curve = []
-        for sg in sigmas:
-            P = _dilate_poly(base, int(sg))
-            num = sup_directional(P, a.alpha, a.p)
-            den = sg ** a.alpha * quasi_norm(P, a.p)
-            grid_vals.append(sg)
-            lhs.append(num)
-            rhs.append(den)
-            curve.append(num / den)
-        slopes.append(_fit_slope(np.asarray(sigmas), np.asarray(curve)))
-    worst = max(abs(s) for s in slopes if s is not None)
-    notes = [f"dilation family: worst per-seed |slope| = {worst:.3g}"]
-    veto = "" if worst > wb.cfg["slope_tol"] else None
-    return Sides(grid_vals, lhs, rhs, notes, veto=veto, slope=worst)
+    # keep every dilated mode of the band-1 base inside the grid's band
+    sigmas = _dyadic(wb.grid(a.d), 1, 6 if a.d == 1 else 4)
+
+    def pair(s, sg):
+        P = _dilate_poly(wb.poly(a.d, 1.0, 1000 + s), int(sg))
+        return sup_directional(P, a.alpha, a.p), sg ** a.alpha * quasi_norm(P, a.p)
+
+    sides = _seeded(sigmas, pair, a.n_seeds)
+    curves = np.divide(sides.lhs, sides.rhs).reshape(a.n_seeds, len(sigmas))
+    slopes = [_fit_slope(np.asarray(sigmas), curve) for curve in curves]
+    # no seed has a slope when every ratio is non-finite, as at a tiny p
+    worst = max((abs(s) for s in slopes if s is not None), default=math.inf)
+    sides.notes = [f"dilation family: worst per-seed |slope| = {worst:.3g}"]
+    sides.veto = "" if worst > wb.cfg["slope_tol"] else None
+    sides.slope = worst
+    return sides
 
 
 def _nik(wb, a):
     grid, gap = wb.grid(a.d), _gap(a)
     mag = frequency_magnitude(grid)
-    sigmas, lhs, rhs = [], [], []
-    for sg in [2.0 ** k for k in range(0, 5 if a.d == 1 else 4)]:
+
+    def pair(s, sg):
         band = 4.0 * sg
-        if band > grid.nyquist:
-            break
-        coeffs = np.clip(1.0 - mag / band, 0.0, None).astype(complex)
-        P = synthesize(grid, coeffs)
-        sigmas.append(sg)
-        lhs.append(quasi_norm(P, a.q))
-        rhs.append(band ** gap * quasi_norm(P, a.p))
-    return Sides(sigmas, lhs, rhs)
+        P = synthesize(grid, np.clip(1.0 - mag / band, 0.0, None).astype(complex))
+        return quasi_norm(P, a.q), power(band, gap) * quasi_norm(P, a.p)
+
+    return _seeded(_dyadic(grid, 0, 4 if a.d == 1 else 3, scale=4.0), pair)
 
 
 def _hln(seed0: int, pair: Callable) -> Callable:
     """A body over seeded random polynomials P of band sigma = 2, 4, ...
-    (up to 32 in d = 1, 8 in d = 2); ``pair(P, sigma, a)`` is (lhs, rhs)."""
+    (up to 32 in d = 1, 8 in d = 2, as far as the grid holds them);
+    ``pair(P, sigma, a)`` is (lhs, rhs)."""
 
     def body(wb, a):
-        grid_vals, lhs, rhs = [], [], []
-        for s in range(a.n_seeds):
-            for sg in [2.0 ** k for k in range(1, 6 if a.d == 1 else 4)]:
-                left, right = pair(wb.poly(a.d, sg, seed0 + s), sg, a)
-                grid_vals.append(sg)
-                lhs.append(left)
-                rhs.append(right)
-        return Sides(grid_vals, lhs, rhs)
+        sigmas = _dyadic(wb.grid(a.d), 1, 5 if a.d == 1 else 3)
+        return _seeded(sigmas, lambda s, sg: pair(wb.poly(a.d, sg, seed0 + s), sg, a), a.n_seeds)
 
     return body
 
@@ -1168,6 +1142,9 @@ TABLE = (
                 ParameterError),),
           mode="band", opts={"band_limit": 10.0, "check_slope": False}),
     Check("BERN", _bern, {"alpha": _order, "p": EXP, "d": (int, 1), "n_seeds": (int, 4)},
+          (Gate(lambda wb, a: wb.grid(a.d).nyquist >= 4.0,
+                "a grid band pi N/L >= 4, so that the per-seed slope has two dilations",
+                ParameterError),),
           opts={"check_slope": False}),
     Check("NIK", _nik, {"p": EXP, "q": EXP, "d": (int, 1)}, (P_BELOW_Q,), opts=LARGE,
           notes=("witness family: dilated triangle-spectrum kernels",)),

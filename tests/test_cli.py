@@ -96,6 +96,18 @@ class TestVerifyCommand:
         assert code == 0
         assert json.loads(out)["params"]["p"] == "inf"
 
+    @pytest.mark.parametrize("argv, r", [
+        (("P6", "--r", "1.5", "--q", "1"), 1.5),
+        (("P6", "--r", "1", "--q", "1"), 1),
+        (("P4", "--r", "1.0"), 1),
+    ])
+    def test_r_takes_a_whole_or_fractional_order(self, capsys, argv, r):
+        # --r once parsed as an int, so P6's fractional orders stopped at argparse
+        code, out = run(capsys, "verify", *argv, "--entry", "gaussian", "--p", "2", "--quick")
+        assert code == 0
+        echoed = json.loads(out)["params"]["r"]
+        assert echoed == r and type(echoed) is type(r)
+
     def test_csv_rows(self, capsys):
         code, out = run(
             capsys, "verify", "P1a", "--entry", "gaussian", "--alpha", "1",
@@ -126,6 +138,16 @@ class TestVerifyCommand:
         # or (r + 1)^(1/s - 1), is beyond the double range: it is inf
         code, out = run(capsys, "verify", *argv, "--entry", "gaussian", "--p", "0.001",
                         "--quick")
+        assert code == 1
+        payload = strict_json(out)
+        assert payload["verdict"] == "fail"
+        assert "inf" in payload["rhs"]
+
+    @pytest.mark.parametrize("argv", [("BERN", "--alpha", "1"), ("NIK", "--q", "2")])
+    def test_overflowing_family_fails_with_a_report(self, capsys, argv):
+        # at p = 0.001 BERN's polynomial norms and NIK's factor
+        # band^(d(1/p - 1/q)) overflow; each once ended in a traceback
+        code, out = run(capsys, "verify", *argv, "--p", "0.001", "--quick")
         assert code == 1
         payload = strict_json(out)
         assert payload["verdict"] == "fail"
@@ -182,6 +204,11 @@ P7_ARGV = ("verify", "P7", "--entry", "gaussian", "--alpha", "1", "--gamma", "1"
            "--quick")
 P12_ARGV = ("verify", "P12", "--entry", "gaussian", "--alpha", "2", "--p", "2", "--quick")
 P1A_ARGV = ("verify", "P1a", "--entry", "gaussian", "--alpha", "1", "--p", "2", "--quick")
+#: grids whose band pi N/L is 0.63 (1-D) or 1.26 (2-D), and 2.51, which
+#: holds one of BERN's dilations
+COARSE_1D = {"scale_1d": {"N": 8, "L": 40}}
+COARSE_2D = {"scale_2d": {"N": 8, "L": 20}}
+ONE_DILATION = {"scale_1d": {"N": 16, "L": 20}}
 
 
 @pytest.mark.parametrize("argv", [
@@ -286,6 +313,8 @@ class TestBadInputExitsTwo:
         (P12_ARGV, '{"k_max_1d": -1}', "k_max_1d"),
         (P1A_ARGV, '{"n_deltas_1d": 0}', "n_deltas_1d"),
         (("verify-all", "--quick"), '{"slope_tol": "x"}', "slope_tol"),
+        (P1A_ARGV, '{"scale_1d": {"N": 3, "L": 20}}', "scale_1d"),
+        (P1A_ARGV, '{"scale_1d": {"N": 12, "L": 20}}', "scale_1d"),
     ])
     def test_mistyped_config_values(self, capsys, caplog, tmp_path, argv, content, key):
         # each once printed a traceback and exited 1, gave a false verdict,
@@ -295,6 +324,37 @@ class TestBadInputExitsTwo:
         msg = self.run_bad(capsys, caplog, *argv, "--config", str(cfg))
         assert repr(key) in msg
         assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scale, argv", [
+        (COARSE_1D, ("BERN", "--alpha", "1", "--p", "2")),
+        (COARSE_1D, ("NIK", "--p", "1", "--q", "2")),
+        (COARSE_1D, ("P12", "--entry", "gaussian", "--alpha", "2", "--p", "2")),
+        (COARSE_1D, ("P12", "--entry", "gaussian", "--alpha", "2", "--p", "2",
+                     "--form", "sharp")),
+        (COARSE_1D, ("P13", "--entry", "gaussian", "--alpha", "1", "--p", "2")),
+        (COARSE_1D, ("HLN1", "--alpha", "1", "--p", "0.5", "--q", "2")),
+        (COARSE_1D, ("HLN3", "--alpha", "1", "--p", "2")),
+        (COARSE_2D, ("BERN", "--alpha", "1", "--p", "2", "--d", "2")),
+        (COARSE_2D, ("NIK", "--p", "1", "--q", "2", "--d", "2")),
+        (COARSE_2D, ("HLN2", "--alpha", "1", "--p", "1", "--q", "2", "--d", "2")),
+        (ONE_DILATION, ("BERN", "--alpha", "1", "--p", "2")),
+        (ONE_DILATION, ("NIK", "--p", "1", "--q", "2")),
+    ])
+    def test_grid_too_coarse_for_the_check(self, capsys, caplog, tmp_path, scale, argv):
+        # each once printed a traceback, reported fail on an empty series,
+        # or passed on bands beyond the grid's band pi N/L
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(scale))
+        msg = self.run_bad(capsys, caplog, "verify", *argv, "--config", str(cfg))
+        assert argv[0] in msg
+
+    @pytest.mark.parametrize("argv", [
+        ("P11", "--entry", "gaussian", "--r", "1.7", "--m", "1", "--p", "2"),
+        ("P4", "--entry", "gaussian", "--r", "inf", "--p", "2"),
+    ])
+    def test_fractional_integer_parameter(self, capsys, caplog, argv):
+        msg = self.run_bad(capsys, caplog, "verify", *argv, "--quick")
+        assert "'r' must be a whole number" in msg
 
     def test_thread_env_below_one(self, capsys, caplog, monkeypatch):
         monkeypatch.setenv("SMOOTHLAB_THREADS", "0")

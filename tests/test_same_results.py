@@ -1,6 +1,7 @@
 """``tools/same_results.py`` on the quick report: it passes a report against
 itself and against round-off in a stat whose true value is 0, and fails
-a moved value or a flipped verdict."""
+a moved value or a flipped verdict; and the quick report gives the same
+results as the pinned ``tests/data/quick_report.json``."""
 
 import copy
 import json
@@ -12,7 +13,9 @@ import pytest
 
 from smoothlab.verify import canonical_json, verify_all
 
-TOOL = pathlib.Path(__file__).resolve().parents[1] / "tools" / "same_results.py"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+TOOL = ROOT / "tools" / "same_results.py"
+PINNED = ROOT / "tests" / "data" / "quick_report.json"
 
 
 @pytest.fixture(scope="module")
@@ -57,3 +60,14 @@ def test_a_round_off_slope_passes(tmp_path, quick):
     row(old, "BERN")["stats"]["slope"] = 9.24e-17
     row(new, "BERN")["stats"]["slope"] = 4.21e-17
     assert same(tmp_path, old, new).returncode == 0
+
+
+def test_the_quick_report_matches_the_pinned_one(tmp_path, quick):
+    # every quick row is p = 2, so the 1e-10 rule holds across machines
+    result = same(tmp_path, json.loads(PINNED.read_text()), quick)
+    assert result.returncode == 0, (
+        f"{result.stdout}if the change of results is meant, regenerate the pinned report"
+        " and say so in CHANGES.md:\n"
+        "  PYTHONPATH=src python -m smoothlab.cli verify-all --quick --threads 1"
+        " > tests/data/quick_report.json"
+    )

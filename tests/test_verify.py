@@ -9,6 +9,7 @@ import pytest
 
 from smoothlab import corpus, verify
 from smoothlab.errors import HypothesisError, ParameterError
+from smoothlab.grid import TorusGrid
 from smoothlab.moduli import ModulusCurve
 from smoothlab.spectral import synthesize, transform
 from smoothlab.verify import (
@@ -310,6 +311,8 @@ REFUSED = [
     _refused("P4", {**G, "r": 1}, ParameterError, label="missing-p"),
     _refused("P7", {**G, "alpha": 1.0, "p": 2.0}, ParameterError, label="missing-gamma"),
     _refused("NIK", {"p": 1.0}, ParameterError, label="missing-q"),
+    _refused("HLN1", {"alpha": 1.0, "p": 0.5, "q": 2.0, "n_seeds": 0}, ParameterError,
+             label="no-seed"),
 ]
 
 
@@ -322,6 +325,50 @@ class TestGateTable:
     def test_sigma_error_names_sigma(self, wb):
         with pytest.raises(ParameterError, match="sigma"):
             run_check("NSB", {"alpha": 1.0, "p": 2.0, "sigma": 0.1}, workbench=wb)
+
+
+class TestIntegerParameters:
+    """An int parameter refuses a fraction instead of truncating it."""
+
+    @pytest.mark.parametrize("pid, params, name", [
+        ("P11", {**G, "r": 1.7, "m": 1, "p": 2.0, "side": "lower"}, "r"),
+        ("P11", {**G, "r": 1, "m": 1.5, "p": 2.0}, "m"),
+        ("P3", {**G2, "r": 1.5, "p": 2.0}, "r"),
+        ("P4", {**G, "r": math.inf, "p": 2.0}, "r"),
+        ("HLN1", {"alpha": 1.0, "p": 0.5, "q": 2.0, "n_seeds": 1.9}, "n_seeds"),
+        ("NSB", {"alpha": 1.0, "p": 2.0, "seed": 0.5}, "seed"),
+        ("BERN", {"alpha": 1.0, "p": 2.0, "d": math.nan}, "d"),
+    ])
+    def test_a_fraction_is_refused(self, wb, pid, params, name):
+        with pytest.raises(ParameterError, match=f"'{name}' must be a whole number"):
+            run_check(pid, params, workbench=wb)
+
+    def test_a_whole_float_runs_as_its_int(self, wb):
+        params = {**G, "m": 1, "p": 2.0, "side": "lower"}
+        as_float = run_check("P11", {**params, "r": 1.0}, workbench=wb)
+        as_int = run_check("P11", {**params, "r": 1}, workbench=wb)
+        assert as_float.lhs == as_int.lhs and as_float.rhs == as_int.rhs
+
+    def test_p6_takes_a_fractional_r(self, wb):
+        report = run_check("P6", {**G, "r": 1.5, "p": 2.0, "q": 1.0}, workbench=wb)
+        assert report.verdict == "pass"
+        assert report.params["r"] == 1.5
+
+
+class TestPolynomialFamilies:
+    """NSB, BERN, NIK and HLN1-3 run seed by seed over the bands the grid
+    holds; ``tests/test_cli.py`` refuses a grid too coarse for each."""
+
+    def test_dyadic_bands_stop_at_the_grid_band(self):
+        g = TorusGrid(1, 16, 20.0)  # pi N/L = 2.51
+        assert verify._dyadic(g, 0, 4) == [1.0, 2.0]
+        assert verify._dyadic(g, 1, 4) == [2.0]
+        assert verify._dyadic(g, 0, 4, scale=4.0) == []
+
+    def test_seeded_runs_seed_by_seed(self):
+        sides = verify._seeded([1.0, 2.0], lambda s, x: (s, x), 2)
+        assert sides.grid == [1.0, 2.0, 1.0, 2.0]
+        assert sides.lhs == [0, 0, 1, 1] and sides.rhs == [1.0, 2.0, 1.0, 2.0]
 
 
 def _dilate_per_mode(base, factor):
