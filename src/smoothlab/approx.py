@@ -177,7 +177,7 @@ def k_functional(f: GridFunction, delta: float, alpha, p) -> float:
         sigma = scale / delta
         if 0 < sigma <= f.grid.nyquist:
             candidates.append(apply_symbol(f, band_windows(f.grid, sigma)["smooth"]))
-    mag2 = sum(np.broadcast_to(w, f.grid.shape) ** 2 for w in f.grid.frequencies())
+    mag2 = sum(w ** 2 for w in f.grid.frequencies())
     for scale in K_SCALES:
         t = scale * delta
         candidates.append(apply_symbol(f, np.exp(-0.5 * t * t * mag2)))

@@ -217,7 +217,7 @@ def _build_spectral(entry: CorpusEntry, grid: TorusGrid) -> GridFunction:
     ws = grid.frequencies()
     L = grid.period
     coeffs = np.asarray(entry.fourier(*ws), dtype=complex) / L ** grid.dimension
-    phase = sum(np.broadcast_to(w, grid.shape) for w in ws) * (L / 2.0)
+    phase = sum(ws) * (L / 2.0)
     coeffs = coeffs * np.exp(-1j * phase)
     return synthesize(grid, coeffs)
 
@@ -230,14 +230,15 @@ def grid_function(entry, N: int | None = None, L: float | None = None) -> GridFu
     if isinstance(entry, str):
         entry = get_entry(entry)
     scale = default_scale(entry)
-    N = int(N or scale["N"])
+    N = scale["N"] if N is None else N
     # entries with an intrinsic period (single modes) are pinned to it
     L = entry.period if entry.period is not None else float(
         L if L is not None else scale["L"]
     )
-    key = (entry.name, N, L)
+    # the grid refuses a bad N or L before the cache can match it (1024.0 == 1024)
+    grid = TorusGrid(entry.dimension, N, L)
+    key = (entry.name, grid)
     if key not in _GRIDFN_CACHE:
-        grid = TorusGrid(entry.dimension, N, L)
         if entry.spectral_exact:
             if entry.band_radius is not None and entry.band_radius > grid.nyquist:
                 raise ParameterError("grid cannot hold the declared band")

@@ -8,7 +8,9 @@ interpolant of the samples.
 
 from __future__ import annotations
 
+import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -121,20 +123,34 @@ class SmoothnessOrder:
 
 @dataclass(frozen=True)
 class TorusGrid:
-    """Uniform N^d grid on the torus of period L."""
+    """Uniform N^d grid on the torus of period L.
+
+    The per-axis tables are built once, with the grid, and are read-only:
+    ``modes`` holds the integer frequencies xi in FFT order, and
+    ``axis_frequencies()`` the physical frequencies 2*pi*xi/L.  Every
+    grid-sized symbol, gain or window is a numpy broadcast over the axis
+    arrays that ``frequencies()`` places along each axis.
+    """
 
     dimension: int
     points_per_axis: int
     period: float
+    modes: np.ndarray = field(init=False, repr=False, compare=False)
+    _frequencies: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dimension not in (1, 2):
             raise ParameterError("dimension must be 1 or 2")
         n = self.points_per_axis
-        if n < 8 or (n & (n - 1)) != 0:
-            raise ParameterError("points_per_axis must be a power of 2, >= 8")
+        if not isinstance(n, numbers.Integral) or n < 8 or (n & (n - 1)) != 0:
+            raise ParameterError(f"points_per_axis must be a power of 2, >= 8, got {n!r}")
         if not (self.period > 0):
             raise ParameterError("period must be positive")
+        modes = np.fft.fftfreq(n, d=1.0 / n).astype(int)
+        w = 2.0 * math.pi * modes / self.period
+        for name, table in (("modes", modes), ("_frequencies", w)):
+            table.flags.writeable = False
+            object.__setattr__(self, name, table)
 
     @property
     def spacing(self) -> float:
@@ -156,24 +172,24 @@ class TorusGrid:
     def axis_coords(self) -> np.ndarray:
         return np.arange(self.points_per_axis) * self.spacing
 
+    def _along_axes(self, a: np.ndarray) -> tuple:
+        """The 1-D axis array ``a`` laid along each axis of the grid, as
+        views that broadcast to the grid shape."""
+        d = self.dimension
+        return tuple(a.reshape((1,) * j + (-1,) + (1,) * (d - 1 - j)) for j in range(d))
+
     def coords(self) -> tuple:
         """Coordinate arrays broadcastable to the grid shape."""
-        x = self.axis_coords()
-        if self.dimension == 1:
-            return (x,)
-        return (x[:, None], x[None, :])
+        return self._along_axes(self.axis_coords())
 
     def axis_frequencies(self) -> np.ndarray:
-        """Physical frequencies 2*pi*xi/L in FFT order along one axis."""
-        n = self.points_per_axis
-        return 2.0 * math.pi * np.fft.fftfreq(n, d=1.0 / n) / self.period
+        """Physical frequencies 2*pi*xi/L in FFT order along one axis
+        (read-only, built once per grid)."""
+        return self._frequencies
 
     def frequencies(self) -> tuple:
         """Frequency arrays broadcastable to the grid shape, FFT order."""
-        w = self.axis_frequencies()
-        if self.dimension == 1:
-            return (w,)
-        return (w[:, None], w[None, :])
+        return self._along_axes(self._frequencies)
 
 
 def readonly_array(values, dtype) -> np.ndarray:
@@ -289,17 +305,8 @@ def periodize(entry, grid: TorusGrid) -> GridFunction:
     coords = grid.coords()
     total = np.zeros(grid.shape, dtype=complex)
     shifts = range(-m_images, m_images + 1)
-    if grid.dimension == 1:
-        (x,) = coords
-        for m in shifts:
-            # wrap so the profile sees arguments near its center
-            total += np.asarray(entry.evaluate((x - L / 2 + m * L,)), dtype=complex)
-    else:
-        x1, x2 = coords
-        for m1 in shifts:
-            for m2 in shifts:
-                total += np.asarray(
-                    entry.evaluate((x1 - L / 2 + m1 * L, x2 - L / 2 + m2 * L)),
-                    dtype=complex,
-                )
+    for images in itertools.product(shifts, repeat=grid.dimension):
+        # wrap so the profile sees arguments near its center
+        args = tuple(x - L / 2 + m * L for x, m in zip(coords, images))
+        total += np.asarray(entry.evaluate(args), dtype=complex)
     return GridFunction(grid, total)

@@ -14,12 +14,13 @@ a function's spectrum is computed once, on first use
 (``spectral.transform``), so each modulus is ``spectral.sup_norm`` of f
 over the step design of ``step_design``, one symbol per step, however
 many moduli, curves and checks ask for the same f.  The closed symbol is
-built from per-axis factors: z = exp(-i th) is the outer product of the
-1-D arrays exp(-i h_j w_j), a whole order r is (exp(i th) - 1)^r by
-repeated multiplication, a fractional order is
+built from per-axis factors, broadcast over the frequency arrays that
+``TorusGrid.frequencies`` lays along each axis: z = exp(-i th) is the
+product of the axis arrays exp(-i h_j w_j), a whole order r is
+(exp(i th) - 1)^r by repeated multiplication, a fractional order is
 |1 - z|^a exp(i a (th + Arg(1 - z))) (the principal branch; for a < 1, z
-is taken from the full phase th), and the mixed modulus takes the outer
-product of the 1-D axis symbols.
+is taken from the full phase th), and the mixed modulus takes the product
+of the 1-D axis symbols.
 
 At p = 2 the closed route builds no symbol: the L_2 modulus is
 Plancherel's sup_h (L^d sum (4 sin^2(th/2))^a |F|^2)^(1/2), summed by
@@ -45,17 +46,18 @@ closed symbol.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
 from .errors import AdmissibilityError, ParameterError
 from .grid import (Exponent, GridFunction, SmoothnessOrder, TorusGrid, power, quasi_norm,
                    readonly_array)
-from .spectral import (Direction, apply_symbol, derivative_symbol, step_norms, sup_norm,
-                       transform)
+from .spectral import (Direction, apply_symbol, derivative_symbol, multi_indices, step_norms,
+                       sup_norm, transform)
 
 #: number of step magnitudes sampled per direction when taking the sup
 N_MAGNITUDES = 16
@@ -202,14 +204,6 @@ def _series_symbol(alpha: float, theta: np.ndarray):
     return symbol
 
 
-def _outer(ufunc, factors):
-    """ufunc.outer over the per-axis arrays: the full-grid combination."""
-    out = factors[0]
-    for fac in factors[1:]:
-        out = ufunc.outer(out, fac)
-    return out
-
-
 def _whole_power(e: np.ndarray, r: int) -> np.ndarray:
     """(e - 1)^r by repeated multiplication; e is overwritten."""
     e -= 1.0
@@ -222,23 +216,22 @@ def _whole_power(e: np.ndarray, r: int) -> np.ndarray:
 def difference_symbol(grid: TorusGrid, hvec, alpha: float) -> np.ndarray:
     """Closed symbol exp(i a th) (1 - exp(-i th))^a, th = (h, w), principal branch.
 
-    Built from the per-axis phases h_j w_j: exp(+-i th) is the outer
+    Built from the per-axis phases h_j w_j: exp(+-i th) is the broadcast
     product of 1-D exponentials, so for a >= 1 no full-grid exponential of
     th is taken.
     """
-    w = grid.axis_frequencies()
-    hw = [h * w for h in hvec]
+    hw = [h * w for h, w in zip(hvec, grid.frequencies())]
     r = round(alpha)
     if r >= 1 and abs(alpha - r) <= 1e-12:
-        return _whole_power(_outer(np.multiply, [np.exp(1j * t) for t in hw]), int(r))
+        return _whole_power(reduce(np.multiply, [np.exp(1j * t) for t in hw]), int(r))
     # |1 - z|^a exp(i a (th + Arg(1 - z))) is exp(i a th) np.power(1 - z, a)
-    theta = _outer(np.add, hw)
+    theta = reduce(np.add, hw)
     # for a < 1, |1 - z|^a is not Lipschitz at z = 1: a product of axis
     # factors would turn an exact th = 0 into eps^a, so z comes from th
     if alpha < 1:
         b = np.exp(-1j * theta)
     else:
-        b = _outer(np.multiply, [np.exp(-1j * t) for t in hw])
+        b = reduce(np.multiply, [np.exp(-1j * t) for t in hw])
     np.subtract(1.0, b, out=b)
     phase = np.angle(b)
     phase += theta
@@ -256,18 +249,17 @@ def difference_gain(grid: TorusGrid, hvec, alpha: float) -> tuple:
     ``spectral.step_norms``: (2^alpha, sin^(2 alpha)(th/2)), real and <= 1.
 
     sin(th/2) comes by angle addition from the per-axis half phases
-    h_j w_j / 2, an outer product of 1-D sines and cosines: on h = (t, -t)
-    the two products cancel exactly, so th = 0 gives an exact 0 at every
-    order, where a product of axis factors would give eps^alpha.
+    h_j w_j / 2, broadcast products of 1-D sines and cosines: on
+    h = (t, -t) the two products cancel exactly, so th = 0 gives an exact 0
+    at every order, where a product of axis factors would give eps^alpha.
     """
-    w = grid.axis_frequencies()
-    half = [0.5 * h * w for h in hvec]
+    half = [0.5 * h * w for h, w in zip(hvec, grid.frequencies())]
     if len(half) == 1:
         gain = np.sin(half[0])
     else:
         a, b = half
-        gain = np.multiply.outer(np.sin(a), np.cos(b))
-        gain += np.multiply.outer(np.cos(a), np.sin(b))
+        gain = np.sin(a) * np.cos(b)
+        gain += np.cos(a) * np.sin(b)
     np.square(gain, out=gain)
     gain **= alpha
     return power(2.0, alpha), gain
@@ -317,8 +309,7 @@ def _symbol(f: GridFunction, hvec, alpha: float, method: str) -> np.ndarray:
         return difference_symbol(f.grid, hvec, alpha)
     if method != "series":
         raise ParameterError(f"unknown method '{method}'")
-    w = f.grid.axis_frequencies()
-    theta = _outer(np.add, [h * w for h in hvec])
+    theta = reduce(np.add, [h * w for h, w in zip(hvec, f.grid.frequencies())])
     mag = np.abs(transform(f))
     occupied = mag > _OCCUPIED * mag.max()
     symbol = np.zeros(f.grid.shape, dtype=complex)
@@ -499,11 +490,10 @@ def mixed_modulus(f: GridFunction, orders, delta: float, p) -> float:
     if len(orders) != d or any(k < 1 for k in orders):
         raise ParameterError("one whole order >= 1 per axis is required")
     p = Exponent.parse(p)
-    w = f.grid.axis_frequencies()
 
     def symbol_of(hvec):
-        return _outer(np.multiply, [_whole_power(np.exp(1j * h * w), k)
-                                    for h, k in zip(hvec, orders)])
+        return reduce(np.multiply, [_whole_power(np.exp(1j * h * w), k)
+                                    for h, w, k in zip(hvec, f.grid.frequencies(), orders)])
 
     return sup_norm(f, step_design(delta, direction_design(d)), symbol_of, p)
 
@@ -532,15 +522,7 @@ def averaged_modulus(
     edges = np.linspace(-delta, delta, n + 1)
     mids = 0.5 * (edges[:-1] + edges[1:])
     w_cell = (2.0 * delta / n) ** d
-    if d == 1:
-        nodes = [(h,) for h in mids]
-    else:
-        nodes = [
-            (h1, h2)
-            for h1 in mids
-            for h2 in mids
-            if math.hypot(h1, h2) <= delta
-        ]
+    nodes = [h for h in itertools.product(mids, repeat=d) if math.hypot(*h) <= delta]
     a = order.alpha
     scale = delta ** (-d)
     if inner:
@@ -562,5 +544,5 @@ def sobolev_seminorm(f: GridFunction, r: int, p) -> float:
         raise ParameterError("whole order r >= 1 required")
     p = Exponent.parse(p)
     transform(f)  # the spectrum before the first symbol (see spectral.step_norms)
-    multis = [(r,)] if f.grid.dimension == 1 else [(k, r - k) for k in range(r + 1)]
-    return sum(quasi_norm(apply_symbol(f, derivative_symbol(f.grid, m)), p) for m in multis)
+    return sum(quasi_norm(apply_symbol(f, derivative_symbol(f.grid, m)), p)
+               for m in multi_indices(f.grid.dimension, r))

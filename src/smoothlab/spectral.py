@@ -35,9 +35,10 @@ cached.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -72,10 +73,8 @@ class Direction:
 
 
 def frequency_magnitude(grid: TorusGrid) -> np.ndarray:
-    ws = grid.frequencies()
-    if grid.dimension == 1:
-        return np.abs(ws[0])
-    return np.sqrt(ws[0] ** 2 + ws[1] ** 2)
+    """|w| on the grid; in 1-D sqrt(w^2) is |w| exactly."""
+    return np.sqrt(sum(w ** 2 for w in grid.frequencies()))
 
 
 def transform(f: GridFunction) -> np.ndarray:
@@ -180,14 +179,17 @@ def sup_norm(f: GridFunction, design, symbol_of, p, gain_of=None) -> float:
     return best
 
 
+def multi_indices(dimension: int, order: int) -> list:
+    """The multi-indices of total ``order`` on ``dimension`` axes, the first
+    index ascending: (order,) in 1-D, (k, order - k) in 2-D."""
+    return [m for m in itertools.product(range(order + 1), repeat=dimension)
+            if sum(m) == order]
+
+
 def derivative_symbol(grid: TorusGrid, multi: tuple) -> np.ndarray:
     """Symbol prod_j (i w_j)^k_j of the whole-order derivative D^multi,
-    the outer product of its per-axis factors."""
-    w = grid.axis_frequencies()
-    out = np.ones((), dtype=complex)
-    for k in multi:
-        out = np.multiply.outer(out, (1j * w) ** k)
-    return out
+    a broadcast product of its per-axis factors."""
+    return reduce(np.multiply, [(1j * w) ** k for w, k in zip(grid.frequencies(), multi)])
 
 
 def directional_symbol(grid: TorusGrid, zeta: Direction, order: SmoothnessOrder) -> np.ndarray:
@@ -195,7 +197,6 @@ def directional_symbol(grid: TorusGrid, zeta: Direction, order: SmoothnessOrder)
     if zeta.dimension != grid.dimension:
         raise ParameterError("direction dimension does not match the grid")
     dot = sum(z * w for z, w in zip(zeta.vector, grid.frequencies()))
-    dot = np.broadcast_to(dot, grid.shape)
     if power(float(np.abs(dot).max()), order.alpha) == math.inf:
         raise ParameterError(f"order {order.alpha:g} too large: |(w, zeta)|^alpha overflows")
     return np.power(1j * dot, order.alpha)
@@ -263,14 +264,12 @@ def _interp_v_axis_matrix(grid: TorusGrid, sigma: float, lam: float, r: int):
         raise ParameterError(
             f"sampling rate sigma={sigma} incommensurate with period {grid.period}"
         )
-    n = grid.points_per_axis
-    xi = np.fft.fftfreq(n, d=1.0 / n).astype(int)
     half = (n_samples - 1) // 2
-    q = np.mod(xi + half, n_samples) - half
+    q = np.mod(grid.modes + half, n_samples) - half
     x = 2.0 * math.pi * q / n_samples
     phi = (1.0 + 1j * (-x) ** (2 * r + 1)) * smooth_cutoff(np.abs(x))
     weights = phi * np.exp(-1j * x * sigma * lam) * np.exp(1j * grid.axis_frequencies() * lam)
-    targets = np.mod(q, n)
+    targets = np.mod(q, grid.points_per_axis)
     targets.flags.writeable = False
     weights.flags.writeable = False
     return targets, weights, n_samples

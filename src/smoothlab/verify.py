@@ -59,8 +59,8 @@ from .moduli import (
     averaged_modulus,
     binom_power_constant,
     default_deltas,
-    difference_symbol,
     frac_binomial,
+    frac_difference,
     mixed_modulus,
     modulus,
     modulus_curve,
@@ -71,8 +71,9 @@ from .spectral import (
     Direction,
     apply_symbol,
     derivative_symbol,
-    directional_symbol,
+    directional_derivative,
     frequency_magnitude,
+    multi_indices,
     synthesize,
     transform,
 )
@@ -456,11 +457,10 @@ def _random_poly(grid: TorusGrid, sigma: float, seed: int) -> GridFunction:
 def _dilate_poly(base: GridFunction, factor: int) -> GridFunction:
     """x -> base(factor x): exact on the torus, moves mode k to mode k*factor."""
     F = transform(base)
-    n = base.grid.points_per_axis
-    idx = np.fft.fftfreq(n, d=1.0 / n).astype(int)
+    n, modes = base.grid.points_per_axis, base.grid.modes
     out = np.zeros(base.grid.shape, dtype=complex)
     src = np.nonzero(np.abs(F) > 0)
-    np.add.at(out, tuple(np.mod(idx[s] * factor, n) for s in src), F[src])
+    np.add.at(out, tuple(np.mod(modes[s] * factor, n) for s in src), F[src])
     return synthesize(base.grid, out)
 
 
@@ -848,8 +848,8 @@ def _p10(wb, a):
 
 def _sup_derivative_modulus(wb, a) -> np.ndarray:
     """max over |multi| = m of the order-r curve of D^multi f."""
-    multis = [(a.m,)] if a.d == 1 else [(k, a.m - k) for k in range(a.m + 1)]
-    curves = [wb.curve(a.entry, float(a.r), a.p, multi=multi) for multi in multis]
+    curves = [wb.curve(a.entry, float(a.r), a.p, multi=multi)
+              for multi in multi_indices(a.d, a.m)]
     return np.max([c.values for c in curves], axis=0)
 
 
@@ -990,12 +990,11 @@ def _nsb(wb, a):
     @functools.cache
     def derivative(s):
         P = wb.poly(a.d, a.sigma, a.seed + s)
-        return P, quasi_norm(apply_symbol(P, directional_symbol(P.grid, zeta, order)), a.p)
+        return P, quasi_norm(directional_derivative(P, zeta, order), a.p)
 
     def pair(s, h):
         P, der = derivative(s)
-        sym = difference_symbol(P.grid, Step(zeta, h).vector, a.alpha)
-        return der, quasi_norm(apply_symbol(P, sym), a.p) / h ** a.alpha
+        return der, quasi_norm(frac_difference(P, Step(zeta, h), order), a.p) / h ** a.alpha
 
     sides, n = _seeded(hs, pair, a.n_seeds), len(hs)
     # the last step of each seed is the coarsest, h = 1/sigma

@@ -235,10 +235,12 @@ class TestBadInputExitsTwo:
 
     def run_bad(self, capsys, caplog, *argv):
         with caplog.at_level(logging.ERROR, logger="smoothlab"):
-            code, out = run(capsys, *argv)
+            code = main(list(argv))
+        captured = capsys.readouterr()
         errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
         assert code == 2
-        assert out == ""
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
         assert len(errors) == 1 and "\n" not in errors[0]
         return errors[0]
 
@@ -323,7 +325,6 @@ class TestBadInputExitsTwo:
         cfg.write_text(content)
         msg = self.run_bad(capsys, caplog, *argv, "--config", str(cfg))
         assert repr(key) in msg
-        assert "Traceback" not in capsys.readouterr().err
 
     @pytest.mark.parametrize("scale, argv", [
         (COARSE_1D, ("BERN", "--alpha", "1", "--p", "2")),

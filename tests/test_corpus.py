@@ -94,6 +94,14 @@ class TestGridFunctions:
         # periodization of a |x|^-2 tail costs ~1/L of relative mass
         assert np.max(np.abs(vals - scale * direct)) < 5e-2 * vals.max()
 
+    @pytest.mark.parametrize("N", [0, 512.9, 1024.0])
+    def test_refuses_a_size_that_is_not_a_grid_size(self, N):
+        # N = 0 once gave the desk grid, 512.9 was cut to 512, and 1024.0
+        # matched the cached desk grid
+        grid_function("gaussian")
+        with pytest.raises(ParameterError, match="points_per_axis"):
+            grid_function("gaussian", N=N)
+
     def test_cache_returns_same_object(self):
         a = grid_function("gaussian", N=256, L=40.0)
         b = grid_function("gaussian", N=256, L=40.0)

@@ -1,6 +1,8 @@
 import dataclasses
 import math
+import pathlib
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from hypothesis import given, strategies as st
 from smoothlab.corpus import grid_function
 from smoothlab.errors import ParameterError
 from smoothlab.grid import (MAX_ORDER, Exponent, GridFunction, SmoothnessOrder, TorusGrid,
-                            quasi_norm)
+                            periodize, quasi_norm)
 from smoothlab.spectral import transform
 
 
@@ -108,6 +110,11 @@ class TestTorusGrid:
         with pytest.raises(ParameterError):
             TorusGrid(3, 64, 10.0)
 
+    def test_rejects_a_size_that_is_not_a_whole_number(self):
+        # a float once reached ``n & (n - 1)`` and raised TypeError
+        with pytest.raises(ParameterError, match="points_per_axis"):
+            TorusGrid(1, 256.0, 20.0)
+
     def test_frequencies_layout(self):
         g = make_grid(1, 8, 2 * math.pi)
         w = np.asarray(g.axis_frequencies())
@@ -115,6 +122,67 @@ class TestTorusGrid:
         assert w[0] == 0.0
         assert w[1] == pytest.approx(1.0)
         assert w[-1] == pytest.approx(-1.0)
+
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "smoothlab"
+
+
+def files_holding(text: str) -> dict:
+    """file name -> number of occurrences of ``text``, over the package sources."""
+    counts = {path.name: path.read_text().count(text) for path in SRC.glob("*.py")}
+    return {name: n for name, n in counts.items() if n}
+
+
+class TestFrequencyTables:
+    def test_one_table_and_one_transform_pair(self):
+        # every mode and frequency array comes from the grid's table, every
+        # grid-sized array is a broadcast, and one FFT pair does all transforms
+        assert files_holding("np.fft.fftfreq") == {"grid.py": 1}
+        assert files_holding("np.fft.fftn(") == {"spectral.py": 1}
+        assert files_holding("np.fft.ifftn(") == {"spectral.py": 1}
+        assert files_holding(".outer(") == {}
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_tables_are_read_only(self, d):
+        g = make_grid(d, 16, 10.0)
+        for table in (g.modes, g.axis_frequencies(), *g.frequencies()):
+            with pytest.raises(ValueError):
+                table[0] = 1
+
+    def test_tables_are_built_once(self):
+        g = make_grid(1, 16, 10.0)
+        assert g.axis_frequencies() is g.axis_frequencies()
+        assert list(g.modes) == [0, 1, 2, 3, 4, 5, 6, 7, -8, -7, -6, -5, -4, -3, -2, -1]
+        assert np.array_equal(g.axis_frequencies(), 2.0 * math.pi * g.modes / 10.0)
+        # the tables are not part of the grid's value
+        assert g == make_grid(1, 16, 10.0) and hash(g) == hash(make_grid(1, 16, 10.0))
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_axis_arrays_lie_along_their_axes(self, d):
+        g = make_grid(d, 16, 10.0)
+        for arrays, axis in ((g.coords(), g.axis_coords()),
+                             (g.frequencies(), g.axis_frequencies())):
+            assert len(arrays) == d
+            for j, a in enumerate(arrays):
+                assert a.shape == tuple(16 if k == j else 1 for k in range(d))
+                assert np.array_equal(a.ravel(), axis)
+            assert np.broadcast_shapes(*(a.shape for a in arrays)) == g.shape
+
+    def test_periodize_sums_every_image_in_2d(self):
+        g, L = make_grid(2, 16, 4.0), 4.0
+
+        def profile(c):
+            # wide and off-center, so every one of the nine images shows
+            return np.exp(-0.5 * (c[0] - 0.3) ** 2 - 0.25 * (c[1] + 0.2) ** 2)
+
+        entry = SimpleNamespace(name="probe", m_tail=1, tail_bound=lambda L: 0.0,
+                                evaluate=profile)
+        x, y = g.axis_coords()[:, None], g.axis_coords()[None, :]
+        want = np.zeros(g.shape, dtype=complex)
+        for m1 in (-1, 0, 1):
+            for m2 in (-1, 0, 1):
+                want += profile((x - L / 2 + m1 * L, y - L / 2 + m2 * L))
+        assert np.array_equal(periodize(entry, g).values, want)
 
 
 class TestQuasiNorm:
