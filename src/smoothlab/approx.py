@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParameterError
-from .grid import Exponent, GridFunction, SmoothnessOrder, quasi_norm, readonly_array
+from .grid import Exponent, GridFunction, SmoothnessOrder, TorusGrid, quasi_norm, readonly_array
 from .moduli import direction_design
 from .spectral import apply_symbol, band_windows, directional_symbol, interp_V, sup_norm, transform
 
@@ -115,17 +115,23 @@ class ApproximationCurve:
         }
 
 
-def approx_curve(f: GridFunction, p, k_max: int = 6) -> ApproximationCurve:
+#: the top dyadic band 2^K_MAX that an approximation curve and P14 ask for
+K_MAX = 6
+
+
+def dyadic_bands(grid: TorusGrid, start: int, top: int, scale: float = 1.0) -> list:
+    """The bands 2^k, start <= k <= top, whose ``scale`` multiple the grid
+    holds (at most its Nyquist band pi N/L)."""
+    return [2.0 ** k for k in range(start, top + 1) if scale * 2.0 ** k <= grid.nyquist]
+
+
+def approx_curve(f: GridFunction, p, k_max: int = K_MAX) -> ApproximationCurve:
+    """Near-best errors at sigma = 0 (the norm) and at the bands
+    ``dyadic_bands(f.grid, 0, k_max)``: 2^0 .. 2^k_max, as far as the grid
+    holds them."""
     p = Exponent.parse(p)
-    sigmas = [0.0]
-    raw = [quasi_norm(f, p)]
-    for k in range(k_max + 1):
-        sigma = float(2 ** k)
-        if sigma > f.grid.nyquist:
-            break
-        sigmas.append(sigma)
-        raw.append(near_best(f, sigma, p).error)
-    raw_arr = np.asarray(raw)
+    sigmas = [0.0] + dyadic_bands(f.grid, 0, k_max)
+    raw_arr = np.asarray([quasi_norm(f, p)] + [near_best(f, s, p).error for s in sigmas[1:]])
     repaired = np.minimum.accumulate(raw_arr)
     return ApproximationCurve(p.label(), np.asarray(sigmas), repaired, raw_arr)
 

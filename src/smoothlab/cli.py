@@ -56,7 +56,6 @@ def _add_common(sp):
     sp.add_argument("--output", help="write the report here instead of stdout")
     sp.add_argument("--format", choices=["json", "csv"], default="json")
     sp.add_argument("--quick", action="store_true", help="small grids, d=1 only")
-    sp.add_argument("--threads", type=int, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -94,6 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify-all", help="run the whole check matrix")
     _add_common(sp)
+    sp.add_argument("--threads", type=int, default=None, help="worker threads for the matrix")
 
     sp = sub.add_parser("corpus", help="list the built-in test functions")
     _add_common(sp)

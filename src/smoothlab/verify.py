@@ -50,7 +50,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import corpus as corpus_mod
-from .approx import approx_curve, k_functional, near_best, realization, sup_directional
+from .approx import (K_MAX, approx_curve, dyadic_bands, k_functional, near_best, realization,
+                     sup_directional)
 from .errors import HypothesisError, ParameterError, RegimeError
 from .grid import Exponent, GridFunction, SmoothnessOrder, TorusGrid, power, quasi_norm
 from .moduli import (
@@ -81,24 +82,17 @@ from .spectral import (
 DEFAULTS = {
     "quick": False,
     "threads": None,
-    "max_ratio": 100.0,
-    "slope_tol": 0.05,
-    "band_limit": 50.0,
-    "exact_tol": 1e-9,
     "n_quad": 96,
     "scale_1d": corpus_mod.DESK_1D,
     "scale_2d": corpus_mod.DESK_2D,
     "n_deltas_1d": 24,
     "n_deltas_2d": 8,
-    "k_max_1d": 6,
-    "k_max_2d": 5,
 }
 
 QUICK_OVERRIDES = {
     "quick": True,
     "scale_1d": {"N": 256, "L": 20.0},
     "n_deltas_1d": 8,
-    "k_max_1d": 5,
 }
 
 
@@ -114,13 +108,8 @@ def _number(v) -> bool:
 #: the rule of each config value but ``threads``: (holds, what it must be)
 CONFIG_RULES = {
     "quick": (lambda v: isinstance(v, bool), "true or false"),
-    **dict.fromkeys(("max_ratio", "band_limit"),
-                    (lambda v: _number(v) and v > 0, "a positive finite number")),
-    **dict.fromkeys(("slope_tol", "exact_tol"),
-                    (lambda v: _number(v) and v >= 0, "a non-negative finite number")),
     **dict.fromkeys(("n_quad", "n_deltas_1d", "n_deltas_2d"),
                     (lambda v: _integer(v) and v >= 2, "an integer >= 2")),
-    **dict.fromkeys(("k_max_1d", "k_max_2d"), (lambda v: _integer(v) and v >= 1, "an integer >= 1")),
     **dict.fromkeys(("scale_1d", "scale_2d"), (
         lambda v: isinstance(v, dict) and set(v) == {"N", "L"} and _integer(v["N"])
         and v["N"] >= 8 and v["N"] & (v["N"] - 1) == 0 and _number(v["L"]) and v["L"] > 0,
@@ -210,22 +199,31 @@ def _fit_slope(xs: np.ndarray, ys: np.ndarray) -> float | None:
     return float(np.polyfit(np.log(xs[mask]), np.log(ys[mask]), 1)[0])
 
 
+#: the verdict rule's bounds: the ratio cap of "upper" rows, the slope
+#: beyond which a ratio trends, and the band [1/cap, cap] of "band" rows;
+#: a row's ``opts`` override them
+BOUNDS = {"max_ratio": 100.0, "slope_tol": 0.05, "band_limit": 50.0}
+
+
 def _assemble(pid: str, params: dict, sides, mode: str, opts: dict,
               notes: list) -> InequalityReport:
     """Turn a body's ``Sides`` into a report, under the row's settings
-    ``opts`` (the config with the row's overrides: ``max_ratio``,
-    ``band_limit``, ``exact_tol``, ``slope_tol``, and ``check_slope`` and
-    ``asym``, which default to True and "small").
+    ``opts``: ``BOUNDS`` with the row's overrides, ``exact_tol`` (which an
+    "exact" row names itself), and ``check_slope`` and ``asym``, which
+    default to True and "small".
 
     ``asym`` names the asymptotic end of the grid where a hidden-constant
     blow-up would surface: "small" for step grids (delta -> 0), "large"
     for degree grids (sigma -> inf).  A one-sided check fails only when
-    the ratio trends in that direction AND visibly escapes the bulk;
-    benign transitional drift across a finite window is reported, not
-    punished.  A non-finite side (inf or nan) fails every mode but "info".
-    A set ``veto`` turns a pass into a fail and a set ``slope`` replaces
-    the fitted one.  A series with no point is a ParameterError: the grid
-    is too coarse for the check.
+    the ratio trends in that direction AND its end point escapes the bulk,
+    3 times the median of the points kept for the fit; benign transitional
+    drift across a finite window is reported, not punished.  A point whose
+    lhs is below 1e-10 of the largest finite side is round-off and is left
+    out of the fit, as is a point with a non-finite side.  A non-finite
+    side (inf or nan) fails every mode but "info".  A set ``veto`` turns a
+    pass into a fail and a set ``slope`` replaces the fitted one.  A series
+    with no point is a ParameterError: the grid is too coarse for the
+    check.
     """
     grid = np.asarray(sides.grid, dtype=float)
     if not grid.size:
@@ -242,7 +240,10 @@ def _assemble(pid: str, params: dict, sides, mode: str, opts: dict,
     # side that overflowed are excluded from the trend fit; they carry no
     # rate information
     ends = np.isfinite(lhs) & np.isfinite(rhs)
-    floor = 1e-10 * max(float(lhs[ends].max(initial=0.0)), 1e-300)
+    # the floor scales with both sides: a side made of round-off alone
+    # (the error of a bandlimited f) must not set its own floor
+    floor = 1e-10 * max(float(lhs[ends].max(initial=0.0)), float(rhs[ends].max(initial=0.0)),
+                        1e-300)
     keep = ends & (lhs > floor) & (rhs > 0) & np.isfinite(ratio)
     for kind, left_out in (("underflow", ends & ~keep), ("non-finite", ~ends)):
         if left_out.any():
@@ -260,7 +261,7 @@ def _assemble(pid: str, params: dict, sides, mode: str, opts: dict,
         small = opts.get("asym", "small") == "small"
         end_idx = int(np.argmin(kept_grid)) if small else int(np.argmax(kept_grid))
         trending = fit < -opts["slope_tol"] if small else fit > opts["slope_tol"]
-        growing = trending and kept_ratio[end_idx] > 3.0 * stats["median"]
+        growing = trending and kept_ratio[end_idx] > 3.0 * float(np.median(kept_ratio))
         if growing:
             notes.append("ratio grows toward the asymptotic end of the grid")
     ok = bool(np.all(np.isfinite(ratio)) and ends.all())
@@ -549,11 +550,7 @@ class Workbench:
 
     def acurve(self, name: str, p):
         plabel = Exponent.parse(p).label()
-        f = self.fn(name)
-        k_max = self.setting("k_max", f.grid.dimension)
-        return self._get(
-            ("acurve", name, plabel), lambda: approx_curve(f, p, k_max=k_max)
-        )
+        return self._get(("acurve", name, plabel), lambda: approx_curve(self.fn(name), p))
 
     def nearbest(self, name: str, sigma: float, p):
         plabel = Exponent.parse(p).label()
@@ -655,8 +652,9 @@ class Check:
     the first row of a property being its default; ``derive`` adds values
     computed from the parameters, which the report echoes.  ``mode`` may
     be a function of the parameters; ``notes`` follow the body's notes;
-    ``opts`` override the config's tolerances for ``_assemble``, which
-    also reads ``check_slope`` and ``asym`` from them.
+    ``opts`` override the verdict bounds ``BOUNDS`` for ``_assemble``,
+    which also reads ``check_slope``, ``asym`` and, in an "exact" row,
+    which must name it, ``exact_tol`` from them.
     """
 
     pid: str
@@ -711,7 +709,7 @@ def _run(rows: tuple, wb, params: dict) -> InequalityReport:
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         s = row.body(wb, a)
     mode = row.mode(a) if callable(row.mode) else row.mode
-    return _assemble(row.pid, echo, s, mode, {**wb.cfg, **row.opts}, [*s.notes, *row.notes])
+    return _assemble(row.pid, echo, s, mode, {**BOUNDS, **row.opts}, [*s.notes, *row.notes])
 
 
 # ---------------------------------------------------------------------------
@@ -922,11 +920,10 @@ def _p13(wb, a):
 
 
 def _p14(wb, a):
-    k_top = wb.setting("k_max", a.d)
-    sup_d = {
-        k: sup_directional(wb.nearbest(a.entry, float(2 ** k), a.p).witness, a.alpha, a.p)
-        for k in range(k_top + 1)
-    }
+    # the bands 2^0 .. 2^k_top of the approximation curve, as far as the grid holds them
+    bands = dyadic_bands(wb.grid(a.d), 0, K_MAX)
+    k_top = len(bands) - 1
+    sup_d = [sup_directional(wb.nearbest(a.entry, s, a.p).witness, a.alpha, a.p) for s in bands]
     ns = list(range(0, k_top))
     deltas = [2.0 ** (-n) for n in ns]
     om = [wb.point_modulus(a.entry, d, a.alpha, a.p) for d in deltas]
@@ -966,12 +963,6 @@ def _p17(wb, a):
     return Sides(c.deltas, c.values, rhs)
 
 
-def _dyadic(grid: TorusGrid, start: int, top: int, scale: float = 1.0) -> list:
-    """The bands 2^k, start <= k <= top, whose ``scale`` multiple the grid
-    holds (at most its Nyquist band pi N/L)."""
-    return [2.0 ** k for k in range(start, top + 1) if scale * 2.0 ** k <= grid.nyquist]
-
-
 def _seeded(points, pair: Callable, n_seeds: int = 1) -> Sides:
     """The series of ``pair(s, x) = (lhs, rhs)`` over the points x, seed by
     seed for s = 0, ..., n_seeds - 1."""
@@ -1007,7 +998,7 @@ def _nsb(wb, a):
 
 def _bern(wb, a):
     # keep every dilated mode of the band-1 base inside the grid's band
-    sigmas = _dyadic(wb.grid(a.d), 1, 6 if a.d == 1 else 4)
+    sigmas = dyadic_bands(wb.grid(a.d), 1, 6 if a.d == 1 else 4)
 
     def pair(s, sg):
         P = _dilate_poly(wb.poly(a.d, 1.0, 1000 + s), int(sg))
@@ -1019,7 +1010,7 @@ def _bern(wb, a):
     # no seed has a slope when every ratio is non-finite, as at a tiny p
     worst = max((abs(s) for s in slopes if s is not None), default=math.inf)
     sides.notes = [f"dilation family: worst per-seed |slope| = {worst:.3g}"]
-    sides.veto = "" if worst > wb.cfg["slope_tol"] else None
+    sides.veto = "" if worst > BOUNDS["slope_tol"] else None
     sides.slope = worst
     return sides
 
@@ -1033,7 +1024,7 @@ def _nik(wb, a):
         P = synthesize(grid, np.clip(1.0 - mag / band, 0.0, None).astype(complex))
         return quasi_norm(P, a.q), power(band, gap) * quasi_norm(P, a.p)
 
-    return _seeded(_dyadic(grid, 0, 4 if a.d == 1 else 3, scale=4.0), pair)
+    return _seeded(dyadic_bands(grid, 0, 4 if a.d == 1 else 3, scale=4.0), pair)
 
 
 def _hln(seed0: int, pair: Callable) -> Callable:
@@ -1042,7 +1033,7 @@ def _hln(seed0: int, pair: Callable) -> Callable:
     ``pair(P, sigma, a)`` is (lhs, rhs)."""
 
     def body(wb, a):
-        sigmas = _dyadic(wb.grid(a.d), 1, 5 if a.d == 1 else 3)
+        sigmas = dyadic_bands(wb.grid(a.d), 1, 5 if a.d == 1 else 3)
         return _seeded(sigmas, lambda s, sg: pair(wb.poly(a.d, sg, seed0 + s), sg, a), a.n_seeds)
 
     return body

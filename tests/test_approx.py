@@ -6,6 +6,7 @@ import pytest
 from smoothlab.approx import (
     K_SCALES,
     approx_curve,
+    dyadic_bands,
     k_functional,
     near_best,
     realization,
@@ -106,6 +107,12 @@ class TestOneTransform:
 
 
 class TestApproxCurve:
+    @pytest.mark.parametrize("N, L, k_max", [(512, 40.0, 6), (512, 40.0, 3), (64, 20.0, 6)])
+    def test_sigmas_are_the_dyadic_bands(self, N, L, k_max):
+        f = grid_function("gaussian", N=N, L=L)
+        ac = approx_curve(f, 2.0, k_max=k_max)
+        assert ac.sigmas.tolist() == [0.0] + dyadic_bands(f.grid, 0, k_max)
+
     def test_monotone_and_anchored(self, gaussian):
         ac = approx_curve(gaussian, 2.0, k_max=5)
         assert ac.sigmas[0] == 0.0

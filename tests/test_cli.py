@@ -177,6 +177,11 @@ class TestVerifyAllCommand:
         payload = json.loads(artifact.read_text())
         assert payload["summary"]["all_pass"]
 
+    def test_thread_count_does_not_change_bytes(self, capsys):
+        one = run(capsys, "verify-all", "--quick", "--threads", "1")
+        two = run(capsys, "verify-all", "--quick", "--threads", "2")
+        assert one == two and one[0] == 0
+
 
 class TestConfigMerging:
     def test_config_file_with_flag_override(self, capsys, tmp_path):
@@ -188,6 +193,16 @@ class TestConfigMerging:
         )
         assert code == 0
         assert json.loads(out)["verdict"] == "pass"
+
+    @pytest.mark.parametrize("side", ["lower", "upper"])
+    def test_p14_takes_the_bands_its_grid_holds(self, capsys, tmp_path, side):
+        # the bands 1 to 8 give the moduli at delta = 1/sigma, sigma = 1, 2, 4
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(BAND_8))
+        code, out = run(capsys, "verify", "P14", "--entry", "gaussian", "--alpha", "1",
+                        "--p", "2", "--side", side, "--config", str(cfg))
+        assert code == 0
+        assert json.loads(out)["grid"] == [1.0, 0.5, 0.25]
 
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "out.json"
@@ -204,11 +219,12 @@ P7_ARGV = ("verify", "P7", "--entry", "gaussian", "--alpha", "1", "--gamma", "1"
            "--quick")
 P12_ARGV = ("verify", "P12", "--entry", "gaussian", "--alpha", "2", "--p", "2", "--quick")
 P1A_ARGV = ("verify", "P1a", "--entry", "gaussian", "--alpha", "1", "--p", "2", "--quick")
-#: grids whose band pi N/L is 0.63 (1-D) or 1.26 (2-D), and 2.51, which
-#: holds one of BERN's dilations
+#: grids whose band pi N/L is 0.63 (1-D) or 1.26 (2-D), 2.51, which holds
+#: one of BERN's dilations, and 10.05, which holds the bands 1 to 8
 COARSE_1D = {"scale_1d": {"N": 8, "L": 40}}
 COARSE_2D = {"scale_2d": {"N": 8, "L": 20}}
 ONE_DILATION = {"scale_1d": {"N": 16, "L": 20}}
+BAND_8 = {"scale_1d": {"N": 64, "L": 20}}
 
 
 @pytest.mark.parametrize("argv", [
@@ -333,6 +349,7 @@ class TestBadInputExitsTwo:
         (COARSE_1D, ("P12", "--entry", "gaussian", "--alpha", "2", "--p", "2",
                      "--form", "sharp")),
         (COARSE_1D, ("P13", "--entry", "gaussian", "--alpha", "1", "--p", "2")),
+        (COARSE_1D, ("P14", "--entry", "gaussian", "--alpha", "1", "--p", "2")),
         (COARSE_1D, ("HLN1", "--alpha", "1", "--p", "0.5", "--q", "2")),
         (COARSE_1D, ("HLN3", "--alpha", "1", "--p", "2")),
         (COARSE_2D, ("BERN", "--alpha", "1", "--p", "2", "--d", "2")),
@@ -348,6 +365,34 @@ class TestBadInputExitsTwo:
         cfg.write_text(json.dumps(scale))
         msg = self.run_bad(capsys, caplog, "verify", *argv, "--config", str(cfg))
         assert argv[0] in msg
+
+    @pytest.mark.parametrize("key, value", [
+        ("max_ratio", 100.0), ("slope_tol", 0.05), ("band_limit", 50.0), ("exact_tol", 1e-9),
+        ("k_max_1d", 6), ("k_max_2d", 5),
+    ])
+    def test_a_removed_config_key_is_unknown(self, capsys, caplog, tmp_path, key, value):
+        # the verdict bounds are constants of the rule, and the bands follow the grid
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        msg = self.run_bad(capsys, caplog, *P12_ARGV, "--config", str(cfg))
+        assert f"unknown config keys: {key!r}" in msg
+
+    @pytest.mark.parametrize("command", [
+        ("modulus", "gaussian", "--alpha", "1", "--delta", "0.1"),
+        ("curve", "gaussian", "--alpha", "1"),
+        ("approx", "gaussian"),
+        P1A_ARGV,
+        ("corpus",),
+    ])
+    def test_threads_belong_to_verify_all(self, capsys, command):
+        # only verify-all runs a pool; argparse refuses the flag elsewhere
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--threads", "2"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert "unrecognized arguments: --threads 2" in captured.err
+        assert "Traceback" not in captured.err
 
     @pytest.mark.parametrize("argv", [
         ("P11", "--entry", "gaussian", "--r", "1.7", "--m", "1", "--p", "2"),

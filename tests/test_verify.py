@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from smoothlab import corpus, verify
+from smoothlab.approx import dyadic_bands
 from smoothlab.errors import HypothesisError, ParameterError
 from smoothlab.grid import TorusGrid
 from smoothlab.moduli import ModulusCurve
@@ -361,9 +362,14 @@ class TestPolynomialFamilies:
 
     def test_dyadic_bands_stop_at_the_grid_band(self):
         g = TorusGrid(1, 16, 20.0)  # pi N/L = 2.51
-        assert verify._dyadic(g, 0, 4) == [1.0, 2.0]
-        assert verify._dyadic(g, 1, 4) == [2.0]
-        assert verify._dyadic(g, 0, 4, scale=4.0) == []
+        assert dyadic_bands(g, 0, 4) == [1.0, 2.0]
+        assert dyadic_bands(g, 1, 4) == [2.0]
+        assert dyadic_bands(g, 0, 4, scale=4.0) == []
+
+    def test_exact_rows_name_their_tolerance(self):
+        exact = [row for row in verify.TABLE if row.mode == "exact" or callable(row.mode)]
+        assert [row.pid for row in exact] == ["P1a", "P1b", "P5", "P8"]
+        assert all("exact_tol" in row.opts for row in exact)
 
     def test_seeded_runs_seed_by_seed(self):
         sides = verify._seeded([1.0, 2.0], lambda s, x: (s, x), 2)
@@ -465,12 +471,22 @@ class TestConfig:
         assert (cfg["scale_1d"], cfg["scale_2d"]) == (corpus.DESK_1D, corpus.DESK_2D)
 
     def test_quick_matrix_passes_at_the_least_counts(self):
-        least = {"n_quad": 2, "n_deltas_1d": 2, "n_deltas_2d": 2, "k_max_1d": 1, "k_max_2d": 1}
+        least = {"n_quad": 2, "n_deltas_1d": 2, "n_deltas_2d": 2}
         assert verify_all({"quick": True, **least})["summary"]["all_pass"]
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ParameterError, match="thread"):
             make_config({"thread": 4})
+
+    def test_the_config_has_seven_keys(self):
+        assert set(make_config()) == {
+            "quick", "threads", "n_quad", "scale_1d", "scale_2d", "n_deltas_1d", "n_deltas_2d"}
+
+    @pytest.mark.parametrize("key", [
+        "max_ratio", "slope_tol", "band_limit", "exact_tol", "k_max_1d", "k_max_2d"])
+    def test_removed_keys_are_unknown(self, key):
+        with pytest.raises(ParameterError, match=f"unknown config keys: '{key}'"):
+            make_config({key: 1})
 
     @pytest.mark.parametrize("bad", [0, -3, 2.5, True, "two"])
     def test_thread_count_must_be_positive_integer(self, bad):
