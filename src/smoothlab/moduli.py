@@ -34,6 +34,20 @@ is summed.  ``TestParsevalRoute`` in ``tests/test_moduli.py`` checks every
 p = 2 sup and average against ``apply_symbol`` + ``quasi_norm`` at each
 design point.
 
+At p = 2 a sup visits one step of each pair h, -h.  Every direction of
+``direction_design`` has its exact negative in the design, and the
+Parseval sum is even in h bit for bit: sin is odd bit for bit, so the
+angle-addition sin(th/2) at -h is the exact negative of that at h and its
+square is the same, and the mixed symbol at -h is the exact conjugate of
+the one at h, with the same |symbol|^2.  So ``step_design`` drops the
+second direction of each pair at p = 2 (16 steps in 1-D and 160 in 2-D,
+not 32 and 320), and the max is the max over the whole design.  The
+series route halves too; its values agree with the whole design to
+round-off.  Off p = 2 every step stays: there the norms at h and -h are
+equal at best through a translation (by r h at a whole order r), which
+is off the grid.  The outer ``averaged_modulus`` keeps every node,
+because its mean weighs each.
+
 The series route shares only the spectrum, the read-only array of
 ``spectral.transform``, whose modes it reads.  It
 sums the binomial series mode by mode, on the occupied modes only
@@ -326,15 +340,18 @@ def direction_design(dimension: int) -> tuple:
     """Fixed direction set used for every sampled supremum.
 
     d = 1: both orientations.  d = 2: 16 equispaced angles (offset half a
-    slot so none coincides with an axis) plus the 4 axis directions.
+    slot so none coincides with an axis), angle k + 8 the exact negative of
+    angle k, then the 4 axis directions.  Every direction of either design
+    has its exact negative in it, which ``step_design`` uses at p = 2.
     """
     if dimension == 1:
         return (Direction((1.0,)), Direction((-1.0,)))
     if dimension == 2:
         dirs = []
-        for k in range(16):
+        for k in range(8):
             ang = (k + 0.5) * 2.0 * math.pi / 16.0
             dirs.append(Direction.of(math.cos(ang), math.sin(ang)))
+        dirs += [Direction(tuple(-c for c in z.vector)) for z in dirs]
         dirs += [
             Direction((1.0, 0.0)),
             Direction((-1.0, 0.0)),
@@ -353,9 +370,20 @@ def magnitude_design(delta: float) -> np.ndarray:
     return delta * (1.0 - np.arange(N_MAGNITUDES) / N_MAGNITUDES)
 
 
-def step_design(delta: float, directions) -> list:
+def step_design(delta: float, directions, p) -> list:
     """Step vectors t * zeta for every magnitude t of ``magnitude_design(delta)``
-    (largest first) and, within each, every direction of ``directions``."""
+    (largest first) and, within each, every direction of ``directions``.
+
+    At p = 2 a direction whose exact negative comes earlier in
+    ``directions`` is dropped: the L_2 norms at h and -h are equal bit for
+    bit (module docstring), so the sup visits one step of each pair.
+    """
+    if Exponent.parse(p).p == 2.0:
+        kept = []
+        for zeta in directions:
+            if all(z.vector != tuple(-c for c in zeta.vector) for z in kept):
+                kept.append(zeta)
+        directions = kept
     return [tuple(float(t) * c for c in zeta.vector)
             for t in magnitude_design(delta) for zeta in directions]
 
@@ -369,12 +397,20 @@ def modulus(
     directions=None,
 ) -> float:
     """Sampled modulus of smoothness: max over the shared step design of
-    the L_p quasi-norm of the order-alpha difference."""
+    the L_p quasi-norm of the order-alpha difference.  ``directions``
+    replaces the default design; it must be non-empty and of the grid's
+    dimension."""
     order, p = _admissible(alpha, p)
-    steps = step_design(delta, directions or direction_design(f.grid.dimension))
+    d = f.grid.dimension
+    directions = direction_design(d) if directions is None else tuple(directions)
+    if not directions:
+        raise ParameterError("the direction design is empty")
+    if any(zeta.dimension != d for zeta in directions):
+        raise ParameterError("direction dimension does not match the grid")
     a = order.alpha
     gain_of = (lambda h: difference_gain(f.grid, h, a)) if method == "spectral" else None
-    return sup_norm(f, steps, lambda h: _symbol(f, h, a, method), p, gain_of)
+    return sup_norm(f, step_design(delta, directions, p),
+                    lambda h: _symbol(f, h, a, method), p, gain_of)
 
 
 def default_deltas(grid: TorusGrid, n: int = 24, floor_cells: float = 4.0) -> np.ndarray:
@@ -495,7 +531,7 @@ def mixed_modulus(f: GridFunction, orders, delta: float, p) -> float:
         return reduce(np.multiply, [_whole_power(np.exp(1j * h * w), k)
                                     for h, w, k in zip(hvec, f.grid.frequencies(), orders)])
 
-    return sup_norm(f, step_design(delta, direction_design(d)), symbol_of, p)
+    return sup_norm(f, step_design(delta, direction_design(d), p), symbol_of, p)
 
 
 def averaged_modulus(

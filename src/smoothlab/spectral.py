@@ -24,7 +24,10 @@ order overflows.  The one closed gain is ``moduli.difference_gain``, which
 builds no complex symbol; any other symbol gives |symbol|^2 over its max.
 A sum too small to keep its digits is taken from the samples instead.
 ``tests/test_moduli.py`` checks the route against ``apply_symbol`` +
-``quasi_norm`` at every design point.
+``quasi_norm`` at every design point.  A p = 2 sum is even in the step,
+so the moduli hand ``sup_norm`` one step of each pair h, -h at p = 2
+(``moduli.step_design``); ``sup_directional`` and the averages keep
+every direction and node.
 
 Sampling operator: interp_V is a Fourier fold, not a dense kernel, on
 1-D and 2-D grids alike.  Per axis the coefficients are folded mod
