@@ -295,9 +295,12 @@ def _close(a, b):
 
 
 def eta_regime(p: float, q: float, alpha: float, gamma: float, d: int) -> dict:
-    """Rate weight eta(t) = t^pow * ln^logpow(t+1) of the sharp between-
-    metrics inequality, chosen by the printed case table (most specific
-    case first).  Returns {'pow', 'logpow', 'tag'}."""
+    """The case table of the sharp between-metrics inequality, most specific
+    case first.  Each case gives the rate weight eta(t) = t^pow *
+    ln^logpow(t+1) and whether the trailing delta^alpha ||f||_p term drops
+    from the right-hand side.  Below the critical gamma the term drops only
+    where gamma clears it by _EQ_TOL.  Returns {'pow', 'logpow', 'tag',
+    'drop'}."""
     pe, qe = Exponent(p), Exponent(q)
     if pe.is_inf or not (pe.p < (math.inf if qe.is_inf else qe.p)):
         raise HypothesisError("needs 0 < p < q <= inf")
@@ -307,29 +310,33 @@ def eta_regime(p: float, q: float, alpha: float, gamma: float, d: int) -> dict:
         pw = d * (1.0 / pe.p - 1.0)
         whole = abs((alpha + gamma) - round(alpha + gamma)) <= _EQ_TOL
         if gamma > thr + _EQ_TOL:
-            return {"pow": pw, "logpow": 0.0, "tag": "supercritical"}
+            return {"pow": pw, "logpow": 0.0, "tag": "supercritical", "drop": False}
         if _close(gamma, thr) and thr >= 1.0 and d >= 2 and whole:
-            return {"pow": pw, "logpow": 0.0, "tag": "critical-whole"}
+            return {"pow": pw, "logpow": 0.0, "tag": "critical-whole", "drop": gamma >= 1.0}
         if _close(gamma, thr) and thr >= 1.0 and d >= 2:
-            return {"pow": pw, "logpow": 1.0 / qe.q1, "tag": "critical-log-q1"}
+            return {"pow": pw, "logpow": 1.0 / qe.q1, "tag": "critical-log-q1", "drop": False}
         if _close(gamma, thr) and _close(thr, 1.0) and d == 1:
-            return {"pow": pw, "logpow": rq, "tag": "critical-line"}
+            return {"pow": pw, "logpow": rq, "tag": "critical-line", "drop": qe.is_inf}
         if _close(gamma, thr) and 0.0 < gamma < 1.0:
-            return {"pow": pw, "logpow": rq, "tag": "critical-small"}
+            return {"pow": pw, "logpow": rq, "tag": "critical-small",
+                    "drop": qe.p <= 1.0 or gamma < thr - _EQ_TOL}
         if 0.0 < gamma < thr:
-            return {"pow": d * (1.0 / pe.p - rq) - gamma, "logpow": 0.0, "tag": "subcritical"}
+            return {"pow": d * (1.0 / pe.p - rq) - gamma, "logpow": 0.0, "tag": "subcritical",
+                    "drop": gamma < thr - _EQ_TOL}
         if _close(gamma, 0.0):
-            return {"pow": d * (1.0 / pe.p - rq), "logpow": 0.0, "tag": "no-smoothing"}
+            return {"pow": d * (1.0 / pe.p - rq), "logpow": 0.0, "tag": "no-smoothing",
+                    "drop": qe.p <= 1.0 or gamma < thr - _EQ_TOL}
         raise RegimeError(f"no rate regime for p={p}, q={q}, gamma={gamma}, d={d}")
     gap = d * (1.0 / pe.p - rq)
     if not qe.is_inf and gamma >= gap - _EQ_TOL:
-        return {"pow": 0.0, "logpow": 0.0, "tag": "flat"}
+        return {"pow": 0.0, "logpow": 0.0, "tag": "flat", "drop": gamma <= gap + _EQ_TOL}
     if qe.is_inf and gamma > gap + _EQ_TOL:
-        return {"pow": 0.0, "logpow": 0.0, "tag": "flat-sup"}
+        return {"pow": 0.0, "logpow": 0.0, "tag": "flat-sup", "drop": False}
     if qe.is_inf and _close(gamma, gap):
-        return {"pow": 0.0, "logpow": 1.0 / pe.conjugate, "tag": "critical-sup"}
+        return {"pow": 0.0, "logpow": 1.0 / pe.conjugate, "tag": "critical-sup", "drop": False}
     if 0.0 <= gamma < gap:
-        return {"pow": gap - gamma, "logpow": 0.0, "tag": "subcritical"}
+        return {"pow": gap - gamma, "logpow": 0.0, "tag": "subcritical",
+                "drop": gamma < gap - _EQ_TOL}
     raise RegimeError(f"no rate regime for p={p}, q={q}, gamma={gamma}, d={d}")
 
 
@@ -339,33 +346,6 @@ def eta_value(t, regime: dict) -> np.ndarray:
     if regime["logpow"]:
         out = out * np.log(t + 1.0) ** regime["logpow"]
     return out
-
-
-def norm_term_droppable(p: float, q: float, alpha: float, gamma: float, d: int) -> bool:
-    """Whether the trailing delta^alpha ||f||_p term can be omitted."""
-    pe, qe = Exponent(p), Exponent(q)
-    rq = 0.0 if qe.is_inf else 1.0 / qe.p
-    qv = math.inf if qe.is_inf else qe.p
-    whole = abs((alpha + gamma) - round(alpha + gamma)) <= _EQ_TOL
-    if _close(gamma, 0.0) and pe.p < qv <= 1.0:
-        return True
-    if pe.p <= 1.0 < qv and gamma < d * (1.0 - rq) - _EQ_TOL:
-        return True
-    if d == 1 and pe.p <= 1.0 and qe.is_inf and _close(gamma, 1.0):
-        return True
-    if (
-        pe.p <= 1.0 < qv
-        and d >= 2
-        and whole
-        and _close(gamma, d * (1.0 - rq))
-        and gamma >= 1.0
-    ):
-        return True
-    if 1.0 < pe.p and qv < math.inf and pe.p < qv and gamma <= d * (1.0 / pe.p - rq) + _EQ_TOL:
-        return True
-    if 1.0 < pe.p and qe.is_inf and gamma < d / pe.p - _EQ_TOL:
-        return True
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +393,6 @@ def ulyanov_rhs(
     d: int,
     fnorm: float,
     n_quad: int = 96,
-    drop_norm: bool | None = None,
 ):
     """Sharp between-metrics right-hand side, elementwise over an array of
     deltas (or at one delta).
@@ -424,17 +403,15 @@ def ulyanov_rhs(
     Returns (value, regime_tag, dropped_norm_term).
     """
     regime = eta_regime(p, q, alpha, gamma, d)
-    if drop_norm is None:
-        drop_norm = norm_term_droppable(p, q, alpha, gamma, d)
     q1 = Exponent(q).q1
 
     def integrand(t):
         return (curve.interp(t) * t ** (-gamma) * eta_value(1.0 / t, regime)) ** q1
 
     value = log_integral(integrand, curve.deltas[0] / 64.0, delta, n_quad) ** (1.0 / q1)
-    if not drop_norm:
+    if not regime["drop"]:
         value = value + delta ** alpha * fnorm
-    return value, regime["tag"], bool(drop_norm)
+    return value, regime["tag"], regime["drop"]
 
 
 # ---------------------------------------------------------------------------
@@ -921,7 +898,7 @@ def _p13(wb, a):
 
 def _p14(wb, a):
     # the bands 2^0 .. 2^k_top of the approximation curve, as far as the grid holds them
-    bands = dyadic_bands(wb.grid(a.d), 0, K_MAX)
+    bands = dyadic_bands(wb.fn(a.entry).grid, 0, K_MAX)
     k_top = len(bands) - 1
     sup_d = [sup_directional(wb.nearbest(a.entry, s, a.p).witness, a.alpha, a.p) for s in bands]
     ns = list(range(0, k_top))

@@ -22,7 +22,6 @@ from smoothlab.verify import (
     canonical_json,
     eta_regime,
     marchaud_rhs,
-    norm_term_droppable,
     run_check,
     verify_all,
 )
@@ -247,9 +246,9 @@ def test_criterion_09_exponent_shift_regimes(wb):
         and eta_regime(2.0, 4.0, 1.0, 0.25, d=1)["tag"] == "flat"
     )
     drops = (
-        norm_term_droppable(0.5, 2.0, 2.0, 0.25, d=1)
-        and norm_term_droppable(2.0, 4.0, 1.0, 0.25, d=1)
-        and not norm_term_droppable(2.0, 4.0, 1.0, 0.5, d=1)
+        eta_regime(0.5, 2.0, 2.0, 0.25, d=1)["drop"]
+        and eta_regime(2.0, 4.0, 1.0, 0.25, d=1)["drop"]
+        and not eta_regime(2.0, 4.0, 1.0, 0.5, d=1)["drop"]
     )
     _criterion(9, "exponent-shift regime matrix, branch table and drop list",
                ok and branches and drops,

@@ -22,7 +22,6 @@ from smoothlab.verify import (
     log_integral,
     make_config,
     marchaud_rhs,
-    norm_term_droppable,
     resolve_threads,
     run_check,
     ulyanov_rhs,
@@ -42,7 +41,7 @@ class TestEtaRegimeSmallP:
 
     def test_supercritical_is_pure_power(self):
         r = eta_regime(0.5, 2.0, 1.0, 2.0, d=1)  # gamma=2 > d(1-1/q)=0.5
-        assert r == {"pow": 1.0, "logpow": 0.0, "tag": "supercritical"}
+        assert r == {"pow": 1.0, "logpow": 0.0, "tag": "supercritical", "drop": False}
 
     def test_critical_whole_order_drops_log(self):
         # d=2, gamma = d(1-1/q) = 1, alpha+gamma whole
@@ -76,7 +75,7 @@ class TestEtaRegimeSmallP:
 
     def test_no_smoothing(self):
         r = eta_regime(0.5, 2.0, 1.5, 0.0, d=1)
-        assert r == {"pow": 1.5, "logpow": 0.0, "tag": "no-smoothing"}
+        assert r == {"pow": 1.5, "logpow": 0.0, "tag": "no-smoothing", "drop": True}
 
     def test_small_q_below_one(self):
         r = eta_regime(0.5, 1.0, 2.0, 0.0, d=1)
@@ -89,7 +88,7 @@ class TestEtaRegimeLargeP:
 
     def test_flat(self):
         r = eta_regime(2.0, 4.0, 1.0, 0.5, d=1)  # gamma >= d(1/p-1/q)=0.25
-        assert r == {"pow": 0.0, "logpow": 0.0, "tag": "flat"}
+        assert r == {"pow": 0.0, "logpow": 0.0, "tag": "flat", "drop": False}
 
     def test_flat_sup(self):
         r = eta_regime(2.0, math.inf, 1.0, 1.0, d=1)  # gamma > d/p = 0.5
@@ -111,26 +110,51 @@ class TestEtaRegimeLargeP:
 
 
 class TestDropList:
+    """Whether the case drops the trailing delta^alpha ||f||_p term."""
+
+    def drop(self, *args, d):
+        return eta_regime(*args, d=d)["drop"]
+
     def test_no_smoothing_small_metrics(self):
-        assert norm_term_droppable(0.5, 1.0, 2.0, 0.0, d=1)
+        assert self.drop(0.5, 1.0, 2.0, 0.0, d=1)
 
     def test_below_threshold_into_large_q(self):
-        assert norm_term_droppable(0.5, 2.0, 2.0, 0.25, d=1)
+        assert self.drop(0.5, 2.0, 2.0, 0.25, d=1)
 
     def test_at_threshold_generally_kept(self):
-        assert not norm_term_droppable(0.5, 2.0, 1.3, 0.5, d=1)
+        assert not self.drop(0.5, 2.0, 1.3, 0.5, d=1)
 
     def test_whole_order_at_threshold_d2_dropped(self):
-        assert norm_term_droppable(0.5, 2.0, 1.0, 1.0, d=2)
+        assert self.drop(0.5, 2.0, 1.0, 1.0, d=2)
 
     def test_large_p_below_gap(self):
-        assert norm_term_droppable(2.0, 4.0, 1.0, 0.1, d=1)
-        assert norm_term_droppable(2.0, 4.0, 1.0, 0.25, d=1)
-        assert not norm_term_droppable(2.0, 4.0, 1.0, 0.5, d=1)
+        assert self.drop(2.0, 4.0, 1.0, 0.1, d=1)
+        assert self.drop(2.0, 4.0, 1.0, 0.25, d=1)
+        assert not self.drop(2.0, 4.0, 1.0, 0.5, d=1)
 
     def test_sup_metric(self):
-        assert norm_term_droppable(2.0, math.inf, 1.0, 0.25, d=1)
-        assert not norm_term_droppable(2.0, math.inf, 1.0, 0.5, d=1)
+        assert self.drop(2.0, math.inf, 1.0, 0.25, d=1)
+        assert not self.drop(2.0, math.inf, 1.0, 0.5, d=1)
+
+    def test_critical_small_drops_at_q_at_most_one(self):
+        # gamma = 1e-13 is within the tolerance of thr = 0, and above 0
+        r = eta_regime(0.25, 0.5, 1.0, 1e-13, d=1)
+        assert (r["tag"], r["drop"]) == ("critical-small", True)
+
+    def test_critical_whole_drops_from_gamma_one(self):
+        # thr = 1 at d = 2, q = 2: within the tolerance below 1 the term stays
+        r = eta_regime(0.25, 2.0, 1.0, 1 - 1e-13, d=2)
+        assert (r["tag"], r["drop"]) == ("critical-whole", False)
+        r = eta_regime(0.25, 2.0, 1.0, 1.0, d=2)
+        assert (r["tag"], r["drop"]) == ("critical-whole", True)
+
+    @pytest.mark.parametrize("p, q, gamma, d", [(0.25, 2.0, 1.5 - 1e-12, 3),
+                                                (4.0, math.inf, 0.25 - 1e-12, 1)])
+    def test_subcritical_keeps_the_term_within_the_tolerance(self, p, q, gamma, d):
+        # gamma = thr - 1e-12 (gap - 1e-12 for p > 1) rounds to subcritical,
+        # but does not clear the threshold by the tolerance
+        r = eta_regime(p, q, 1.0, gamma, d=d)
+        assert (r["tag"], r["drop"]) == ("subcritical", False)
 
 
 class TestQuadratures:
@@ -168,10 +192,10 @@ class TestQuadratures:
         expo = s - gamma - reg["pow"]
         d = np.array([0.05, 0.2])
         expected = (d ** (expo * q1) / (expo * q1)) ** (1.0 / q1)
-        got, tag, dropped = ulyanov_rhs(curve, d, 0.5, q1, 2.0, gamma, 1, fnorm=0.0, n_quad=600,
-                                        drop_norm=True)
+        # supercritical keeps the norm term, and fnorm = 0 keeps the oracle exact
+        got, tag, dropped = ulyanov_rhs(curve, d, 0.5, q1, 2.0, gamma, 1, fnorm=0.0, n_quad=600)
         assert tag == "supercritical"
-        assert dropped
+        assert not dropped
         assert got == pytest.approx(expected, rel=2e-2)
 
     def test_ulyanov_self_convergence(self):
