@@ -78,8 +78,10 @@ class ApproximationCurve:
     """Near-best errors over dyadic bands 2^0 .. 2^K, plus sigma = 0.
 
     values are made nonincreasing by a running minimum (the raw sequence
-    is retained); the zero-band error is the norm itself.  Frozen, with
-    read-only arrays: a cached curve is shared by every check on its entry.
+    is retained); the zero-band error is the norm itself.  ``witnesses``
+    holds the near-best approximant of each band sigmas[1:], which P14
+    reads; ``to_dict`` leaves them out.  Frozen, with read-only arrays: a
+    cached curve is shared by every check on its entry.
     """
 
     p_label: str
@@ -87,6 +89,7 @@ class ApproximationCurve:
     values: np.ndarray
     raw_values: np.ndarray
     metadata: dict = field(default_factory=dict)
+    witnesses: tuple = field(default=(), repr=False)
 
     def __post_init__(self):
         for name in ("sigmas", "values", "raw_values"):
@@ -126,14 +129,16 @@ def dyadic_bands(grid: TorusGrid, start: int, top: int, scale: float = 1.0) -> l
 
 
 def approx_curve(f: GridFunction, p, k_max: int = K_MAX) -> ApproximationCurve:
-    """Near-best errors at sigma = 0 (the norm) and at the bands
-    ``dyadic_bands(f.grid, 0, k_max)``: 2^0 .. 2^k_max, as far as the grid
-    holds them."""
+    """Near-best errors, with their witnesses, at sigma = 0 (the norm) and
+    at the bands ``dyadic_bands(f.grid, 0, k_max)``: 2^0 .. 2^k_max, as far
+    as the grid holds them."""
     p = Exponent.parse(p)
     sigmas = [0.0] + dyadic_bands(f.grid, 0, k_max)
-    raw_arr = np.asarray([quasi_norm(f, p)] + [near_best(f, s, p).error for s in sigmas[1:]])
+    bests = [near_best(f, s, p) for s in sigmas[1:]]
+    raw_arr = np.asarray([quasi_norm(f, p)] + [nb.error for nb in bests])
     repaired = np.minimum.accumulate(raw_arr)
-    return ApproximationCurve(p.label(), np.asarray(sigmas), repaired, raw_arr)
+    return ApproximationCurve(p.label(), np.asarray(sigmas), repaired, raw_arr,
+                              witnesses=tuple(nb.witness for nb in bests))
 
 
 def sup_directional(P: GridFunction, alpha, p) -> float:

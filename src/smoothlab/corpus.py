@@ -9,6 +9,8 @@ synthesized with ``spectral.synthesize``.
 
 ``DESK_1D`` and ``DESK_2D`` are the desk scales {N, L} of every entry
 without a period of its own; ``verify.DEFAULTS`` reads them.
+``grid_function`` builds a new realization on every call and caches
+nothing: ``verify.Workbench.fn`` keeps the one object a run shares.
 """
 
 from __future__ import annotations
@@ -201,8 +203,10 @@ def get_entry(name: str) -> CorpusEntry:
         ) from None
 
 
-def default_scale(entry: CorpusEntry) -> dict:
-    scale = dict(DESK_1D if entry.dimension == 1 else DESK_2D)
+def default_scale(entry: CorpusEntry, scale: dict | None = None) -> dict:
+    """``scale`` {N, L} (the desk scale of the entry's dimension when None),
+    with L pinned to the entry's own period if it has one."""
+    scale = dict(scale or (DESK_1D if entry.dimension == 1 else DESK_2D))
     if entry.period is not None:
         scale["L"] = entry.period
     return scale
@@ -222,30 +226,16 @@ def _build_spectral(entry: CorpusEntry, grid: TorusGrid) -> GridFunction:
     return synthesize(grid, coeffs)
 
 
-_GRIDFN_CACHE: dict = {}
-
-
 def grid_function(entry, N: int | None = None, L: float | None = None) -> GridFunction:
-    """Periodized grid realization of a corpus entry (cached)."""
+    """Periodized grid realization of a corpus entry; N and L default to
+    its ``default_scale``."""
     if isinstance(entry, str):
         entry = get_entry(entry)
     scale = default_scale(entry)
-    N = scale["N"] if N is None else N
-    # entries with an intrinsic period (single modes) are pinned to it
-    L = entry.period if entry.period is not None else float(
-        L if L is not None else scale["L"]
-    )
-    # the grid refuses a bad N or L before the cache can match it (1024.0 == 1024)
-    grid = TorusGrid(entry.dimension, N, L)
-    key = (entry.name, grid)
-    if key not in _GRIDFN_CACHE:
-        if entry.spectral_exact:
-            if entry.band_radius is not None and entry.band_radius > grid.nyquist:
-                raise ParameterError("grid cannot hold the declared band")
-            f = _build_spectral(entry, grid)
-        else:
-            f = periodize(entry, grid)
-        # threads that built the same key concurrently all get the object
-        # stored first, so its spectrum is computed once
-        _GRIDFN_CACHE.setdefault(key, f)
-    return _GRIDFN_CACHE[key]
+    grid = TorusGrid(entry.dimension, scale["N"] if N is None else N,
+                     float(scale["L"] if L is None else L))
+    if not entry.spectral_exact:
+        return periodize(entry, grid)
+    if entry.band_radius is not None and entry.band_radius > grid.nyquist:
+        raise ParameterError("grid cannot hold the declared band")
+    return _build_spectral(entry, grid)

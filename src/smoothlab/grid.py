@@ -206,9 +206,9 @@ def readonly_array(values, dtype) -> np.ndarray:
 class GridFunction:
     """Complex samples on a TorusGrid.
 
-    ``values`` is a read-only view: no caller of a shared function (the
-    corpus cache hands out one object per entry) can change the samples
-    under the spectrum that ``spectral.transform`` computes once, on first
+    ``values`` is a read-only view: no caller of a shared function (a
+    ``verify.Workbench`` hands out one object per entry) can change the
+    samples under the spectrum that ``spectral.transform`` computes once, on first
     use, and keeps in ``_spectrum``.  The samples go through
     ``readonly_array``: a writeable array is copied, a read-only one (the
     multiplier's fresh result) is kept.

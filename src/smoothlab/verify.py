@@ -50,8 +50,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import corpus as corpus_mod
-from .approx import (K_MAX, approx_curve, dyadic_bands, k_functional, near_best, realization,
-                     sup_directional)
+from .approx import approx_curve, dyadic_bands, k_functional, realization, sup_directional
 from .errors import HypothesisError, ParameterError, RegimeError
 from .grid import Exponent, GridFunction, SmoothnessOrder, TorusGrid, power, quasi_norm
 from .moduli import (
@@ -105,15 +104,23 @@ def _number(v) -> bool:
     return _integer(v) or (isinstance(v, float) and math.isfinite(v))
 
 
-#: the rule of each config value but ``threads``: (holds, what it must be)
+def _scale_rule(top: int) -> tuple:
+    """The rule of a grid scale whose N is at most ``top``."""
+    return (lambda v: isinstance(v, dict) and set(v) == {"N", "L"} and _integer(v["N"])
+            and 8 <= v["N"] <= top and v["N"] & (v["N"] - 1) == 0 and _number(v["L"])
+            and v["L"] > 0,
+            f'an object of exactly an "N" that is a power of 2 in [8, {top}]'
+            ' and a positive finite "L"')
+
+
+#: the rule of each config value but ``threads``: (holds, what it must be);
+#: counts stop at 4096 and grids at 2^20 points
 CONFIG_RULES = {
     "quick": (lambda v: isinstance(v, bool), "true or false"),
     **dict.fromkeys(("n_quad", "n_deltas_1d", "n_deltas_2d"),
-                    (lambda v: _integer(v) and v >= 2, "an integer >= 2")),
-    **dict.fromkeys(("scale_1d", "scale_2d"), (
-        lambda v: isinstance(v, dict) and set(v) == {"N", "L"} and _integer(v["N"])
-        and v["N"] >= 8 and v["N"] & (v["N"] - 1) == 0 and _number(v["L"]) and v["L"] > 0,
-        'an object of exactly an "N" that is a power of 2 >= 8 and a positive finite "L"')),
+                    (lambda v: _integer(v) and 2 <= v <= 4096, "an integer in [2, 4096]")),
+    "scale_1d": _scale_rule(2 ** 20),
+    "scale_2d": _scale_rule(2 ** 10),
 }
 
 
@@ -366,21 +373,12 @@ def log_integral(fn, a, b, n: int):
     return np.where(ok, trapezoid(fn(ts), np.log(ts), axis=-1), 0.0)[()]
 
 
-def marchaud_rhs(
-    curve: ModulusCurve,
-    delta,
-    alpha: float,
-    p,
-    fnorm: float,
-    n_quad: int = 96,
-    drop_norm: bool = False,
-):
+def marchaud_rhs(curve: ModulusCurve, delta, alpha: float, p, fnorm: float, n_quad: int = 96):
     """delta^a (int_delta^1 (w(t)/t^a)^th dt/t + ||f||^th)^(1/th), th = min(p,2),
     elementwise over an array of deltas (or at one delta)."""
     th = Exponent.parse(p).theta
     integral = log_integral(lambda t: (curve.interp(t) / t ** alpha) ** th, delta, 1.0, n_quad)
-    extra = 0.0 if drop_norm else fnorm ** th
-    return delta ** alpha * (integral + extra) ** (1.0 / th)
+    return delta ** alpha * (integral + fnorm ** th) ** (1.0 / th)
 
 
 def ulyanov_rhs(
@@ -415,7 +413,7 @@ def ulyanov_rhs(
 
 
 # ---------------------------------------------------------------------------
-# workbench: cached grid functions, curves and approximants
+# workbench: the one cache of a run
 # ---------------------------------------------------------------------------
 
 
@@ -443,7 +441,8 @@ def _dilate_poly(base: GridFunction, factor: int) -> GridFunction:
 
 
 class Workbench:
-    """Caches every expensive object for one configuration."""
+    """Caches every expensive object for one configuration: the grid
+    functions, curves and approximation curves that checks share."""
 
     def __init__(self, config: dict | None = None):
         self.cfg = config if config is not None else make_config()
@@ -476,13 +475,15 @@ class Workbench:
         sc = self.setting("scale", dimension)
         return TorusGrid(dimension, sc["N"], sc["L"])
 
-    def scale(self, entry) -> dict:
-        e = corpus_mod.get_entry(entry) if isinstance(entry, str) else entry
-        return self.setting("scale", e.dimension)
-
     def fn(self, name: str) -> GridFunction:
-        sc = self.scale(name)
-        return corpus_mod.grid_function(name, N=sc["N"], L=sc["L"])
+        """The corpus entry ``name`` at the configured scale of its dimension."""
+
+        def build():
+            e = corpus_mod.get_entry(name)
+            scale = corpus_mod.default_scale(e, self.setting("scale", e.dimension))
+            return corpus_mod.grid_function(e, scale["N"], scale["L"])
+
+        return self._get(("fn", name), build)
 
     def derived_fn(self, name: str, multi: tuple) -> GridFunction:
         """Whole-order derivative D^multi of a corpus entry."""
@@ -528,11 +529,6 @@ class Workbench:
     def acurve(self, name: str, p):
         plabel = Exponent.parse(p).label()
         return self._get(("acurve", name, plabel), lambda: approx_curve(self.fn(name), p))
-
-    def nearbest(self, name: str, sigma: float, p):
-        plabel = Exponent.parse(p).label()
-        key = ("nb", name, round(sigma, 12), plabel)
-        return self._get(key, lambda: near_best(self.fn(name), sigma, p))
 
     def poly(self, dimension: int, sigma: float, seed: int) -> GridFunction:
         grid = self.grid(dimension)
@@ -661,7 +657,9 @@ def _parse(spec: dict, params: dict) -> SimpleNamespace:
 
 
 def _run(rows: tuple, wb, params: dict) -> InequalityReport:
-    """Parse, gate, compute and assemble one check of the table."""
+    """Parse, gate, compute and assemble one check of the table; a given
+    parameter that the row neither declares nor reads as its variant key
+    is refused after the gates (P1d refuses everything as a hypothesis)."""
     row, echo = rows[0], dict(params)
     if row.variant:
         key, value = row.variant[0], params.get(row.variant[0], row.variant[1])
@@ -682,6 +680,9 @@ def _run(rows: tuple, wb, params: dict) -> InequalityReport:
     for gate in row.gates:
         if not gate.holds(wb, a):
             raise gate.error(f"{label} needs {gate.text}")
+    undeclared = [k for k in params if k not in row.params and k not in row.variant[:1]]
+    if undeclared:
+        raise ParameterError(f"{row.pid} takes no parameter {', '.join(map(repr, undeclared))}")
     # a side beyond the double range is inf (or nan): the row fails
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         s = row.body(wb, a)
@@ -777,8 +778,7 @@ def _p6(wb, a):
 def _p7(wb, a):
     c = wb.curve(a.entry, a.alpha, a.p)
     big = wb.ext_curve(a.entry, a.alpha + a.gamma, a.p)
-    rhs = marchaud_rhs(big, c.deltas, a.alpha, a.p, wb.norm(a.entry, a.p), wb.cfg["n_quad"],
-                       drop_norm=a.drop_norm)
+    rhs = marchaud_rhs(big, c.deltas, a.alpha, a.p, wb.norm(a.entry, a.p), wb.cfg["n_quad"])
     return Sides(c.deltas, c.values, rhs)
 
 
@@ -897,10 +897,10 @@ def _p13(wb, a):
 
 
 def _p14(wb, a):
-    # the bands 2^0 .. 2^k_top of the approximation curve, as far as the grid holds them
-    bands = dyadic_bands(wb.fn(a.entry).grid, 0, K_MAX)
-    k_top = len(bands) - 1
-    sup_d = [sup_directional(wb.nearbest(a.entry, s, a.p).witness, a.alpha, a.p) for s in bands]
+    # the near-best approximants at the bands 2^0 .. 2^k_top of the approximation curve
+    witnesses = wb.acurve(a.entry, a.p).witnesses
+    k_top = len(witnesses) - 1
+    sup_d = [sup_directional(w, a.alpha, a.p) for w in witnesses]
     ns = list(range(0, k_top))
     deltas = [2.0 ** (-n) for n in ns]
     om = [wb.point_modulus(a.entry, d, a.alpha, a.p) for d in deltas]
@@ -1069,7 +1069,7 @@ TABLE = (
           opts={"exact_tol": 1e-6, "check_slope": False}),
     Check("P6", _p6, P6_PARAMS, (AVERAGED,), ("form", "outer"), mode="band"),
     Check("P6", _p6, P6_PARAMS, (AVERAGED, Q_BELOW_P), ("form", "inner"), mode="band"),
-    Check("P7", _p7, {**EAP, "gamma": float, "drop_norm": (bool, False)},
+    Check("P7", _p7, {**EAP, "gamma": float},
           (Gate(lambda wb, a: not a.gamma <= 0, "gamma > 0"), admissible("alpha", "alpha+gamma"))),
     Check("P8", _p8_pointwise, {**EAP, "beta": float}, (admissible("alpha", "beta"),),
           ("form", "pointwise"), mode=lambda a: "exact" if a.p.p == 2.0 else "upper",

@@ -12,12 +12,12 @@ from smoothlab.approx import (
     realization,
     sup_directional,
 )
-import smoothlab.corpus
+import smoothlab.approx
 from smoothlab.corpus import grid_function
 from smoothlab.errors import ParameterError
 from smoothlab.grid import GridFunction, quasi_norm
 from smoothlab.spectral import frequency_magnitude, transform
-from smoothlab.verify import run_check
+from smoothlab.verify import Workbench, make_config, run_check, verify_all
 
 
 @pytest.fixture(scope="module")
@@ -97,13 +97,47 @@ class TestOneTransform:
         k_functional(fresh(gaussian), delta, 1.0, 2.0)
         assert len(count_transforms) == 2 + bands + len(K_SCALES)
 
-    def test_realization_check_transforms_its_entry_once(self, monkeypatch, count_transforms):
-        # a fresh corpus cache, so the entry has no spectrum from other tests;
-        # the curve, every near-best scale and every realization share it
-        monkeypatch.setattr(smoothlab.corpus, "_GRIDFN_CACHE", {})
-        run_check("P17", {"entry": "gaussian", "alpha": 1.0, "p": 2.0}, config={"quick": True})
-        f = grid_function("gaussian", N=256, L=20.0)
+    def test_realization_check_transforms_its_entry_once(self, count_transforms):
+        # the curve, every near-best scale and every realization share the
+        # one spectrum of the Workbench's entry
+        wb = Workbench(make_config({"quick": True}))
+        run_check("P17", {"entry": "gaussian", "alpha": 1.0, "p": 2.0}, workbench=wb)
+        f = wb.fn("gaussian")
         assert sum(a is f.values for a in count_transforms) == 1
+
+    def test_a_second_run_transforms_as_much_as_the_first(self, count_transforms):
+        # no cache outlives a run, so a run's FFT work does not depend on
+        # what an earlier run in the same process left behind: each run
+        # transforms its own entry once
+        samples = grid_function("gaussian", N=256, L=20.0).values
+        runs = []
+        for _ in range(2):
+            start = len(count_transforms)
+            verify_all({"quick": True})
+            runs.append(count_transforms[start:])
+        assert len(runs[0]) == len(runs[1])
+        assert [sum(np.array_equal(a, samples) for a in run) for run in runs] == [1, 1]
+
+
+class TestOneNearBestPerBand:
+    def test_jackson_and_chain_checks_share_the_witnesses(self, monkeypatch):
+        # P14 reads the witnesses of the curve that P12 built, so each band
+        # is approximated once: 6 bands on the quick grid, 12 once P14
+        # approximated them again
+        calls, real = [], smoothlab.approx.band_windows
+
+        def counted(grid, sigma):
+            calls.append(sigma)
+            return real(grid, sigma)
+
+        monkeypatch.setattr(smoothlab.approx, "band_windows", counted)
+        wb = Workbench(make_config({"quick": True}))
+        params = {"entry": "gaussian", "alpha": 1.0, "p": 2.0}
+        run_check("P12", params, workbench=wb)
+        for side in ("lower", "upper"):
+            run_check("P14", {**params, "side": side}, workbench=wb)
+        assert sorted(calls) == dyadic_bands(wb.fn("gaussian").grid, 0, 6)
+        assert len(calls) == 6
 
 
 class TestApproxCurve:
@@ -125,6 +159,15 @@ class TestApproxCurve:
         v3 = ac.value_at(3.0)
         assert v3 == ac.value_at(2.0)
         assert ac.value_at(4.0) <= v3
+
+    @pytest.mark.parametrize("p", [0.5, 2.0, "inf"])
+    def test_witnesses_are_the_near_best_approximants(self, gaussian, p):
+        ac = approx_curve(gaussian, p, k_max=4)
+        assert len(ac.witnesses) == len(ac.sigmas) - 1
+        for sigma, err, w in zip(ac.sigmas[1:], ac.raw_values[1:], ac.witnesses):
+            assert quasi_norm(gaussian - w, p) == err
+            assert np.array_equal(w.values, near_best(gaussian, sigma, p).witness.values)
+        assert "witnesses" not in ac.to_dict()
 
 
 class TestRealizationAndK:

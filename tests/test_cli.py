@@ -219,6 +219,7 @@ P7_ARGV = ("verify", "P7", "--entry", "gaussian", "--alpha", "1", "--gamma", "1"
            "--quick")
 P12_ARGV = ("verify", "P12", "--entry", "gaussian", "--alpha", "2", "--p", "2", "--quick")
 P1A_ARGV = ("verify", "P1a", "--entry", "gaussian", "--alpha", "1", "--p", "2", "--quick")
+MODULUS_ARGV = ("modulus", "gaussian", "--alpha", "1", "--delta", "0.5")
 #: grids whose band pi N/L is 0.63 (1-D) or 1.26 (2-D), 2.51, which holds
 #: one of BERN's dilations, and 10.05, which holds the bands 1 to 8
 COARSE_1D = {"scale_1d": {"N": 8, "L": 40}}
@@ -303,6 +304,11 @@ class TestBadInputExitsTwo:
         msg = self.run_bad(capsys, caplog, "corpus", "--output", str(target))
         assert "--output" in msg
 
+    def test_a_parameter_the_check_does_not_take(self, capsys, caplog):
+        # P1a reads neither; they were once echoed into a passing report
+        msg = self.run_bad(capsys, caplog, *P1A_ARGV, "--gamma", "5", "--q", "4")
+        assert "'gamma'" in msg and "'q'" in msg
+
     @pytest.mark.parametrize("count", ["0", "-3"])
     def test_thread_flag_below_one(self, capsys, caplog, count):
         msg = self.run_bad(capsys, caplog, "verify-all", "--quick", "--threads", count)
@@ -333,6 +339,10 @@ class TestBadInputExitsTwo:
         (("verify-all", "--quick"), '{"slope_tol": "x"}', "slope_tol"),
         (P1A_ARGV, '{"scale_1d": {"N": 3, "L": 20}}', "scale_1d"),
         (P1A_ARGV, '{"scale_1d": {"N": 12, "L": 20}}', "scale_1d"),
+        # sizes numpy cannot allocate once died with a MemoryError traceback
+        (P7_ARGV, '{"n_quad": 1000000000000}', "n_quad"),
+        (P7_ARGV, '{"n_deltas_1d": 1000000000000}', "n_deltas_1d"),
+        (MODULUS_ARGV, '{"scale_1d": {"N": 1099511627776, "L": 40}}', "scale_1d"),
     ])
     def test_mistyped_config_values(self, capsys, caplog, tmp_path, argv, content, key):
         # each once printed a traceback and exited 1, gave a false verdict,

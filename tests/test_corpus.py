@@ -1,16 +1,16 @@
 import dataclasses
 import math
-import threading
-import time
 
 import numpy as np
 import pytest
 
-import smoothlab.corpus
 from smoothlab.corpus import corpus_list, default_scale, get_entry, grid_function
 from smoothlab.errors import ParameterError
 from smoothlab.grid import quasi_norm
 from smoothlab.spectral import transform, frequency_magnitude
+from smoothlab.verify import Workbench, make_config
+
+QUICK = make_config({"quick": True})
 
 
 def spectral_tail_fraction(f):
@@ -97,40 +97,18 @@ class TestGridFunctions:
     @pytest.mark.parametrize("N", [0, 512.9, 1024.0])
     def test_refuses_a_size_that_is_not_a_grid_size(self, N):
         # N = 0 once gave the desk grid, 512.9 was cut to 512, and 1024.0
-        # matched the cached desk grid
-        grid_function("gaussian")
+        # once matched a cached desk grid
         with pytest.raises(ParameterError, match="points_per_axis"):
             grid_function("gaussian", N=N)
 
-    def test_cache_returns_same_object(self):
-        a = grid_function("gaussian", N=256, L=40.0)
-        b = grid_function("gaussian", N=256, L=40.0)
-        assert a is b
+    def test_workbench_returns_one_object_per_entry(self):
+        wb = Workbench(QUICK)
+        assert wb.fn("gaussian") is wb.fn("gaussian")
 
-    def test_concurrent_builds_return_one_object(self, monkeypatch):
-        # two threads miss the cache together; the one that stores last
-        # must still get the object stored first, or each pays its own FFT
-        monkeypatch.setattr(smoothlab.corpus, "_GRIDFN_CACHE", {})
-        barrier, real = threading.Barrier(2, timeout=10), smoothlab.corpus.periodize
-
-        def meeting(entry, grid):
-            if barrier.wait() == 0:
-                time.sleep(0.05)
-            return real(entry, grid)
-
-        monkeypatch.setattr(smoothlab.corpus, "periodize", meeting)
-        results = [None, None]
-
-        def build(i):
-            results[i] = grid_function("gaussian", N=64, L=20.0)
-
-        threads = [threading.Thread(target=build, args=(i,)) for i in range(2)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=10)
-        assert not any(t.is_alive() for t in threads)
-        assert results[0] is not None and results[0] is results[1]
+    def test_workbenches_share_no_grid_function(self):
+        # the Workbench is the one cache: no module cache carries a grid
+        # function, or its spectrum, from one run to the next
+        assert Workbench(QUICK).fn("gaussian") is not Workbench(QUICK).fn("gaussian")
 
     @pytest.mark.parametrize("entry", [e.name for e in corpus_list() if e.fourier is not None])
     def test_spectrum_matches_the_closed_form(self, entry):
@@ -146,20 +124,26 @@ class TestGridFunctions:
 
     @pytest.mark.parametrize("entry", ["gaussian", "planewave", "gaussian2d"])
     def test_cached_values_are_read_only(self, entry):
-        n = 256 if get_entry(entry).dimension == 1 else 64
-        f = grid_function(entry, N=n)
+        wb = Workbench(QUICK)
+        f = wb.fn(entry)
         with pytest.raises(ValueError):
             f.values[0] = 0.0
         with pytest.raises(ValueError):
             f.values *= 2.0
         with pytest.raises(dataclasses.FrozenInstanceError):
             f.values = np.zeros(f.grid.shape)
-        assert grid_function(entry, N=n) is f and np.all(f.values != 0.0)
+        assert wb.fn(entry) is f and np.all(f.values != 0.0)
 
     def test_default_scale(self):
         sc1 = default_scale(get_entry("gaussian"))
         sc2 = default_scale(get_entry("gaussian2d"))
         assert sc1["N"] == 1024 and sc2["N"] == 256
+
+    def test_default_scale_pins_the_period(self):
+        # an entry with a period of its own keeps it at any configured scale
+        wave = get_entry("planewave")
+        assert default_scale(wave, {"N": 256, "L": 20.0}) == {"N": 256, "L": 2.0 * math.pi}
+        assert Workbench(QUICK).fn("planewave").grid.period == 2.0 * math.pi
 
     def test_cusp_entries_have_matching_sharpness(self):
         # modulus slope of |x|^beta * bump in L_2 is beta + 1/2 (energy of

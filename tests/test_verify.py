@@ -258,6 +258,20 @@ class TestGating:
         with pytest.raises(HypothesisError):
             run_check("P4", {"entry": "gaussian", "r": 1, "p": 0.5}, workbench=wb)
 
+    @pytest.mark.parametrize("pid, params, names", [
+        ("P7", {"entry": "gaussian", "alpha": 1, "gamma": 1, "p": 2, "drop_norm": True},
+         ["drop_norm"]),
+        ("P1a", {"entry": "gaussian", "alpha": 1, "p": 2, "gamma": 5, "q": 4}, ["gamma", "q"]),
+        ("P12", {"entry": "gaussian", "alpha": 1, "p": 2, "side": "lower"}, ["side"]),
+        ("HLN1", {"alpha": 1, "p": 0.5, "q": 2, "gamma": 0.5}, ["gamma"]),
+    ])
+    def test_undeclared_parameters_are_refused(self, wb, pid, params, names):
+        # a key the row does not read (P12's variant key is "form", HLN1
+        # derives gamma) is refused by name, not echoed into the report
+        with pytest.raises(ParameterError) as err:
+            run_check(pid, params, workbench=wb)
+        assert all(repr(n) in str(err.value) for n in names)
+
     def test_unknown_property(self, wb):
         with pytest.raises(ParameterError):
             run_check("P99", {}, workbench=wb)
@@ -497,6 +511,19 @@ class TestConfig:
     def test_quick_matrix_passes_at_the_least_counts(self):
         least = {"n_quad": 2, "n_deltas_1d": 2, "n_deltas_2d": 2}
         assert verify_all({"quick": True, **least})["summary"]["all_pass"]
+
+    @pytest.mark.parametrize("key, last, past, bound", [
+        ("n_quad", 4096, 4097, "4096"),
+        ("n_deltas_1d", 4096, 4097, "4096"),
+        ("n_deltas_2d", 4096, 4097, "4096"),
+        ("scale_1d", {"N": 2 ** 20, "L": 40.0}, {"N": 2 ** 21, "L": 40.0}, "1048576"),
+        ("scale_2d", {"N": 2 ** 10, "L": 20.0}, {"N": 2 ** 11, "L": 20.0}, "1024"),
+    ])
+    def test_sizes_stop_at_their_bound(self, key, last, past, bound):
+        # only the config is built here, no grid or quadrature of these sizes
+        assert make_config({key: last})[key] == last
+        with pytest.raises(ParameterError, match=f"config '{key}' must be .*{bound}"):
+            make_config({key: past})
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ParameterError, match="thread"):
