@@ -22,7 +22,6 @@ from .moduli import modulus, modulus_curve
 from .verify import (
     Workbench,
     canonical_json,
-    make_config,
     report_rows,
     run_check,
     verify_all,
@@ -51,10 +50,14 @@ VERIFY_FLAGS = {
 }
 
 
-def _add_common(sp):
-    sp.add_argument("--config", help="JSON file with option overrides (flags win)")
+def _add_output(sp):
     sp.add_argument("--output", help="write the report here instead of stdout")
     sp.add_argument("--format", choices=["json", "csv"], default="json")
+
+
+def _add_common(sp):
+    sp.add_argument("--config", help="JSON file with option overrides (flags win)")
+    _add_output(sp)
     sp.add_argument("--quick", action="store_true", help="small grids, d=1 only")
 
 
@@ -96,11 +99,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--threads", type=int, default=None, help="worker threads for the matrix")
 
     sp = sub.add_parser("corpus", help="list the built-in test functions")
-    _add_common(sp)
+    _add_output(sp)
     return ap
 
 
 def _load_config(args) -> dict:
+    """The config overrides of the flags and ``--config``; the Workbench
+    checks them."""
     overrides = {}
     if getattr(args, "config", None):
         try:
@@ -171,7 +176,7 @@ def main(argv=None) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(message)s")
     args = build_parser().parse_args(argv)
     try:
-        cfg = make_config(_load_config(args))
+        cfg = _load_config(args)
         if args.command == "modulus":
             wb = Workbench(cfg)
             f = wb.fn(args.entry)

@@ -52,7 +52,6 @@ class CorpusEntry:
     spectral_exact: bool = False
     m_tail: int = 1
     tail_fn: object = None  # callable(L) -> relative outside mass bound
-    smooth: bool = False
     period: float | None = None  # override of the desk-scale period
 
     def tail_bound(self, L: float) -> float:
@@ -83,7 +82,6 @@ def _make_entries():
             fourier=lambda w: math.sqrt(math.pi) * np.exp(-np.asarray(w) ** 2 / 4.0),
             description="Gaussian exp(-x^2)",
             tail_fn=_gauss_tail,
-            smooth=True,
         )
     )
     entries.append(
@@ -95,7 +93,6 @@ def _make_entries():
             * np.exp(-((np.asarray(w) - 3.0) ** 2) / 4.0),
             description="plane-wave modulated Gaussian exp(3ix - x^2)",
             tail_fn=_gauss_tail,
-            smooth=True,
         )
     )
     entries.append(
@@ -108,7 +105,6 @@ def _make_entries():
             description="squared-sinc kernel dilate, band radius 4",
             band_radius=4.0,
             spectral_exact=True,
-            smooth=True,
         )
     )
     entries.append(
@@ -119,7 +115,6 @@ def _make_entries():
             description="C^inf bump supported on [-1, 1]",
             tail_fn=_support_tail(1.0),
             m_tail=1,
-            smooth=True,
         )
     )
     for beta in (0.3, 0.5, 1.5):
@@ -144,7 +139,6 @@ def _make_entries():
             band_radius=1.0,
             m_tail=0,
             period=2.0 * math.pi,
-            smooth=True,
         )
     )
     entries.append(
@@ -156,7 +150,6 @@ def _make_entries():
             * np.exp(-(np.asarray(w1) ** 2 + np.asarray(w2) ** 2) / 4.0),
             description="radial Gaussian exp(-|x|^2)",
             tail_fn=_gauss_tail,
-            smooth=True,
         )
     )
     entries.append(
@@ -166,7 +159,6 @@ def _make_entries():
             evaluate=lambda c: _bump(c[0]) * _bump(c[1]),
             description="tensor C^inf bump",
             tail_fn=_support_tail(1.0),
-            smooth=True,
         )
     )
     entries.append(
@@ -180,7 +172,6 @@ def _make_entries():
             description="tensor squared-sinc dilate, band radius 4*sqrt(2)",
             band_radius=4.0 * math.sqrt(2.0),
             spectral_exact=True,
-            smooth=True,
         )
     )
     return tuple(entries)

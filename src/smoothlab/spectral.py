@@ -192,6 +192,8 @@ def multi_indices(dimension: int, order: int) -> list:
 def derivative_symbol(grid: TorusGrid, multi: tuple) -> np.ndarray:
     """Symbol prod_j (i w_j)^k_j of the whole-order derivative D^multi,
     a broadcast product of its per-axis factors."""
+    if power(grid.nyquist, sum(multi)) == math.inf:
+        raise ParameterError(f"order {sum(multi)} too large: |w|^order overflows")
     return reduce(np.multiply, [(1j * w) ** k for w, k in zip(grid.frequencies(), multi)])
 
 

@@ -40,7 +40,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-import os
 import threading
 from collections.abc import Callable
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -80,7 +79,7 @@ from .spectral import (
 
 DEFAULTS = {
     "quick": False,
-    "threads": None,
+    "threads": 1,
     "n_quad": 96,
     "scale_1d": corpus_mod.DESK_1D,
     "scale_2d": corpus_mod.DESK_2D,
@@ -113,10 +112,11 @@ def _scale_rule(top: int) -> tuple:
             ' and a positive finite "L"')
 
 
-#: the rule of each config value but ``threads``: (holds, what it must be);
-#: counts stop at 4096 and grids at 2^20 points
+#: the rule of each config value: (holds, what it must be); counts stop at
+#: 4096 and grids at 2^20 points
 CONFIG_RULES = {
     "quick": (lambda v: isinstance(v, bool), "true or false"),
+    "threads": (lambda v: _integer(v) and v >= 1, "an integer >= 1"),
     **dict.fromkeys(("n_quad", "n_deltas_1d", "n_deltas_2d"),
                     (lambda v: _integer(v) and 2 <= v <= 4096, "an integer in [2, 4096]")),
     "scale_1d": _scale_rule(2 ** 20),
@@ -125,18 +125,16 @@ CONFIG_RULES = {
 
 
 def make_config(overrides: dict | None = None) -> dict:
-    """DEFAULTS with ``overrides`` applied; an unknown key, a set ``threads``
-    that is not an integer >= 1, and a value that breaks its CONFIG_RULES
-    entry raise ParameterError."""
+    """DEFAULTS with ``overrides`` applied; an unknown key and a value that
+    breaks its CONFIG_RULES entry raise ParameterError. A config it made
+    comes back unchanged."""
     cfg = json.loads(json.dumps(DEFAULTS))  # deep copy
     if overrides:
         unknown = [k for k in overrides if k not in DEFAULTS]
         if unknown:
             raise ParameterError(f"unknown config keys: {', '.join(map(repr, unknown))}")
-        if overrides.get("threads") is not None:
-            _thread_count(overrides["threads"], "threads")
         for k, v in overrides.items():
-            if k in CONFIG_RULES and not CONFIG_RULES[k][0](v):
+            if not CONFIG_RULES[k][0](v):
                 raise ParameterError(f"config {k!r} must be {CONFIG_RULES[k][1]}, got {v!r}")
         if overrides.get("quick"):
             cfg.update(json.loads(json.dumps(QUICK_OVERRIDES)))
@@ -442,10 +440,11 @@ def _dilate_poly(base: GridFunction, factor: int) -> GridFunction:
 
 class Workbench:
     """Caches every expensive object for one configuration: the grid
-    functions, curves and approximation curves that checks share."""
+    functions, curves and approximation curves that checks share.
+    ``config`` holds overrides of DEFAULTS, checked by ``make_config``."""
 
     def __init__(self, config: dict | None = None):
-        self.cfg = config if config is not None else make_config()
+        self.cfg = make_config(config)
         self._lock = threading.Lock()
         self._cache: dict = {}
 
@@ -1137,7 +1136,7 @@ def run_check(property_id: str, params: dict, config: dict | None = None,
               workbench: Workbench | None = None) -> InequalityReport:
     if property_id not in CHECKS:
         raise ParameterError(f"unknown property '{property_id}'")
-    wb = workbench if workbench is not None else Workbench(make_config(config))
+    wb = workbench if workbench is not None else Workbench(config)
     return CHECKS[property_id](wb, dict(params))
 
 
@@ -1205,45 +1204,17 @@ def default_matrix(cfg: dict) -> list:
     return [(pid, dict(params)) for pid, params, quick in MATRIX if quick or not cfg["quick"]]
 
 
-def _thread_count(value, source: str) -> int:
-    """A worker count: an integer >= 1, or its decimal text."""
-    count = None
-    if isinstance(value, (int, str)) and not isinstance(value, bool):
-        try:
-            count = int(value)
-        except ValueError:
-            pass
-    if count is None or count < 1:
-        raise ParameterError(f"{source} must be an integer >= 1, got {value!r}")
-    return count
-
-
-def resolve_threads(cfg: dict) -> int:
-    value, source = cfg.get("threads"), "threads"
-    if value is None:
-        value, source = os.environ.get("SMOOTHLAB_THREADS"), "SMOOTHLAB_THREADS"
-        if not value:
-            return 1
-    return _thread_count(value, source)
-
-
 def verify_all(config: dict | None = None) -> dict:
-    """Run the whole matrix; the report list is ordered like the matrix and
-    is bitwise independent of the worker count."""
-    cfg = make_config(config)
-    wb = Workbench(cfg)
-    matrix = default_matrix(cfg)
-    n_threads = resolve_threads(cfg)
+    """Run the whole matrix on ``threads`` workers; the report list is
+    ordered like the matrix and is bitwise independent of the worker count."""
+    wb = Workbench(config)
 
     def job(row):
         pid, params = row
         return run_check(pid, params, workbench=wb)
 
-    if n_threads == 1:
-        reports = [job(row) for row in matrix]
-    else:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            reports = list(pool.map(job, matrix))
+    with ThreadPoolExecutor(max_workers=wb.cfg["threads"]) as pool:
+        reports = list(pool.map(job, default_matrix(wb.cfg)))
     n_fail = sum(1 for r in reports if r.verdict == "fail")
     return {
         "reports": [r.to_dict() for r in reports],

@@ -230,14 +230,14 @@ BAND_8 = {"scale_1d": {"N": 64, "L": 20}}
 
 @pytest.mark.parametrize("argv", [
     ("corpus",),
-    ("modulus", "gaussian", "--alpha", "1", "--delta", "0.1"),
-    ("curve", "gaussian", "--alpha", "1"),
-    ("approx", "gaussian"),
+    ("modulus", "gaussian", "--alpha", "1", "--delta", "0.1", "--quick"),
+    ("curve", "gaussian", "--alpha", "1", "--quick"),
+    ("approx", "gaussian", "--quick"),
     P1A_ARGV,
-    ("verify-all",),
+    ("verify-all", "--quick"),
 ])
 def test_csv_has_a_header_and_rows(capsys, argv):
-    code, out = run(capsys, *argv, "--quick", "--format", "csv")
+    code, out = run(capsys, *argv, "--format", "csv")
     assert code == 0
     header, *rows = list(csv.reader(io.StringIO(out)))
     assert rows and all(len(row) == len(header) for row in rows)
@@ -280,11 +280,6 @@ class TestBadInputExitsTwo:
         cfg.write_text("[1, 2]")
         self.run_bad(capsys, caplog, "verify-all", "--quick", "--config", str(cfg))
 
-    def test_non_integer_thread_env(self, capsys, caplog, monkeypatch):
-        monkeypatch.setenv("SMOOTHLAB_THREADS", "abc")
-        msg = self.run_bad(capsys, caplog, "verify-all", "--quick")
-        assert "SMOOTHLAB_THREADS" in msg
-
     def test_non_numeric_exponent(self, capsys, caplog):
         msg = self.run_bad(
             capsys, caplog, "modulus", "gaussian", "--alpha", "1", "--delta", "0.5",
@@ -314,7 +309,8 @@ class TestBadInputExitsTwo:
         msg = self.run_bad(capsys, caplog, "verify-all", "--quick", "--threads", count)
         assert "threads" in msg
 
-    @pytest.mark.parametrize("content", [{"threads": 0}, {"threads": 2.5}, {"thread": 4}])
+    @pytest.mark.parametrize("content", [{"threads": 0}, {"threads": 2.5}, {"thread": 4},
+                                         {"threads": "3"}, {"threads": None}])
     def test_bad_config_values(self, capsys, caplog, tmp_path, content):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(content))
@@ -404,6 +400,16 @@ class TestBadInputExitsTwo:
         assert "unrecognized arguments: --threads 2" in captured.err
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("flags", [("--quick",), ("--config", "cfg.json")])
+    def test_corpus_takes_only_the_output_flags(self, capsys, flags):
+        # neither changes the corpus listing; argparse refuses both
+        with pytest.raises(SystemExit) as exc:
+            main(["corpus", *flags])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert f"unrecognized arguments: {' '.join(flags)}" in captured.err
+
     @pytest.mark.parametrize("argv", [
         ("P11", "--entry", "gaussian", "--r", "1.7", "--m", "1", "--p", "2"),
         ("P4", "--entry", "gaussian", "--r", "inf", "--p", "2"),
@@ -412,10 +418,14 @@ class TestBadInputExitsTwo:
         msg = self.run_bad(capsys, caplog, "verify", *argv, "--quick")
         assert "'r' must be a whole number" in msg
 
-    def test_thread_env_below_one(self, capsys, caplog, monkeypatch):
-        monkeypatch.setenv("SMOOTHLAB_THREADS", "0")
-        msg = self.run_bad(capsys, caplog, "verify-all", "--quick")
-        assert "SMOOTHLAB_THREADS" in msg
+    @pytest.mark.parametrize("argv", [
+        ("P4", "--entry", "gaussian", "--r", "200", "--p", "2"),
+        ("P11", "--entry", "gaussian", "--r", "1", "--m", "200", "--p", "2"),
+    ])
+    def test_derivative_order_past_the_double_range(self, capsys, caplog, argv):
+        # |w|^200 is beyond the double range on the quick grid, where |w| <= 40.2
+        msg = self.run_bad(capsys, caplog, "verify", *argv, "--quick")
+        assert "order 200 too large" in msg
 
     @pytest.mark.parametrize("sigma", ["0.1", "0", "1e-300", "1e300"])
     def test_polynomial_band_outside_grid(self, capsys, caplog, sigma):

@@ -30,11 +30,10 @@ class TestCatalogue:
         names = {e.name for e in entries}
         assert len(names) == len(entries)
 
-    def test_mix_of_dimensions_and_regularity(self):
+    def test_mix_of_dimensions(self):
         entries = corpus_list()
+        assert any(e.dimension == 1 for e in entries)
         assert any(e.dimension == 2 for e in entries)
-        assert any(e.smooth for e in entries)
-        assert any(not e.smooth for e in entries)
 
     def test_unknown_entry(self):
         with pytest.raises(ParameterError):

@@ -22,7 +22,6 @@ from smoothlab.verify import (
     log_integral,
     make_config,
     marchaud_rhs,
-    resolve_threads,
     run_check,
     ulyanov_rhs,
     verify_all,
@@ -539,22 +538,23 @@ class TestConfig:
         with pytest.raises(ParameterError, match=f"unknown config keys: '{key}'"):
             make_config({key: 1})
 
-    @pytest.mark.parametrize("bad", [0, -3, 2.5, True, "two"])
+    @pytest.mark.parametrize("bad", [0, -3, 2.5, True, "two", "3", None])
     def test_thread_count_must_be_positive_integer(self, bad):
-        with pytest.raises(ParameterError, match="threads"):
+        with pytest.raises(ParameterError, match="config 'threads' must be an integer >= 1"):
             make_config({"threads": bad})
-        with pytest.raises(ParameterError, match="threads"):
-            resolve_threads({"threads": bad})
 
-    def test_thread_env(self, monkeypatch):
-        monkeypatch.setenv("SMOOTHLAB_THREADS", "3")
-        assert resolve_threads(make_config()) == 3
-        assert resolve_threads(make_config({"threads": 2})) == 2
-        monkeypatch.setenv("SMOOTHLAB_THREADS", "0")
-        with pytest.raises(ParameterError, match="SMOOTHLAB_THREADS"):
-            resolve_threads(make_config())
-        monkeypatch.delenv("SMOOTHLAB_THREADS")
-        assert resolve_threads(make_config()) == 1
+    def test_threads_default_to_one(self):
+        assert make_config()["threads"] == 1
+
+    def test_workbench_fills_in_the_defaults(self):
+        wb = Workbench({"quick": True})
+        assert wb.cfg == make_config({"quick": True})
+        params = {"entry": "gaussian", "alpha": 1.0, "p": 2.0}
+        assert run_check("P1a", params, workbench=wb).verdict == "pass"
+
+    def test_workbench_checks_its_config(self):
+        with pytest.raises(ParameterError, match="config 'n_quad'"):
+            Workbench({"n_quad": -5})
 
 
 class TestWorkbenchCache:
