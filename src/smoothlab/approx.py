@@ -145,8 +145,8 @@ def sup_directional(P: GridFunction, alpha, p) -> float:
     """max over the shared direction design of ||D_zeta^alpha P||_p."""
     order = alpha if isinstance(alpha, SmoothnessOrder) else SmoothnessOrder(alpha)
     p = Exponent.parse(p)
-    return sup_norm(P, direction_design(P.grid.dimension),
-                    lambda zeta: directional_symbol(P.grid, zeta, order), p)
+    return sup_norm(P, [zeta.vector for zeta in direction_design(P.grid.dimension)],
+                    lambda v: directional_symbol(P.grid, v, order), p)
 
 
 def realization(f: GridFunction, delta: float, alpha, p):

@@ -256,29 +256,39 @@ def power(base: float, exponent: float) -> float:
 
 
 def quasi_norm(f: GridFunction, p) -> float:
-    """L_p quasi-norm of the samples, 0 < p <= inf.
+    """L_p quasi-norm of the samples, 0 < p <= inf: ``quasi_norms`` of one
+    row."""
+    return quasi_norms(np.abs(f.values).reshape(1, -1), p, f.grid.cell_volume)[0]
+
+
+def quasi_norms(absvals: np.ndarray, p, cell_volume: float) -> list:
+    """The L_p quasi-norm, 0 < p <= inf, of each row of ``absvals``: a (k, n)
+    array of the moduli of k functions' samples on cells of ``cell_volume``.
 
     Finite p: (sum |f|^p * h^d)^(1/p) with h the grid spacing; p = inf is
     the max of |f|.  Summation relies on numpy's pairwise reduction over
-    a fixed memory order, so results are bit-stable run to run.  Where the
-    sum of |f|^p is not a positive normal float (every term underflowed,
-    or one overflowed), the norm is taken in the scaled form
+    a fixed memory order, so results are bit-stable run to run, and a row
+    of a block sums as the same samples alone would.  Where a row's sum of
+    |f|^p is not a positive normal float (every term underflowed, or one
+    overflowed), that row's norm is taken in the scaled form
     M (sum (|f|/M)^p * h^d)^(1/p), M = max |f|.  A norm beyond the
     double range is inf.
     """
     p = Exponent.parse(p)
-    absvals = np.abs(f.values)
     if p.is_inf:
-        return float(absvals.max())
+        return absvals.max(axis=1).tolist()
+    norms = []
     # numpy scalars throughout: an overflowing power is inf, not an error
     with np.errstate(over="ignore"):
-        s = np.sum(absvals ** p.p)
-        if not _NORMAL_MIN <= s < math.inf:
-            top = absvals.max()
-            if top > 0:
-                s = np.sum((absvals / top) ** p.p)
-                return float(top * (s * f.grid.cell_volume) ** (1.0 / p.p))
-        return float((s * f.grid.cell_volume) ** (1.0 / p.p))
+        for row, s in zip(absvals, np.sum(absvals ** p.p, axis=1)):
+            if not _NORMAL_MIN <= s < math.inf:
+                top = row.max()
+                if top > 0:
+                    s = np.sum((row / top) ** p.p)
+                    norms.append(float(top * (s * cell_volume) ** (1.0 / p.p)))
+                    continue
+            norms.append(float((s * cell_volume) ** (1.0 / p.p)))
+    return norms
 
 
 #: relative mass allowed outside the fundamental cell when periodizing

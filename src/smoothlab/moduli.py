@@ -12,15 +12,17 @@ th = (h, w); they must agree and that agreement is tested.
 Every difference is a Fourier multiplier on the coefficients of f, and
 a function's spectrum is computed once, on first use
 (``spectral.transform``), so each modulus is ``spectral.sup_norm`` of f
-over the step design of ``step_design``, one symbol per step, however
-many moduli, curves and checks ask for the same f.  The closed symbol is
-built from per-axis factors, broadcast over the frequency arrays that
-``TorusGrid.frequencies`` lays along each axis: z = exp(-i th) is the
-product of the axis arrays exp(-i h_j w_j), a whole order r is
-(exp(i th) - 1)^r by repeated multiplication, a fractional order is
-|1 - z|^a exp(i a (th + Arg(1 - z))) (the principal branch; for a < 1, z
-is taken from the full phase th), and the mixed modulus takes the product
-of the 1-D axis symbols.
+over the step design of ``step_design``, however many moduli, curves and
+checks ask for the same f.  ``step_norms`` hands a symbol one step or a
+block of steps as per-axis columns of shape (k, 1, ...); the formulas
+below are the same for both, and a block gives one (k, *grid.shape)
+array.  The closed symbol is built from per-axis factors, broadcast over
+the frequency arrays that ``TorusGrid.frequencies`` lays along each
+axis: z = exp(-i th) is the product of the axis arrays exp(-i h_j w_j), a
+whole order r is (exp(i th) - 1)^r by repeated multiplication, a
+fractional order is |1 - z|^a exp(i a (th + Arg(1 - z))) (the principal
+branch; for a < 1, z is taken from the full phase th), and the mixed
+modulus takes the product of the 1-D axis symbols.
 
 At p = 2 the closed route builds no symbol: the L_2 modulus is
 Plancherel's sup_h (L^d sum (4 sin^2(th/2))^a |F|^2)^(1/2), summed by
@@ -326,8 +328,11 @@ def _symbol(f: GridFunction, hvec, alpha: float, method: str) -> np.ndarray:
     theta = reduce(np.add, [h * w for h, w in zip(hvec, f.grid.frequencies())])
     mag = np.abs(transform(f))
     occupied = mag > _OCCUPIED * mag.max()
-    symbol = np.zeros(f.grid.shape, dtype=complex)
-    symbol[occupied] = _series_symbol(alpha, theta[occupied])
+    symbol = np.zeros(theta.shape, dtype=complex)
+    # one step at a time: each sets its own partial-sum length
+    shape = f.grid.shape
+    for row, t in zip(symbol.reshape((-1,) + shape), theta.reshape((-1,) + shape)):
+        row[occupied] = _series_symbol(alpha, t[occupied])
     return symbol
 
 

@@ -9,25 +9,29 @@ quasi_norm(f, 2)^2 = L^d * sum |c_xi|^2, exactly on the grid.
 A spectrum is a read-only coefficient array in FFT layout.  A function's
 spectrum is computed once, on first use: ``transform`` keeps it on the
 (immutable) GridFunction, so every multiplier applied to one function --
-``apply_symbol``, each step of ``step_norms``, the band windows of
+``apply_symbol``, each block of ``step_norms``, the band windows of
 ``band_windows`` and the sampling fold -- shares one forward FFT, and
 callers pass the function, never its coefficients.  ``synthesize`` is
 the one way back from coefficients to samples: the multiplier, the fold
 and every function built from its spectrum (the bandlimited corpus
 entries, the seeded polynomials of ``verify``) go through it.
 
-Every sup and average over a step design is one ``step_norms`` loop.  At
+Every sup and average over a step design is one ``step_norms`` call, which
+runs the design in blocks of steps (``_blocks``): a block's steps reach
+``symbol_of`` as per-axis columns, so every symbol and gain is one
+(k, *grid.shape) array.  Off p = 2 a block is one product with the
+spectrum, one inverse FFT in place and one row-wise ``quasi_norms``.  At
 p = 2 it applies no symbol: each step is the real Parseval sum
 L^d sum gain |F|^2, with |F|^2 formed once per call and the gain
 |symbol|^2 in a scaled form (scale, gain <= 1), so no power of a large
 order overflows.  The one closed gain is ``moduli.difference_gain``, which
-builds no complex symbol; any other symbol gives |symbol|^2 over its max.
-A sum too small to keep its digits is taken from the samples instead.
-``tests/test_moduli.py`` checks the route against ``apply_symbol`` +
-``quasi_norm`` at every design point.  A p = 2 sum is even in the step,
-so the moduli hand ``sup_norm`` one step of each pair h, -h at p = 2
-(``moduli.step_design``); ``sup_directional`` and the averages keep
-every direction and node.
+builds no complex symbol; any other symbol gives |symbol|^2 over its own
+max, row by row.  A sum too small to keep its digits is taken from the
+samples instead.  ``tests/test_moduli.py`` checks every route against
+``apply_symbol`` + ``quasi_norm`` at every design point.  A p = 2 sum is
+even in the step, so the moduli hand ``sup_norm`` one step of each pair
+h, -h at p = 2 (``moduli.step_design``); ``sup_directional`` and the
+averages keep every direction and node.
 
 Sampling operator: interp_V is a Fourier fold, not a dense kernel, on
 1-D and 2-D grids alike.  Per axis the coefficients are folded mod
@@ -46,7 +50,8 @@ from functools import lru_cache, reduce
 import numpy as np
 
 from .errors import ParameterError
-from .grid import Exponent, GridFunction, SmoothnessOrder, TorusGrid, power, quasi_norm
+from .grid import (Exponent, GridFunction, SmoothnessOrder, TorusGrid, power, quasi_norm,
+                   quasi_norms)
 
 @dataclass(frozen=True)
 class Direction:
@@ -100,9 +105,18 @@ def synthesize(grid: TorusGrid, coeffs: np.ndarray) -> GridFunction:
     """The samples on ``grid`` whose coefficients are ``coeffs``: the inverse
     of ``transform``.  Nothing else holds the fresh samples, so they are
     handed over read-only, which spares GridFunction its copy."""
-    values = np.fft.ifftn(coeffs) * float(grid.points_per_axis ** grid.dimension)
+    values = _inverse(grid, coeffs)
     values.flags.writeable = False
     return GridFunction(grid, values)
+
+
+def _inverse(grid: TorusGrid, coeffs: np.ndarray, out=None) -> np.ndarray:
+    """The samples of ``coeffs`` over the grid axes, the last d axes of the
+    array (a leading axis holds a block of steps), written into ``out`` when
+    it is given: the one inverse FFT."""
+    values = np.fft.ifftn(coeffs, axes=tuple(range(-grid.dimension, 0)), out=out)
+    values *= float(grid.points_per_axis ** grid.dimension)
+    return values
 
 
 def apply_symbol(f: GridFunction, symbol: np.ndarray) -> GridFunction:
@@ -111,50 +125,86 @@ def apply_symbol(f: GridFunction, symbol: np.ndarray) -> GridFunction:
     return synthesize(f.grid, transform(f) * symbol)
 
 
-def step_norms(f: GridFunction, design, symbol_of, p, gain_of=None):
-    """The L_p quasi-norm of ``apply_symbol(f, symbol_of(x))`` for each x of
-    ``design``, in order: the one step loop behind every sup and average.
+#: complex entries (1 MB) in one block of 1-D steps: all 32 steps of a
+#: design at N = 1024.  A 2-D block is one step: batched 2-D inverse FFTs
+#: measured slower than single ones (1.80 against 1.27 ms per step at 256^2,
+#: 0.086 against 0.053 ms at 64^2).
+_BLOCK_ENTRIES = 2 ** 16
+
+
+def _blocks(grid: TorusGrid, design: list):
+    """The design in blocks of consecutive points: (points, columns), with
+    the block's h_j as a column of shape (k, 1, ...) per axis j, so that
+    every h * w broadcast of a symbol or gain yields a (k, *grid.shape)
+    array."""
+    d = grid.dimension
+    k = max(1, _BLOCK_ENTRIES // grid.points_per_axis) if d == 1 else 1
+    for start in range(0, len(design), k):
+        points = design[start:start + k]
+        yield points, tuple(np.array(points, dtype=float).T.reshape((d, -1) + (1,) * d))
+
+
+def step_norms(f: GridFunction, design, symbol_of, p, gain_of=None) -> list:
+    """The L_p quasi-norm of ``apply_symbol(f, symbol_of(x))`` for each step
+    x of ``design``, a sequence of d-vectors, in order: the one step loop
+    behind every sup and average.
+
+    The steps go in blocks of ``_blocks``.  ``symbol_of(h)`` takes a single
+    step or a block's per-axis columns and gives a fresh complex array, of
+    shape (k, *grid.shape) for a block, which the loop overwrites.  Off
+    p = 2 a block is one product with the spectrum, one inverse FFT in
+    place and one row-wise ``quasi_norms``.
 
     At p = 2 no symbol is applied.  By discrete Parseval
     ||g||_2^2 = L^d sum |symbol|^2 |F|^2, so a step is one real sum over the
-    modes: no inverse FFT, no samples.  ``gain_of(x)`` gives the step's
-    scaled gain (scale, gain), a fresh real grid array with
-    scale^2 gain = |symbol_of(x)|^2 and gain <= 1, so that no power of a large
-    order overflows; without it the gain is |symbol|^2 over its max.  The
-    norm is scale max|F| (L^d sum gain (|F| / max|F|)^2)^(1/2), inf where
-    that is beyond the double range.  A sum below _PARSEVAL_FLOOR may have
-    lost digits to subnormal terms, or underflowed to 0 where the samples
-    are still representable, so that step is taken from the samples.
+    modes: no inverse FFT, no samples.  ``gain_of(h)`` gives the block's
+    scaled gain (scale, gain), a fresh real array with
+    scale^2 gain = |symbol_of(h)|^2 row by row and gain <= 1, so that no
+    power of a large order overflows; without it each row's gain is its
+    |symbol|^2 over its own max.  The norm is
+    scale max|F| (L^d sum gain (|F| / max|F|)^2)^(1/2), inf where that is
+    beyond the double range.  A sum below _PARSEVAL_FLOOR may have lost
+    digits to subnormal terms, or underflowed to 0 where the samples are
+    still representable, so that step is taken from the samples.
     """
+    design, grid = list(design), f.grid
     # the spectrum, which f keeps, is computed before the first symbol or
-    # gain, and each stays bound until the next one is built: a spectrum
-    # computed while a symbol is live, or a generator inside max() that frees
-    # each grid-sized array first, leaves a heap layout in which every 2-D
-    # step faults in fresh pages (60 times the page faults, 10-20 % slower)
+    # gain: one computed while a grid-sized array is live leaves a heap
+    # layout in which every later 2-D step faults in fresh pages
     F = transform(f)
+    norms = []
     if Exponent.parse(p).p != 2.0:
-        for x in design:
-            g = apply_symbol(f, symbol_of(x))
-            yield quasi_norm(g, p)
-        return
+        for _, h in _blocks(grid, design):
+            g = symbol_of(h)
+            # the spectrum first, as in apply_symbol: the other order rounds
+            # differently, and a p < 1 quasi-norm counts round-off as signal
+            np.multiply(F, g, out=g)
+            _inverse(grid, g, out=g)
+            if not np.isfinite(g).all():
+                raise ParameterError("grid function has non-finite samples")
+            norms += quasi_norms(np.abs(g).reshape(len(g), -1), p, grid.cell_volume)
+        return norms
     spectrum = np.abs(F)
     top = float(spectrum.max())
     if top > 0:
         spectrum /= top
     np.square(spectrum, out=spectrum)
-    volume = f.grid.period ** f.grid.dimension
-    for x in design:
-        scale, gain = gain_of(x) if gain_of else _symbol_gain(symbol_of(x))
+    volume = grid.period ** grid.dimension
+    for points, h in _blocks(grid, design):
+        scale, gain = gain_of(h) if gain_of else _symbol_gain(symbol_of(h))
         gain *= spectrum
-        s = float(gain.sum())
-        if not math.isfinite(s):
-            raise ParameterError("multiplier symbol has non-finite values")
-        if s >= _PARSEVAL_FLOOR:
-            yield scale * (top * math.sqrt(volume * s))
-        elif scale == 0 or top == 0:
-            yield 0.0
-        else:
-            yield quasi_norm(apply_symbol(f, symbol_of(x)), p)
+        sums = gain.reshape(len(points), -1).sum(axis=-1).tolist()
+        # one scale for the block (a closed gain) or one per row
+        for x, c, s in zip(points, np.full(len(points), scale).tolist(), sums):
+            if not math.isfinite(s):
+                raise ParameterError("multiplier symbol has non-finite values")
+            if s >= _PARSEVAL_FLOOR:
+                norms.append(c * (top * math.sqrt(volume * s)))
+            elif c == 0 or top == 0:
+                norms.append(0.0)
+            else:
+                norms.append(quasi_norm(apply_symbol(f, symbol_of(x)), p))
+    return norms
 
 
 #: a Parseval sum of at least tiny / eps (about 1e-292) keeps its digits:
@@ -162,24 +212,21 @@ def step_norms(f: GridFunction, design, symbol_of, p, gain_of=None):
 _PARSEVAL_FLOOR = float(np.finfo(float).tiny / np.finfo(float).eps)
 
 
-def _symbol_gain(symbol: np.ndarray) -> tuple:
-    """(max|symbol|, (|symbol| / max|symbol|)^2): the scaled gain of a
-    symbol that has no closed one."""
-    gain = np.abs(symbol)
-    top = float(gain.max())
-    if top > 0:
-        gain /= top
+def _symbol_gain(symbols: np.ndarray) -> tuple:
+    """(max|symbol|, (|symbol| / max|symbol|)^2) row by row for a block of
+    symbols, one per leading index: the scaled gain of symbols that have no
+    closed one."""
+    gain = np.abs(symbols)
+    top = gain.max(axis=tuple(range(1, gain.ndim)), keepdims=True)
+    gain /= np.where(top > 0, top, 1.0)
     np.square(gain, out=gain)
-    return top, gain
+    return top.ravel(), gain
 
 
 def sup_norm(f: GridFunction, design, symbol_of, p, gain_of=None) -> float:
-    """max over ``design`` of ``step_norms``: the sampled supremum behind
-    every modulus and directional bound."""
-    best = 0.0
-    for norm in step_norms(f, design, symbol_of, p, gain_of):
-        best = max(best, norm)
-    return best
+    """max over ``design`` of ``step_norms``, 0 for an empty design: the
+    sampled supremum behind every modulus and directional bound."""
+    return max(step_norms(f, design, symbol_of, p, gain_of), default=0.0)
 
 
 def multi_indices(dimension: int, order: int) -> list:
@@ -197,11 +244,11 @@ def derivative_symbol(grid: TorusGrid, multi: tuple) -> np.ndarray:
     return reduce(np.multiply, [(1j * w) ** k for w, k in zip(grid.frequencies(), multi)])
 
 
-def directional_symbol(grid: TorusGrid, zeta: Direction, order: SmoothnessOrder) -> np.ndarray:
-    """Symbol (i (w, zeta))^alpha on the principal branch, 0 at w = 0."""
-    if zeta.dimension != grid.dimension:
-        raise ParameterError("direction dimension does not match the grid")
-    dot = sum(z * w for z, w in zip(zeta.vector, grid.frequencies()))
+def directional_symbol(grid: TorusGrid, vector, order: SmoothnessOrder) -> np.ndarray:
+    """Symbol (i (w, zeta))^alpha on the principal branch, 0 at w = 0, for
+    the unit direction zeta whose components are ``vector``: one step or a
+    block's per-axis columns."""
+    dot = sum(z * w for z, w in zip(vector, grid.frequencies()))
     if power(float(np.abs(dot).max()), order.alpha) == math.inf:
         raise ParameterError(f"order {order.alpha:g} too large: |(w, zeta)|^alpha overflows")
     return np.power(1j * dot, order.alpha)
@@ -214,7 +261,9 @@ def directional_derivative(f: GridFunction, zeta: Direction, alpha) -> GridFunct
     zero frequency.
     """
     order = alpha if isinstance(alpha, SmoothnessOrder) else SmoothnessOrder(alpha)
-    return apply_symbol(f, directional_symbol(f.grid, zeta, order))
+    if zeta.dimension != f.grid.dimension:
+        raise ParameterError("direction dimension does not match the grid")
+    return apply_symbol(f, directional_symbol(f.grid, zeta.vector, order))
 
 
 def smooth_cutoff(s):

@@ -140,7 +140,7 @@ def make_config(overrides: dict | None = None) -> dict:
             cfg.update(json.loads(json.dumps(QUICK_OVERRIDES)))
         for k, v in overrides.items():
             if k != "quick":
-                cfg[k] = v
+                cfg[k] = json.loads(json.dumps(v))  # a copy: the caller keeps theirs
     return cfg
 
 

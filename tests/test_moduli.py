@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 from functools import reduce
@@ -562,6 +563,129 @@ class TestHalfDesign:
 
         full = sup_norm(smooth, _design_steps(smooth.grid.dimension, 0.6), symbol_of, 2.0)
         assert mixed_modulus(smooth, orders, 0.6, 2.0) == full
+
+
+# ---------------------------------------------------------------------------
+# blocks of steps, checked against one apply_symbol + quasi_norm per step
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def step_calls(monkeypatch):
+    """(f, design, symbol_of, p, gain_of, norms) of every step_norms call."""
+    calls, real = [], spectral.step_norms
+
+    def spy(f, design, symbol_of, p, gain_of=None):
+        design = list(design)
+        norms = real(f, design, symbol_of, p, gain_of)
+        calls.append((f, design, symbol_of, p, gain_of, norms))
+        return norms
+
+    monkeypatch.setattr(spectral, "step_norms", spy)
+    monkeypatch.setattr(moduli, "step_norms", spy)
+    return calls
+
+
+@pytest.fixture(scope="module", params=["1d", "2d"])
+def desk(request):
+    """The 1-D desk grid, where a block holds 64 steps, and a 64^2 grid,
+    where it holds one; the 2-D function has few modes, so that the series
+    route stays cheap."""
+    if request.param == "1d":
+        return grid_function("gaussian", N=1024, L=40.0)
+    grid = TorusGrid(2, 64, 20.0)
+    x1, x2 = (2.0 * math.pi / grid.period * x for x in grid.coords())
+    return GridFunction(grid, np.cos(x1) + 0.5 * np.sin(2 * x2) + 0.25 * np.cos(x1 + 3 * x2))
+
+
+def _axes(d):
+    return tuple(Direction(tuple(s * float(j == i) for j in range(d)))
+                 for i in range(d) for s in (1.0, -1.0))
+
+
+#: every route through the step loop: the sups, and the outer average
+STEP_ROUTES = {
+    "modulus": lambda f, p: modulus(f, 0.6, 1.5, p),
+    "series": lambda f, p: modulus(f, 0.6, 1.5, p, method="series",
+                                   directions=_axes(f.grid.dimension)),
+    "partial": lambda f, p: partial_modulus(f, f.grid.dimension - 1, 0.6, 2, p),
+    "mixed": lambda f, p: mixed_modulus(f, (1,) * f.grid.dimension, 0.6, p),
+    "directional": lambda f, p: sup_directional(f, 1.5, p),
+    "averaged": lambda f, p: averaged_modulus(f, 0.6, 1.5, p, 1.0),
+}
+
+
+def _block_size(grid):
+    return spectral._BLOCK_ENTRIES // grid.points_per_axis if grid.dimension == 1 else 1
+
+
+class TestBlockedSteps:
+    """A block of steps gives each step the norm it has alone, bit for bit:
+    the same product with the spectrum, the same inverse and the same sum."""
+
+    @pytest.mark.parametrize("p", [0.5, 1.0, "inf"])
+    @pytest.mark.parametrize("route", sorted(STEP_ROUTES))
+    def test_every_route_equals_its_single_steps(self, desk, step_calls, route, p):
+        value = STEP_ROUTES[route](desk, p)
+        [(f, design, symbol_of, q, gain_of, norms)] = step_calls
+
+        alone = [quasi_norm(apply_symbol(f, symbol_of(x)), q) for x in design]
+        assert norms == alone
+        if route != "averaged":
+            assert value == max(alone)
+        for n in (1, _block_size(f.grid) + 1):
+            points = list(itertools.islice(itertools.cycle(design), n))
+            want = list(itertools.islice(itertools.cycle(alone), n))
+            assert spectral.step_norms(f, points, symbol_of, q, gain_of) == want
+
+    @pytest.fixture(scope="class")
+    def f(self):
+        return grid_function("gaussian", N=1024, L=40.0)
+
+    @staticmethod
+    def _marked(f, mark, fill):
+        """A difference symbol that is ``fill`` times itself at the step ``mark``."""
+        def symbol_of(h):
+            s = difference_symbol(f.grid, h, 1.0)
+            s *= np.where(np.equal(h[0], mark), fill, 1.0)
+            return s
+        return symbol_of
+
+    @pytest.mark.parametrize("p", [0.5, 2.0, "inf"])
+    def test_a_non_finite_symbol_mid_block_raises_as_alone(self, f, p):
+        design = [(0.1 * j,) for j in range(1, 6)]
+        symbol_of = self._marked(f, design[2][0], np.nan)
+        with pytest.raises(ParameterError) as alone:
+            spectral.step_norms(f, design[2:3], symbol_of, p)
+        with pytest.raises(ParameterError) as block:
+            spectral.step_norms(f, design, symbol_of, p)
+        assert str(block.value) == str(alone.value)
+        if p != 2.0:
+            with pytest.raises(ParameterError, match=str(alone.value)):
+                apply_symbol(f, symbol_of(design[2]))
+
+    def test_an_underflowing_row_alone_takes_the_scaled_form(self, f):
+        # at p = 3 the sum of |g|^3 ~ 1e-360 of the marked step underflows
+        design = [(0.1 * j,) for j in range(1, 6)]
+        plain = spectral.step_norms(f, design, self._marked(f, 0.0, 1.0), 3.0)
+        symbol_of = self._marked(f, design[2][0], 1e-120)
+        got = spectral.step_norms(f, design, symbol_of, 3.0)
+        assert got == [quasi_norm(apply_symbol(f, symbol_of(x)), 3.0) for x in design]
+        assert got[:2] + got[3:] == plain[:2] + plain[3:]
+        assert got[2] == pytest.approx(1e-120 * plain[2], rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("route", [
+        lambda f: sup_directional(f, 1.5, 2.0),
+        lambda f: mixed_modulus(f, (300,) * f.grid.dimension, 0.01, 2.0),
+    ])
+    def test_each_row_of_a_symbol_gain_keeps_its_own_scale(self, desk, step_calls, route):
+        route(desk)
+        [(f, design, symbol_of, q, _, norms)] = step_calls
+        assert norms == [spectral.step_norms(f, [x], symbol_of, q)[0] for x in design]
+        block = symbol_of(next(spectral._blocks(f.grid, design))[1])
+        tops, gain = spectral._symbol_gain(block.copy())
+        assert tops.tolist() == [float(np.abs(row).max()) for row in block]
+        assert all(row.max() == 1.0 for row in gain if row.any())
 
 
 @pytest.mark.xfail(strict=True, reason=(

@@ -503,6 +503,14 @@ class TestConfig:
         assert cfg["scale_1d"] == {"N": 256, "L": 20.0}
         assert make_config(cfg) == cfg
 
+    def test_overrides_are_copied(self):
+        # a caller's later write to its nested override reaches no Workbench
+        cfg = {"quick": True, "scale_1d": {"N": 256, "L": 20.0}}
+        wb = Workbench(cfg)
+        cfg["scale_1d"]["N"] = 3
+        assert wb.cfg["scale_1d"] == {"N": 256, "L": 20.0}
+        assert wb.grid(1).points_per_axis == 256
+
     def test_desk_scales_come_from_the_corpus(self):
         cfg = make_config()
         assert (cfg["scale_1d"], cfg["scale_2d"]) == (corpus.DESK_1D, corpus.DESK_2D)
