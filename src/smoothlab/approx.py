@@ -24,7 +24,8 @@ import numpy as np
 from .errors import ParameterError
 from .grid import Exponent, GridFunction, SmoothnessOrder, TorusGrid, quasi_norm, readonly_array
 from .moduli import direction_design
-from .spectral import apply_symbol, band_windows, directional_symbol, interp_V, sup_norm, transform
+from .spectral import (apply_symbol, band_windows, directional_symbol, interp_V, step_norms,
+                       transform)
 
 #: offsets (as multiples of 1/sigma, within [-1, 1]) for the sampling operator
 N_OFFSETS = 8
@@ -88,7 +89,6 @@ class ApproximationCurve:
     sigmas: np.ndarray
     values: np.ndarray
     raw_values: np.ndarray
-    metadata: dict = field(default_factory=dict)
     witnesses: tuple = field(default=(), repr=False)
 
     def __post_init__(self):
@@ -114,7 +114,7 @@ class ApproximationCurve:
             "sigmas": [float(s) for s in self.sigmas],
             "values": [float(v) for v in self.values],
             "raw_values": [float(v) for v in self.raw_values],
-            "metadata": self.metadata,
+            "metadata": {},
         }
 
 
@@ -143,16 +143,16 @@ def approx_curve(f: GridFunction, p, k_max: int = K_MAX) -> ApproximationCurve:
 
 def sup_directional(P: GridFunction, alpha, p) -> float:
     """max over the shared direction design of ||D_zeta^alpha P||_p."""
-    order = alpha if isinstance(alpha, SmoothnessOrder) else SmoothnessOrder(alpha)
+    order = SmoothnessOrder.parse(alpha)
     p = Exponent.parse(p)
-    return sup_norm(P, [zeta.vector for zeta in direction_design(P.grid.dimension)],
-                    lambda v: directional_symbol(P.grid, v, order), p)
+    return max(step_norms(P, [zeta.vector for zeta in direction_design(P.grid.dimension)],
+                          lambda v: directional_symbol(P.grid, v, order), p))
 
 
 def realization(f: GridFunction, delta: float, alpha, p):
     """Realization functional ||f - P||_p + delta^alpha sup ||D^alpha P||_p
     at the near-best P of band 1/delta.  Returns (value, witness)."""
-    order = alpha if isinstance(alpha, SmoothnessOrder) else SmoothnessOrder(alpha)
+    order = SmoothnessOrder.parse(alpha)
     p = Exponent.parse(p)
     if not (delta > 0):
         raise ParameterError("delta must be positive")
@@ -176,7 +176,7 @@ def k_functional(f: GridFunction, delta: float, alpha, p) -> float:
     smooth bandlimited projections and Gaussian mollifications of f at
     scales tied to delta, plus f itself and zero.
     """
-    order = alpha if isinstance(alpha, SmoothnessOrder) else SmoothnessOrder(alpha)
+    order = SmoothnessOrder.parse(alpha)
     p = Exponent.parse(p)
     if not p.is_inf and p.p < 1:
         raise ParameterError("K-functional degenerates for p < 1; use realization")

@@ -108,6 +108,11 @@ class SmoothnessOrder:
         if self.alpha > MAX_ORDER:
             raise ParameterError(f"order must be at most {MAX_ORDER:g}, got {self.alpha}")
 
+    @classmethod
+    def parse(cls, alpha) -> "SmoothnessOrder":
+        """``alpha`` itself if it is already an order, else the order alpha."""
+        return alpha if isinstance(alpha, SmoothnessOrder) else cls(alpha)
+
     @property
     def is_integer(self) -> bool:
         return _is_integer(self.alpha)

@@ -11,18 +11,21 @@ th = (h, w); they must agree and that agreement is tested.
 
 Every difference is a Fourier multiplier on the coefficients of f, and
 a function's spectrum is computed once, on first use
-(``spectral.transform``), so each modulus is ``spectral.sup_norm`` of f
-over the step design of ``step_design``, however many moduli, curves and
-checks ask for the same f.  ``step_norms`` hands a symbol one step or a
-block of steps as per-axis columns of shape (k, 1, ...); the formulas
-below are the same for both, and a block gives one (k, *grid.shape)
-array.  The closed symbol is built from per-axis factors, broadcast over
-the frequency arrays that ``TorusGrid.frequencies`` lays along each
-axis: z = exp(-i th) is the product of the axis arrays exp(-i h_j w_j), a
-whole order r is (exp(i th) - 1)^r by repeated multiplication, a
-fractional order is |1 - z|^a exp(i a (th + Arg(1 - z))) (the principal
-branch; for a < 1, z is taken from the full phase th), and the mixed
-modulus takes the product of the 1-D axis symbols.
+(``spectral.transform``), however many moduli, curves and checks ask for
+the same f.  Every modulus takes one delta or an array of deltas, and at
+each delta it is the max of one ``spectral.step_norms`` call over the step
+design of ``step_design``; a curve is one ``modulus`` over its deltas,
+and each delta keeps its own blocks of steps.  ``step_norms`` hands a
+symbol one step or a block of steps as per-axis columns of shape
+(k, 1, ...); the formulas below are the same for both, and a block gives
+one (k, *grid.shape) array.  The closed symbol is built from per-axis
+factors, broadcast over the frequency arrays that
+``TorusGrid.frequencies`` lays along each axis: z = exp(-i th) is the
+product of the axis arrays exp(-i h_j w_j), a whole order r is
+(exp(i th) - 1)^r by repeated multiplication, a fractional order is
+|1 - z|^a exp(i a (th + Arg(1 - z))) (the principal branch; for a < 1,
+z is taken from the full phase th), and the mixed modulus takes the
+product of the 1-D axis symbols.
 
 At p = 2 the closed route builds no symbol: the L_2 modulus is
 Plancherel's sup_h (L^d sum (4 sin^2(th/2))^a |F|^2)^(1/2), summed by
@@ -64,7 +67,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, reduce
 
 import numpy as np
@@ -73,7 +76,7 @@ from .errors import AdmissibilityError, ParameterError
 from .grid import (Exponent, GridFunction, SmoothnessOrder, TorusGrid, power, quasi_norm,
                    readonly_array)
 from .spectral import (Direction, apply_symbol, derivative_symbol, multi_indices, step_norms,
-                       sup_norm, transform)
+                       transform)
 
 #: number of step magnitudes sampled per direction when taking the sup
 N_MAGNITUDES = 16
@@ -83,7 +86,7 @@ _POWER_SUM_TOL = 1e-12
 
 def _admissible(alpha, p) -> tuple:
     """(order, exponent), refused unless the order is admissible for p."""
-    order = alpha if isinstance(alpha, SmoothnessOrder) else SmoothnessOrder(alpha)
+    order = SmoothnessOrder.parse(alpha)
     p = Exponent.parse(p)
     if not order.admissible_for(p):
         raise AdmissibilityError(
@@ -304,7 +307,7 @@ def frac_difference(f: GridFunction, step: Step, alpha, method: str = "spectral"
     multiplier, 'series' sums the translated binomial series (translations
     are exact spectral shifts).
     """
-    order = alpha if isinstance(alpha, SmoothnessOrder) else SmoothnessOrder(alpha)
+    order = SmoothnessOrder.parse(alpha)
     if step.direction.dimension != f.grid.dimension:
         raise ParameterError("step dimension does not match the grid")
     return apply_symbol(f, _symbol(f, step.vector, order.alpha, method))
@@ -393,29 +396,25 @@ def step_design(delta: float, directions, p) -> list:
             for t in magnitude_design(delta) for zeta in directions]
 
 
-def modulus(
-    f: GridFunction,
-    delta: float,
-    alpha,
-    p,
-    method: str = "spectral",
-    directions=None,
-) -> float:
-    """Sampled modulus of smoothness: max over the shared step design of
-    the L_p quasi-norm of the order-alpha difference.  ``directions``
-    replaces the default design; it must be non-empty and of the grid's
-    dimension."""
+def _sups(f: GridFunction, deltas, directions, p: Exponent, symbol_of, gain_of=None):
+    """The sampled supremum at each delta: the max of ``step_norms`` over
+    ``step_design(delta, directions, p)``, one call per delta.  A scalar
+    delta gives a float, an array of deltas an array of its shape."""
+    deltas = np.asarray(deltas, dtype=float)
+    sups = np.array([max(step_norms(f, step_design(d, directions, p), symbol_of, p, gain_of))
+                     for d in deltas.ravel().tolist()]).reshape(deltas.shape)
+    return float(sups) if sups.ndim == 0 else sups
+
+
+def modulus(f: GridFunction, delta, alpha, p, method: str = "spectral"):
+    """Sampled modulus of smoothness at delta, one value or an array of
+    them: max over the shared step design of the L_p quasi-norm of the
+    order-alpha difference."""
     order, p = _admissible(alpha, p)
-    d = f.grid.dimension
-    directions = direction_design(d) if directions is None else tuple(directions)
-    if not directions:
-        raise ParameterError("the direction design is empty")
-    if any(zeta.dimension != d for zeta in directions):
-        raise ParameterError("direction dimension does not match the grid")
     a = order.alpha
     gain_of = (lambda h: difference_gain(f.grid, h, a)) if method == "spectral" else None
-    return sup_norm(f, step_design(delta, directions, p),
-                    lambda h: _symbol(f, h, a, method), p, gain_of)
+    return _sups(f, delta, direction_design(f.grid.dimension), p,
+                 lambda h: _symbol(f, h, a, method), gain_of)
 
 
 def default_deltas(grid: TorusGrid, n: int = 24, floor_cells: float = 4.0) -> np.ndarray:
@@ -438,7 +437,7 @@ class ModulusCurve:
     p_label: str
     deltas: np.ndarray
     values: np.ndarray
-    metadata: dict = field(default_factory=dict)
+    method: str = "spectral"
 
     def __post_init__(self):
         object.__setattr__(self, "deltas", readonly_array(self.deltas, float))
@@ -485,7 +484,7 @@ class ModulusCurve:
             "p": self.p_label,
             "deltas": [float(x) for x in self.deltas],
             "values": [float(x) for x in self.values],
-            "metadata": self.metadata,
+            "metadata": {"method": self.method, "n_magnitudes": N_MAGNITUDES, "nested": True},
         }
 
 
@@ -496,47 +495,45 @@ def modulus_curve(
     if deltas is None:
         deltas = default_deltas(f.grid)
     deltas = np.asarray(deltas, dtype=float)
-    vals = np.array([modulus(f, float(d), order, p, method) for d in deltas])
     # running max: the value at delta_k is the sup over the union of the step
     # designs at deltas <= delta_k (no two deltas share a step), so
     # monotonicity in delta is exact by construction
-    vals = np.maximum.accumulate(vals)
-    return ModulusCurve(
-        order.alpha,
-        p.label(),
-        deltas,
-        vals,
-        {"method": method, "n_magnitudes": N_MAGNITUDES, "nested": True},
-    )
+    vals = np.maximum.accumulate(modulus(f, deltas, order, p, method))
+    return ModulusCurve(order.alpha, p.label(), deltas, vals, method)
 
 
-def partial_modulus(f: GridFunction, axis: int, delta: float, r: int, p) -> float:
-    """Whole-order modulus along a single coordinate axis."""
+def partial_modulus(f: GridFunction, axis: int, delta, r: int, p):
+    """Whole-order modulus along a single coordinate axis, at one delta or
+    an array of them."""
     if not (isinstance(r, int) and r >= 1):
         raise ParameterError("partial moduli take whole orders r >= 1")
     d = f.grid.dimension
     if not (0 <= axis < d):
         raise ParameterError("axis out of range")
+    order, p = _admissible(float(r), p)
+    a = order.alpha
     vec = [0.0] * d
     vec[axis] = 1.0
     dirs = (Direction(tuple(vec)), Direction(tuple(-c for c in vec)))
-    return modulus(f, delta, SmoothnessOrder(float(r)), p, directions=dirs)
+    return _sups(f, delta, dirs, p, lambda h: difference_symbol(f.grid, h, a),
+                 lambda h: difference_gain(f.grid, h, a))
 
 
-def mixed_modulus(f: GridFunction, orders, delta: float, p) -> float:
-    """Mixed modulus: sup over the step design of the composed axis
-    differences of whole orders (k_1, ..., k_d)."""
+def mixed_modulus(f: GridFunction, orders, delta, p):
+    """Mixed modulus at one delta or an array of them: sup over the step
+    design of the composed axis differences of whole orders (k_1, ..., k_d)."""
     d = f.grid.dimension
-    orders = tuple(int(k) for k in orders)
-    if len(orders) != d or any(k < 1 for k in orders):
+    orders = tuple(orders)
+    if len(orders) != d or not all(float(k).is_integer() and k >= 1 for k in orders):
         raise ParameterError("one whole order >= 1 per axis is required")
+    orders = tuple(int(k) for k in orders)
     p = Exponent.parse(p)
 
     def symbol_of(hvec):
         return reduce(np.multiply, [_whole_power(np.exp(1j * h * w), k)
                                     for h, w, k in zip(hvec, f.grid.frequencies(), orders)])
 
-    return sup_norm(f, step_design(delta, direction_design(d), p), symbol_of, p)
+    return _sups(f, delta, direction_design(d), p, symbol_of)
 
 
 def averaged_modulus(
@@ -550,7 +547,7 @@ def averaged_modulus(
     takes its node norms from ``spectral.step_norms``, so at p = 2 it is
     Parseval on ``difference_gain``; only the inner form keeps samples.
     """
-    order = r if isinstance(r, SmoothnessOrder) else SmoothnessOrder(r)
+    order = SmoothnessOrder.parse(r)
     p = Exponent.parse(p)
     q = Exponent.parse(q)
     if q.is_inf:

@@ -28,10 +28,11 @@ order overflows.  The one closed gain is ``moduli.difference_gain``, which
 builds no complex symbol; any other symbol gives |symbol|^2 over its own
 max, row by row.  A sum too small to keep its digits is taken from the
 samples instead.  ``tests/test_moduli.py`` checks every route against
-``apply_symbol`` + ``quasi_norm`` at every design point.  A p = 2 sum is
-even in the step, so the moduli hand ``sup_norm`` one step of each pair
-h, -h at p = 2 (``moduli.step_design``); ``sup_directional`` and the
-averages keep every direction and node.
+``apply_symbol`` + ``quasi_norm`` at every design point.  A sup is the max
+of ``step_norms``: the moduli take one per delta over the step design of
+``moduli.step_design``, which at p = 2 holds one step of each pair h, -h
+(a p = 2 sum is even in the step); ``sup_directional`` and the averages
+keep every direction and node.
 
 Sampling operator: interp_V is a Fourier fold, not a dense kernel, on
 1-D and 2-D grids alike.  Per axis the coefficients are folded mod
@@ -223,12 +224,6 @@ def _symbol_gain(symbols: np.ndarray) -> tuple:
     return top.ravel(), gain
 
 
-def sup_norm(f: GridFunction, design, symbol_of, p, gain_of=None) -> float:
-    """max over ``design`` of ``step_norms``, 0 for an empty design: the
-    sampled supremum behind every modulus and directional bound."""
-    return max(step_norms(f, design, symbol_of, p, gain_of), default=0.0)
-
-
 def multi_indices(dimension: int, order: int) -> list:
     """The multi-indices of total ``order`` on ``dimension`` axes, the first
     index ascending: (order,) in 1-D, (k, order - k) in 2-D."""
@@ -260,7 +255,7 @@ def directional_derivative(f: GridFunction, zeta: Direction, alpha) -> GridFunct
     Symbol (i (w, zeta))^alpha on the principal branch, set to 0 at the
     zero frequency.
     """
-    order = alpha if isinstance(alpha, SmoothnessOrder) else SmoothnessOrder(alpha)
+    order = SmoothnessOrder.parse(alpha)
     if zeta.dimension != f.grid.dimension:
         raise ParameterError("direction dimension does not match the grid")
     return apply_symbol(f, directional_symbol(f.grid, zeta.vector, order))

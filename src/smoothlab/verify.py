@@ -516,11 +516,6 @@ class Workbench:
 
         return self._get((kind, name, multi, round(alpha, 12), plabel), build)
 
-    def point_modulus(self, name: str, delta: float, alpha: float, p) -> float:
-        plabel = Exponent.parse(p).label()
-        key = ("pt", name, round(delta, 14), round(alpha, 12), plabel)
-        return self._get(key, lambda: modulus(self.fn(name), delta, alpha, p))
-
     def norm(self, name: str, p) -> float:
         plabel = Exponent.parse(p).label()
         return self._get(("norm", name, plabel), lambda: quasi_norm(self.fn(name), p))
@@ -720,21 +715,16 @@ def _p1c(wb, a):
 def _p2(wb, a):
     c = wb.curve(a.entry, a.alpha, a.p)
     const = power(1.0 + a.lam, a.alpha + a.d * a.p.deficiency)
-    lhs = np.array(
-        [wb.point_modulus(a.entry, float(a.lam * d), a.alpha, a.p) for d in c.deltas]
-    )
+    lhs = modulus(wb.fn(a.entry), a.lam * c.deltas, a.alpha, a.p)
     return Sides(c.deltas, lhs, const * c.values,
                  [f"scaling constant (1+lambda)^(alpha+d(1/p-1)_+) = {const:.6g}"])
 
 
 def _p3(wb, a):
     f, r, deltas = wb.fn(a.entry), a.r, wb.deltas(a.entry)
-    rhs = []
-    for d in deltas:
-        total = sum(partial_modulus(f, axis, float(d), r, a.p) for axis in (0, 1))
-        for k in range(1, r):
-            total += mixed_modulus(f, (k, r - k), float(d), a.p)
-        rhs.append(total)
+    rhs = sum(partial_modulus(f, axis, deltas, r, a.p) for axis in (0, 1))
+    for k in range(1, r):
+        rhs += mixed_modulus(f, (k, r - k), deltas, a.p)
     return Sides(deltas, wb.curve(a.entry, float(r), a.p).values, rhs)
 
 
@@ -865,8 +855,8 @@ def _bands(wb, a):
     return ac, [s for s in ac.sigmas if s >= 1.0]
 
 
-def _moduli_at(wb, a, sigmas) -> list:
-    return [wb.point_modulus(a.entry, 1.0 / s, a.alpha, a.p) for s in sigmas]
+def _moduli_at(wb, a, sigmas) -> np.ndarray:
+    return modulus(wb.fn(a.entry), 1.0 / np.asarray(sigmas, dtype=float), a.alpha, a.p)
 
 
 def _band_sum(ac, alpha: float, expo: float, s: float, start: int) -> float:
@@ -902,7 +892,7 @@ def _p14(wb, a):
     sup_d = [sup_directional(w, a.alpha, a.p) for w in witnesses]
     ns = list(range(0, k_top))
     deltas = [2.0 ** (-n) for n in ns]
-    om = [wb.point_modulus(a.entry, d, a.alpha, a.p) for d in deltas]
+    om = modulus(wb.fn(a.entry), deltas, a.alpha, a.p)
     if a.side == "lower":
         return Sides(deltas, [2.0 ** (-n * a.alpha) * sup_d[n] for n in ns], om)
     rhs = [

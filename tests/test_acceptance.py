@@ -94,11 +94,11 @@ def test_criterion_03_monotone_and_scaling(wb):
                 c = wb.curve(name, alpha, p)
                 monotone = monotone and bool(np.all(np.diff(c.values) >= 0.0))
                 const_exp = alpha + 1.0 * pe.deficiency
-                for d in c.deltas[::8]:
-                    om = wb.point_modulus(name, float(d), alpha, p)
-                    for lam in (2.0, 4.0, 8.0):
-                        big = wb.point_modulus(name, float(lam * d), alpha, p)
-                        worst = max(worst, big / ((1.0 + lam) ** const_exp * om))
+                f, deltas = wb.fn(name), c.deltas[::8]
+                om = modulus(f, deltas, alpha, p)
+                for lam in (2.0, 4.0, 8.0):
+                    big = modulus(f, lam * deltas, alpha, p)
+                    worst = max(worst, float(np.max(big / ((1.0 + lam) ** const_exp * om))))
     _criterion(3, "curves nondecreasing and scaling bound holds",
                monotone and worst <= 1.01,
                f"monotone={monotone}, worst scaling ratio {worst:.4g}")
@@ -153,7 +153,7 @@ def test_criterion_06_approximation_error_vs_modulus(wb):
                 if sigma > f.grid.nyquist:
                     break
                 err = wb.acurve(name, p).raw_values[k + 1]
-                om = wb.point_modulus(name, 1.0 / sigma, alpha, p)
+                om = modulus(f, 1.0 / sigma, alpha, p)
                 worst_ratio = max(worst_ratio, err / om)
     worst_tail = 0.0
     for name in ONE_D:

@@ -11,7 +11,7 @@ from smoothlab import approx, moduli, spectral
 from smoothlab.approx import k_functional, near_best, sup_directional
 from smoothlab.corpus import grid_function
 from smoothlab.errors import AdmissibilityError, ParameterError
-from smoothlab.grid import GridFunction, TorusGrid, quasi_norm
+from smoothlab.grid import Exponent, GridFunction, TorusGrid, quasi_norm
 from smoothlab.moduli import (
     ModulusCurve,
     Step,
@@ -34,7 +34,7 @@ from smoothlab.moduli import (
     sobolev_seminorm,
     step_design,
 )
-from smoothlab.spectral import Direction, apply_symbol, sup_norm, transform
+from smoothlab.spectral import Direction, apply_symbol, transform
 from smoothlab.verify import run_check
 
 
@@ -180,28 +180,12 @@ class TestModulus:
             assert zeta.vector == pytest.approx((math.cos(ang), math.sin(ang)), rel=0, abs=4e-16)
         assert [z.vector for z in dirs[16:]] == [(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)]
 
-    @pytest.mark.parametrize("name,directions,p", [
-        ("gaussian2d", (Direction((1.0,)),), 1.0),
-        ("gaussian2d", (Direction((1.0,)),), 2.0),
-        ("gaussian", (Direction.of(1.0, 1.0),), 2.0),
-        ("gaussian", (Direction((1.0,)), Direction.of(1.0, 1.0)), "inf"),
-    ])
-    def test_a_direction_of_another_dimension_is_refused(self, name, directions, p):
-        f = grid_function(name, N=32, L=20.0)
-        with pytest.raises(ParameterError, match="dimension"):
-            modulus(f, 0.6, 1.0, p, directions=directions)
-
-    @pytest.mark.parametrize("p", [1.0, 2.0])
-    def test_an_empty_direction_design_is_refused(self, p):
-        f = grid_function("gaussian", N=32, L=20.0)
-        with pytest.raises(ParameterError, match="empty"):
-            modulus(f, 0.6, 1.0, p, directions=())
-
-    def test_a_design_may_be_any_iterable(self):
-        # a generator is read once, not checked empty and then passed on spent
-        f = grid_function("gaussian", N=32, L=20.0)
-        dirs = direction_design(1)
-        assert modulus(f, 0.6, 1.0, 2.0, directions=iter(dirs)) == modulus(f, 0.6, 1.0, 2.0)
+    @pytest.mark.parametrize("orders", [(1.5, 1), (1, 0.5), (0, 1), (1,), (math.nan, 1)])
+    def test_mixed_orders_are_whole_numbers_of_at_least_one(self, orders):
+        # int(1.5) would give the (1, 1) modulus
+        f = grid_function("gaussian2d", N=32, L=20.0)
+        with pytest.raises(ParameterError, match="whole order"):
+            mixed_modulus(f, orders, 0.3, 2.0)
 
     def test_curve_monotone_exactly(self):
         f = grid_function("gaussian", N=256, L=20.0)
@@ -411,12 +395,13 @@ def parseval_pairs(monkeypatch):
 
     def spy(f, design, symbol_of, p, gain_of=None):
         design = list(design)
-        for x, norm in zip(design, real(f, design, symbol_of, p, gain_of)):
+        norms = real(f, design, symbol_of, p, gain_of)
+        for x, norm in zip(design, norms):
             pairs.append((norm, quasi_norm(apply_symbol(f, symbol_of(x)), p)))
-            yield norm
+        return norms
 
-    monkeypatch.setattr(spectral, "step_norms", spy)
-    monkeypatch.setattr(moduli, "step_norms", spy)
+    for module in (spectral, moduli, approx):
+        monkeypatch.setattr(module, "step_norms", spy)
     return pairs
 
 
@@ -503,7 +488,9 @@ class TestParsevalRoute:
         grid = TorusGrid(2, 64, 20.0)
         x1, x2 = grid.coords()
         f = GridFunction(grid, np.exp(np.cos(2.0 * math.pi * (x1 + x2) / grid.period)))
-        got = modulus(f, 0.6, 0.5, 2.0, directions=(Direction.of(1.0, -1.0),))
+        design = step_design(0.6, (Direction.of(1.0, -1.0),), 2.0)
+        got = max(spectral.step_norms(f, design, lambda h: difference_symbol(grid, h, 0.5), 2.0,
+                                      lambda h: difference_gain(grid, h, 0.5)))
         assert len(parseval_pairs) == 16  # a design without its negatives loses nothing
         assert got <= 1e-14 * quasi_norm(f, 2.0)
         assert all(samples <= 1e-14 * quasi_norm(f, 2.0) for _, samples in parseval_pairs)
@@ -533,9 +520,9 @@ class TestParsevalRoute:
 
 def _full_sup(f, delta, alpha, directions=None):
     """The p = 2 sup of the closed difference over the whole design."""
-    return sup_norm(f, _design_steps(f.grid.dimension, delta, directions),
-                    lambda h: difference_symbol(f.grid, h, alpha), 2.0,
-                    lambda h: difference_gain(f.grid, h, alpha))
+    return max(spectral.step_norms(f, _design_steps(f.grid.dimension, delta, directions),
+                                   lambda h: difference_symbol(f.grid, h, alpha), 2.0,
+                                   lambda h: difference_gain(f.grid, h, alpha)))
 
 
 class TestHalfDesign:
@@ -561,7 +548,8 @@ class TestHalfDesign:
             return reduce(np.multiply, [_whole_power(np.exp(1j * h * w), k)
                                         for h, w, k in zip(hvec, smooth.grid.frequencies(), orders)])
 
-        full = sup_norm(smooth, _design_steps(smooth.grid.dimension, 0.6), symbol_of, 2.0)
+        full = max(spectral.step_norms(smooth, _design_steps(smooth.grid.dimension, 0.6),
+                                       symbol_of, 2.0))
         assert mixed_modulus(smooth, orders, 0.6, 2.0) == full
 
 
@@ -581,8 +569,8 @@ def step_calls(monkeypatch):
         calls.append((f, design, symbol_of, p, gain_of, norms))
         return norms
 
-    monkeypatch.setattr(spectral, "step_norms", spy)
-    monkeypatch.setattr(moduli, "step_norms", spy)
+    for module in (spectral, moduli, approx):
+        monkeypatch.setattr(module, "step_norms", spy)
     return calls
 
 
@@ -603,11 +591,13 @@ def _axes(d):
                  for i in range(d) for s in (1.0, -1.0))
 
 
-#: every route through the step loop: the sups, and the outer average
+#: every route through the step loop: the sups, and the outer average; the
+#: series sup on the axes alone, since a fractional order sums at least 4096
+#: terms a step
 STEP_ROUTES = {
     "modulus": lambda f, p: modulus(f, 0.6, 1.5, p),
-    "series": lambda f, p: modulus(f, 0.6, 1.5, p, method="series",
-                                   directions=_axes(f.grid.dimension)),
+    "series": lambda f, p: moduli._sups(f, 0.6, _axes(f.grid.dimension), Exponent.parse(p),
+                                        lambda h: _symbol(f, h, 1.5, "series")),
     "partial": lambda f, p: partial_modulus(f, f.grid.dimension - 1, 0.6, 2, p),
     "mixed": lambda f, p: mixed_modulus(f, (1,) * f.grid.dimension, 0.6, p),
     "directional": lambda f, p: sup_directional(f, 1.5, p),
@@ -686,6 +676,36 @@ class TestBlockedSteps:
         tops, gain = spectral._symbol_gain(block.copy())
         assert tops.tolist() == [float(np.abs(row).max()) for row in block]
         assert all(row.max() == 1.0 for row in gain if row.any())
+
+
+#: every modulus as a function of delta; the series route at a whole order,
+#: which sums three binomial terms, so that the 2-D design stays cheap
+DELTA_ROUTES = {
+    "modulus": lambda f, delta, p: modulus(f, delta, 1.5, p),
+    "series": lambda f, delta, p: modulus(f, delta, 2.0, p, method="series"),
+    "partial": lambda f, delta, p: partial_modulus(f, f.grid.dimension - 1, delta, 2, p),
+    "mixed": lambda f, delta, p: mixed_modulus(f, (1,) * f.grid.dimension, delta, p),
+}
+
+
+class TestDeltaArrays:
+    """A modulus over an array of deltas is the scalar modulus at each
+    delta, bit for bit."""
+
+    @pytest.mark.parametrize("p", [0.5, 1.0, 2.0, "inf"])
+    @pytest.mark.parametrize("route", sorted(DELTA_ROUTES))
+    def test_an_array_equals_its_scalar_calls(self, desk, route, p):
+        deltas = np.array([0.2, 0.45, 0.6])
+        got = DELTA_ROUTES[route](desk, deltas, p)
+        assert isinstance(got, np.ndarray) and got.shape == deltas.shape
+        assert got.tolist() == [DELTA_ROUTES[route](desk, d, p) for d in deltas.tolist()]
+
+    @pytest.mark.parametrize("route", sorted(DELTA_ROUTES))
+    def test_a_scalar_gives_a_float_and_no_delta_no_value(self, desk, route):
+        one, zero_d = (DELTA_ROUTES[route](desk, d, 1.0) for d in (0.6, np.array(0.6)))
+        assert type(one) is float and type(zero_d) is float and zero_d == one
+        none = DELTA_ROUTES[route](desk, np.array([]), 1.0)
+        assert isinstance(none, np.ndarray) and none.shape == (0,)
 
 
 @pytest.mark.xfail(strict=True, reason=(

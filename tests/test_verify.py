@@ -648,6 +648,12 @@ class TestWorkbenchCache:
             with pytest.raises(ValueError):
                 arr[0] = 1.0
 
+    def test_a_written_report_dict_leaves_the_cached_curve(self, wb):
+        for cached in (lambda: wb.curve("gaussian", 1.0, 2.0), lambda: wb.acurve("gaussian", 2.0)):
+            before = cached().to_dict()
+            cached().to_dict()["metadata"]["method"] = "hacked"
+            assert cached().to_dict() == before
+
     def test_curves_copy_a_writeable_array(self):
         deltas, values = np.array([0.1, 0.2, 0.4]), np.array([1.0, 2.0, 4.0])
         curve = ModulusCurve(1.0, "2.0", deltas, values)
