@@ -145,7 +145,7 @@ def sup_directional(P: GridFunction, alpha, p) -> float:
     """max over the shared direction design of ||D_zeta^alpha P||_p."""
     order = SmoothnessOrder.parse(alpha)
     p = Exponent.parse(p)
-    return max(step_norms(P, [zeta.vector for zeta in direction_design(P.grid.dimension)],
+    return max(step_norms(P, direction_design(P.grid.dimension),
                           lambda v: directional_symbol(P.grid, v, order), p))
 
 

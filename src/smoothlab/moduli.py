@@ -12,10 +12,15 @@ th = (h, w); they must agree and that agreement is tested.
 Every difference is a Fourier multiplier on the coefficients of f, and
 a function's spectrum is computed once, on first use
 (``spectral.transform``), however many moduli, curves and checks ask for
-the same f.  Every modulus takes one delta or an array of deltas, and at
-each delta it is the max of one ``spectral.step_norms`` call over the step
-design of ``step_design``; a curve is one ``modulus`` over its deltas,
-and each delta keeps its own blocks of steps.  ``step_norms`` hands a
+the same f.  A step design is one type throughout: an (n, d) float
+array, one step per row.  ``direction_design`` gives the directions as a
+read-only one, a half followed by its exact negatives; ``step_design``
+broadcasts the magnitudes delta (1 - j/16) over them, and every sup and
+average hands its design to ``spectral.step_norms`` as such an array.
+Every modulus takes one delta or an array of deltas, and at each delta it
+is the max of one ``step_norms`` call over the step design of
+``step_design``; a curve is one ``modulus`` over its deltas, and each
+delta keeps its own blocks of steps.  ``step_norms`` hands a
 symbol one step or a block of steps as per-axis columns of shape
 (k, 1, ...); the formulas below are the same for both, and a block gives
 one (k, *grid.shape) array.  The closed symbol is built from per-axis
@@ -39,19 +44,20 @@ is summed.  ``TestParsevalRoute`` in ``tests/test_moduli.py`` checks every
 p = 2 sup and average against ``apply_symbol`` + ``quasi_norm`` at each
 design point.
 
-At p = 2 a sup visits one step of each pair h, -h.  Every direction of
-``direction_design`` has its exact negative in the design, and the
-Parseval sum is even in h bit for bit: sin is odd bit for bit, so the
-angle-addition sin(th/2) at -h is the exact negative of that at h and its
-square is the same, and the mixed symbol at -h is the exact conjugate of
-the one at h, with the same |symbol|^2.  So ``step_design`` drops the
-second direction of each pair at p = 2 (16 steps in 1-D and 160 in 2-D,
-not 32 and 320), and the max is the max over the whole design.  The
-series route halves too; its values agree with the whole design to
-round-off.  Off p = 2 every step stays: there the norms at h and -h are
-equal at best through a translation (by r h at a whole order r), which
-is off the grid.  The outer ``averaged_modulus`` keeps every node,
-because its mean weighs each.
+At p = 2 a sup visits one step of each pair h, -h, and the pair rule
+holds by layout: the second half of ``direction_design`` is the exact
+negative of its first half, row by row, and the Parseval sum is even in h
+bit for bit: sin is odd bit for bit, so the angle-addition sin(th/2) at
+-h is the exact negative of that at h and its square is the same, and the
+mixed symbol at -h is the exact conjugate of the one at h, with the same
+|symbol|^2.  So at p = 2 ``step_design`` takes the first half of the
+directions (16 steps in 1-D and 160 in 2-D, not 32 and 320), and the max
+is the max over the whole design.  The series route halves too; its
+values agree with the whole design to round-off.  Off p = 2 every step
+stays: there the norms at h and -h are equal at best through a
+translation (by r h at a whole order r), which is off the grid.  The
+outer ``averaged_modulus`` keeps every node, because its mean weighs
+each.
 
 The series route shares only the spectrum, the read-only array of
 ``spectral.transform``, whose modes it reads.  It
@@ -68,7 +74,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cache, cached_property, reduce
 
 import numpy as np
 
@@ -139,6 +145,15 @@ def binom_power_constant(alpha, p) -> float:
     This bounds ||difference of order alpha|| / ||f|| in L_p: the triangle
     inequality (or its pt-power form for p < 1) over the series terms, each
     a translate of f.
+
+    A whole order sums its r + 1 terms.  A fractional order at p >= 1 sums
+    exactly from its first floor(alpha) + 1 terms: past floor(alpha) the
+    signs of binom(alpha, nu) alternate and sum_nu (-1)^nu binom(alpha, nu)
+    = (1 - 1)^alpha = 0, so the tail's sum of |binom| is
+    |sum_{nu <= floor(alpha)} (-1)^nu binom(alpha, nu)|.  At p < 1 no such
+    identity holds: the length doubles until ``_tail_majorant`` of the
+    remainder drops below _POWER_SUM_TOL (or reaches 2^20 terms), and the
+    majorant is added, so the result is an upper bound.
     """
     order, p = _admissible(alpha, p)
     pt = min(p.q1, 1.0)
@@ -146,10 +161,12 @@ def binom_power_constant(alpha, p) -> float:
     if order.is_integer:
         total = sum(abs(c) ** pt for c in _binom_array(a, int(round(a)) + 1).tolist())
         return power(total, 1.0 / pt)
+    if pt == 1.0:
+        head = _binom_array(a, math.floor(a) + 1)
+        return float(np.abs(head).sum() + abs(head[::2].sum() - head[1::2].sum()))
     n = 16 + int(math.ceil(a))
     while _tail_majorant(a, pt, n) >= _POWER_SUM_TOL and n < 2 ** 20:
         n *= 2
-    # the remainder is covered by the majorant, so the result is an upper bound
     mags = np.abs(_binom_array(a, n + 1))
     total = float(np.sum(mags ** pt)) + _tail_majorant(a, pt, n)
     return power(total, 1.0 / pt)
@@ -344,56 +361,44 @@ def _symbol(f: GridFunction, hvec, alpha: float, method: str) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def direction_design(dimension: int) -> tuple:
-    """Fixed direction set used for every sampled supremum.
-
-    d = 1: both orientations.  d = 2: 16 equispaced angles (offset half a
-    slot so none coincides with an axis), angle k + 8 the exact negative of
-    angle k, then the 4 axis directions.  Every direction of either design
-    has its exact negative in it, which ``step_design`` uses at p = 2.
-    """
+@cache
+def direction_design(dimension: int) -> np.ndarray:
+    """The fixed directions of every sampled supremum, a read-only (n, d)
+    array built once per dimension: a half design followed by its exact
+    negatives, row n/2 + k the negative of row k.  d = 1: +1, then -1.
+    d = 2: the 8 angles (k + 1/2) 2 pi / 16, k = 0 .. 7 (offset half a slot
+    so that none is an axis), each divided by its hypot as ``Direction.of``
+    does, then +x and +y; then those 10 negated.  ``step_design`` keeps the
+    first half at p = 2."""
     if dimension == 1:
-        return (Direction((1.0,)), Direction((-1.0,)))
-    if dimension == 2:
-        dirs = []
-        for k in range(8):
-            ang = (k + 0.5) * 2.0 * math.pi / 16.0
-            dirs.append(Direction.of(math.cos(ang), math.sin(ang)))
-        dirs += [Direction(tuple(-c for c in z.vector)) for z in dirs]
-        dirs += [
-            Direction((1.0, 0.0)),
-            Direction((-1.0, 0.0)),
-            Direction((0.0, 1.0)),
-            Direction((0.0, -1.0)),
-        ]
-        return tuple(dirs)
-    raise ParameterError("dimension must be 1 or 2")
+        half = [(1.0,)]
+    elif dimension == 2:
+        angles = [(k + 0.5) * 2.0 * math.pi / 16.0 for k in range(8)]
+        circle = [(math.cos(a), math.sin(a)) for a in angles]
+        half = [(c / math.hypot(c, s), s / math.hypot(c, s)) for c, s in circle]
+        half += [(1.0, 0.0), (0.0, 1.0)]
+    else:
+        raise ParameterError("dimension must be 1 or 2")
+    half = np.array(half)
+    return readonly_array(np.concatenate([half, -half]), float)
 
 
-def magnitude_design(delta: float) -> np.ndarray:
-    """Step magnitudes delta * (1 - j/n), j = 0 .. n-1 (largest first),
-    n = N_MAGNITUDES."""
+def step_design(delta: float, directions, p) -> np.ndarray:
+    """The (n m, d) array of steps t * zeta for every magnitude
+    t = delta (1 - j/m), j = 0 .. m - 1 (m = N_MAGNITUDES, largest first),
+    and, within each, every row zeta of ``directions``, an (n, d) array laid
+    out as ``direction_design``'s: a half followed by its negatives.
+
+    At p = 2 only the first half is kept: the L_2 norms at h and -h are
+    equal bit for bit (module docstring), so the sup visits one step of
+    each pair.
+    """
     if not (0 < delta < math.inf):
         raise ParameterError(f"delta must be positive and finite, got {delta}")
-    return delta * (1.0 - np.arange(N_MAGNITUDES) / N_MAGNITUDES)
-
-
-def step_design(delta: float, directions, p) -> list:
-    """Step vectors t * zeta for every magnitude t of ``magnitude_design(delta)``
-    (largest first) and, within each, every direction of ``directions``.
-
-    At p = 2 a direction whose exact negative comes earlier in
-    ``directions`` is dropped: the L_2 norms at h and -h are equal bit for
-    bit (module docstring), so the sup visits one step of each pair.
-    """
     if Exponent.parse(p).p == 2.0:
-        kept = []
-        for zeta in directions:
-            if all(z.vector != tuple(-c for c in zeta.vector) for z in kept):
-                kept.append(zeta)
-        directions = kept
-    return [tuple(float(t) * c for c in zeta.vector)
-            for t in magnitude_design(delta) for zeta in directions]
+        directions = directions[:len(directions) // 2]
+    mags = delta * (1.0 - np.arange(N_MAGNITUDES) / N_MAGNITUDES)
+    return (mags[:, None, None] * directions).reshape(-1, directions.shape[1])
 
 
 def _sups(f: GridFunction, deltas, directions, p: Exponent, symbol_of, gain_of=None):
@@ -468,16 +473,6 @@ class ModulusCurve:
         v = np.maximum(self.values[:k], 1e-300)
         return np.polyfit(np.log(self.deltas[:k]), np.log(v), 1)[0]
 
-    def fitted_slope(self, lo: float | None = None, hi: float | None = None) -> float:
-        mask = np.ones(len(self.deltas), dtype=bool)
-        if lo is not None:
-            mask &= self.deltas >= lo
-        if hi is not None:
-            mask &= self.deltas <= hi
-        d = self.deltas[mask]
-        v = np.maximum(self.values[mask], 1e-300)
-        return float(np.polyfit(np.log(d), np.log(v), 1)[0])
-
     def to_dict(self) -> dict:
         return {
             "alpha": self.alpha,
@@ -512,10 +507,8 @@ def partial_modulus(f: GridFunction, axis: int, delta, r: int, p):
         raise ParameterError("axis out of range")
     order, p = _admissible(float(r), p)
     a = order.alpha
-    vec = [0.0] * d
-    vec[axis] = 1.0
-    dirs = (Direction(tuple(vec)), Direction(tuple(-c for c in vec)))
-    return _sups(f, delta, dirs, p, lambda h: difference_symbol(f.grid, h, a),
+    unit = np.eye(d)[axis]
+    return _sups(f, delta, np.array([unit, -unit]), p, lambda h: difference_symbol(f.grid, h, a),
                  lambda h: difference_gain(f.grid, h, a))
 
 
@@ -560,7 +553,7 @@ def averaged_modulus(
     edges = np.linspace(-delta, delta, n + 1)
     mids = 0.5 * (edges[:-1] + edges[1:])
     w_cell = (2.0 * delta / n) ** d
-    nodes = [h for h in itertools.product(mids, repeat=d) if math.hypot(*h) <= delta]
+    nodes = np.array([h for h in itertools.product(mids, repeat=d) if math.hypot(*h) <= delta])
     a = order.alpha
     scale = delta ** (-d)
     if inner:

@@ -16,23 +16,25 @@ the one way back from coefficients to samples: the multiplier, the fold
 and every function built from its spectrum (the bandlimited corpus
 entries, the seeded polynomials of ``verify``) go through it.
 
-Every sup and average over a step design is one ``step_norms`` call, which
-runs the design in blocks of steps (``_blocks``): a block's steps reach
-``symbol_of`` as per-axis columns, so every symbol and gain is one
-(k, *grid.shape) array.  Off p = 2 a block is one product with the
-spectrum, one inverse FFT in place and one row-wise ``quasi_norms``.  At
-p = 2 it applies no symbol: each step is the real Parseval sum
-L^d sum gain |F|^2, with |F|^2 formed once per call and the gain
-|symbol|^2 in a scaled form (scale, gain <= 1), so no power of a large
-order overflows.  The one closed gain is ``moduli.difference_gain``, which
-builds no complex symbol; any other symbol gives |symbol|^2 over its own
-max, row by row.  A sum too small to keep its digits is taken from the
-samples instead.  ``tests/test_moduli.py`` checks every route against
-``apply_symbol`` + ``quasi_norm`` at every design point.  A sup is the max
-of ``step_norms``: the moduli take one per delta over the step design of
-``moduli.step_design``, which at p = 2 holds one step of each pair h, -h
-(a p = 2 sum is even in the step); ``sup_directional`` and the averages
-keep every direction and node.
+Every sup and average over a step design is one ``step_norms`` call.  A
+design is an (n, d) float array, one step per row, made once per call,
+and ``step_norms`` runs it in blocks of consecutive rows (``_blocks``): a
+block's steps reach ``symbol_of`` as per-axis columns, so every symbol
+and gain is one (k, *grid.shape) array.  Off p = 2 a block is one product
+with the spectrum, one inverse FFT in place and one row-wise
+``quasi_norms``.  At p = 2 it applies no symbol: each step is the real
+Parseval sum L^d sum gain |F|^2, with |F|^2 formed once per call and the
+gain |symbol|^2 in a scaled form (scale, gain <= 1), so no power of a
+large order overflows.  The one closed gain is ``moduli.difference_gain``,
+which builds no complex symbol; any other symbol gives |symbol|^2 over
+its own max, row by row.  A sum too small to keep its digits is taken
+from the samples instead.  ``tests/test_moduli.py`` checks every route
+against ``apply_symbol`` + ``quasi_norm`` at every design point.  A sup
+is the max of ``step_norms``: the moduli take one per delta over the step
+design of ``moduli.step_design``, which at p = 2 is the first half of the
+directions of ``moduli.direction_design`` (a p = 2 sum is even in the
+step, and that half's exact negatives make up the second half);
+``sup_directional`` and the averages keep every direction and node.
 
 Sampling operator: interp_V is a Fourier fold, not a dense kernel, on
 1-D and 2-D grids alike.  Per axis the coefficients are folded mod
@@ -133,22 +135,24 @@ def apply_symbol(f: GridFunction, symbol: np.ndarray) -> GridFunction:
 _BLOCK_ENTRIES = 2 ** 16
 
 
-def _blocks(grid: TorusGrid, design: list):
-    """The design in blocks of consecutive points: (points, columns), with
-    the block's h_j as a column of shape (k, 1, ...) per axis j, so that
-    every h * w broadcast of a symbol or gain yields a (k, *grid.shape)
-    array."""
+def _blocks(grid: TorusGrid, design: np.ndarray):
+    """The (n, d) design in blocks of consecutive rows: (points, columns),
+    with the block's h_j as a column of shape (k, 1, ...) per axis j, so
+    that every h * w broadcast of a symbol or gain yields a
+    (k, *grid.shape) array."""
     d = grid.dimension
     k = max(1, _BLOCK_ENTRIES // grid.points_per_axis) if d == 1 else 1
     for start in range(0, len(design), k):
         points = design[start:start + k]
-        yield points, tuple(np.array(points, dtype=float).T.reshape((d, -1) + (1,) * d))
+        yield points, tuple(points.T.reshape((d, -1) + (1,) * d))
 
 
 def step_norms(f: GridFunction, design, symbol_of, p, gain_of=None) -> list:
     """The L_p quasi-norm of ``apply_symbol(f, symbol_of(x))`` for each step
-    x of ``design``, a sequence of d-vectors, in order: the one step loop
-    behind every sup and average.
+    x of ``design``, in order: the one step loop behind every sup and
+    average.  The design is an (n, d) array of steps, one per row; any
+    sequence of d-vectors is made one such array here, and an empty one
+    gives [].
 
     The steps go in blocks of ``_blocks``.  ``symbol_of(h)`` takes a single
     step or a block's per-axis columns and gives a fresh complex array, of
@@ -168,7 +172,7 @@ def step_norms(f: GridFunction, design, symbol_of, p, gain_of=None) -> list:
     digits to subnormal terms, or underflowed to 0 where the samples are
     still representable, so that step is taken from the samples.
     """
-    design, grid = list(design), f.grid
+    design, grid = np.asarray(design, dtype=float), f.grid
     # the spectrum, which f keeps, is computed before the first symbol or
     # gain: one computed while a grid-sized array is live leaves a heap
     # layout in which every later 2-D step faults in fresh pages

@@ -367,8 +367,7 @@ def log_integral(fn, a, b, n: int):
     ok = (0 < a) & (a < b)
     # a degenerate pair integrates over [1, 2] instead, and reads 0
     ts = np.geomspace(np.where(ok, a, 1.0), np.where(ok, b, 2.0), n, axis=-1)
-    trapezoid = getattr(np, "trapezoid", None) or np.trapz
-    return np.where(ok, trapezoid(fn(ts), np.log(ts), axis=-1), 0.0)[()]
+    return np.where(ok, np.trapezoid(fn(ts), np.log(ts), axis=-1), 0.0)[()]
 
 
 def marchaud_rhs(curve: ModulusCurve, delta, alpha: float, p, fnorm: float, n_quad: int = 96):

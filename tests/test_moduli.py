@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 import warnings
 from functools import reduce
 
@@ -26,7 +27,6 @@ from smoothlab.moduli import (
     frac_binomial,
     frac_difference,
     direction_design,
-    magnitude_design,
     mixed_modulus,
     modulus,
     modulus_curve,
@@ -72,6 +72,25 @@ class TestBinomials:
             assert 2.0 <= val <= 2.0 * (1.0 + 1e-6)
         assert bpc(2.0, 2.0) == pytest.approx(4.0)
         assert bpc(3.0, "inf") == pytest.approx(8.0)
+
+    def test_power_sum_closed_forms_at_p_at_least_one(self):
+        # past floor(a) the signs alternate and sum (-1)^nu binom(a, nu) = 0,
+        # so the sum of |binom(a, nu)| is exact: 2 for 0 < a < 1, 1 + 1.5 +
+        # |1 - 1.5| = 3 at a = 1.5, 1 + 2.5 + 1.875 + |1 - 2.5 + 1.875| = 5.75
+        for p in (1.0, 2.0, "inf"):
+            for a in (0.25, 0.5, 0.75):
+                assert bpc(a, p) == 2.0
+            assert bpc(1.5, p) == 3.0
+            assert bpc(2.5, p) == 5.75
+
+    def test_power_sum_at_p_at_least_one_allocates_no_long_series(self):
+        tracemalloc.start()
+        try:
+            bpc(1.5, 2.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
     def test_power_sum_inadmissible(self):
         with pytest.raises(AdmissibilityError):
@@ -163,7 +182,7 @@ class TestModulus:
     def test_designs(self):
         assert len(direction_design(1)) == 2
         assert len(direction_design(2)) == 20
-        mags = magnitude_design(0.8)
+        mags = np.abs(step_design(0.8, direction_design(1), 1.0)[::2, 0])
         assert len(mags) == 16
         assert mags[0] == pytest.approx(0.8)
         assert np.all(mags > 0)
@@ -171,14 +190,14 @@ class TestModulus:
     def test_offset_angles_come_in_exact_negative_pairs(self):
         dirs = direction_design(2)
         assert len(dirs) == 20
-        for k in range(8):
-            assert dirs[k + 8].vector == tuple(-c for c in dirs[k].vector)
-        # the order is unchanged: angles 0 .. 15, each within an ulp of its
-        # cos/sin, then the 4 axes
-        for k, zeta in enumerate(dirs[:16]):
+        for k in range(10):
+            assert dirs[k + 10].tolist() == (-dirs[k]).tolist()
+        # the half design: angles 0 .. 7, each within an ulp of its cos/sin,
+        # then the 2 positive axes; its negatives then follow in that order
+        for k, zeta in enumerate(dirs[:8]):
             ang = (k + 0.5) * 2.0 * math.pi / 16.0
-            assert zeta.vector == pytest.approx((math.cos(ang), math.sin(ang)), rel=0, abs=4e-16)
-        assert [z.vector for z in dirs[16:]] == [(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)]
+            assert tuple(zeta) == pytest.approx((math.cos(ang), math.sin(ang)), rel=0, abs=4e-16)
+        assert dirs[8:10].tolist() == [[1.0, 0.0], [0.0, 1.0]]
 
     @pytest.mark.parametrize("orders", [(1.5, 1), (1, 0.5), (0, 1), (1,), (math.nan, 1)])
     def test_mixed_orders_are_whole_numbers_of_at_least_one(self, orders):
@@ -196,7 +215,8 @@ class TestModulus:
         f = grid_function("gaussian", N=512, L=20.0)
         for a in (1.0, 2.0):
             c = modulus_curve(f, a, 2.0, deltas=np.geomspace(0.16, 0.5, 8))
-            assert c.fitted_slope() == pytest.approx(a, abs=0.15)
+            slope = np.polyfit(np.log(c.deltas), np.log(c.values), 1)[0]
+            assert slope == pytest.approx(a, abs=0.15)
 
     def test_interp_extension(self):
         deltas = np.geomspace(0.1, 1.0, 10)
@@ -215,6 +235,40 @@ class TestModulus:
         # an array, below, inside and above the deltas, is taken elementwise
         ts = np.array([0.001, 0.0999, 0.1, 0.3, 1.0, 2.0])
         assert np.array_equal(curve.interp(ts), [curve.interp(float(t)) for t in ts])
+
+
+class TestDesignLayout:
+    """Every step design is an (n, d) float array; the directions are a half
+    followed by its exact negatives, so the p = 2 pair rule is a slice."""
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_directions_are_a_read_only_float_array(self, d):
+        dirs = direction_design(d)
+        assert isinstance(dirs, np.ndarray) and dirs.dtype == np.float64
+        assert dirs.shape == ((2, 1) if d == 1 else (20, 2))
+        assert not dirs.flags.writeable
+        with pytest.raises(ValueError):
+            dirs[0, 0] = 0.0
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_the_second_half_is_minus_the_first_bit_for_bit(self, d):
+        dirs = direction_design(d)
+        half = len(dirs) // 2
+        assert dirs[half:].tobytes() == (-dirs[:half]).tobytes()
+
+    def test_the_offset_angles_are_normalised_as_direction_of(self):
+        angles = [(k + 0.5) * 2.0 * math.pi / 16.0 for k in range(8)]
+        want = [Direction.of(math.cos(a), math.sin(a)).vector for a in angles]
+        assert direction_design(2)[:8].tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_p2_keeps_the_first_half_at_each_magnitude(self, d):
+        dirs = direction_design(d)
+        n = len(dirs)
+        for delta in (0.05, 0.6, 1.0):
+            every = step_design(delta, dirs, 1.0).reshape(16, n, d)
+            half = step_design(delta, dirs, 2.0).reshape(16, n // 2, d)
+            assert half.tobytes() == every[:, :n // 2].tobytes()
 
 
 @pytest.fixture(scope="module")
@@ -292,9 +346,11 @@ def _per_step(f, hvecs, alpha, p):
 
 
 def _design_steps(d, delta, directions=None):
-    """The whole design, every direction at every magnitude."""
-    return [tuple(t * c for c in zeta.vector)
-            for t in magnitude_design(delta) for zeta in directions or direction_design(d)]
+    """The whole design, every direction at every magnitude delta (1 - j/16),
+    largest first, as an (n, d) array."""
+    dirs = direction_design(d) if directions is None else directions
+    return np.array([[t * c for c in zeta] for t in delta * (1.0 - np.arange(16) / 16.0)
+                     for zeta in dirs])
 
 
 def test_nsb_transforms_each_polynomial_once(count_transforms):
@@ -376,10 +432,10 @@ class TestOneTransformPerCall:
         d = f.grid.dimension
         dirs = direction_design(d)
         for p in (0.5, 1.0, "inf"):
-            assert step_design(0.6, dirs, p) == _design_steps(d, 0.6)
-        # at p = 2 one direction of each opposite pair: the first of the two
-        kept = dirs[:1] if d == 1 else dirs[:8] + dirs[16::2]
-        assert step_design(0.6, dirs, 2.0) == _design_steps(d, 0.6, kept)
+            assert np.array_equal(step_design(0.6, dirs, p), _design_steps(d, 0.6))
+        # at p = 2 one direction of each opposite pair: the first half
+        kept = dirs[:len(dirs) // 2]
+        assert np.array_equal(step_design(0.6, dirs, 2.0), _design_steps(d, 0.6, kept))
 
 
 # ---------------------------------------------------------------------------
@@ -488,10 +544,11 @@ class TestParsevalRoute:
         grid = TorusGrid(2, 64, 20.0)
         x1, x2 = grid.coords()
         f = GridFunction(grid, np.exp(np.cos(2.0 * math.pi * (x1 + x2) / grid.period)))
-        design = step_design(0.6, (Direction.of(1.0, -1.0),), 2.0)
+        unit = np.array([Direction.of(1.0, -1.0).vector])
+        design = step_design(0.6, np.concatenate([unit, -unit]), 2.0)
         got = max(spectral.step_norms(f, design, lambda h: difference_symbol(grid, h, 0.5), 2.0,
                                       lambda h: difference_gain(grid, h, 0.5)))
-        assert len(parseval_pairs) == 16  # a design without its negatives loses nothing
+        assert len(parseval_pairs) == 16  # one step of each pair h, -h
         assert got <= 1e-14 * quasi_norm(f, 2.0)
         assert all(samples <= 1e-14 * quasi_norm(f, 2.0) for _, samples in parseval_pairs)
 
@@ -536,8 +593,8 @@ class TestHalfDesign:
 
     def test_partial_modulus(self, smooth):
         axis = smooth.grid.dimension - 1
-        unit = tuple(float(j == axis) for j in range(smooth.grid.dimension))
-        dirs = (Direction(unit), Direction(tuple(-c for c in unit)))
+        unit = np.eye(smooth.grid.dimension)[axis]
+        dirs = np.array([unit, -unit])
         assert partial_modulus(smooth, axis, 0.6, 2, 2.0) == _full_sup(smooth, 0.6, 2.0, dirs)
 
     @pytest.mark.parametrize("orders", [(1, 1), (2, 1)])
@@ -587,8 +644,7 @@ def desk(request):
 
 
 def _axes(d):
-    return tuple(Direction(tuple(s * float(j == i) for j in range(d)))
-                 for i in range(d) for s in (1.0, -1.0))
+    return np.concatenate([np.eye(d), -np.eye(d)])
 
 
 #: every route through the step loop: the sups, and the outer average; the
@@ -672,7 +728,7 @@ class TestBlockedSteps:
         route(desk)
         [(f, design, symbol_of, q, _, norms)] = step_calls
         assert norms == [spectral.step_norms(f, [x], symbol_of, q)[0] for x in design]
-        block = symbol_of(next(spectral._blocks(f.grid, design))[1])
+        block = symbol_of(next(spectral._blocks(f.grid, np.array(design)))[1])
         tops, gain = spectral._symbol_gain(block.copy())
         assert tops.tolist() == [float(np.abs(row).max()) for row in block]
         assert all(row.max() == 1.0 for row in gain if row.any())
