@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParameterError
-from .grid import Exponent, GridFunction, SmoothnessOrder, TorusGrid, quasi_norm, readonly_array
+from .grid import (Exponent, GridFunction, SmoothnessOrder, TorusGrid, quasi_norm,
+                   readonly_array, step_sizes)
 from .moduli import direction_design
 from .spectral import (apply_symbol, band_windows, directional_symbol, interp_V, step_norms,
                        transform)
@@ -154,8 +155,7 @@ def realization(f: GridFunction, delta: float, alpha, p):
     at the near-best P of band 1/delta.  Returns (value, witness)."""
     order = SmoothnessOrder.parse(alpha)
     p = Exponent.parse(p)
-    if not (delta > 0):
-        raise ParameterError("delta must be positive")
+    delta = float(step_sizes(delta))
     sigma = 1.0 / delta
     if sigma > f.grid.nyquist:
         raise ParameterError("delta below the grid resolution")
@@ -178,10 +178,9 @@ def k_functional(f: GridFunction, delta: float, alpha, p) -> float:
     """
     order = SmoothnessOrder.parse(alpha)
     p = Exponent.parse(p)
-    if not p.is_inf and p.p < 1:
+    if p.p < 1:
         raise ParameterError("K-functional degenerates for p < 1; use realization")
-    if not (delta > 0):
-        raise ParameterError("delta must be positive")
+    delta = float(step_sizes(delta))
     transform(f)  # the spectrum before the first window (see spectral.step_norms)
     candidates = [f, GridFunction(f.grid, np.zeros(f.grid.shape))]
     for scale in K_SCALES:

@@ -164,11 +164,9 @@ def _emit(args, payload, rows):
 def _verify_params(args) -> dict:
     params = {}
     for flag, kind in VERIFY_FLAGS.items():
-        if getattr(args, flag) is not None:
-            params[flag] = getattr(args, flag)
-            if kind is Exponent:
-                exponent = _exponent_arg(args, flag)
-                params[flag] = "inf" if exponent.is_inf else exponent.p
+        value = getattr(args, flag)
+        if value is not None:
+            params[flag] = _exponent_arg(args, flag).p if kind is Exponent else value
     return params
 
 

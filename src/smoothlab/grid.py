@@ -1,9 +1,14 @@
-"""Periodic grids, grid functions and L_p quasi-norms.
+"""Periodic grids, grid functions, L_p quasi-norms and the numeric inputs.
 
 Functions live on a uniform grid over the torus [0, L)^d, d in {1, 2}.
 The coordinates are x_k = k * L / N and all integrals are uniform
 Riemann sums, so every norm here is the quasi-norm of the trigonometric
 interpolant of the samples.
+
+Each numeric input has one rule, here: an exponent 0 < p <= inf is a
+float (``Exponent``), inf included, so p and q take whatever ``float``
+reads; an order is whole by ``is_whole``; and a step size delta, one or
+an array of them, is a float array by ``step_sizes``.
 """
 
 from __future__ import annotations
@@ -22,16 +27,13 @@ INF = math.inf
 _NORMAL_MIN = float(np.finfo(float).tiny)
 
 
-def _is_integer(x: float, tol: float = 1e-12) -> bool:
-    return abs(x - round(x)) <= tol
-
-
 @dataclass(frozen=True)
 class Exponent:
     """Integrability exponent p with 0 < p <= inf.
 
-    p = inf is a distinguished state (sup-norm); arithmetic on derived
-    quantities treats it explicitly rather than through float overflow.
+    p = inf is an ordinary float: IEEE arithmetic gives 1/inf = 0 and
+    max(inf, 2) = inf, so only the conventions below (theta, q1, the
+    conjugate) and the sup-norm treat it apart.
     """
 
     p: float
@@ -42,13 +44,9 @@ class Exponent:
 
     @classmethod
     def parse(cls, text) -> "Exponent":
-        if isinstance(text, Exponent):
-            return text
-        if isinstance(text, str):
-            if text.strip().lower() in ("inf", "infinity", "oo"):
-                return cls(INF)
-            return cls(float(text))
-        return cls(float(text))
+        """``text`` itself if it is already an exponent, else the exponent
+        ``float(text)``: "inf" and "infinity" in any case, blanks allowed."""
+        return text if isinstance(text, Exponent) else cls(float(text))
 
     @property
     def is_inf(self) -> bool:
@@ -73,7 +71,7 @@ class Exponent:
     @property
     def tau(self) -> float:
         """max(p, 2)."""
-        return INF if self.is_inf else max(self.p, 2.0)
+        return max(self.p, 2.0)
 
     @property
     def q1(self) -> float:
@@ -83,12 +81,25 @@ class Exponent:
     @property
     def deficiency(self) -> float:
         """(1/p - 1)_+ ; zero for p >= 1."""
-        if self.is_inf:
-            return 0.0
         return max(1.0 / self.p - 1.0, 0.0)
 
     def label(self) -> str:
-        return "inf" if self.is_inf else repr(self.p)
+        return repr(self.p)
+
+
+def is_whole(x: float) -> bool:
+    """Whether the order x is whole: at least 1/2 and within 1e-12 of an
+    integer, so that no order below 1/2 counts as the whole order 0."""
+    return x >= 0.5 and abs(x - round(x)) <= 1e-12
+
+
+def step_sizes(delta) -> np.ndarray:
+    """``delta``, one step size or an array of them, as a float array of
+    its shape; refused unless every step size is positive and finite."""
+    deltas = np.asarray(delta, dtype=float)
+    if not np.all((deltas > 0) & (deltas < INF)):
+        raise ParameterError(f"delta must be positive and finite, got {delta}")
+    return deltas
 
 
 #: largest order: an order-alpha difference can scale a norm by 2^alpha, which
@@ -115,7 +126,7 @@ class SmoothnessOrder:
 
     @property
     def is_integer(self) -> bool:
-        return _is_integer(self.alpha)
+        return is_whole(self.alpha)
 
     def admissible_for(self, p: Exponent) -> bool:
         """Whole orders always; fractional ones need alpha > (1/p - 1)_+.

@@ -4,7 +4,8 @@ The fractional difference of order alpha > 0 with step h is
 
     D_h^a f(x) = sum_nu (-1)^nu binom(a, nu) f(x + (a - nu) h),
 
-admissible in L_p exactly when a is a whole number or a > (1/p - 1)_+.
+admissible in L_p exactly when a is a whole number (``grid.is_whole``:
+at least 1/2 and within 1e-12 of an integer) or a > (1/p - 1)_+.
 Two evaluation routes are provided: summing the (translated) series
 itself, and the closed multiplier exp(i a th) (1 - exp(-i th))^a with
 th = (h, w); they must agree and that agreement is tested.
@@ -17,10 +18,12 @@ array, one step per row.  ``direction_design`` gives the directions as a
 read-only one, a half followed by its exact negatives; ``step_design``
 broadcasts the magnitudes delta (1 - j/16) over them, and every sup and
 average hands its design to ``spectral.step_norms`` as such an array.
-Every modulus takes one delta or an array of deltas, and at each delta it
-is the max of one ``step_norms`` call over the step design of
-``step_design``; a curve is one ``modulus`` over its deltas, and each
-delta keeps its own blocks of steps.  ``step_norms`` hands a
+Every modulus and ``averaged_modulus`` take one delta or an array of
+deltas through the one per-delta helper ``_per_delta``, which checks them
+with ``grid.step_sizes``; at each delta a modulus is the max of one
+``step_norms`` call over the step design of ``step_design``; a curve is
+one ``modulus`` over its deltas, and each delta keeps its own blocks of
+steps.  ``step_norms`` hands a
 symbol one step or a block of steps as per-axis columns of shape
 (k, 1, ...); the formulas below are the same for both, and a block gives
 one (k, *grid.shape) array.  The closed symbol is built from per-axis
@@ -79,8 +82,8 @@ from functools import cache, cached_property, reduce
 import numpy as np
 
 from .errors import AdmissibilityError, ParameterError
-from .grid import (Exponent, GridFunction, SmoothnessOrder, TorusGrid, power, quasi_norm,
-                   readonly_array)
+from .grid import (Exponent, GridFunction, SmoothnessOrder, TorusGrid, is_whole, power,
+                   quasi_norm, readonly_array, step_sizes)
 from .spectral import (Direction, apply_symbol, derivative_symbol, multi_indices, step_norms,
                        transform)
 
@@ -197,7 +200,7 @@ def _series_symbol(alpha: float, theta: np.ndarray):
     w = np.exp(-1j * theta)
     u = 1.0 - w
     symbol = np.zeros(theta.shape, dtype=complex)
-    whole = abs(alpha - round(alpha)) <= 1e-12
+    whole = is_whole(alpha)
     if whole:
         n_partial = int(round(alpha))
         res = np.ones(theta.shape, dtype=bool)
@@ -257,9 +260,8 @@ def difference_symbol(grid: TorusGrid, hvec, alpha: float) -> np.ndarray:
     th is taken.
     """
     hw = [h * w for h, w in zip(hvec, grid.frequencies())]
-    r = round(alpha)
-    if r >= 1 and abs(alpha - r) <= 1e-12:
-        return _whole_power(reduce(np.multiply, [np.exp(1j * t) for t in hw]), int(r))
+    if is_whole(alpha):
+        return _whole_power(reduce(np.multiply, [np.exp(1j * t) for t in hw]), round(alpha))
     # |1 - z|^a exp(i a (th + Arg(1 - z))) is exp(i a th) np.power(1 - z, a)
     theta = reduce(np.add, hw)
     # for a < 1, |1 - z|^a is not Lipschitz at z = 1: a product of axis
@@ -393,22 +395,25 @@ def step_design(delta: float, directions, p) -> np.ndarray:
     equal bit for bit (module docstring), so the sup visits one step of
     each pair.
     """
-    if not (0 < delta < math.inf):
-        raise ParameterError(f"delta must be positive and finite, got {delta}")
     if Exponent.parse(p).p == 2.0:
         directions = directions[:len(directions) // 2]
-    mags = delta * (1.0 - np.arange(N_MAGNITUDES) / N_MAGNITUDES)
+    mags = step_sizes(delta) * (1.0 - np.arange(N_MAGNITUDES) / N_MAGNITUDES)
     return (mags[:, None, None] * directions).reshape(-1, directions.shape[1])
+
+
+def _per_delta(deltas, value_at):
+    """``value_at(delta)`` at each of ``deltas`` (``step_sizes``): a scalar
+    delta gives a float, an array of deltas an array of its shape."""
+    deltas = step_sizes(deltas)
+    values = np.array([value_at(d) for d in deltas.ravel().tolist()]).reshape(deltas.shape)
+    return float(values) if values.ndim == 0 else values
 
 
 def _sups(f: GridFunction, deltas, directions, p: Exponent, symbol_of, gain_of=None):
     """The sampled supremum at each delta: the max of ``step_norms`` over
-    ``step_design(delta, directions, p)``, one call per delta.  A scalar
-    delta gives a float, an array of deltas an array of its shape."""
-    deltas = np.asarray(deltas, dtype=float)
-    sups = np.array([max(step_norms(f, step_design(d, directions, p), symbol_of, p, gain_of))
-                     for d in deltas.ravel().tolist()]).reshape(deltas.shape)
-    return float(sups) if sups.ndim == 0 else sups
+    ``step_design(delta, directions, p)``, one call per delta."""
+    return _per_delta(deltas, lambda d: max(
+        step_norms(f, step_design(d, directions, p), symbol_of, p, gain_of)))
 
 
 def modulus(f: GridFunction, delta, alpha, p, method: str = "spectral"):
@@ -422,8 +427,9 @@ def modulus(f: GridFunction, delta, alpha, p, method: str = "spectral"):
                  lambda h: _symbol(f, h, a, method), gain_of)
 
 
-def default_deltas(grid: TorusGrid, n: int = 24, floor_cells: float = 4.0) -> np.ndarray:
-    """Geometric delta grid from floor_cells * spacing up to 1."""
+def default_deltas(grid: TorusGrid, n: int, floor_cells: float = 4.0) -> np.ndarray:
+    """Geometric grid of n deltas from floor_cells * spacing up to 1; the
+    config (``n_deltas_1d``/``n_deltas_2d``) is the one home of n."""
     lo = floor_cells * grid.spacing
     if lo >= 1.0:
         raise ParameterError("grid too coarse for the requested delta range")
@@ -483,12 +489,8 @@ class ModulusCurve:
         }
 
 
-def modulus_curve(
-    f: GridFunction, alpha, p, deltas=None, method: str = "spectral"
-) -> ModulusCurve:
+def modulus_curve(f: GridFunction, alpha, p, deltas, method: str = "spectral") -> ModulusCurve:
     order, p = _admissible(alpha, p)
-    if deltas is None:
-        deltas = default_deltas(f.grid)
     deltas = np.asarray(deltas, dtype=float)
     # running max: the value at delta_k is the sup over the union of the step
     # designs at deltas <= delta_k (no two deltas share a step), so
@@ -529,10 +531,9 @@ def mixed_modulus(f: GridFunction, orders, delta, p):
     return _sups(f, delta, direction_design(d), p, symbol_of)
 
 
-def averaged_modulus(
-    f: GridFunction, delta: float, r, p, q, inner: bool = False
-) -> float:
-    """q-average over steps |h| <= delta instead of a supremum.
+def averaged_modulus(f: GridFunction, delta, r, p, q, inner: bool = False):
+    """q-average over steps |h| <= delta instead of a supremum, at one delta
+    or an array of them.
 
     Outer form: (delta^-d int_{|h|<=delta} ||D_h^r f||_p^q dh)^(1/q).
     Inner form (requires q <= p): the h-average is taken pointwise under
@@ -545,28 +546,33 @@ def averaged_modulus(
     q = Exponent.parse(q)
     if q.is_inf:
         raise ParameterError("averaged modulus needs a finite averaging exponent")
-    if inner and not q.q1 <= (math.inf if p.is_inf else p.p):
+    if inner and not q.p <= p.p:
         raise ParameterError("inner form needs q <= p")
     _admissible(order, p)
     d = f.grid.dimension
     n = N_MAGNITUDES
-    edges = np.linspace(-delta, delta, n + 1)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    w_cell = (2.0 * delta / n) ** d
-    nodes = np.array([h for h in itertools.product(mids, repeat=d) if math.hypot(*h) <= delta])
     a = order.alpha
-    scale = delta ** (-d)
-    if inner:
-        transform(f)  # the spectrum before the first grid array (see step_norms)
-        acc = np.zeros(f.grid.shape)
-        for hvec in nodes:
-            g = apply_symbol(f, difference_symbol(f.grid, hvec, a))
-            acc += np.abs(g.values) ** q.q1 * w_cell
-        return quasi_norm(GridFunction(f.grid, (scale * acc) ** (1.0 / q.q1)), p)
-    norms = step_norms(f, nodes, lambda h: difference_symbol(f.grid, h, a), p,
-                       lambda h: difference_gain(f.grid, h, a))
-    acc = sum(norm ** q.q1 * w_cell for norm in norms)
-    return float((scale * acc) ** (1.0 / q.q1))
+
+    def average(delta):
+        edges = np.linspace(-delta, delta, n + 1)
+        mids = 0.5 * (edges[:-1] + edges[1:])
+        w_cell = (2.0 * delta / n) ** d
+        nodes = np.array([h for h in itertools.product(mids, repeat=d)
+                          if math.hypot(*h) <= delta])
+        scale = delta ** (-d)
+        if inner:
+            transform(f)  # the spectrum before the first grid array (see step_norms)
+            acc = np.zeros(f.grid.shape)
+            for hvec in nodes:
+                g = apply_symbol(f, difference_symbol(f.grid, hvec, a))
+                acc += np.abs(g.values) ** q.p * w_cell
+            return quasi_norm(GridFunction(f.grid, (scale * acc) ** (1.0 / q.p)), p)
+        norms = step_norms(f, nodes, lambda h: difference_symbol(f.grid, h, a), p,
+                           lambda h: difference_gain(f.grid, h, a))
+        acc = sum(norm ** q.p * w_cell for norm in norms)
+        return float((scale * acc) ** (1.0 / q.p))
+
+    return _per_delta(delta, average)
 
 
 def sobolev_seminorm(f: GridFunction, r: int, p) -> float:

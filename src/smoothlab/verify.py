@@ -51,7 +51,7 @@ import numpy as np
 from . import corpus as corpus_mod
 from .approx import approx_curve, dyadic_bands, k_functional, realization, sup_directional
 from .errors import HypothesisError, ParameterError, RegimeError
-from .grid import Exponent, GridFunction, SmoothnessOrder, TorusGrid, power, quasi_norm
+from .grid import Exponent, GridFunction, SmoothnessOrder, TorusGrid, is_whole, power, quasi_norm
 from .moduli import (
     ModulusCurve,
     Step,
@@ -307,13 +307,13 @@ def eta_regime(p: float, q: float, alpha: float, gamma: float, d: int) -> dict:
     where gamma clears it by _EQ_TOL.  Returns {'pow', 'logpow', 'tag',
     'drop'}."""
     pe, qe = Exponent(p), Exponent(q)
-    if pe.is_inf or not (pe.p < (math.inf if qe.is_inf else qe.p)):
+    if not pe.p < qe.p:
         raise HypothesisError("needs 0 < p < q <= inf")
-    rq = 0.0 if qe.is_inf else 1.0 / qe.p
+    rq = 1.0 / qe.p
     if pe.p <= 1.0:
         thr = d * max(1.0 - rq, 0.0)
         pw = d * (1.0 / pe.p - 1.0)
-        whole = abs((alpha + gamma) - round(alpha + gamma)) <= _EQ_TOL
+        whole = is_whole(alpha + gamma)
         if gamma > thr + _EQ_TOL:
             return {"pow": pw, "logpow": 0.0, "tag": "supercritical", "drop": False}
         if _close(gamma, thr) and thr >= 1.0 and d >= 2 and whole:
@@ -483,15 +483,6 @@ class Workbench:
 
         return self._get(("fn", name), build)
 
-    def derived_fn(self, name: str, multi: tuple) -> GridFunction:
-        """Whole-order derivative D^multi of a corpus entry."""
-
-        def build():
-            f = self.fn(name)
-            return apply_symbol(f, derivative_symbol(f.grid, multi))
-
-        return self._get(("dfn", name, multi), build)
-
     def deltas(self, name: str) -> np.ndarray:
         grid = self.fn(name).grid
         return default_deltas(grid, self.setting("n_deltas", grid.dimension))
@@ -507,7 +498,9 @@ class Workbench:
         plabel = Exponent.parse(p).label()
 
         def build():
-            f = self.fn(name) if multi is None else self.derived_fn(name, multi)
+            f = self.fn(name)
+            if multi is not None:
+                f = apply_symbol(f, derivative_symbol(f.grid, multi))
             if kind == "curve":
                 return modulus_curve(f, alpha, p, deltas=self.deltas(name))
             n = self.setting("n_deltas", f.grid.dimension) + 8
@@ -551,6 +544,9 @@ def _open(e: Exponent) -> bool:
 
 
 def _whole(x: float) -> bool:
+    """Whether a derived sum such as alpha + gamma is whole, to 1e-9: wider
+    than ``grid.is_whole``, so NO_ODD_SUM also refuses the sums near the
+    odd whole numbers."""
     return abs(x - round(x)) <= 1e-9
 
 
@@ -579,8 +575,8 @@ def admissible(*orders: str) -> Gate:
 
 P_OPEN = Gate(lambda wb, a: _open(a.p), "1 < p < inf")
 Q_OPEN = Gate(lambda wb, a: _open(a.q), "1 < q < inf")
-P_NORMED = Gate(lambda wb, a: a.p.is_inf or a.p.p >= 1.0, "p >= 1")
-P_SMALL = Gate(lambda wb, a: not a.p.is_inf and a.p.p <= 1.0, "0 < p <= 1")
+P_NORMED = Gate(lambda wb, a: a.p.p >= 1.0, "p >= 1")
+P_SMALL = Gate(lambda wb, a: a.p.p <= 1.0, "0 < p <= 1")
 P_BELOW_Q = Gate(lambda wb, a: a.p.p < a.q.p, "p < q")
 MULTIVARIATE = Gate(lambda wb, a: a.d >= 2, "d >= 2")
 SHARED_GRID = Gate(
@@ -588,7 +584,7 @@ SHARED_GRID = Gate(
 )
 AVERAGED = Gate(lambda wb, a: SmoothnessOrder(a.r).is_integer or _open(a.p) or a.d == 1,
                 "a whole r, or 1 < p < inf, or d = 1")
-Q_BELOW_P = Gate(lambda wb, a: a.p.is_inf or a.q.q1 <= a.p.p, "q <= p")
+Q_BELOW_P = Gate(lambda wb, a: a.q.q1 <= a.p.p, "q <= p")
 NO_ODD_SUM = Gate(
     lambda wb, a: not (_whole(a.alpha + a.gamma) and int(round(a.alpha + a.gamma)) % 2 == 1),
     "alpha + gamma off the odd whole numbers, where the multiplier argument breaks down",
@@ -736,7 +732,7 @@ def _p4(wb, a):
 
 def _p5(wb, a):
     r, p, q = a.r, a.p, a.q
-    inv_s = (0.0 if p.is_inf else 1.0 / p.p) + (0.0 if q.is_inf else 1.0 / q.p)
+    inv_s = 1.0 / p.p + 1.0 / q.p
     s = Exponent(math.inf if inv_s == 0 else 1.0 / inv_s)
     deltas = wb.deltas(a.entry)
     lhs = modulus_curve(wb.fn(a.entry) * wb.fn(a.entry2), float(r), s, deltas=deltas).values
@@ -747,7 +743,7 @@ def _p5(wb, a):
         wg = wb.norm(a.entry2, q) if k == r else wb.curve(a.entry2, float(r - k), q).values
         rhs = rhs + ck * np.asarray(wf) * np.asarray(wg)
     notes = []
-    if not s.is_inf and s.p < 1.0:
+    if s.p < 1.0:
         slack = power(r + 1, 1.0 / s.p - 1.0)
         rhs = rhs * slack
         notes.append(f"s < 1: quasi-triangle slack {slack:.6g} applied to the sum")
@@ -756,10 +752,7 @@ def _p5(wb, a):
 
 def _p6(wb, a):
     f, c = wb.fn(a.entry), wb.curve(a.entry, a.r, a.p)
-    rhs = np.array(
-        [averaged_modulus(f, float(d), a.r, a.p, a.q, inner=(a.form == "inner"))
-         for d in c.deltas]
-    )
+    rhs = averaged_modulus(f, c.deltas, a.r, a.p, a.q, inner=(a.form == "inner"))
     return Sides(c.deltas, c.values, rhs)
 
 

@@ -3,9 +3,10 @@ import csv
 import io
 import json
 import logging
+import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from smoothlab.cli import main
 
@@ -287,6 +288,22 @@ class TestBadInputExitsTwo:
         )
         assert "--p" in msg
 
+    def test_oo_is_no_exponent(self, capsys, caplog):
+        # p and q take what float() reads: inf and infinity, not oo
+        msg = self.run_bad(
+            capsys, caplog, "modulus", "gaussian", "--alpha", "1", "--delta", "0.5",
+            "--p", "oo", "--quick",
+        )
+        assert msg == "error: --p must be a positive number or inf, got 'oo'"
+
+    def test_an_order_below_one_half_is_not_whole(self, capsys, caplog):
+        # 1e-13 is a fractional order, inadmissible at p = 1/2: no check runs
+        msg = self.run_bad(
+            capsys, caplog, "verify", "P1c", "--entry", "gaussian", "--alpha", "1e-13",
+            "--p", "0.5", "--quick",
+        )
+        assert "inadmissible" in msg
+
     def test_non_numeric_verify_exponent(self, capsys, caplog):
         msg = self.run_bad(
             capsys, caplog, "verify", "P1a", "--entry", "gaussian", "--alpha", "1",
@@ -500,12 +517,29 @@ VERIFY_ROWS = {
 }
 
 
+#: the rows whose --alpha is an order measured in L_p
+LP_ORDER_ROWS = ("P1c", "P2", "P7", "P10", "P12", "P17")
+
+
+def _inadmissible(alpha: str, p: str) -> bool:
+    """A positive finite order that is neither whole (at least 1/2 and
+    within 1e-12 of an integer) nor above (1/p - 1)_+, at a positive p."""
+    a, q = float(alpha), float(p)
+    if not (0 < a < math.inf and q > 0):
+        return False
+    whole = a >= 0.5 and abs(a - round(a)) <= 1e-12
+    return not (whole or a > max(1.0 / q - 1.0, 0.0))
+
+
 @settings(max_examples=40, deadline=None)
 @given(pid=st.sampled_from(sorted(VERIFY_ROWS)),
-       number=_numbers("1023", "1024", "1e300", "0.001"),
+       number=_numbers("1023", "1024", "1e300", "0.001", "1e-13"),
        p=_numbers("1e-300", "1e300", "0.001"))
+@example(pid="P1c", number="1e-13", p="0.5")
 def test_verify_exits_0_1_or_2_with_strict_json(pid, number, p):
-    """A row may fail (exit 1), but with a report, never with a traceback."""
+    """A row may fail (exit 1), but with a report, never with a traceback;
+    an inadmissible order exits 2, since exit 1 means that a check failed
+    on an admissible input."""
     *flags, last = VERIFY_ROWS[pid]
     argv = ["verify", pid, "--entry", "gaussian", f"--p={p}", "--quick", *flags,
             f"{last}={number}"]
@@ -514,5 +548,7 @@ def test_verify_exits_0_1_or_2_with_strict_json(pid, number, p):
         code = main(argv)
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+    if pid in LP_ORDER_ROWS and _inadmissible(number, p):
+        assert code == 2
     if code in (0, 1):
         strict_json(out.getvalue())

@@ -11,7 +11,7 @@ from hypothesis import given, strategies as st
 from smoothlab.corpus import grid_function
 from smoothlab.errors import ParameterError
 from smoothlab.grid import (MAX_ORDER, Exponent, GridFunction, SmoothnessOrder, TorusGrid,
-                            periodize, quasi_norm)
+                            periodize, quasi_norm, step_sizes)
 from smoothlab.spectral import transform
 
 
@@ -22,6 +22,10 @@ def make_grid(d=1, n=64, L=10.0):
 class TestExponent:
     def test_parse(self):
         assert Exponent.parse("inf").is_inf
+        # inf is an ordinary float: whatever float() reads
+        assert Exponent.parse("Infinity").is_inf and Exponent.parse(" INF ").is_inf
+        with pytest.raises(ValueError):
+            Exponent.parse("oo")
         assert Exponent.parse("2").p == 2.0
         assert Exponent.parse(0.5).p == 0.5
         assert Exponent.parse(Exponent(3.0)).p == 3.0
@@ -44,12 +48,14 @@ class TestExponent:
         assert Exponent(math.inf).theta == 1.0
         assert Exponent(1.5).tau == 2.0
         assert Exponent(3.0).tau == 3.0
+        assert Exponent(math.inf).tau == math.inf
 
     def test_q1_and_deficiency(self):
         assert Exponent(0.5).q1 == 0.5
         assert Exponent(math.inf).q1 == 1.0
         assert Exponent(0.5).deficiency == 1.0
         assert Exponent(2.0).deficiency == 0.0
+        assert Exponent(math.inf).deficiency == 0.0
 
     @given(st.floats(min_value=1.01, max_value=50.0))
     def test_conjugate_relation(self, p):
@@ -64,7 +70,11 @@ class TestExponent:
 class TestSmoothnessOrder:
     def test_integer_detection(self):
         assert SmoothnessOrder(2.0).is_integer
+        assert SmoothnessOrder(1.0 + 1e-13).is_integer
         assert not SmoothnessOrder(1.5).is_integer
+        # no order below 1/2 is the whole order 0
+        assert not SmoothnessOrder(1e-13).is_integer
+        assert not SmoothnessOrder(1e-13).admissible_for(Exponent(0.5))
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ParameterError):
@@ -89,6 +99,18 @@ class TestSmoothnessOrder:
         assert SmoothnessOrder(1.5).admissible_for(Exponent(0.5))
         assert not SmoothnessOrder(0.7).admissible_for(Exponent(0.5))
         assert SmoothnessOrder(0.7).admissible_for(Exponent(2.0))
+
+
+class TestStepSizes:
+    def test_keeps_the_shape(self):
+        assert step_sizes(0.5).shape == ()
+        assert step_sizes([0.2, 0.4]).tolist() == [0.2, 0.4]
+        assert step_sizes(np.array([])).shape == (0,)
+
+    @pytest.mark.parametrize("delta", [0.0, -0.5, math.inf, math.nan, [0.2, math.nan]])
+    def test_refuses_a_step_that_is_not_positive_and_finite(self, delta):
+        with pytest.raises(ParameterError, match="delta must be positive and finite"):
+            step_sizes(delta)
 
 
 class TestTorusGrid:

@@ -75,10 +75,11 @@ class TestBinomials:
 
     def test_power_sum_closed_forms_at_p_at_least_one(self):
         # past floor(a) the signs alternate and sum (-1)^nu binom(a, nu) = 0,
-        # so the sum of |binom(a, nu)| is exact: 2 for 0 < a < 1, 1 + 1.5 +
-        # |1 - 1.5| = 3 at a = 1.5, 1 + 2.5 + 1.875 + |1 - 2.5 + 1.875| = 5.75
+        # so the sum of |binom(a, nu)| is exact: 2 for 0 < a < 1, tiny a
+        # included, 1 + 1.5 + |1 - 1.5| = 3 at a = 1.5, and 1 + 2.5 + 1.875 +
+        # |1 - 2.5 + 1.875| = 5.75 at a = 2.5
         for p in (1.0, 2.0, "inf"):
-            for a in (0.25, 0.5, 0.75):
+            for a in (1e-13, 0.25, 0.5, 0.75):
                 assert bpc(a, p) == 2.0
             assert bpc(1.5, p) == 3.0
             assert bpc(2.5, p) == 5.75
@@ -175,9 +176,23 @@ class TestModulus:
 
     @pytest.mark.parametrize("delta", [0.0, -0.5, math.inf, math.nan])
     def test_step_scale_must_be_positive_and_finite(self, delta):
+        """Every function that takes a step size refuses the same ones."""
         f = grid_function("gaussian", N=256, L=20.0)
-        with pytest.raises(ParameterError, match="delta"):
-            modulus(f, delta, 1.0, 2.0)
+        for takes_delta in (
+            lambda: modulus(f, delta, 1.0, 2.0),
+            lambda: averaged_modulus(f, delta, 1.0, 2.0, 1.0),
+            lambda: averaged_modulus(f, delta, 1.0, 2.0, 0.5, inner=True),
+            lambda: k_functional(f, delta, 1.0, 2.0),
+            lambda: approx.realization(f, delta, 1.0, 2.0),
+        ):
+            with pytest.raises(ParameterError, match="delta"):
+                takes_delta()
+
+    def test_an_order_below_one_half_is_not_whole(self):
+        # whole orders are >= 1/2: 1e-13 is a fractional order, inadmissible at p = 1/2
+        f = grid_function("gaussian", N=256, L=20.0)
+        with pytest.raises(AdmissibilityError):
+            modulus(f, 0.3, 1e-13, 0.5)
 
     def test_designs(self):
         assert len(direction_design(1)) == 2
@@ -741,12 +756,15 @@ DELTA_ROUTES = {
     "series": lambda f, delta, p: modulus(f, delta, 2.0, p, method="series"),
     "partial": lambda f, delta, p: partial_modulus(f, f.grid.dimension - 1, delta, 2, p),
     "mixed": lambda f, delta, p: mixed_modulus(f, (1,) * f.grid.dimension, delta, p),
+    "averaged": lambda f, delta, p: averaged_modulus(f, delta, 2.0, p, 1.0),
+    # q = 1/2 <= p at every p drawn
+    "averaged_inner": lambda f, delta, p: averaged_modulus(f, delta, 2.0, p, 0.5, inner=True),
 }
 
 
 class TestDeltaArrays:
-    """A modulus over an array of deltas is the scalar modulus at each
-    delta, bit for bit."""
+    """A modulus or an average over an array of deltas is the scalar one at
+    each delta, bit for bit."""
 
     @pytest.mark.parametrize("p", [0.5, 1.0, 2.0, "inf"])
     @pytest.mark.parametrize("route", sorted(DELTA_ROUTES))
