@@ -16,13 +16,12 @@ its one transform.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ParameterError
-from .grid import (Exponent, GridFunction, SmoothnessOrder, TorusGrid, quasi_norm,
+from .grid import (Exponent, GridFunction, SmoothnessOrder, TorusGrid, power, quasi_norm,
                    readonly_array, step_sizes)
 from .moduli import direction_design
 from .spectral import (apply_symbol, band_windows, directional_symbol, interp_V, step_norms,
@@ -150,6 +149,13 @@ def sup_directional(P: GridFunction, alpha, p) -> float:
                           lambda v: directional_symbol(P.grid, v, order), p))
 
 
+def _penalty(P: GridFunction, delta: float, order: SmoothnessOrder, p) -> float:
+    """delta^alpha sup ||D^alpha P||_p, which is 0 where the sup is 0, also
+    where delta^alpha is beyond the double range."""
+    seminorm = sup_directional(P, order, p)
+    return power(delta, order.alpha) * seminorm if seminorm else 0.0
+
+
 def realization(f: GridFunction, delta: float, alpha, p):
     """Realization functional ||f - P||_p + delta^alpha sup ||D^alpha P||_p
     at the near-best P of band 1/delta.  Returns (value, witness)."""
@@ -160,7 +166,7 @@ def realization(f: GridFunction, delta: float, alpha, p):
     if sigma > f.grid.nyquist:
         raise ParameterError("delta below the grid resolution")
     nb = near_best(f, sigma, p)
-    value = nb.error + delta ** order.alpha * sup_directional(nb.witness, order, p)
+    value = nb.error + _penalty(nb.witness, delta, order, p)
     return float(value), nb.witness
 
 
@@ -189,12 +195,8 @@ def k_functional(f: GridFunction, delta: float, alpha, p) -> float:
             candidates.append(apply_symbol(f, band_windows(f.grid, sigma)["smooth"]))
     mag2 = sum(w ** 2 for w in f.grid.frequencies())
     for scale in K_SCALES:
-        t = scale * delta
+        # past t = 1000 L the Gaussian is already 1 at the zero mode and 0 at
+        # every other one, so the cap moves no value and keeps t^2 |w|^2 finite
+        t = min(scale * delta, 1e3 * f.grid.period)
         candidates.append(apply_symbol(f, np.exp(-0.5 * t * t * mag2)))
-    best = math.inf
-    for g in candidates:
-        val = quasi_norm(f - g, p) + delta ** order.alpha * sup_directional(
-            g, order, p
-        )
-        best = min(best, val)
-    return float(best)
+    return float(min(quasi_norm(f - g, p) + _penalty(g, delta, order, p) for g in candidates))

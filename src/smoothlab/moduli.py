@@ -67,9 +67,14 @@ The series route shares only the spectrum, the read-only array of
 sums the binomial series mode by mode, on the occupied modes only
 (|F| > 1e-14 max|F|, with the bound on what the dropped modes contribute
 stated in ``_symbol``): a partial sum whose length adapts to min |1 - w|,
-plus 12 summation-by-parts terms that fold in the remainder.  It carries
-no certified truncation length; its accuracy is checked against the
-closed symbol.
+plus 12 summation-by-parts terms that fold in the remainder.  The powers
+w^nu come from one table per call, T[i] = w^(i+1) for i below the chunk
+length (at most 2048, and at most 2^21 entries), filled by doubling in
+about log2(chunk) array products; the partial sum walks it chunk by
+chunk, each chunk scaled by the last power of the one before.  So w^nu
+is a chain of at most about nu / chunk + 11 products, not nu.  It
+carries no certified truncation length; its accuracy is checked against
+the closed symbol.
 """
 
 from __future__ import annotations
@@ -217,16 +222,20 @@ def _series_symbol(alpha: float, theta: np.ndarray):
     c[1::2] *= -1.0
     acc = np.full(wr.shape, c[0], dtype=complex)
     wpow = np.ones_like(wr)
-    # at most 2^21 entries (32 MB) per block, however many modes are summed
+    # one power table T[i] = w^(i+1), filled by doubling: at most 2^21
+    # entries (32 MB), however many modes are summed
     chunk = max(1, min(2048, 2 ** 21 // max(wr.size, 1)))
+    table = np.empty((min(chunk, n_partial),) + wr.shape, dtype=complex)
+    table[0] = wr
+    k = 1
+    while k < len(table):
+        m = min(k, len(table) - k)
+        table[k:k + m] = table[:m] * table[k - 1]
+        k += m
     for start in range(1, n_partial + 1, chunk):
-        stop = min(start + chunk, n_partial + 1)
-        block = np.empty((stop - start,) + wr.shape, dtype=complex)
-        block[0] = wpow * wr
-        for i in range(1, stop - start):
-            block[i] = block[i - 1] * wr
-        wpow = block[-1]
-        acc += np.tensordot(c[start:stop], block, axes=(0, 0))
+        m = min(chunk, n_partial + 1 - start)
+        acc += wpow * (c[start:start + m] @ table[:m])
+        wpow = wpow * table[m - 1]
     if not whole:
         # wpow now holds w^n_partial; fold in the exact tail
         ur = u[res]

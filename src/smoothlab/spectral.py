@@ -284,10 +284,12 @@ def band_windows(grid: TorusGrid, sigma: float) -> dict:
     vanishes for |w| > sigma; apply one with ``apply_symbol``.
     """
     mag = frequency_magnitude(grid)
+    # |w|/sigma capped at 1, where every window is 0: finite for every sigma
+    ratio = np.minimum(mag, sigma) / sigma
     return {
         "sharp": (mag <= sigma).astype(float),
-        "smooth": smooth_cutoff(mag / sigma),
-        "riesz": np.clip(1.0 - (mag / sigma) ** 2, 0.0, None),
+        "smooth": smooth_cutoff(ratio),
+        "riesz": 1.0 - ratio ** 2,
     }
 
 

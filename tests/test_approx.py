@@ -192,6 +192,16 @@ class TestRealizationAndK:
         b = k_functional(gaussian, 1.0, 1.0, 2.0)
         assert a <= b * (1.0 + 1e-12)
 
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    @pytest.mark.parametrize("alpha", [1.0, 2.0])
+    @pytest.mark.parametrize("delta", [1e100, 1e200, 1e300])
+    def test_a_huge_step_gives_finite_values(self, gaussian, delta, alpha, p):
+        # delta^alpha may be inf: it multiplies the seminorm 0 of the
+        # constant witness, so the realization is the near-best error
+        value, _ = realization(gaussian, delta, alpha, p)
+        assert value == near_best(gaussian, 1.0 / delta, p).error
+        assert math.isfinite(k_functional(gaussian, delta, alpha, p))
+
     def test_sup_directional_plane_wave(self):
         f = grid_function("planewave", N=256)
         # |D^1 e^{ix}| = 1 in either direction

@@ -12,7 +12,7 @@ from smoothlab import approx, moduli, spectral
 from smoothlab.approx import k_functional, near_best, sup_directional
 from smoothlab.corpus import grid_function
 from smoothlab.errors import AdmissibilityError, ParameterError
-from smoothlab.grid import Exponent, GridFunction, TorusGrid, quasi_norm
+from smoothlab.grid import GridFunction, TorusGrid, quasi_norm
 from smoothlab.moduli import (
     ModulusCurve,
     Step,
@@ -105,6 +105,38 @@ class TestSymbols:
         for a in (0.5, 1.3, 2.0, 3.7):
             s = _series_symbol(a, th)
             assert np.max(np.abs(s - _spectral_symbol(a, th))) < 1e-10
+
+    @pytest.mark.parametrize("theta", [
+        # 12,800 terms: 6 whole chunks of 2048 and a part
+        pytest.param(np.random.default_rng(2).uniform(0.005, 3.0, 64), id="part-chunk"),
+        # 5000 modes shrink the chunk to 2^21 // 5000 = 419 terms
+        pytest.param(np.random.default_rng(3).uniform(0.05, 3.0, 5000), id="small-chunk"),
+        # 320,000 terms: 157 chunks
+        pytest.param(np.geomspace(2e-4, 3.0, 40), id="long-sum"),
+    ])
+    @pytest.mark.parametrize("a", [0.5, 1.5, 3.2])
+    def test_the_power_table_walks_every_chunk(self, a, theta):
+        s = _series_symbol(a, theta)
+        assert np.max(np.abs(s - _spectral_symbol(a, theta))) < 1e-10
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_whole_orders_sum_fewer_terms_than_a_chunk(self, m):
+        # the reference builds each w^nu as a chain of nu products: orders 1
+        # and 2 keep its bits, higher orders differ from it by round-off
+        th = np.random.default_rng(4).uniform(-3.1, 3.1, 200)
+        w = np.exp(-1j * th)
+        c = moduli._binom_array(float(m), m + 1)
+        c[1::2] *= -1.0
+        chain = [w]
+        for _ in range(m - 1):
+            chain.append(chain[-1] * w)
+        ref = np.exp(1j * m * th) * (c[0] + np.tensordot(c[1:], np.array(chain), axes=(0, 0)))
+        s = _series_symbol(float(m), th)
+        if m <= 2:
+            assert np.array_equal(s, ref)
+        else:
+            assert np.max(np.abs(s - ref)) <= 2.0 ** m * 1e-15
+        assert np.max(np.abs(s - _spectral_symbol(m, th))) < 1e-10
 
     def test_zero_angle_sums_to_zero(self):
         s = _series_symbol(0.5, np.array([0.0]))
@@ -537,8 +569,7 @@ class TestParsevalRoute:
         monkeypatch.setattr(np.fft, "ifftn", lambda a: calls.append(1) or real(a))
         d = smooth.grid.dimension
         modulus(smooth, 0.6, 1.5, 2.0)
-        if d == 1:  # the 2-D series route is slow at small steps
-            modulus(smooth, 0.6, 1.5, 2.0, method="series")
+        modulus(smooth, 0.6, 1.5, 2.0, method="series")
         partial_modulus(smooth, 0, 0.6, 2, 2.0)
         mixed_modulus(smooth, (1,) * d, 0.6, 2.0)
         sup_directional(smooth, 1.5, 2.0)
@@ -658,17 +689,10 @@ def desk(request):
     return GridFunction(grid, np.cos(x1) + 0.5 * np.sin(2 * x2) + 0.25 * np.cos(x1 + 3 * x2))
 
 
-def _axes(d):
-    return np.concatenate([np.eye(d), -np.eye(d)])
-
-
-#: every route through the step loop: the sups, and the outer average; the
-#: series sup on the axes alone, since a fractional order sums at least 4096
-#: terms a step
+#: every route through the step loop: the sups, and the outer average
 STEP_ROUTES = {
     "modulus": lambda f, p: modulus(f, 0.6, 1.5, p),
-    "series": lambda f, p: moduli._sups(f, 0.6, _axes(f.grid.dimension), Exponent.parse(p),
-                                        lambda h: _symbol(f, h, 1.5, "series")),
+    "series": lambda f, p: modulus(f, 0.6, 1.5, p, method="series"),
     "partial": lambda f, p: partial_modulus(f, f.grid.dimension - 1, 0.6, 2, p),
     "mixed": lambda f, p: mixed_modulus(f, (1,) * f.grid.dimension, 0.6, p),
     "directional": lambda f, p: sup_directional(f, 1.5, p),
@@ -749,11 +773,10 @@ class TestBlockedSteps:
         assert all(row.max() == 1.0 for row in gain if row.any())
 
 
-#: every modulus as a function of delta; the series route at a whole order,
-#: which sums three binomial terms, so that the 2-D design stays cheap
+#: every modulus as a function of delta
 DELTA_ROUTES = {
     "modulus": lambda f, delta, p: modulus(f, delta, 1.5, p),
-    "series": lambda f, delta, p: modulus(f, delta, 2.0, p, method="series"),
+    "series": lambda f, delta, p: modulus(f, delta, 1.5, p, method="series"),
     "partial": lambda f, delta, p: partial_modulus(f, f.grid.dimension - 1, delta, 2, p),
     "mixed": lambda f, delta, p: mixed_modulus(f, (1,) * f.grid.dimension, delta, p),
     "averaged": lambda f, delta, p: averaged_modulus(f, delta, 2.0, p, 1.0),

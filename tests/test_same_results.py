@@ -1,9 +1,12 @@
 """``tools/same_results.py`` on the quick report: it passes a report against
 itself and against round-off in a stat whose true value is 0, and fails
 a moved value or a flipped verdict; and the quick report gives the same
-results as the pinned ``tests/data/quick_report.json``."""
+results as the pinned ``tests/data/quick_report.json``.  On a ``curve``
+output it compares value by value."""
 
+import contextlib
 import copy
+import io
 import json
 import pathlib
 import subprocess
@@ -11,6 +14,7 @@ import sys
 
 import pytest
 
+from smoothlab.cli import main
 from smoothlab.verify import canonical_json, verify_all
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -60,6 +64,24 @@ def test_a_round_off_slope_passes(tmp_path, quick):
     row(old, "BERN")["stats"]["slope"] = 9.24e-17
     row(new, "BERN")["stats"]["slope"] = 4.21e-17
     assert same(tmp_path, old, new).returncode == 0
+
+
+def test_a_curve_output_is_compared_value_by_value(tmp_path):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["curve", "gaussian", "--alpha", "1.5", "--p", "0.5",
+                     "--method", "series", "--quick"]) == 0
+    curve = json.loads(out.getvalue())
+    nudged, moved, renamed = (copy.deepcopy(curve) for _ in range(3))
+    nudged["values"][3] *= 1.0 + 1e-12
+    moved["values"][3] *= 1.0 + 1e-9
+    renamed["metadata"]["method"] = "spectral"
+    assert same(tmp_path, curve, curve).returncode == 0
+    assert same(tmp_path, curve, nudged).returncode == 0
+    for new, where in ((moved, "output.values[3]"), (renamed, "output.metadata.method"),
+                       ({**curve, "extra": 1}, "keys")):
+        result = same(tmp_path, curve, new)
+        assert result.returncode == 1 and where in result.stdout
 
 
 def test_the_quick_report_matches_the_pinned_one(tmp_path, quick):

@@ -1,15 +1,17 @@
-"""Check that two ``smoothlab verify-all`` reports give the same results.
+"""Check that two ``smoothlab`` outputs give the same results.
 
     python3 tools/same_results.py OLD.json NEW.json
 
-The reports must hold the same rows in the same order, with equal report
-keys, property ids, params, grids and verdicts.  Each lhs, rhs and ratio
-value must agree within 1e-10 relative, and a non-finite value must be
-spelled the same ("inf", "-inf", "nan").  Each stat must agree within
-1e-10 relative, or both values must be below 1e-14 in absolute value: a
-stat whose true value is 0 (a flat family's fitted slope) reports
-round-off.  Notes that differ are printed but do not fail.  Exits 1 on any
-violation, printing each one, and 0 otherwise.
+Two ``verify-all`` reports must hold the same rows in the same order,
+with equal report keys, property ids, params, grids and verdicts.  Each
+lhs, rhs and ratio value must agree within 1e-10 relative, and a
+non-finite value must be spelled the same ("inf", "-inf", "nan").  Each
+stat must agree within 1e-10 relative, or both values must be below 1e-14
+in absolute value: a stat whose true value is 0 (a flat family's fitted
+slope) reports round-off.  Notes that differ are printed but do not fail.  Any other pair
+of outputs (``curve``, ``modulus``, ``approx``) must have the same keys at
+every level, equal non-numbers and numbers within 1e-10 relative.  Exits 1
+on any violation, printing each one, and 0 otherwise.
 """
 
 import json
@@ -49,6 +51,20 @@ def compare(old: dict, new: dict) -> list:
     return bad
 
 
+def compare_values(old, new, path="output") -> list:
+    """The violations between two single-command outputs, each a line of text."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        if sorted(old) != sorted(new):
+            return [f"{path}: keys {sorted(old)} against {sorted(new)}"]
+        return [line for k in old for line in compare_values(old[k], new[k], f"{path}.{k}")]
+    if isinstance(old, list) and isinstance(new, list):
+        if len(old) != len(new):
+            return [f"{path}: {len(old)} items against {len(new)}"]
+        return [line for i, (a, b) in enumerate(zip(old, new))
+                for line in compare_values(a, b, f"{path}[{i}]")]
+    return [] if close(old, new) else [f"{path}: {old!r} against {new!r}"]
+
+
 def main(argv) -> int:
     if len(argv) != 2:
         print("usage: python3 tools/same_results.py OLD.json NEW.json", file=sys.stderr)
@@ -57,7 +73,7 @@ def main(argv) -> int:
     for path in argv:
         with open(path) as fh:
             reports.append(json.load(fh))
-    bad = compare(*reports)
+    bad = (compare if all("reports" in r for r in reports) else compare_values)(*reports)
     for line in bad:
         print(line)
     return 1 if bad else 0
