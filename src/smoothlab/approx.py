@@ -24,8 +24,7 @@ from .errors import ParameterError
 from .grid import (Exponent, GridFunction, SmoothnessOrder, TorusGrid, power, quasi_norm,
                    readonly_array, step_sizes)
 from .moduli import direction_design
-from .spectral import (apply_symbol, band_windows, directional_symbol, interp_V, step_norms,
-                       transform)
+from .spectral import apply_symbol, band_windows, directional_symbol, interp_V, step_norms
 
 #: offsets (as multiples of 1/sigma, within [-1, 1]) for the sampling operator
 N_OFFSETS = 8
@@ -59,7 +58,6 @@ def near_best(f: GridFunction, sigma: float, p) -> NearBest:
         raise ParameterError(
             f"sigma={sigma} outside (0, nyquist={f.grid.nyquist:.3f}]"
         )
-    transform(f)  # the spectrum before the first window (see spectral.step_norms)
     candidates = [(name, apply_symbol(f, window))
                   for name, window in band_windows(f.grid, sigma).items()]
     n_samples = f.grid.period * sigma
@@ -187,7 +185,6 @@ def k_functional(f: GridFunction, delta: float, alpha, p) -> float:
     if p.p < 1:
         raise ParameterError("K-functional degenerates for p < 1; use realization")
     delta = float(step_sizes(delta))
-    transform(f)  # the spectrum before the first window (see spectral.step_norms)
     candidates = [f, GridFunction(f.grid, np.zeros(f.grid.shape))]
     for scale in K_SCALES:
         sigma = scale / delta

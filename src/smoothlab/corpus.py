@@ -2,10 +2,11 @@
 
 Each entry is a profile centered at the origin together with whatever
 closed forms it has (continuum Fourier transform, band radius, tail
-bounds).  Grid realizations are periodizations over the torus; for the
-bandlimited entries the periodization is built directly from the exact
-Fourier coefficients, which is the same sum evaluated in closed form, and
-synthesized with ``spectral.synthesize``.
+bounds).  Grid realizations are periodizations over the torus; for an
+entry with both a transform and a band radius (fejer and fejer2d) the
+periodization is built directly from the exact Fourier coefficients,
+which is the same sum evaluated in closed form, and synthesized with
+``spectral.synthesize``.
 
 ``DESK_1D`` and ``DESK_2D`` are the desk scales {N, L} of every entry
 without a period of its own; ``verify.DEFAULTS`` reads them.
@@ -49,7 +50,6 @@ class CorpusEntry:
     description: str
     fourier: object = None  # callable(omega arrays) -> profile transform
     band_radius: float | None = None
-    spectral_exact: bool = False
     m_tail: int = 1
     tail_fn: object = None  # callable(L) -> relative outside mass bound
     period: float | None = None  # override of the desk-scale period
@@ -104,7 +104,6 @@ def _make_entries():
             * np.clip(1.0 - np.abs(np.asarray(w)) / 4.0, 0.0, None),
             description="squared-sinc kernel dilate, band radius 4",
             band_radius=4.0,
-            spectral_exact=True,
         )
     )
     entries.append(
@@ -171,7 +170,6 @@ def _make_entries():
             * np.clip(1.0 - np.abs(np.asarray(w2)) / 4.0, 0.0, None),
             description="tensor squared-sinc dilate, band radius 4*sqrt(2)",
             band_radius=4.0 * math.sqrt(2.0),
-            spectral_exact=True,
         )
     )
     return tuple(entries)
@@ -225,8 +223,8 @@ def grid_function(entry, N: int | None = None, L: float | None = None) -> GridFu
     scale = default_scale(entry)
     grid = TorusGrid(entry.dimension, scale["N"] if N is None else N,
                      float(scale["L"] if L is None else L))
-    if not entry.spectral_exact:
+    if entry.fourier is None or entry.band_radius is None:
         return periodize(entry, grid)
-    if entry.band_radius is not None and entry.band_radius > grid.nyquist:
+    if entry.band_radius > grid.nyquist:
         raise ParameterError("grid cannot hold the declared band")
     return _build_spectral(entry, grid)

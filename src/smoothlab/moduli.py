@@ -110,6 +110,17 @@ def _admissible(alpha, p) -> tuple:
     return order, p
 
 
+def _whole_orders(orders, what: str) -> tuple:
+    """``orders`` as ints, refused with ``what`` unless each is a whole
+    number >= 1 (the rule ``verify._parse`` applies to an int parameter)
+    and their total is an order (``SmoothnessOrder``: at most MAX_ORDER)."""
+    if not all(float(k).is_integer() and k >= 1 for k in orders):
+        raise ParameterError(what)
+    orders = tuple(int(k) for k in orders)
+    SmoothnessOrder(float(sum(orders)))
+    return orders
+
+
 def frac_binomial(alpha: float, nu: int) -> float:
     """Generalized binomial coefficient alpha (alpha-1) ... (alpha-nu+1) / nu!."""
     if nu < 0:
@@ -511,8 +522,7 @@ def modulus_curve(f: GridFunction, alpha, p, deltas, method: str = "spectral") -
 def partial_modulus(f: GridFunction, axis: int, delta, r: int, p):
     """Whole-order modulus along a single coordinate axis, at one delta or
     an array of them."""
-    if not (isinstance(r, int) and r >= 1):
-        raise ParameterError("partial moduli take whole orders r >= 1")
+    (r,) = _whole_orders([r], "partial moduli take whole orders r >= 1")
     d = f.grid.dimension
     if not (0 <= axis < d):
         raise ParameterError("axis out of range")
@@ -526,11 +536,11 @@ def partial_modulus(f: GridFunction, axis: int, delta, r: int, p):
 def mixed_modulus(f: GridFunction, orders, delta, p):
     """Mixed modulus at one delta or an array of them: sup over the step
     design of the composed axis differences of whole orders (k_1, ..., k_d)."""
-    d = f.grid.dimension
-    orders = tuple(orders)
-    if len(orders) != d or not all(float(k).is_integer() and k >= 1 for k in orders):
-        raise ParameterError("one whole order >= 1 per axis is required")
-    orders = tuple(int(k) for k in orders)
+    d, orders = f.grid.dimension, tuple(orders)
+    what = "one whole order >= 1 per axis is required"
+    if len(orders) != d:
+        raise ParameterError(what)
+    orders = _whole_orders(orders, what)
     p = Exponent.parse(p)
 
     def symbol_of(hvec):
@@ -550,14 +560,12 @@ def averaged_modulus(f: GridFunction, delta, r, p, q, inner: bool = False):
     takes its node norms from ``spectral.step_norms``, so at p = 2 it is
     Parseval on ``difference_gain``; only the inner form keeps samples.
     """
-    order = SmoothnessOrder.parse(r)
-    p = Exponent.parse(p)
+    order, p = _admissible(r, p)
     q = Exponent.parse(q)
     if q.is_inf:
         raise ParameterError("averaged modulus needs a finite averaging exponent")
     if inner and not q.p <= p.p:
         raise ParameterError("inner form needs q <= p")
-    _admissible(order, p)
     d = f.grid.dimension
     n = N_MAGNITUDES
     a = order.alpha
@@ -570,7 +578,6 @@ def averaged_modulus(f: GridFunction, delta, r, p, q, inner: bool = False):
                           if math.hypot(*h) <= delta])
         scale = delta ** (-d)
         if inner:
-            transform(f)  # the spectrum before the first grid array (see step_norms)
             acc = np.zeros(f.grid.shape)
             for hvec in nodes:
                 g = apply_symbol(f, difference_symbol(f.grid, hvec, a))
@@ -586,9 +593,7 @@ def averaged_modulus(f: GridFunction, delta, r, p, q, inner: bool = False):
 
 def sobolev_seminorm(f: GridFunction, r: int, p) -> float:
     """Sum of L_p norms of all whole derivatives of total order r."""
-    if not (isinstance(r, int) and r >= 1):
-        raise ParameterError("whole order r >= 1 required")
+    (r,) = _whole_orders([r], "whole order r >= 1 required")
     p = Exponent.parse(p)
-    transform(f)  # the spectrum before the first symbol (see spectral.step_norms)
     return sum(quasi_norm(apply_symbol(f, derivative_symbol(f.grid, m)), p)
                for m in multi_indices(f.grid.dimension, r))

@@ -14,7 +14,11 @@ spectrum is computed once, on first use: ``transform`` keeps it on the
 callers pass the function, never its coefficients.  ``synthesize`` is
 the one way back from coefficients to samples: the multiplier, the fold
 and every function built from its spectrum (the bandlimited corpus
-entries, the seeded polynomials of ``verify``) go through it.
+entries, the seeded polynomials of ``verify``) go through it.  Only
+``step_norms`` orders the spectrum before the first grid-sized symbol or
+gain, which it needs first anyway; a caller of ``apply_symbol`` builds
+its symbol first, and later 2-D steps after such a call measure no
+slower (10 alternating pairs on gaussian2d at 256^2).
 
 Every sup and average over a step design is one ``step_norms`` call.  A
 design is an (n, d) float array, one step per row, made once per call,

@@ -206,16 +206,16 @@ def _fit_slope(xs: np.ndarray, ys: np.ndarray) -> float | None:
 
 #: the verdict rule's bounds: the ratio cap of "upper" rows, the slope
 #: beyond which a ratio trends, and the band [1/cap, cap] of "band" rows;
-#: a row's ``opts`` override them
+#: a row's ``opts`` override them.  An exact statement is an "upper" row
+#: whose cap is 1 + its tolerance, with no trend fit
 BOUNDS = {"max_ratio": 100.0, "slope_tol": 0.05, "band_limit": 50.0}
 
 
 def _assemble(pid: str, params: dict, sides, mode: str, opts: dict,
               notes: list) -> InequalityReport:
     """Turn a body's ``Sides`` into a report, under the row's settings
-    ``opts``: ``BOUNDS`` with the row's overrides, ``exact_tol`` (which an
-    "exact" row names itself), and ``check_slope`` and ``asym``, which
-    default to True and "small".
+    ``opts``: ``BOUNDS`` with the row's overrides, and ``check_slope`` and
+    ``asym``, which default to True and "small".
 
     ``asym`` names the asymptotic end of the grid where a hidden-constant
     blow-up would surface: "small" for step grids (delta -> 0), "large"
@@ -270,9 +270,7 @@ def _assemble(pid: str, params: dict, sides, mode: str, opts: dict,
         if growing:
             notes.append("ratio grows toward the asymptotic end of the grid")
     ok = bool(np.all(np.isfinite(ratio)) and ends.all())
-    if mode == "exact":
-        ok = ok and stats["max"] <= 1.0 + opts["exact_tol"]
-    elif mode == "upper":
+    if mode == "upper":
         ok = ok and stats["max"] <= opts["max_ratio"] and not growing
     elif mode == "band":
         cap = opts["band_limit"]
@@ -438,9 +436,12 @@ def _dilate_poly(base: GridFunction, factor: int) -> GridFunction:
 
 
 class Workbench:
-    """Caches every expensive object for one configuration: the grid
-    functions, curves and approximation curves that checks share.
-    ``config`` holds overrides of DEFAULTS, checked by ``make_config``."""
+    """Caches the expensive objects that checks share, for one
+    configuration: grid functions (``fn``), modulus curves (``curve`` and
+    the wider ``ext``), approximation curves (``acurve``) and seeded
+    polynomials (``poly``).  A norm is cheap and is computed where a body
+    reads it.  ``config`` holds overrides of DEFAULTS, checked by
+    ``make_config``."""
 
     def __init__(self, config: dict | None = None):
         self.cfg = make_config(config)
@@ -507,10 +508,6 @@ class Workbench:
             return modulus_curve(f, alpha, p, deltas=default_deltas(f.grid, n, floor_cells=1.0))
 
         return self._get((kind, name, multi, round(alpha, 12), plabel), build)
-
-    def norm(self, name: str, p) -> float:
-        plabel = Exponent.parse(p).label()
-        return self._get(("norm", name, plabel), lambda: quasi_norm(self.fn(name), p))
 
     def acurve(self, name: str, p):
         plabel = Exponent.parse(p).label()
@@ -612,11 +609,11 @@ class Check:
     ``params`` maps each parameter to its type, or to (type, default);
     ``variant`` is the (key, value) of the form or side this row checks,
     the first row of a property being its default; ``derive`` adds values
-    computed from the parameters, which the report echoes.  ``mode`` may
-    be a function of the parameters; ``notes`` follow the body's notes;
-    ``opts`` override the verdict bounds ``BOUNDS`` for ``_assemble``,
-    which also reads ``check_slope``, ``asym`` and, in an "exact" row,
-    which must name it, ``exact_tol`` from them.
+    computed from the parameters, which the report echoes.  ``mode`` is
+    "upper", "band" or "info"; ``notes`` follow the body's notes; ``opts``
+    override the verdict bounds ``BOUNDS`` for ``_assemble``, which also
+    reads ``check_slope`` and ``asym`` from them, and may be a function of
+    the parameters (``_bounds``).
     """
 
     pid: str
@@ -624,9 +621,9 @@ class Check:
     params: dict
     gates: tuple = ()
     variant: tuple = ()
-    mode: str | Callable = "upper"
+    mode: str = "upper"
     notes: tuple = ()
-    opts: dict = field(default_factory=dict)
+    opts: dict | Callable = field(default_factory=dict)
     derive: Callable | None = None
 
 
@@ -675,8 +672,13 @@ def _run(rows: tuple, wb, params: dict) -> InequalityReport:
     # a side beyond the double range is inf (or nan): the row fails
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         s = row.body(wb, a)
-    mode = row.mode(a) if callable(row.mode) else row.mode
-    return _assemble(row.pid, echo, s, mode, {**BOUNDS, **row.opts}, [*s.notes, *row.notes])
+    return _assemble(row.pid, echo, s, row.mode, _bounds(row, a), [*s.notes, *row.notes])
+
+
+def _bounds(row: Check, a) -> dict:
+    """The verdict settings of ``row`` at the parsed parameters ``a``:
+    ``BOUNDS`` with the row's ``opts`` over them."""
+    return {**BOUNDS, **(row.opts(a) if callable(row.opts) else row.opts)}
 
 
 # ---------------------------------------------------------------------------
@@ -701,7 +703,7 @@ def _p1b(wb, a):
 def _p1c(wb, a):
     c = wb.curve(a.entry, a.alpha, a.p)
     const = binom_power_constant(a.alpha, a.p)
-    rhs = const * wb.norm(a.entry, a.p) * np.ones_like(c.values)
+    rhs = const * quasi_norm(wb.fn(a.entry), a.p) * np.ones_like(c.values)
     notes = [f"binomial-sum constant {const:.6g};"
              " off-grid translations add interpolation slack beyond p = 2"]
     return Sides(c.deltas, c.values, rhs, notes)
@@ -734,13 +736,13 @@ def _p5(wb, a):
     r, p, q = a.r, a.p, a.q
     inv_s = 1.0 / p.p + 1.0 / q.p
     s = Exponent(math.inf if inv_s == 0 else 1.0 / inv_s)
-    deltas = wb.deltas(a.entry)
-    lhs = modulus_curve(wb.fn(a.entry) * wb.fn(a.entry2), float(r), s, deltas=deltas).values
+    deltas, f, g = wb.deltas(a.entry), wb.fn(a.entry), wb.fn(a.entry2)
+    lhs = modulus_curve(f * g, float(r), s, deltas=deltas).values
     rhs = np.zeros_like(lhs)
     for k in range(r + 1):
         ck = frac_binomial(float(r), k)
-        wf = wb.norm(a.entry, p) if k == 0 else wb.curve(a.entry, float(k), p).values
-        wg = wb.norm(a.entry2, q) if k == r else wb.curve(a.entry2, float(r - k), q).values
+        wf = quasi_norm(f, p) if k == 0 else wb.curve(a.entry, float(k), p).values
+        wg = quasi_norm(g, q) if k == r else wb.curve(a.entry2, float(r - k), q).values
         rhs = rhs + ck * np.asarray(wf) * np.asarray(wg)
     notes = []
     if s.p < 1.0:
@@ -759,7 +761,8 @@ def _p6(wb, a):
 def _p7(wb, a):
     c = wb.curve(a.entry, a.alpha, a.p)
     big = wb.ext_curve(a.entry, a.alpha + a.gamma, a.p)
-    rhs = marchaud_rhs(big, c.deltas, a.alpha, a.p, wb.norm(a.entry, a.p), wb.cfg["n_quad"])
+    fnorm = quasi_norm(wb.fn(a.entry), a.p)
+    rhs = marchaud_rhs(big, c.deltas, a.alpha, a.p, fnorm, wb.cfg["n_quad"])
     return Sides(c.deltas, c.values, rhs)
 
 
@@ -785,7 +788,7 @@ def _p9(wb, a):
     c = wb.curve(a.entry, a.alpha, a.q)
     big = wb.ext_curve(a.entry, a.alpha + a.gamma, a.p)
     rhs, tag, dropped = ulyanov_rhs(big, c.deltas, a.p.p, a.q.p, a.alpha, a.gamma, a.d,
-                                    wb.norm(a.entry, a.p), wb.cfg["n_quad"])
+                                    quasi_norm(wb.fn(a.entry), a.p), wb.cfg["n_quad"])
     return Sides(c.deltas, c.values, rhs, [f"rate regime: {tag}", f"norm term dropped: {dropped}"])
 
 
@@ -1028,14 +1031,14 @@ EAP = {"entry": str, "alpha": _order, "p": EXP}
 P6_PARAMS = {"entry": str, "r": float, "p": EXP, "q": EXP}
 P11_PARAMS = {"entry": str, "r": int, "m": int, "p": EXP}
 HLN_PARAMS = {"alpha": _order, "p": EXP, "n_seeds": (int, 4)}
-EXACT = {"exact_tol": 1e-12, "check_slope": False}
+EXACT = {"max_ratio": 1.0 + 1e-12, "check_slope": False}
 LARGE = {"asym": "large"}
 
 #: the catalogue: one row per property, and one per form/side variant
 TABLE = (
-    Check("P1a", _p1a, EAP, mode="exact", opts=EXACT,
+    Check("P1a", _p1a, EAP, opts=EXACT,
           notes=("a running max over the step designs makes monotonicity exact",)),
-    Check("P1b", _p1b, {**EAP, "entry2": str}, (SHARED_GRID,), mode="exact", opts=EXACT),
+    Check("P1b", _p1b, {**EAP, "entry2": str}, (SHARED_GRID,), opts=EXACT),
     Check("P1c", _p1c, EAP, opts={"max_ratio": 1.1, "check_slope": False}),
     Check("P1d", None, {}, (Gate(lambda wb, a: False, "delta -> infinity on R^d; on the torus"
                                  " the modulus saturates and the statement is vacuous"),)),
@@ -1045,16 +1048,17 @@ TABLE = (
     Check("P4", _p4, {"entry": str, "r": int, "p": EXP}, (P_OPEN,), mode="band",
           notes=("lhs is the running sup of modulus/delta^r over the step grid",)),
     Check("P5", _p5, {"entry": str, "entry2": str, "r": int, "p": EXP, "q": EXP},
-          (SHARED_GRID,), mode=lambda a: "exact" if a.p.p == a.q.p == 2.0 else "upper",
-          notes=("product rule is exact at p = q = 2 up to aliasing",),
-          opts={"exact_tol": 1e-6, "check_slope": False}),
+          (SHARED_GRID,), notes=("product rule is exact at p = q = 2 up to aliasing",),
+          opts=lambda a: {"max_ratio": 1.0 + 1e-6 if a.p.p == a.q.p == 2.0 else BOUNDS["max_ratio"],
+                          "check_slope": False}),
     Check("P6", _p6, P6_PARAMS, (AVERAGED,), ("form", "outer"), mode="band"),
     Check("P6", _p6, P6_PARAMS, (AVERAGED, Q_BELOW_P), ("form", "inner"), mode="band"),
     Check("P7", _p7, {**EAP, "gamma": float},
           (Gate(lambda wb, a: not a.gamma <= 0, "gamma > 0"), admissible("alpha", "alpha+gamma"))),
     Check("P8", _p8_pointwise, {**EAP, "beta": float}, (admissible("alpha", "beta"),),
-          ("form", "pointwise"), mode=lambda a: "exact" if a.p.p == 2.0 else "upper",
-          opts={"exact_tol": 1e-9, "check_slope": False}),
+          ("form", "pointwise"),
+          opts=lambda a: {"max_ratio": 1.0 + 1e-9 if a.p.p == 2.0 else BOUNDS["max_ratio"],
+                          "check_slope": False}),
     Check("P8", _p8_integral, {**EAP, "beta": float}, (admissible("alpha", "beta"), P_OPEN),
           ("form", "integral")),
     Check("P9", _p9, {**EAP, "gamma": float, "q": EXP}, (

@@ -14,7 +14,7 @@ import pytest
 from conftest import record_line
 from smoothlab.corpus import corpus_list
 from smoothlab.errors import HypothesisError
-from smoothlab.grid import Exponent, SmoothnessOrder
+from smoothlab.grid import Exponent, SmoothnessOrder, quasi_norm
 from smoothlab.moduli import Step, frac_difference, modulus
 from smoothlab.spectral import Direction, frequency_magnitude, transform
 from smoothlab.verify import (
@@ -212,7 +212,7 @@ def test_criterion_08_tail_integral_bounds(wb):
     reports = [run_check(pid, prm, workbench=wb) for pid, prm in rows]
     ok = all(r.passed for r in reports)
     big = wb.ext_curve("gaussian", 2.0, 2.0)
-    fnorm = wb.norm("gaussian", 2.0)
+    fnorm = quasi_norm(wb.fn("gaussian"), 2.0)
     a = marchaud_rhs(big, 0.1, 1.0, 2.0, fnorm, n_quad=96)
     b = marchaud_rhs(big, 0.1, 1.0, 2.0, fnorm, n_quad=192)
     conv = abs(a - b) / b

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from smoothlab import approx, moduli, spectral
-from smoothlab.approx import k_functional, near_best, sup_directional
+from smoothlab.approx import k_functional, sup_directional
 from smoothlab.corpus import grid_function
 from smoothlab.errors import AdmissibilityError, ParameterError
 from smoothlab.grid import GridFunction, TorusGrid, quasi_norm
@@ -252,6 +252,23 @@ class TestModulus:
         f = grid_function("gaussian2d", N=32, L=20.0)
         with pytest.raises(ParameterError, match="whole order"):
             mixed_modulus(f, orders, 0.3, 2.0)
+
+    @pytest.mark.parametrize("route", ["partial", "mixed", "sobolev"])
+    @pytest.mark.parametrize("count", [2, np.int64(2), 2.0, 1.5, 0, math.inf, math.nan, 1100])
+    def test_one_whole_count_rule(self, route, count):
+        # a whole number >= 1 of any numeric type runs as its int; anything
+        # else is refused, and so is a total order above MAX_ORDER
+        grid = TorusGrid(2, 8, 2.0 * math.pi)
+        x1, x2 = grid.coords()
+        f = GridFunction(grid, np.cos(x1 + x2))
+        call = {"partial": lambda r: partial_modulus(f, 0, 0.5, r, 2.0),
+                "mixed": lambda r: mixed_modulus(f, (r, 1), 0.5, 2.0),
+                "sobolev": lambda r: sobolev_seminorm(f, r, 2.0)}[route]
+        if count == 2:
+            assert call(count) == call(2) > 0
+        else:
+            with pytest.raises(ParameterError):
+                call(count)
 
     def test_curve_monotone_exactly(self):
         f = grid_function("gaussian", N=256, L=20.0)
@@ -819,14 +836,15 @@ def test_the_difference_of_a_real_function_is_real():
 
 @pytest.mark.parametrize("call,builder", [
     (lambda f: averaged_modulus(f, 0.6, 1.0, 1.0, 1.0), "moduli.difference_symbol"),
-    (lambda f: averaged_modulus(f, 0.6, 1.0, 2.0, 1.0, inner=True), "moduli.difference_symbol"),
-    (lambda f: sobolev_seminorm(f, 2, 2.0), "moduli.derivative_symbol"),
-    (lambda f: near_best(f, 2.0, 2.0), "approx.band_windows"),
-    (lambda f: k_functional(f, 0.5, 1.0, 2.0), "approx.band_windows"),
+    (lambda f: modulus(f, 0.6, 1.0, 0.5), "moduli.difference_symbol"),
+    (lambda f: modulus(f, 0.6, 1.0, 2.0), "moduli.difference_gain"),
+    (lambda f: sup_directional(f, 1.0, 1.0), "approx.directional_symbol"),
 ])
 def test_spectrum_before_the_first_symbol(monkeypatch, call, builder):
-    # a spectrum computed while a grid-sized symbol is live leaves a heap
-    # layout in which every later 2-D step faults in fresh pages
+    # step_norms, the one home of the rule, takes the spectrum before the
+    # first symbol or gain on every route: a spectrum computed while a
+    # grid-sized array is live leaves a heap layout in which every later 2-D
+    # step faults in fresh pages
     events, fft = [], np.fft.fftn
     module, name = builder.split(".")
     module = {"moduli": moduli, "approx": approx}[module]

@@ -3,6 +3,7 @@ import math
 import sys
 import threading
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import pytest
 from smoothlab import corpus, verify
 from smoothlab.approx import dyadic_bands
 from smoothlab.errors import HypothesisError, ParameterError
-from smoothlab.grid import TorusGrid
+from smoothlab.grid import Exponent, TorusGrid
 from smoothlab.moduli import ModulusCurve
 from smoothlab.spectral import synthesize, transform
 from smoothlab.verify import (
@@ -403,11 +404,6 @@ class TestPolynomialFamilies:
         assert dyadic_bands(g, 1, 4) == [2.0]
         assert dyadic_bands(g, 0, 4, scale=4.0) == []
 
-    def test_exact_rows_name_their_tolerance(self):
-        exact = [row for row in verify.TABLE if row.mode == "exact" or callable(row.mode)]
-        assert [row.pid for row in exact] == ["P1a", "P1b", "P5", "P8"]
-        assert all("exact_tol" in row.opts for row in exact)
-
     def test_seeded_runs_seed_by_seed(self):
         sides = verify._seeded([1.0, 2.0], lambda s, x: (s, x), 2)
         assert sides.grid == [1.0, 2.0, 1.0, 2.0]
@@ -465,6 +461,42 @@ class TestBenchmarkHooks:
         ]
         assert all(row in full for row in quick)
         assert [full.index(row) for row in quick] == sorted(full.index(row) for row in quick)
+
+
+class TestExactRows:
+    """An exact statement is an "upper" row whose cap is 1 + its tolerance,
+    with no trend fit."""
+
+    ROWS = {(row.pid, row.variant): row for row in verify.TABLE}
+
+    @staticmethod
+    def at(p, q=2.0):
+        return SimpleNamespace(p=Exponent.parse(p), q=Exponent.parse(q))
+
+    @pytest.mark.parametrize("key, p, q, cap", [
+        (("P1a", ()), 2.0, 2.0, 1.0 + 1e-12),
+        (("P1b", ()), 0.5, 2.0, 1.0 + 1e-12),
+        (("P5", ()), 2.0, 2.0, 1.0 + 1e-6),
+        (("P5", ()), 2.0, 4.0, 100.0),
+        (("P8", ("form", "pointwise")), 2.0, 2.0, 1.0 + 1e-9),
+        (("P8", ("form", "pointwise")), 1.0, 2.0, 100.0),
+    ], ids=["P1a", "P1b", "P5-p2-q2", "P5-p2-q4", "P8-p2", "P8-p1"])
+    def test_exact_rows_are_capped_upper_rows(self, key, p, q, cap):
+        row = self.ROWS[key]
+        bounds = verify._bounds(row, self.at(p, q))
+        assert row.mode == "upper"
+        assert bounds["max_ratio"] == cap and bounds["check_slope"] is False
+
+    def test_every_mode_is_a_plain_string(self):
+        assert {row.mode for row in verify.TABLE} == {"upper", "band", "info"}
+
+    def test_the_cap_holds_to_the_last_ulp(self):
+        bounds = verify._bounds(self.ROWS[("P1a", ())], self.at(2.0))
+        for top, verdict in ((1.0 + 1e-12, "pass"), (np.nextafter(1.0 + 1e-12, 2.0), "fail")):
+            sides = verify.Sides([0.1, 0.2, 0.4], [1.0, 0.5, top], [1.0, 1.0, 1.0])
+            report = verify._assemble("P1a", {}, sides, "upper", bounds, [])
+            assert report.stats["max"] == top
+            assert report.verdict == verdict and report.stats["slope"] is None
 
 
 class TestReports:
