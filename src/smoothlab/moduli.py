@@ -33,7 +33,11 @@ product of the axis arrays exp(-i h_j w_j), a whole order r is
 (exp(i th) - 1)^r by repeated multiplication, a fractional order is
 |1 - z|^a exp(i a (th + Arg(1 - z))) (the principal branch; for a < 1,
 z is taken from the full phase th), and the mixed modulus takes the
-product of the 1-D axis symbols.
+product of the 1-D axis symbols.  With a real step the closed symbol is
+Hermitian and the gain below is even in w, bit for bit, so in 1-D both
+are built on the FFT indices 0 .. N/2 (the Nyquist mode -N/2 included)
+and the other half is their mirror (``spectral._hermitian``); a 2-D grid
+builds the whole grid, because the -N/2 row of axis 0 has no partner.
 
 At p = 2 the closed route builds no symbol: the L_2 modulus is
 Plancherel's sup_h (L^d sum (4 sin^2(th/2))^a |F|^2)^(1/2), summed by
@@ -89,8 +93,8 @@ import numpy as np
 from .errors import AdmissibilityError, ParameterError
 from .grid import (Exponent, GridFunction, SmoothnessOrder, TorusGrid, is_whole, power,
                    quasi_norm, readonly_array, step_sizes)
-from .spectral import (Direction, apply_symbol, derivative_symbol, multi_indices, step_norms,
-                       transform)
+from .spectral import (Direction, _hermitian, apply_symbol, derivative_symbol, multi_indices,
+                       step_norms, transform)
 
 #: number of step magnitudes sampled per direction when taking the sup
 N_MAGNITUDES = 16
@@ -277,9 +281,14 @@ def difference_symbol(grid: TorusGrid, hvec, alpha: float) -> np.ndarray:
 
     Built from the per-axis phases h_j w_j: exp(+-i th) is the broadcast
     product of 1-D exponentials, so for a >= 1 no full-grid exponential of
-    th is taken.
+    th is taken.  A real step makes it Hermitian, so in 1-D it is built on
+    the FFT indices 0 .. N/2 and mirrored (``spectral._hermitian``).
     """
-    hw = [h * w for h, w in zip(hvec, grid.frequencies())]
+    return _hermitian(grid, lambda freqs: _closed_symbol(freqs, hvec, alpha))
+
+
+def _closed_symbol(freqs: tuple, hvec, alpha: float) -> np.ndarray:
+    hw = [h * w for h, w in zip(hvec, freqs)]
     if is_whole(alpha):
         return _whole_power(reduce(np.multiply, [np.exp(1j * t) for t in hw]), round(alpha))
     # |1 - z|^a exp(i a (th + Arg(1 - z))) is exp(i a th) np.power(1 - z, a)
@@ -310,8 +319,14 @@ def difference_gain(grid: TorusGrid, hvec, alpha: float) -> tuple:
     h_j w_j / 2, broadcast products of 1-D sines and cosines: on
     h = (t, -t) the two products cancel exactly, so th = 0 gives an exact 0
     at every order, where a product of axis factors would give eps^alpha.
+    The gain is even in w, so in 1-D it is built on the FFT indices
+    0 .. N/2 and mirrored (``spectral._hermitian``).
     """
-    half = [0.5 * h * w for h, w in zip(hvec, grid.frequencies())]
+    return power(2.0, alpha), _hermitian(grid, lambda freqs: _closed_gain(freqs, hvec, alpha))
+
+
+def _closed_gain(freqs: tuple, hvec, alpha: float) -> np.ndarray:
+    half = [0.5 * h * w for h, w in zip(hvec, freqs)]
     if len(half) == 1:
         gain = np.sin(half[0])
     else:
@@ -320,19 +335,19 @@ def difference_gain(grid: TorusGrid, hvec, alpha: float) -> tuple:
         gain += np.cos(a) * np.sin(b)
     np.square(gain, out=gain)
     gain **= alpha
-    return power(2.0, alpha), gain
+    return gain
 
 
 @dataclass(frozen=True)
 class Step:
-    """A difference step: unit direction times magnitude."""
+    """A difference step: unit direction times magnitude, a step size that
+    ``grid.step_sizes`` accepts (positive and finite)."""
 
     direction: Direction
     magnitude: float
 
     def __post_init__(self):
-        if not (self.magnitude > 0):
-            raise ParameterError("step magnitude must be positive")
+        step_sizes(self.magnitude)
 
     @property
     def vector(self) -> tuple:

@@ -40,6 +40,15 @@ directions of ``moduli.direction_design`` (a p = 2 sum is even in the
 step, and that half's exact negatives make up the second half);
 ``sup_directional`` and the averages keep every direction and node.
 
+A closed symbol of a real step or direction is Hermitian,
+S(-w) = conj S(w), and a closed gain is even in w.  ``_hermitian`` builds
+one in 1-D on the FFT indices 0 .. N/2, the Nyquist mode -N/2 included,
+and fills the other half as the conjugates of the first, in reverse
+order, which spares half the exponentials, angles and powers.
+``moduli.difference_symbol``, ``moduli.difference_gain`` and
+``directional_symbol`` go through it.  A 2-D grid builds the whole grid:
+the -N/2 row of axis 0 has no partner.
+
 Sampling operator: interp_V is a Fourier fold, not a dense kernel, on
 1-D and 2-D grids alike.  Per axis the coefficients are folded mod
 n = L sigma and weighted by phi(-x) exp(-i x sigma lam); one inverse FFT
@@ -247,11 +256,43 @@ def derivative_symbol(grid: TorusGrid, multi: tuple) -> np.ndarray:
     return reduce(np.multiply, [(1j * w) ** k for w, k in zip(grid.frequencies(), multi)])
 
 
+def _hermitian(grid: TorusGrid, build) -> np.ndarray:
+    """``build(freqs)``, a fresh symbol or gain over the frequency arrays
+    ``freqs`` that is Hermitian, S(-w) = conj S(w), on the grid's modes.
+
+    In 1-D ``build`` runs on the FFT indices 0 .. N/2 only, the modes
+    0 .. N/2 - 1 and the Nyquist mode -N/2, and indices N/2 + 1 .. N - 1
+    are the conjugates of indices N/2 - 1 .. 1, in reverse order.  That is
+    exact: the frequency table is antisymmetric bit for bit (``grid.modes``
+    are integers), and the closed symbols and gains take conjugate values
+    at -w and w bit for bit, up to the sign of a zero
+    (``tests/test_moduli.py::TestHermitianHalf``).  A real gain mirrors
+    unchanged.  The result is a fresh array.  In 2-D ``build`` runs on the
+    whole grid: the -N/2 row of axis 0 has no partner, so a half-plane
+    mirror would change it.  Private, so that a trace that wraps the public
+    functions charges each build to the symbol or gain that asked for it.
+    """
+    freqs = grid.frequencies()
+    if grid.dimension != 1:
+        return build(freqs)
+    n = grid.points_per_axis // 2
+    half = build((freqs[0][:n + 1],))
+    out = np.empty(half.shape[:-1] + (2 * n,), dtype=half.dtype)
+    out[..., :n + 1] = half
+    np.conjugate(half[..., n - 1:0:-1], out=out[..., n + 1:])
+    return out
+
+
 def directional_symbol(grid: TorusGrid, vector, order: SmoothnessOrder) -> np.ndarray:
     """Symbol (i (w, zeta))^alpha on the principal branch, 0 at w = 0, for
     the unit direction zeta whose components are ``vector``: one step or a
-    block's per-axis columns."""
-    dot = sum(z * w for z, w in zip(vector, grid.frequencies()))
+    block's per-axis columns.  Built through ``_hermitian``; in 1-D the half
+    holds the Nyquist mode, so its max |(w, zeta)| is the whole grid's."""
+    return _hermitian(grid, lambda freqs: _directional_symbol(freqs, vector, order))
+
+
+def _directional_symbol(freqs: tuple, vector, order: SmoothnessOrder) -> np.ndarray:
+    dot = sum(z * w for z, w in zip(vector, freqs))
     if power(float(np.abs(dot).max()), order.alpha) == math.inf:
         raise ParameterError(f"order {order.alpha:g} too large: |(w, zeta)|^alpha overflows")
     return np.power(1j * dot, order.alpha)

@@ -12,7 +12,7 @@ from smoothlab import approx, moduli, spectral
 from smoothlab.approx import k_functional, sup_directional
 from smoothlab.corpus import grid_function
 from smoothlab.errors import AdmissibilityError, ParameterError
-from smoothlab.grid import GridFunction, TorusGrid, quasi_norm
+from smoothlab.grid import GridFunction, SmoothnessOrder, TorusGrid, is_whole, quasi_norm
 from smoothlab.moduli import (
     ModulusCurve,
     Step,
@@ -166,6 +166,19 @@ class TestSymbols:
             s = _symbol(f, h, a, "series")
             assert np.all(s[dropped] == 0.0)
             assert np.max(np.abs(s[~dropped] - _spectral_symbol(a, theta[~dropped]))) < 1e-10
+
+
+class TestStep:
+    @pytest.mark.parametrize("size", [0.0, -1.0, math.nan, math.inf])
+    def test_a_step_size_outside_the_one_rule_is_refused_at_once(self, size):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match="positive and finite"):
+                Step(Direction((1.0,)), size)
+
+    @pytest.mark.parametrize("size", [1e-300, 0.3])
+    def test_tiny_and_ordinary_step_sizes_construct(self, size):
+        assert Step(Direction((1.0,)), size).vector == (size,)
 
 
 class TestFracDifference:
@@ -394,6 +407,90 @@ class TestSeparableSymbol:
             got = difference_symbol(grid, hvec, alpha)
             assert got.shape == grid.shape
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def _full_symbol(freqs, hvec, alpha):
+    """The closed symbol over the frequency arrays ``freqs``, written out as
+    a full-grid build: exp(i th) and repeated multiplication at whole
+    orders, angle, abs and ** alpha at fractional ones."""
+    hw = [h * w for h, w in zip(hvec, freqs)]
+    if is_whole(alpha):
+        e = reduce(np.multiply, [np.exp(1j * t) for t in hw]) - 1.0
+        out = e.copy()
+        for _ in range(round(alpha) - 1):
+            out *= e
+        return out
+    theta = reduce(np.add, hw)
+    z = np.exp(-1j * theta) if alpha < 1 else reduce(np.multiply, [np.exp(-1j * t) for t in hw])
+    b = 1.0 - z
+    phase = (np.angle(b) + theta) * alpha
+    out = np.empty_like(b)
+    out.real, out.imag = np.cos(phase), np.sin(phase)
+    return out * np.abs(b) ** alpha
+
+
+def _full_gain(freqs, hvec, alpha):
+    """sin^(2 alpha)(th/2) over ``freqs``, sin(th/2) by angle addition in 2-D."""
+    half = [0.5 * h * w for h, w in zip(hvec, freqs)]
+    if len(half) == 1:
+        s = np.sin(half[0])
+    else:
+        s = np.sin(half[0]) * np.cos(half[1]) + np.cos(half[0]) * np.sin(half[1])
+    return np.square(s) ** alpha
+
+
+def _full_directional(freqs, vector, alpha):
+    return np.power(1j * sum(z * w for z, w in zip(vector, freqs)), alpha)
+
+
+#: (the closed build, its full-grid reference, its 1-D steps or directions):
+#: the single steps of SYMBOL_CASES and the +- block of a p = 1/2 design,
+#: or both directions and their block, a block as per-axis columns
+_BLOCK = step_design(0.6, direction_design(1), 0.5)
+_STEPS = SYMBOL_CASES[0][1] + [tuple(_BLOCK.T.reshape(1, -1, 1))]
+HALF_BUILDS = {
+    "symbol": (difference_symbol, _full_symbol, _STEPS),
+    "gain": (lambda grid, h, a: difference_gain(grid, h, a)[1], _full_gain, _STEPS),
+    "directional": (lambda grid, z, a: spectral.directional_symbol(grid, z, SmoothnessOrder(a)),
+                    _full_directional,
+                    [(1.0,), (-1.0,), tuple(np.sign(_BLOCK).T.reshape(1, -1, 1))]),
+}
+
+
+class TestHermitianHalf:
+    """In 1-D a closed symbol or gain is built on the FFT indices 0 .. N/2
+    and the rest is its mirror; it equals the full-grid build value for
+    value (up to the sign of a zero).  In 2-D it is the full-grid build, bit
+    for bit."""
+
+    @pytest.mark.parametrize("n_points", [8, 1024])
+    @pytest.mark.parametrize("alpha", sorted(ORDERS + (0.75,)))
+    @pytest.mark.parametrize("kind", sorted(HALF_BUILDS))
+    def test_1d_mirror_equals_the_full_build(self, kind, alpha, n_points):
+        built, full, steps = HALF_BUILDS[kind]
+        grid = TorusGrid(1, n_points, 40.0)
+        freqs, n = grid.frequencies(), n_points // 2
+        for h in steps:
+            got = built(grid, h, alpha)
+            assert np.array_equal(got, full(freqs, h, alpha))
+            # the Nyquist mode -N/2 is built, not mirrored: it is the closed
+            # form at w = -pi N / L (one-point numpy loops round apart by ulps)
+            direct = full((freqs[0][n:n + 1],), h, alpha)[..., 0]
+            assert np.all(np.abs(got[..., n] - direct) <= 1e-14 * 2.0 ** alpha)
+            # step_norms overwrites a symbol or gain in place
+            assert got.flags.writeable and got.flags.owndata
+
+    @pytest.mark.parametrize("alpha", sorted(ORDERS + (0.75,)))
+    @pytest.mark.parametrize("kind", sorted(HALF_BUILDS))
+    def test_2d_builds_the_whole_grid(self, kind, alpha):
+        built, full, _ = HALF_BUILDS[kind]
+        grid, steps = SYMBOL_CASES[1]
+        if kind == "directional":
+            steps = [(0.6, 0.8), (-0.8, 0.6)]
+        for h in steps:
+            got = built(grid, h, alpha)
+            assert got.shape == grid.shape
+            assert got.tobytes() == full(grid.frequencies(), h, alpha).tobytes()
 
 
 def _per_step(f, hvecs, alpha, p):
