@@ -2,9 +2,11 @@
 
 The error of best approximation by functions of exponential type sigma
 is bounded above by minimizing over a fixed candidate set: the hard and
-smooth spectral cutoffs, a first-order Riesz mean, and the sampling
-quasi-interpolants over a set of offsets.  For p = 2 the hard cutoff is
-the exact minimizer (Parseval), so there the bound is the true error.
+smooth spectral cutoffs, a first-order Riesz mean, on a 1-D grid the
+sampling quasi-interpolants over a set of offsets, and zero.  Every
+candidate lies in the band |w| <= sigma, so the minimum is an upper
+bound of the error of that band.  For p = 2 the hard cutoff is the exact
+minimizer (Parseval), so there the bound is the true error.
 
 Every candidate is a multiplier or a fold on the spectrum of f, and a
 function's spectrum is computed once, on first use: the cutoffs and the
@@ -51,7 +53,9 @@ def near_best(f: GridFunction, sigma: float, p) -> NearBest:
 
     Candidates enter in a fixed documented order (hard cutoff, smooth
     cutoff, Riesz mean, sampling operators, zero); ties keep the earliest,
-    so for p = 2 the reported witness is the hard cutoff.
+    so for p = 2 the reported witness is the hard cutoff.  The sampling
+    operators enter on a 1-D grid only, when L sigma is a whole number of at
+    least 2 samples.
     """
     p = Exponent.parse(p)
     if not (0 < sigma <= f.grid.nyquist):
@@ -61,7 +65,8 @@ def near_best(f: GridFunction, sigma: float, p) -> NearBest:
     candidates = [(name, apply_symbol(f, window))
                   for name, window in band_windows(f.grid, sigma).items()]
     n_samples = f.grid.period * sigma
-    if abs(n_samples - round(n_samples)) < 1e-9 and round(n_samples) >= 2:
+    # the sampling operator is 1-D: a 2-D tensor composite leaves the disk |w| <= sigma
+    if f.grid.dimension == 1 and abs(n_samples - round(n_samples)) < 1e-9 and round(n_samples) >= 2:
         for lam in _sampling_offsets(sigma):
             candidates.append((f"sampling[{lam:.4f}]", interp_V(f, sigma, lam, 1)))
     candidates.append(("zero", GridFunction(f.grid, np.zeros(f.grid.shape))))

@@ -49,11 +49,13 @@ order, which spares half the exponentials, angles and powers.
 ``directional_symbol`` go through it.  A 2-D grid builds the whole grid:
 the -N/2 row of axis 0 has no partner.
 
-Sampling operator: interp_V is a Fourier fold, not a dense kernel, on
-1-D and 2-D grids alike.  Per axis the coefficients are folded mod
-n = L sigma and weighted by phi(-x) exp(-i x sigma lam); one inverse FFT
-gives the values.  The per-axis targets and weights (N entries each) are
-cached.
+Sampling operator: interp_V is a Fourier fold, not a dense kernel, on a
+1-D grid only.  The coefficients are folded mod n = L sigma and weighted
+by phi(-x) exp(-i x sigma lam); one inverse FFT gives the values, which
+lie in the band |w| <= sigma.  The targets and weights (N entries each)
+are cached.  A 2-D grid is refused: the tensor composite of the 1-D fold
+fills the square |w_j| <= sigma, which leaves the disk of the band
+windows.
 """
 
 from __future__ import annotations
@@ -344,9 +346,9 @@ def band_windows(grid: TorusGrid, sigma: float) -> dict:
 
 @lru_cache(maxsize=256)
 def _interp_v_axis_matrix(grid: TorusGrid, sigma: float, lam: float, r: int):
-    """Per-axis fold of the sampling operator: (targets, weights, n_samples).
+    """Fold of the 1-D sampling operator: (targets, weights, n_samples).
 
-    Coefficient xi of an axis goes to grid mode ``targets[xi]`` with factor
+    Coefficient xi goes to grid mode ``targets[xi]`` with factor
     ``weights[xi]``; both arrays have one entry per grid point and are
     read-only, because every caller with the same key shares them.
 
@@ -375,34 +377,26 @@ def _interp_v_axis_matrix(grid: TorusGrid, sigma: float, lam: float, r: int):
     return targets, weights, n_samples
 
 
-def _sample_axis(coeffs: np.ndarray, axis: int, targets: np.ndarray,
-                 weights: np.ndarray) -> np.ndarray:
-    """Weight the coefficients along ``axis`` and fold them onto ``targets``."""
-    moved = np.moveaxis(coeffs, axis, 0)
-    out = np.zeros_like(moved)
-    np.add.at(out, targets, moved * weights.reshape((-1,) + (1,) * (moved.ndim - 1)))
-    return np.moveaxis(out, 0, axis)
-
-
 def interp_V(f: GridFunction, sigma: float, lam: float = 0.0, r: int = 1) -> GridFunction:
-    """Bandlimited quasi-interpolant from samples at spacing 1/sigma, offset lam.
+    """Bandlimited quasi-interpolant from samples at spacing 1/sigma, offset lam,
+    on a 1-D grid.
 
     V f(x) = sum_j f(lam + j / sigma) K(sigma (x - lam) - j), with K the
     inverse transform of phi(x) = (1 + i x^(2r+1)) cutoff(|x|); it is
-    applied as the Fourier fold of ``_interp_v_axis_matrix`` on every
-    axis of the spectrum of f, followed by one inverse.
-
-    On a 2-D grid the 1-D operator acts on both axes (the tensor
-    composite).  The result is entire of exponential type sigma and
+    applied as the Fourier fold of ``_interp_v_axis_matrix`` on the
+    spectrum of f, followed by one inverse.  The result is entire of
+    exponential type sigma, so it lies in the band |w| <= sigma, and it
     reproduces modes with |w| <= sigma/2 up to the factor
-    (1 - i (w/sigma)^(2r+1)) per axis.
+    (1 - i (w/sigma)^(2r+1)).  A 2-D grid is refused: the tensor composite
+    of the 1-D operator fills the square |w_j| <= sigma, not the disk.
     """
     grid = f.grid
+    if grid.dimension != 1:
+        raise ParameterError("the sampling operator is 1-D only")
     if not (0 < sigma <= grid.nyquist):
         raise ParameterError("sampling band outside (0, nyquist]")
-    axis_grid = TorusGrid(1, grid.points_per_axis, grid.period)
-    targets, weights, _ = _interp_v_axis_matrix(axis_grid, sigma, lam, r)
-    coeffs = transform(f)
-    for axis in range(grid.dimension):
-        coeffs = _sample_axis(coeffs, axis, targets, weights)
-    return synthesize(grid, coeffs)
+    targets, weights, _ = _interp_v_axis_matrix(grid, sigma, lam, r)
+    F = transform(f)
+    out = np.zeros_like(F)
+    np.add.at(out, targets, F * weights)
+    return synthesize(grid, out)

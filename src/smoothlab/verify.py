@@ -356,6 +356,12 @@ def eta_value(t, regime: dict) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+#: an integral from 0 over a modulus curve starts at its first delta over
+#: this factor; below deltas[0] ``ModulusCurve.interp`` continues the curve
+#: by its fitted power law
+_ZERO_CUT = 64.0
+
+
 def log_integral(fn, a, b, n: int):
     """integral_a^b fn(t) dt/t by the trapezoid rule on a log grid of n
     nodes, elementwise over arrays of limits, and 0 wherever not
@@ -368,7 +374,7 @@ def log_integral(fn, a, b, n: int):
     return np.where(ok, np.trapezoid(fn(ts), np.log(ts), axis=-1), 0.0)[()]
 
 
-def marchaud_rhs(curve: ModulusCurve, delta, alpha: float, p, fnorm: float, n_quad: int = 96):
+def marchaud_rhs(curve: ModulusCurve, delta, alpha: float, p, fnorm: float, n_quad: int):
     """delta^a (int_delta^1 (w(t)/t^a)^th dt/t + ||f||^th)^(1/th), th = min(p,2),
     elementwise over an array of deltas (or at one delta)."""
     th = Exponent.parse(p).theta
@@ -385,14 +391,13 @@ def ulyanov_rhs(
     gamma: float,
     d: int,
     fnorm: float,
-    n_quad: int = 96,
+    n_quad: int,
 ):
     """Sharp between-metrics right-hand side, elementwise over an array of
     deltas (or at one delta).
 
     curve must hold the order alpha+gamma modulus in the source metric p.
-    The integral over (0, delta] is truncated at a fraction of the curve
-    floor; below the floor the curve is continued by its fitted power law.
+    The integral over (0, delta] starts at deltas[0] / _ZERO_CUT.
     Returns (value, regime_tag, dropped_norm_term).
     """
     regime = eta_regime(p, q, alpha, gamma, d)
@@ -401,7 +406,7 @@ def ulyanov_rhs(
     def integrand(t):
         return (curve.interp(t) * t ** (-gamma) * eta_value(1.0 / t, regime)) ** q1
 
-    value = log_integral(integrand, curve.deltas[0] / 64.0, delta, n_quad) ** (1.0 / q1)
+    value = log_integral(integrand, curve.deltas[0] / _ZERO_CUT, delta, n_quad) ** (1.0 / q1)
     if not regime["drop"]:
         value = value + delta ** alpha * fnorm
     return value, regime["tag"], regime["drop"]
@@ -800,8 +805,8 @@ def _p10(wb, a):
     # flat continuation of the curve beyond its top, integrated exactly
     tail = cq.values[-1] ** p * top ** (-(alpha - th) * p) / ((alpha - th) * p)
     outer = log_integral(lambda t: (cq.interp(t) / t ** (alpha - th)) ** p, deltas, top, n_quad)
-    inner = log_integral(lambda t: (cp.interp(t) / t ** th) ** q, cp.deltas[0] / 64.0, deltas,
-                         n_quad)
+    inner = log_integral(lambda t: (cp.interp(t) / t ** th) ** q, cp.deltas[0] / _ZERO_CUT,
+                         deltas, n_quad)
     return Sides(deltas, deltas ** (alpha - th) * (outer + tail) ** (1.0 / p), inner ** (1.0 / q))
 
 
@@ -816,7 +821,7 @@ def _derivative_tail(wb, a, expo: float) -> np.ndarray:
     """(int_0^delta (w_{r+m}(t) / t^m)^expo dt/t)^(1/expo) over the step grid."""
     big = wb.ext_curve(a.entry, float(a.r + a.m), a.p)
     integral = log_integral(lambda t: (big.interp(t) / t ** a.m) ** expo,
-                            big.deltas[0] / 64.0, wb.deltas(a.entry), wb.cfg["n_quad"])
+                            big.deltas[0] / _ZERO_CUT, wb.deltas(a.entry), wb.cfg["n_quad"])
     return integral ** (1.0 / expo)
 
 
