@@ -3,6 +3,10 @@
 Exit codes: 0 success, 1 a check failed, 2 bad usage or hypothesis error.
 Progress goes to stderr; each invocation writes exactly one JSON (or CSV)
 report artifact, to stdout or to --output.
+
+``main`` builds the one Workbench of a run from the config and the flags,
+and hands it to the subcommand's function ``run(args, wb)``, which
+returns the payload, its CSV rows and the exit code.
 """
 
 from __future__ import annotations
@@ -19,13 +23,7 @@ from . import corpus as corpus_mod
 from .errors import HypothesisError, ParameterError, SmoothlabError
 from .grid import Exponent
 from .moduli import modulus, modulus_curve
-from .verify import (
-    Workbench,
-    canonical_json,
-    report_rows,
-    run_check,
-    verify_all,
-)
+from .verify import Workbench, canonical_json, report_rows, run_check, verify_all
 
 log = logging.getLogger("smoothlab")
 
@@ -75,6 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--delta", type=float, required=True)
     sp.add_argument("--method", choices=["spectral", "series"], default="spectral")
     _add_common(sp)
+    sp.set_defaults(run=_modulus)
 
     sp = sub.add_parser("curve", help="modulus curve over the default delta grid")
     sp.add_argument("entry")
@@ -82,24 +81,29 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", default="2")
     sp.add_argument("--method", choices=["spectral", "series"], default="spectral")
     _add_common(sp)
+    sp.set_defaults(run=_curve)
 
     sp = sub.add_parser("approx", help="near-best bandlimited error curve")
     sp.add_argument("entry")
     sp.add_argument("--p", default="2")
     _add_common(sp)
+    sp.set_defaults(run=_approx)
 
     sp = sub.add_parser("verify", help="run one inequality check")
     sp.add_argument("property_id")
     for flag, kind in VERIFY_FLAGS.items():
         sp.add_argument(f"--{flag}", type=str if kind is Exponent else kind)
     _add_common(sp)
+    sp.set_defaults(run=_verify)
 
     sp = sub.add_parser("verify-all", help="run the whole check matrix")
     _add_common(sp)
     sp.add_argument("--threads", type=int, default=None, help="worker threads for the matrix")
+    sp.set_defaults(run=_verify_all)
 
     sp = sub.add_parser("corpus", help="list the built-in test functions")
     _add_output(sp)
+    sp.set_defaults(run=_corpus)
     return ap
 
 
@@ -170,69 +174,65 @@ def _verify_params(args) -> dict:
     return params
 
 
+def _modulus(args, wb):
+    f = wb.fn(args.entry)
+    p = _exponent_arg(args, "p")
+    val = modulus(f, args.delta, args.alpha, p, method=args.method)
+    row = {"entry": args.entry, "alpha": args.alpha, "p": p.label(),
+           "delta": args.delta, "value": val}
+    return row, [row], EXIT_OK
+
+
+def _curve(args, wb):
+    c = modulus_curve(wb.fn(args.entry), args.alpha, _exponent_arg(args, "p"),
+                      deltas=wb.deltas(args.entry), method=args.method)
+    payload = dict(c.to_dict(), entry=args.entry)
+    return payload, [
+        {"entry": args.entry, "alpha": args.alpha, "p": c.p_label, "delta": d, "value": v}
+        for d, v in zip(payload["deltas"], payload["values"])
+    ], EXIT_OK
+
+
+def _approx(args, wb):
+    ac = wb.acurve(args.entry, _exponent_arg(args, "p"))
+    payload = dict(ac.to_dict(), entry=args.entry)
+    return payload, [
+        {"entry": args.entry, "p": ac.p_label, "sigma": s, "error": v}
+        for s, v in zip(payload["sigmas"], payload["values"])
+    ], EXIT_OK
+
+
+def _verify(args, wb):
+    report = run_check(args.property_id, _verify_params(args), wb)
+    log.info("%s: %s", args.property_id, report.verdict)
+    payload = report.to_dict()
+    return payload, report_rows(payload), EXIT_OK if report.passed else EXIT_CHECK_FAILED
+
+
+def _verify_all(args, wb):
+    result = verify_all(wb)
+    summary = result["summary"]
+    log.info("checks: %d pass, %d info, %d fail",
+             summary["n_pass"], summary["n_info"], summary["n_fail"])
+    rows = [row for r in result["reports"] for row in report_rows(r)]
+    return result, rows, EXIT_OK if summary["all_pass"] else EXIT_CHECK_FAILED
+
+
+def _corpus(args, wb):
+    entries = [{"name": e.name, "dimension": e.dimension, "description": e.description}
+               for e in corpus_mod.corpus_list()]
+    return {"entries": entries}, entries, EXIT_OK
+
+
 def main(argv=None) -> int:
+    """Parse ``argv``, build the run's one Workbench, run the command's
+    function on it and write its report."""
     logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(message)s")
     args = build_parser().parse_args(argv)
     try:
-        cfg = _load_config(args)
-        if args.command == "modulus":
-            wb = Workbench(cfg)
-            f = wb.fn(args.entry)
-            p = _exponent_arg(args, "p")
-            val = modulus(f, args.delta, args.alpha, p, method=args.method)
-            row = {"entry": args.entry, "alpha": args.alpha, "p": p.label(),
-                   "delta": args.delta, "value": val}
-            _emit(args, row, [row])
-            return EXIT_OK
-        if args.command == "curve":
-            wb = Workbench(cfg)
-            f = wb.fn(args.entry)
-            c = modulus_curve(f, args.alpha, _exponent_arg(args, "p"),
-                              deltas=wb.deltas(args.entry), method=args.method)
-            payload = dict(c.to_dict(), entry=args.entry)
-            _emit(args, payload, [
-                {"entry": args.entry, "alpha": args.alpha, "p": c.p_label, "delta": d, "value": v}
-                for d, v in zip(payload["deltas"], payload["values"])
-            ])
-            return EXIT_OK
-        if args.command == "approx":
-            wb = Workbench(cfg)
-            ac = wb.acurve(args.entry, _exponent_arg(args, "p"))
-            payload = dict(ac.to_dict(), entry=args.entry)
-            _emit(args, payload, [
-                {"entry": args.entry, "p": ac.p_label, "sigma": s, "error": v}
-                for s, v in zip(payload["sigmas"], payload["values"])
-            ])
-            return EXIT_OK
-        if args.command == "verify":
-            report = run_check(args.property_id, _verify_params(args), cfg)
-            payload = report.to_dict()
-            _emit(args, payload, report_rows(payload))
-            log.info("%s: %s", args.property_id, report.verdict)
-            return EXIT_OK if report.passed else EXIT_CHECK_FAILED
-        if args.command == "verify-all":
-            result = verify_all(cfg)
-            _emit(args, result, [row for r in result["reports"] for row in report_rows(r)])
-            summary = result["summary"]
-            log.info(
-                "checks: %d pass, %d info, %d fail",
-                summary["n_pass"],
-                summary["n_info"],
-                summary["n_fail"],
-            )
-            return EXIT_OK if summary["all_pass"] else EXIT_CHECK_FAILED
-        if args.command == "corpus":
-            entries = [
-                {
-                    "name": e.name,
-                    "dimension": e.dimension,
-                    "description": e.description,
-                }
-                for e in corpus_mod.corpus_list()
-            ]
-            _emit(args, {"entries": entries}, entries)
-            return EXIT_OK
-        raise SmoothlabError(f"unknown command {args.command}")
+        payload, rows, code = args.run(args, Workbench(_load_config(args)))
+        _emit(args, payload, rows)
+        return code
     except HypothesisError as exc:
         log.error("hypothesis not satisfied: %s", exc)
         return EXIT_USAGE

@@ -61,7 +61,8 @@ class CorpusEntry:
 
 
 def _gauss_tail(L):
-    return math.exp(-((L / 2.0) ** 2))
+    # a product, not **, so that a huge L gives exp(-inf) = 0, not OverflowError
+    return math.exp(-(L / 2.0) * (L / 2.0))
 
 
 def _support_tail(radius):
@@ -121,8 +122,10 @@ def _make_entries():
             CorpusEntry(
                 name=f"cusp{str(beta).replace('.', '')}",
                 dimension=1,
+                # |x| capped at 1, where the bump vanishes: |x|^beta of a huge
+                # argument would be inf, and inf * 0 nan
                 evaluate=(
-                    lambda beta: lambda c: np.abs(c[0]) ** beta * _bump(c[0])
+                    lambda beta: lambda c: np.minimum(np.abs(c[0]), 1.0) ** beta * _bump(c[0])
                 )(beta),
                 description=f"|x|^{beta} times the bump (cusp at 0)",
                 tail_fn=_support_tail(1.0),
@@ -209,9 +212,12 @@ def _build_spectral(entry: CorpusEntry, grid: TorusGrid) -> GridFunction:
     """
     ws = grid.frequencies()
     L = grid.period
-    coeffs = np.asarray(entry.fourier(*ws), dtype=complex) / L ** grid.dimension
-    phase = sum(ws) * (L / 2.0)
-    coeffs = coeffs * np.exp(-1j * phase)
+    # coefficients past the double range (a tiny L) are inf or nan, which
+    # GridFunction refuses
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        coeffs = np.asarray(entry.fourier(*ws), dtype=complex) / L ** grid.dimension
+        phase = sum(ws) * (L / 2.0)
+        coeffs = coeffs * np.exp(-1j * phase)
     return synthesize(grid, coeffs)
 
 

@@ -174,7 +174,8 @@ class TorusGrid:
 
     @property
     def cell_volume(self) -> float:
-        return self.spacing ** self.dimension
+        # a product, which overflows to inf where ** raises OverflowError
+        return math.prod([self.spacing] * self.dimension)
 
     @property
     def nyquist(self) -> float:
@@ -303,7 +304,8 @@ def quasi_norms(absvals: np.ndarray, p, cell_volume: float) -> list:
                     s = np.sum((row / top) ** p.p)
                     norms.append(float(top * (s * cell_volume) ** (1.0 / p.p)))
                     continue
-            norms.append(float((s * cell_volume) ** (1.0 / p.p)))
+            # a zero row has norm 0 also where the cell volume overflows to inf
+            norms.append(float((s * cell_volume) ** (1.0 / p.p)) if s else 0.0)
     return norms
 
 
@@ -334,5 +336,7 @@ def periodize(entry, grid: TorusGrid) -> GridFunction:
     for images in itertools.product(shifts, repeat=grid.dimension):
         # wrap so the profile sees arguments near its center
         args = tuple(x - L / 2 + m * L for x, m in zip(coords, images))
-        total += np.asarray(entry.evaluate(args), dtype=complex)
+        # at a huge L, exp(-x^2) overflows x^2 and takes its limit 0
+        with np.errstate(over="ignore"):
+            total += np.asarray(entry.evaluate(args), dtype=complex)
     return GridFunction(grid, total)

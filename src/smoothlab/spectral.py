@@ -99,8 +99,11 @@ class Direction:
 
 
 def frequency_magnitude(grid: TorusGrid) -> np.ndarray:
-    """|w| on the grid; in 1-D sqrt(w^2) is |w| exactly."""
-    return np.sqrt(sum(w ** 2 for w in grid.frequencies()))
+    """|w| on the grid; in 1-D sqrt(w^2) is |w| exactly.  A |w| past
+    1.3e154, which a period below about 2e-154 N reaches, reads inf: its
+    square overflows."""
+    with np.errstate(over="ignore"):
+        return np.sqrt(sum(w ** 2 for w in grid.frequencies()))
 
 
 def transform(f: GridFunction) -> np.ndarray:
@@ -112,8 +115,9 @@ def transform(f: GridFunction) -> np.ndarray:
     """
     F = f._spectrum
     if F is None:
-        F = np.fft.fftn(f.values)
-        F /= float(f.grid.points_per_axis ** f.grid.dimension)
+        with np.errstate(over="ignore", invalid="ignore"):  # inf or nan past the double range
+            F = np.fft.fftn(f.values)
+            F /= float(f.grid.points_per_axis ** f.grid.dimension)
         F.flags.writeable = False
         object.__setattr__(f, "_spectrum", F)
     return F
@@ -206,10 +210,12 @@ def step_norms(f: GridFunction, design, symbol_of, p, gain_of=None) -> list:
         return norms
     spectrum = np.abs(F)
     top = float(spectrum.max())
+    if not math.isfinite(top):  # a spectrum past the double range
+        raise ParameterError("grid function has a non-finite spectrum")
     if top > 0:
         spectrum /= top
     np.square(spectrum, out=spectrum)
-    volume = grid.period ** grid.dimension
+    volume = math.prod([grid.period] * grid.dimension)  # inf, not OverflowError
     for points, h in _blocks(grid, design):
         scale, gain = gain_of(h) if gain_of else _symbol_gain(symbol_of(h))
         gain *= spectrum

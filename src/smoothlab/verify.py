@@ -441,12 +441,13 @@ def _dilate_poly(base: GridFunction, factor: int) -> GridFunction:
 
 
 class Workbench:
-    """Caches the expensive objects that checks share, for one
-    configuration: grid functions (``fn``), modulus curves (``curve`` and
-    the wider ``ext``), approximation curves (``acurve``) and seeded
-    polynomials (``poly``).  A norm is cheap and is computed where a body
-    reads it.  ``config`` holds overrides of DEFAULTS, checked by
-    ``make_config``."""
+    """The one Workbench of a run: its config and a cache of the expensive
+    objects that checks share: grid functions (``fn``), modulus curves
+    (``curve`` and the wider ``ext``), approximation curves (``acurve``)
+    and seeded polynomials (``poly``).  A norm is cheap and is computed
+    where a body reads it.  ``config`` holds overrides of DEFAULTS,
+    checked by ``make_config``; ``cli.main`` builds one per call, and
+    ``run_check`` and ``verify_all`` compute on the one they are given."""
 
     def __init__(self, config: dict | None = None):
         self.cfg = make_config(config)
@@ -552,9 +553,10 @@ def _whole(x: float) -> bool:
     return abs(x - round(x)) <= 1e-9
 
 
-def _band_fits(wb, a) -> bool:
+def _band_holds(wb, a, *sigmas) -> bool:
+    """Whether the band [2 pi/L, pi N/L] of the d-dimensional grid holds each sigma."""
     grid = wb.grid(a.d)
-    return 2.0 * math.pi / grid.period <= a.sigma <= grid.nyquist
+    return all(2.0 * math.pi / grid.period <= s <= grid.nyquist for s in sigmas)
 
 
 def _gap(a) -> float:
@@ -1095,12 +1097,14 @@ TABLE = (
     Check("P17", _p17, EAP, (admissible("alpha"),), mode="band"),
     Check("NSB", _nsb, {"alpha": _order, "p": EXP, "sigma": (float, 8.0), "n_seeds": (int, 8),
                         "seed": (int, 0), "d": (int, 1)},
-          (Gate(_band_fits, "sigma in [2 pi/L, pi N/L], the band of its polynomial grid",
+          (Gate(lambda wb, a: _band_holds(wb, a, a.sigma),
+                "sigma in [2 pi/L, pi N/L], the band of its polynomial grid",
                 ParameterError),),
           mode="band", opts={"band_limit": 10.0, "check_slope": False}),
     Check("BERN", _bern, {"alpha": _order, "p": EXP, "d": (int, 1), "n_seeds": (int, 4)},
-          (Gate(lambda wb, a: wb.grid(a.d).nyquist >= 4.0,
-                "a grid band pi N/L >= 4, so that the per-seed slope has two dilations",
+          (Gate(lambda wb, a: _band_holds(wb, a, 1.0, 4.0),
+                "a grid band [2 pi/L, pi N/L] that holds 1 and 4, so that the band-1 base"
+                " polynomials are not constant and the per-seed slope has two dilations",
                 ParameterError),),
           opts={"check_slope": False}),
     Check("NIK", _nik, {"p": EXP, "q": EXP, "d": (int, 1)}, (P_BELOW_Q,), opts=LARGE,
@@ -1123,12 +1127,12 @@ CHECKS = {
 }
 
 
-def run_check(property_id: str, params: dict, config: dict | None = None,
-              workbench: Workbench | None = None) -> InequalityReport:
+def run_check(property_id: str, params: dict, workbench: Workbench) -> InequalityReport:
+    """Check ``property_id`` at ``params`` on ``workbench``, the one
+    Workbench of the run, which also holds its config."""
     if property_id not in CHECKS:
         raise ParameterError(f"unknown property '{property_id}'")
-    wb = workbench if workbench is not None else Workbench(config)
-    return CHECKS[property_id](wb, dict(params))
+    return CHECKS[property_id](workbench, dict(params))
 
 
 # ---------------------------------------------------------------------------
@@ -1195,17 +1199,13 @@ def default_matrix(cfg: dict) -> list:
     return [(pid, dict(params)) for pid, params, quick in MATRIX if quick or not cfg["quick"]]
 
 
-def verify_all(config: dict | None = None) -> dict:
-    """Run the whole matrix on ``threads`` workers; the report list is
-    ordered like the matrix and is bitwise independent of the worker count."""
-    wb = Workbench(config)
-
-    def job(row):
-        pid, params = row
-        return run_check(pid, params, workbench=wb)
-
-    with ThreadPoolExecutor(max_workers=wb.cfg["threads"]) as pool:
-        reports = list(pool.map(job, default_matrix(wb.cfg)))
+def verify_all(workbench: Workbench) -> dict:
+    """Run the matrix of ``workbench``'s config on its ``threads`` workers,
+    all on that one Workbench of the run; the report list is ordered like
+    the matrix and is bitwise independent of the worker count."""
+    cfg = workbench.cfg
+    with ThreadPoolExecutor(max_workers=cfg["threads"]) as pool:
+        reports = list(pool.map(lambda row: run_check(*row, workbench), default_matrix(cfg)))
     n_fail = sum(1 for r in reports if r.verdict == "fail")
     return {
         "reports": [r.to_dict() for r in reports],

@@ -286,9 +286,9 @@ def test_criterion_11_reports_deterministic_and_quick():
     """verify-all reports are byte-identical across worker counts and the
     quick matrix finishes in under a minute."""
     t0 = time.monotonic()
-    one = verify_all({"quick": True, "threads": 1})
+    one = verify_all(Workbench({"quick": True, "threads": 1}))
     elapsed = time.monotonic() - t0
-    eight = verify_all({"quick": True, "threads": 8})
+    eight = verify_all(Workbench({"quick": True, "threads": 8}))
     same = canonical_json(one) == canonical_json(eight)
     _criterion(11, "reports byte-identical across threads; quick run < 60 s",
                same and one["summary"]["all_pass"] and elapsed < 60.0,

@@ -121,7 +121,7 @@ class TestOneTransform:
         runs = []
         for _ in range(2):
             start = len(count_transforms)
-            verify_all({"quick": True})
+            verify_all(Workbench({"quick": True}))
             runs.append(count_transforms[start:])
         assert len(runs[0]) == len(runs[1])
         assert [sum(np.array_equal(a, samples) for a in run) for run in runs] == [1, 1]

@@ -4,10 +4,12 @@ import io
 import json
 import logging
 import math
+import warnings
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from smoothlab import cli, verify
 from smoothlab.cli import main
 
 
@@ -227,6 +229,8 @@ COARSE_1D = {"scale_1d": {"N": 8, "L": 40}}
 COARSE_2D = {"scale_2d": {"N": 8, "L": 20}}
 ONE_DILATION = {"scale_1d": {"N": 16, "L": 20}}
 BAND_8 = {"scale_1d": {"N": 64, "L": 20}}
+#: a period below 2 pi, whose lowest frequency 2 pi/L is beyond band 1
+SHORT_PERIOD = {"scale_1d": {"N": 256, "L": 6}}
 
 
 @pytest.mark.parametrize("argv", [
@@ -380,6 +384,7 @@ class TestBadInputExitsTwo:
         (COARSE_2D, ("HLN2", "--alpha", "1", "--p", "1", "--q", "2", "--d", "2")),
         (ONE_DILATION, ("BERN", "--alpha", "1", "--p", "2")),
         (ONE_DILATION, ("NIK", "--p", "1", "--q", "2")),
+        (SHORT_PERIOD, ("BERN", "--alpha", "1", "--p", "2")),
     ])
     def test_grid_too_coarse_for_the_check(self, capsys, caplog, tmp_path, scale, argv):
         # each once printed a traceback, reported fail on an empty series,
@@ -505,6 +510,100 @@ def test_bad_numbers_exit_0_or_2_without_traceback(entry, command, alpha, delta,
     assert "Traceback" not in err.getvalue()
     if code == 0:
         strict_json(out.getvalue())
+
+
+def exits_0_or_2_without_warning(argv, scale: dict, path) -> None:
+    """main(argv) under a config at ``path`` holding ``scale`` exits 0 (with
+    strict JSON) or 2, with no traceback and no numpy RuntimeWarning."""
+    path.write_text(json.dumps(scale))
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([*argv, "--config", str(path)])
+    assert code in (0, 2)
+    assert not [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        strict_json(out.getvalue())
+
+
+HUGE_1D = {"scale_1d": {"N": 64, "L": 1e300}}
+
+
+@pytest.mark.parametrize("scale, argv", [
+    (HUGE_1D, ("modulus", "gaussian", "--alpha", "1", "--delta", "0.5")),
+    (HUGE_1D, ("approx", "gaussian")),
+    (HUGE_1D, ("verify", "P14", "--entry", "gaussian", "--alpha", "1", "--p", "2")),
+    (HUGE_1D, ("verify", "P17", "--entry", "gaussian", "--alpha", "1", "--p", "2")),
+    (HUGE_1D, ("approx", "cusp15")),
+    ({"scale_2d": {"N": 8, "L": 1e300}},
+     ("modulus", "gaussian2d", "--alpha", "1", "--delta", "0.5")),
+    ({"scale_1d": {"N": 64, "L": 1e154}}, ("curve", "mod_gaussian", "--alpha", "1")),
+    ({"scale_1d": {"N": 8, "L": 1e-300}}, ("approx", "fejer")),
+    ({"scale_2d": {"N": 8, "L": 1e-300}}, ("approx", "fejer2d")),
+    ({"scale_2d": {"N": 8, "L": 5e-154}}, ("curve", "fejer2d", "--alpha", "1")),
+    ({"scale_2d": {"N": 16, "L": 1e280}},
+     ("modulus", "bump2d", "--alpha", "1.5", "--p", "1", "--delta", "10")),
+])
+def test_extreme_periods_exit_0_or_2_without_warning(tmp_path, scale, argv):
+    # each once raised OverflowError (a traceback and exit 1) or printed a
+    # numpy RuntimeWarning: a square of L/2, of a coordinate or of |w|, the
+    # area L^2, 1/L^2 or a spectrum's FFT sum was beyond the double range,
+    # or a zero row's norm was 0 * inf
+    exits_0_or_2_without_warning(argv, scale, tmp_path / "cfg.json")
+
+
+ENTRIES_1D = ("gaussian", "mod_gaussian", "bump", "cusp05", "fejer")
+
+
+@settings(max_examples=60, deadline=None)
+@given(entry=st.sampled_from([*ENTRIES_1D, "gaussian2d", "fejer2d"]),
+       command=st.sampled_from(["modulus", "curve", "approx"]),
+       exponent=st.floats(-300.0, 300.0), large_n=st.booleans())
+@example(entry="gaussian", command="modulus", exponent=300.0, large_n=True)
+@example(entry="fejer2d", command="approx", exponent=-300.0, large_n=False)
+def test_config_scales_exit_0_or_2_without_warning(tmp_path_factory, entry, command,
+                                                    exponent, large_n):
+    """Any period L = 10^exponent in [1e-300, 1e300], at N = 8 or 64 (8 in 2-D)."""
+    one_d = entry in ENTRIES_1D
+    scale = {"N": 64 if large_n and one_d else 8, "L": 10.0 ** exponent}
+    argv = [command, entry]
+    if command != "approx":
+        argv.append("--alpha=1")
+    if command == "modulus":
+        argv.append("--delta=0.5")
+    exits_0_or_2_without_warning(argv, {"scale_1d" if one_d else "scale_2d": scale},
+                                 tmp_path_factory.getbasetemp() / "scale.json")
+
+
+@pytest.mark.parametrize("argv", [
+    ("corpus",),
+    (*MODULUS_ARGV, "--quick"),
+    ("curve", "gaussian", "--alpha", "1", "--quick"),
+    ("approx", "gaussian"),
+    P1A_ARGV,
+    ("verify-all", "--quick"),
+])
+def test_main_builds_one_workbench_for_the_command(capsys, monkeypatch, argv):
+    """Every command runs on one Workbench, which main builds from the
+    config and hands to run_check or verify_all."""
+    built, handed = [], []
+    init = verify.Workbench.__init__
+
+    def counting_init(wb, *args, **kwargs):
+        built.append(wb)
+        init(wb, *args, **kwargs)
+
+    monkeypatch.setattr(verify.Workbench, "__init__", counting_init)
+    for name in ("run_check", "verify_all"):
+        real = getattr(cli, name)
+        monkeypatch.setattr(cli, name,
+                            lambda *args, real=real: handed.append(args[-1]) or real(*args))
+    code, _ = run(capsys, *argv)
+    assert code == 0 and len(built) == 1
+    assert built[0].cfg["quick"] == ("--quick" in argv)
+    assert handed == (built if argv[0].startswith("verify") else [])
 
 
 #: gaussian rows of ``verify --quick`` and the flags each takes besides --p;

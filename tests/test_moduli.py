@@ -35,7 +35,7 @@ from smoothlab.moduli import (
     step_design,
 )
 from smoothlab.spectral import Direction, apply_symbol, transform
-from smoothlab.verify import run_check
+from smoothlab.verify import Workbench, run_check
 
 
 def _spectral_symbol(alpha, theta):
@@ -516,7 +516,7 @@ def _design_steps(d, delta, directions=None):
 
 def test_nsb_transforms_each_polynomial_once(count_transforms):
     # the derivative and the 8 differences of each of the 8 polynomials share one transform
-    run_check("NSB", {"alpha": 1.0, "p": 2.0}, config={"quick": True})
+    run_check("NSB", {"alpha": 1.0, "p": 2.0}, Workbench({"quick": True}))
     assert len(count_transforms) == 8
 
 

@@ -15,7 +15,7 @@ import sys
 import pytest
 
 from smoothlab.cli import main
-from smoothlab.verify import canonical_json, verify_all
+from smoothlab.verify import Workbench, canonical_json, verify_all
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "same_results.py"
@@ -24,7 +24,7 @@ PINNED = ROOT / "tests" / "data" / "quick_report.json"
 
 @pytest.fixture(scope="module")
 def quick():
-    return json.loads(canonical_json(verify_all({"quick": True})))
+    return json.loads(canonical_json(verify_all(Workbench({"quick": True}))))
 
 
 def same(tmp_path, old, new) -> subprocess.CompletedProcess:

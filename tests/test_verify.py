@@ -518,13 +518,13 @@ class TestReports:
 
 class TestVerifyAll:
     def test_quick_matrix_passes(self):
-        result = verify_all({"quick": True})
+        result = verify_all(Workbench({"quick": True}))
         assert result["summary"]["all_pass"]
         assert result["summary"]["n_checks"] >= 8
 
     def test_thread_count_does_not_change_bytes(self):
-        a = verify_all({"quick": True, "threads": 1})
-        b = verify_all({"quick": True, "threads": 8})
+        a = verify_all(Workbench({"quick": True, "threads": 1}))
+        b = verify_all(Workbench({"quick": True, "threads": 8}))
         assert canonical_json(a) == canonical_json(b)
 
 
@@ -549,7 +549,7 @@ class TestConfig:
 
     def test_quick_matrix_passes_at_the_least_counts(self):
         least = {"n_quad": 2, "n_deltas_1d": 2, "n_deltas_2d": 2}
-        assert verify_all({"quick": True, **least})["summary"]["all_pass"]
+        assert verify_all(Workbench({"quick": True, **least}))["summary"]["all_pass"]
 
     @pytest.mark.parametrize("key, last, past, bound", [
         ("n_quad", 4096, 4097, "4096"),
