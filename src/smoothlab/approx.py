@@ -25,7 +25,7 @@ import numpy as np
 from .errors import ParameterError
 from .grid import (Exponent, GridFunction, SmoothnessOrder, TorusGrid, power, quasi_norm,
                    readonly_array, step_sizes)
-from .moduli import direction_design
+from .moduli import _sup_directions, direction_design
 from .spectral import apply_symbol, band_windows, directional_symbol, interp_V, step_norms
 
 #: offsets (as multiples of 1/sigma, within [-1, 1]) for the sampling operator
@@ -145,10 +145,12 @@ def approx_curve(f: GridFunction, p, k_max: int = K_MAX) -> ApproximationCurve:
 
 
 def sup_directional(P: GridFunction, alpha, p) -> float:
-    """max over the shared direction design of ||D_zeta^alpha P||_p."""
+    """max over the shared direction design of ||D_zeta^alpha P||_p; at
+    p = 2 over its first half (``moduli._sup_directions``), whose negatives
+    give the same Parseval sums bit for bit."""
     order = SmoothnessOrder.parse(alpha)
     p = Exponent.parse(p)
-    return max(step_norms(P, direction_design(P.grid.dimension),
+    return max(step_norms(P, _sup_directions(direction_design(P.grid.dimension), p),
                           lambda v: directional_symbol(P.grid, v, order), p))
 
 

@@ -38,6 +38,9 @@ Hermitian and the gain below is even in w, bit for bit, so in 1-D both
 are built on the FFT indices 0 .. N/2 (the Nyquist mode -N/2 included)
 and the other half is their mirror (``spectral._hermitian``); a 2-D grid
 builds the whole grid, because the -N/2 row of axis 0 has no partner.
+The symbol at -h is the conjugate of the one at h, bit for bit, so of a
+1-D block's pair h, -h only h is built.  A whole-order symbol and every
+gain take each h_j mod L (``_mod_period``).
 
 At p = 2 the closed route builds no symbol: the L_2 modulus is
 Plancherel's sup_h (L^d sum (4 sin^2(th/2))^a |F|^2)^(1/2), summed by
@@ -61,10 +64,10 @@ mixed symbol at -h is the exact conjugate of the one at h, with the same
 directions (16 steps in 1-D and 160 in 2-D, not 32 and 320), and the max
 is the max over the whole design.  The series route halves too; its
 values agree with the whole design to round-off.  Off p = 2 every step
-stays: there the norms at h and -h are equal at best through a
-translation (by r h at a whole order r), which is off the grid.  The
-outer ``averaged_modulus`` keeps every node, because its mean weighs
-each.
+keeps its norm: there the norms at h and -h are equal at best through a
+translation (by r h at a whole order r), which is off the grid; but the
+closed symbol is built once per pair (above).  The outer
+``averaged_modulus`` keeps every node, because its mean weighs each.
 
 The series route shares only the spectrum, the read-only array of
 ``spectral.transform``, whose modes it reads.  It
@@ -282,14 +285,31 @@ def difference_symbol(grid: TorusGrid, hvec, alpha: float) -> np.ndarray:
     Built from the per-axis phases h_j w_j: exp(+-i th) is the broadcast
     product of 1-D exponentials, so for a >= 1 no full-grid exponential of
     th is taken.  A real step makes it Hermitian, so in 1-D it is built on
-    the FFT indices 0 .. N/2 and mirrored (``spectral._hermitian``).
+    the FFT indices 0 .. N/2 and mirrored, and of a block's pair h, -h only
+    h is built (``spectral._hermitian``).
+
+    A whole order is L-periodic in each h_j and takes it mod L.  A
+    fractional one is not (h_j + L translates it by a L), so a step whose
+    phase overflows is refused before any exponential.
     """
-    return _hermitian(grid, lambda freqs: _closed_symbol(freqs, hvec, alpha))
+    whole = is_whole(alpha)
+    if whole:
+        hvec = _mod_period(grid, hvec)
+    elif not math.isfinite(sum(float(np.abs(h).max()) for h in hvec) * grid.nyquist):
+        raise ParameterError(f"step too large for the fractional order {alpha:g}: "
+                             "its phase (h, w) overflows")
+    return _hermitian(grid, _closed_symbol, hvec, alpha, whole)
 
 
-def _closed_symbol(freqs: tuple, hvec, alpha: float) -> np.ndarray:
+def _mod_period(grid: TorusGrid, hvec) -> tuple:
+    """Each h_j of one step or a block's columns as np.fmod(h_j, L): exact,
+    the identity for |h_j| < L, and h_j w_j stays finite for any step."""
+    return tuple(np.fmod(h, grid.period) for h in hvec)
+
+
+def _closed_symbol(freqs: tuple, hvec, alpha: float, whole: bool) -> np.ndarray:
     hw = [h * w for h, w in zip(hvec, freqs)]
-    if is_whole(alpha):
+    if whole:
         return _whole_power(reduce(np.multiply, [np.exp(1j * t) for t in hw]), round(alpha))
     # |1 - z|^a exp(i a (th + Arg(1 - z))) is exp(i a th) np.power(1 - z, a)
     theta = reduce(np.add, hw)
@@ -319,10 +339,12 @@ def difference_gain(grid: TorusGrid, hvec, alpha: float) -> tuple:
     h_j w_j / 2, broadcast products of 1-D sines and cosines: on
     h = (t, -t) the two products cancel exactly, so th = 0 gives an exact 0
     at every order, where a product of axis factors would give eps^alpha.
-    The gain is even in w, so in 1-D it is built on the FFT indices
-    0 .. N/2 and mirrored (``spectral._hermitian``).
+    The gain is even in w and in h, so in 1-D it is built on the FFT
+    indices 0 .. N/2 and mirrored, and of a block's pair h, -h only h is
+    built (``spectral._hermitian``).  It is L-periodic in each h_j at every
+    order, so each h_j is taken mod L (``_mod_period``).
     """
-    return power(2.0, alpha), _hermitian(grid, lambda freqs: _closed_gain(freqs, hvec, alpha))
+    return power(2.0, alpha), _hermitian(grid, _closed_gain, _mod_period(grid, hvec), alpha)
 
 
 def _closed_gain(freqs: tuple, hvec, alpha: float) -> np.ndarray:
@@ -420,18 +442,25 @@ def direction_design(dimension: int) -> np.ndarray:
     return readonly_array(np.concatenate([half, -half]), float)
 
 
+def _sup_directions(directions, p) -> np.ndarray:
+    """The rows of ``directions`` (laid out as ``direction_design``'s) that a
+    sup at exponent p visits: at p = 2, where the norms at h and -h are
+    equal bit for bit (module docstring), the first half; else all.
+    Private, so that a traced run adds no span per design."""
+    if Exponent.parse(p).p == 2.0:
+        return directions[:len(directions) // 2]
+    return directions
+
+
 def step_design(delta: float, directions, p) -> np.ndarray:
     """The (n m, d) array of steps t * zeta for every magnitude
     t = delta (1 - j/m), j = 0 .. m - 1 (m = N_MAGNITUDES, largest first),
     and, within each, every row zeta of ``directions``, an (n, d) array laid
     out as ``direction_design``'s: a half followed by its negatives.
 
-    At p = 2 only the first half is kept: the L_2 norms at h and -h are
-    equal bit for bit (module docstring), so the sup visits one step of
-    each pair.
+    At p = 2 only the first half is kept (``_sup_directions``).
     """
-    if Exponent.parse(p).p == 2.0:
-        directions = directions[:len(directions) // 2]
+    directions = _sup_directions(directions, p)
     mags = step_sizes(delta) * (1.0 - np.arange(N_MAGNITUDES) / N_MAGNITUDES)
     return (mags[:, None, None] * directions).reshape(-1, directions.shape[1])
 
@@ -457,9 +486,19 @@ def modulus(f: GridFunction, delta, alpha, p, method: str = "spectral"):
     order-alpha difference."""
     order, p = _admissible(alpha, p)
     a = order.alpha
-    gain_of = (lambda h: difference_gain(f.grid, h, a)) if method == "spectral" else None
-    return _sups(f, delta, direction_design(f.grid.dimension), p,
-                 lambda h: _symbol(f, h, a, method), gain_of)
+    routes = (_closed_difference(f.grid, a, p) if method == "spectral"
+              else (lambda h: _symbol(f, h, a, method),))
+    return _sups(f, delta, direction_design(f.grid.dimension), p, *routes)
+
+
+def _closed_difference(grid: TorusGrid, a: float, p: Exponent) -> tuple:
+    """(symbol_of, gain_of) of the closed order-a difference for
+    ``spectral.step_norms``.  At p = 2 the symbol serves only an underflowing
+    Parseval sum, where only |symbol| counts, which is L-periodic at every
+    order: so there it takes its step mod L, also at a fractional order."""
+    at_2 = p.p == 2.0
+    return (lambda h: difference_symbol(grid, _mod_period(grid, h) if at_2 else h, a),
+            lambda h: difference_gain(grid, h, a))
 
 
 def default_deltas(grid: TorusGrid, n: int, floor_cells: float = 4.0) -> np.ndarray:
@@ -544,8 +583,7 @@ def partial_modulus(f: GridFunction, axis: int, delta, r: int, p):
     order, p = _admissible(float(r), p)
     a = order.alpha
     unit = np.eye(d)[axis]
-    return _sups(f, delta, np.array([unit, -unit]), p, lambda h: difference_symbol(f.grid, h, a),
-                 lambda h: difference_gain(f.grid, h, a))
+    return _sups(f, delta, np.array([unit, -unit]), p, *_closed_difference(f.grid, a, p))
 
 
 def mixed_modulus(f: GridFunction, orders, delta, p):
@@ -584,6 +622,7 @@ def averaged_modulus(f: GridFunction, delta, r, p, q, inner: bool = False):
     d = f.grid.dimension
     n = N_MAGNITUDES
     a = order.alpha
+    symbol_of, gain_of = _closed_difference(f.grid, a, p)
 
     def average(delta):
         edges = np.linspace(-delta, delta, n + 1)
@@ -598,8 +637,7 @@ def averaged_modulus(f: GridFunction, delta, r, p, q, inner: bool = False):
                 g = apply_symbol(f, difference_symbol(f.grid, hvec, a))
                 acc += np.abs(g.values) ** q.p * w_cell
             return quasi_norm(GridFunction(f.grid, (scale * acc) ** (1.0 / q.p)), p)
-        norms = step_norms(f, nodes, lambda h: difference_symbol(f.grid, h, a), p,
-                           lambda h: difference_gain(f.grid, h, a))
+        norms = step_norms(f, nodes, symbol_of, p, gain_of)
         acc = sum(norm ** q.p * w_cell for norm in norms)
         return float((scale * acc) ** (1.0 / q.p))
 

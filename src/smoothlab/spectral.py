@@ -35,19 +35,26 @@ its own max, row by row.  A sum too small to keep its digits is taken
 from the samples instead.  ``tests/test_moduli.py`` checks every route
 against ``apply_symbol`` + ``quasi_norm`` at every design point.  A sup
 is the max of ``step_norms``: the moduli take one per delta over the step
-design of ``moduli.step_design``, which at p = 2 is the first half of the
-directions of ``moduli.direction_design`` (a p = 2 sum is even in the
-step, and that half's exact negatives make up the second half);
-``sup_directional`` and the averages keep every direction and node.
+design of ``moduli.step_design``, and ``sup_directional`` one over the
+directions of ``moduli.direction_design``; at p = 2 both keep the first
+half of the directions (``moduli._sup_directions``: a p = 2 sum is even in
+the step, and that half's exact negatives make up the second half).  The
+averages keep every node.
 
 A closed symbol of a real step or direction is Hermitian,
 S(-w) = conj S(w), and a closed gain is even in w.  ``_hermitian`` builds
 one in 1-D on the FFT indices 0 .. N/2, the Nyquist mode -N/2 included,
 and fills the other half as the conjugates of the first, in reverse
-order, which spares half the exponentials, angles and powers.
+order, which spares half the exponentials, angles and powers.  The same
+identity holds in the step, S_{-h}(w) = conj S_h(w) bit for bit, and a
+1-D block off p = 2 holds its steps in pairs h, -h (the step design, the
+axis pair of ``moduli.partial_modulus``, the directions of
+``sup_directional``): ``_hermitian`` builds the h rows only and writes
+each -h row as their conjugate.  A block of 2^16 / N rows is even for
+N <= 2^15, so no pair straddles two blocks.
 ``moduli.difference_symbol``, ``moduli.difference_gain`` and
 ``directional_symbol`` go through it.  A 2-D grid builds the whole grid:
-the -N/2 row of axis 0 has no partner.
+the -N/2 row of axis 0 has no partner, and a 2-D block is one step.
 
 Sampling operator: interp_V is a Fourier fold, not a dense kernel, on a
 1-D grid only.  The coefficients are folded mod n = L sigma and weighted
@@ -116,8 +123,7 @@ def transform(f: GridFunction) -> np.ndarray:
     F = f._spectrum
     if F is None:
         with np.errstate(over="ignore", invalid="ignore"):  # inf or nan past the double range
-            F = np.fft.fftn(f.values)
-            F /= float(f.grid.points_per_axis ** f.grid.dimension)
+            F = np.fft.fftn(f.values, norm="forward")
         F.flags.writeable = False
         object.__setattr__(f, "_spectrum", F)
     return F
@@ -136,9 +142,7 @@ def _inverse(grid: TorusGrid, coeffs: np.ndarray, out=None) -> np.ndarray:
     """The samples of ``coeffs`` over the grid axes, the last d axes of the
     array (a leading axis holds a block of steps), written into ``out`` when
     it is given: the one inverse FFT."""
-    values = np.fft.ifftn(coeffs, axes=tuple(range(-grid.dimension, 0)), out=out)
-    values *= float(grid.points_per_axis ** grid.dimension)
-    return values
+    return np.fft.ifftn(coeffs, axes=tuple(range(-grid.dimension, 0)), out=out, norm="forward")
 
 
 def apply_symbol(f: GridFunction, symbol: np.ndarray) -> GridFunction:
@@ -204,9 +208,11 @@ def step_norms(f: GridFunction, design, symbol_of, p, gain_of=None) -> list:
             # differently, and a p < 1 quasi-norm counts round-off as signal
             np.multiply(F, g, out=g)
             _inverse(grid, g, out=g)
-            if not np.isfinite(g).all():
+            block = quasi_norms(np.abs(g).reshape(len(g), -1), p, grid.cell_volume)
+            # a non-finite sample makes its row's norm nan or inf
+            if not all(map(math.isfinite, block)) and not np.isfinite(g).all():
                 raise ParameterError("grid function has non-finite samples")
-            norms += quasi_norms(np.abs(g).reshape(len(g), -1), p, grid.cell_volume)
+            norms += block
         return norms
     spectrum = np.abs(F)
     top = float(spectrum.max())
@@ -264,9 +270,10 @@ def derivative_symbol(grid: TorusGrid, multi: tuple) -> np.ndarray:
     return reduce(np.multiply, [(1j * w) ** k for w, k in zip(grid.frequencies(), multi)])
 
 
-def _hermitian(grid: TorusGrid, build) -> np.ndarray:
-    """``build(freqs)``, a fresh symbol or gain over the frequency arrays
-    ``freqs`` that is Hermitian, S(-w) = conj S(w), on the grid's modes.
+def _hermitian(grid: TorusGrid, build, steps, *args) -> np.ndarray:
+    """``build(freqs, steps, *args)``, a fresh symbol or gain over the
+    frequency arrays ``freqs`` for ``steps``, one step or a block's per-axis
+    columns, that is Hermitian, S(-w) = conj S(w), on the grid's modes.
 
     In 1-D ``build`` runs on the FFT indices 0 .. N/2 only, the modes
     0 .. N/2 - 1 and the Nyquist mode -N/2, and indices N/2 + 1 .. N - 1
@@ -275,19 +282,31 @@ def _hermitian(grid: TorusGrid, build) -> np.ndarray:
     are integers), and the closed symbols and gains take conjugate values
     at -w and w bit for bit, up to the sign of a zero
     (``tests/test_moduli.py::TestHermitianHalf``).  A real gain mirrors
-    unchanged.  The result is a fresh array.  In 2-D ``build`` runs on the
-    whole grid: the -N/2 row of axis 0 has no partner, so a half-plane
-    mirror would change it.  Private, so that a trace that wraps the public
-    functions charges each build to the symbol or gain that asked for it.
+    unchanged.  By S_{-h}(w) = S_h(-w) = conj S_h(w), where row 2i + 1 of
+    a block is the exact negative of row 2i for every i, only the even
+    rows are built and each odd row is the conjugate of the one before.
+    The result is a fresh array.  In 2-D ``build`` runs on the whole grid:
+    the -N/2 row of axis 0 has no partner, so a half-plane mirror would
+    change it, and a 2-D block is one step.  Private, so that a trace that
+    wraps the public functions charges each build to the symbol or gain
+    that asked for it.
     """
     freqs = grid.frequencies()
     if grid.dimension != 1:
-        return build(freqs)
+        return build(freqs, steps, *args)
     n = grid.points_per_axis // 2
-    half = build((freqs[0][:n + 1],))
-    out = np.empty(half.shape[:-1] + (2 * n,), dtype=half.dtype)
-    out[..., :n + 1] = half
-    np.conjugate(half[..., n - 1:0:-1], out=out[..., n + 1:])
+    (h,) = steps
+    paired = np.ndim(h) > 0 and len(h) % 2 == 0 and np.array_equal(h[1::2], -h[::2])
+    half = build((freqs[0][:n + 1],), (h[::2],) if paired else steps, *args)
+    rows = (2 * len(half),) if paired else half.shape[:-1]
+    out = np.empty(rows + (2 * n,), dtype=half.dtype)
+    mirror = half[..., n - 1:0:-1]
+    plus = out[::2] if paired else out
+    plus[..., :n + 1] = half
+    np.conjugate(mirror, out=plus[..., n + 1:])
+    if paired:
+        np.conjugate(half, out=out[1::2, :n + 1])
+        out[1::2, n + 1:] = mirror
     return out
 
 
@@ -296,7 +315,7 @@ def directional_symbol(grid: TorusGrid, vector, order: SmoothnessOrder) -> np.nd
     the unit direction zeta whose components are ``vector``: one step or a
     block's per-axis columns.  Built through ``_hermitian``; in 1-D the half
     holds the Nyquist mode, so its max |(w, zeta)| is the whole grid's."""
-    return _hermitian(grid, lambda freqs: _directional_symbol(freqs, vector, order))
+    return _hermitian(grid, _directional_symbol, vector, order)
 
 
 def _directional_symbol(freqs: tuple, vector, order: SmoothnessOrder) -> np.ndarray:

@@ -512,9 +512,10 @@ def test_bad_numbers_exit_0_or_2_without_traceback(entry, command, alpha, delta,
         strict_json(out.getvalue())
 
 
-def exits_0_or_2_without_warning(argv, scale: dict, path) -> None:
+def exits_0_or_2_without_warning(argv, scale: dict, path) -> int:
     """main(argv) under a config at ``path`` holding ``scale`` exits 0 (with
-    strict JSON) or 2, with no traceback and no numpy RuntimeWarning."""
+    strict JSON) or 2, with no traceback and no numpy RuntimeWarning; gives
+    the exit code."""
     path.write_text(json.dumps(scale))
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught:
@@ -526,6 +527,7 @@ def exits_0_or_2_without_warning(argv, scale: dict, path) -> None:
     assert "Traceback" not in err.getvalue()
     if code == 0:
         strict_json(out.getvalue())
+    return code
 
 
 HUGE_1D = {"scale_1d": {"N": 64, "L": 1e300}}
@@ -552,6 +554,23 @@ def test_extreme_periods_exit_0_or_2_without_warning(tmp_path, scale, argv):
     # area L^2, 1/L^2 or a spectrum's FFT sum was beyond the double range,
     # or a zero row's norm was 0 * inf
     exits_0_or_2_without_warning(argv, scale, tmp_path / "cfg.json")
+
+
+@pytest.mark.parametrize("p", ["inf", "0.5", "1", "2"])
+@pytest.mark.parametrize("alpha", ["1", "2", "1.5"])
+def test_a_step_far_past_the_period_exits_0_or_names_its_phase(tmp_path, caplog, alpha, p):
+    # h w = 1e100 * 2.3e253 overflowed: numpy RuntimeWarnings and exit 2.  A
+    # whole order and every gain take h mod L; a fractional symbol is not
+    # L-periodic, so off p = 2 its overflowing phase is refused by name
+    scale = {"scale_1d": {"N": 256, "L": 3.47e-251}}
+    argv = ("modulus", "fejer", "--alpha", alpha, "--p", p, "--delta", "1e100")
+    with caplog.at_level(logging.ERROR, logger="smoothlab"):
+        code = exits_0_or_2_without_warning(argv, scale, tmp_path / "cfg.json")
+    errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+    if alpha == "1.5" and p != "2":
+        assert code == 2 and len(errors) == 1 and "its phase (h, w) overflows" in errors[0]
+    else:
+        assert code == 0 and errors == []
 
 
 ENTRIES_1D = ("gaussian", "mod_gaussian", "bump", "cusp05", "fejer")

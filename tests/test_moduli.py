@@ -493,6 +493,144 @@ class TestHermitianHalf:
             assert got.tobytes() == full(grid.frequencies(), h, alpha).tobytes()
 
 
+#: the raw builds behind HALF_BUILDS, by module, as ``_hermitian`` calls them
+RAW_BUILDS = {"symbol": (moduli, "_closed_symbol"), "gain": (moduli, "_closed_gain"),
+              "directional": (spectral, "_directional_symbol")}
+
+
+@pytest.fixture
+def built_rows(monkeypatch):
+    """kind -> the number of rows each raw build of that kind made, in order."""
+    rows = {kind: [] for kind in RAW_BUILDS}
+    for kind, (module, name) in RAW_BUILDS.items():
+        def counted(freqs, steps, *args, _real=getattr(module, name), _rows=rows[kind]):
+            out = _real(freqs, steps, *args)
+            _rows.append(len(out) if out.ndim > len(freqs) else 1)
+            return out
+        monkeypatch.setattr(module, name, counted)
+    return rows
+
+
+def _columns(steps):
+    """A 1-D block's per-axis columns, as ``spectral._blocks`` hands them."""
+    return (np.array(steps, dtype=float).reshape(-1, 1),)
+
+
+#: interleaved +-h blocks: the 1-D step design of a p = 1/2 modulus, whose
+#: steps pass L = 40 at delta = 100, and the directions +1, -1 twice
+PAIRED_STEPS = {
+    "symbol": [_BLOCK[:, 0], 100.0 / 0.6 * _BLOCK[:, 0]],
+    "gain": [_BLOCK[:, 0], 100.0 / 0.6 * _BLOCK[:, 0]],
+    "directional": [[1.0, -1.0, 1.0, -1.0]],
+}
+
+
+class TestPairedSteps:
+    """S_{-h}(w) = conj S_h(w) bit for bit: of a 1-D block whose rows come in
+    exact pairs h, -h only the h rows are built, and every row equals the
+    step built alone."""
+
+    @pytest.mark.parametrize("n_points", [8, 1024])
+    @pytest.mark.parametrize("alpha", sorted(ORDERS + (0.75,)))
+    @pytest.mark.parametrize("kind", sorted(HALF_BUILDS))
+    def test_a_paired_block_equals_its_single_steps(self, built_rows, kind, alpha, n_points):
+        built = HALF_BUILDS[kind][0]
+        grid = TorusGrid(1, n_points, 40.0)
+        for steps in PAIRED_STEPS[kind]:
+            got = built(grid, _columns(steps), alpha)
+            assert built_rows[kind][-1] == len(steps) // 2
+            assert np.array_equal(got, [built(grid, (h,), alpha) for h in steps])
+            assert got.flags.writeable and got.flags.owndata
+            if kind == "symbol":  # a gain is even in h, and so is (i w)^2
+                assert not np.array_equal(got[1], got[0])
+
+    @pytest.mark.parametrize("steps", [[0.3, 0.5, -0.3], [0.3, -0.3, 0.5, 0.4],
+                                       [0.3, -0.3, 0.5, 0.5], [-0.3, 0.3, 0.5, -0.4]])
+    @pytest.mark.parametrize("kind", sorted(HALF_BUILDS))
+    def test_an_unpaired_block_builds_every_row(self, built_rows, kind, steps):
+        built = HALF_BUILDS[kind][0]
+        grid = TorusGrid(1, 64, 40.0)
+        got = built(grid, _columns(steps), 1.5)
+        assert built_rows[kind][0] == len(steps)
+        assert np.array_equal(got, [built(grid, (h,), 1.5) for h in steps])
+
+    @pytest.mark.parametrize("kind", sorted(HALF_BUILDS))
+    def test_a_2d_block_builds_every_row(self, built_rows, kind):
+        built, full, _ = HALF_BUILDS[kind]
+        grid = SYMBOL_CASES[1][0]
+        z = (0.6, 0.8)
+        steps = tuple(np.array([c, -c]).reshape(2, 1, 1) for c in z)
+        got = built(grid, steps, 1.5)
+        assert built_rows[kind] == [2]
+        assert got.tobytes() == full(grid.frequencies(), steps, 1.5).tobytes()
+
+    @pytest.mark.parametrize("p", [0.5, 1.0, "inf"])
+    def test_a_1d_modulus_builds_one_row_per_pair(self, built_rows, p):
+        f = grid_function("gaussian", N=1024, L=40.0)
+        modulus(f, np.array([0.2, 0.6]), 1.5, p)
+        # two deltas, each one 32-step design in one block of 64 rows
+        assert built_rows["symbol"] == [16, 16]
+
+    def test_the_series_route_builds_minus_h_itself(self, monkeypatch):
+        # the independent cross-check sums the series at -theta, row by row
+        f = grid_function("gaussian", N=256, L=20.0)
+        thetas, real = [], moduli._series_symbol
+        monkeypatch.setattr(moduli, "_series_symbol",
+                            lambda a, t: thetas.append(t) or real(a, t))
+        (h,) = _columns(_BLOCK[:, 0])
+        got = _symbol(f, (h,), 1.5, "series")
+        mag = np.abs(transform(f))
+        occupied = mag > moduli._OCCUPIED * mag.max()
+        assert len(thetas) == len(h)
+        for row, t, theta in zip(got, h * f.grid.frequencies()[0], thetas):
+            assert np.array_equal(theta, t[occupied])
+            assert np.array_equal(row[occupied], real(1.5, t[occupied]))
+
+
+class TestStepPeriod:
+    """A whole-order symbol and every gain are L-periodic in each h_j, and
+    take h_j mod L; a fractional symbol with a phase past the double range
+    is refused before any exponential."""
+
+    GRID = TorusGrid(1, 1024, 40.0)
+
+    @pytest.mark.parametrize("r", [1.0, 2.0, 3.0])
+    @pytest.mark.parametrize("h", [0.3, -0.71, 7.5])
+    def test_a_whole_order_symbol_is_periodic(self, r, h):
+        # h + 3L is h + 3L up to one rounding (7e-15), which moves a phase
+        # of up to 120 * 80 by 6e-13 and the symbol by r 2^(r-1) times that
+        L = self.GRID.period
+        want = difference_symbol(self.GRID, (h,), r)
+        got = difference_symbol(self.GRID, (h + 3.0 * L,), r)
+        assert np.max(np.abs(got - want)) <= 1e-12 * r * 2.0 ** r
+
+    @pytest.mark.parametrize("alpha", [1.0, 1.5, 0.75])
+    @pytest.mark.parametrize("h", [0.3, -0.71, 7.5])
+    def test_every_gain_is_periodic(self, alpha, h):
+        L = self.GRID.period
+        want = difference_gain(self.GRID, (h,), alpha)
+        got = difference_gain(self.GRID, (h + 3.0 * L,), alpha)
+        assert got[0] == want[0]
+        assert np.max(np.abs(got[1] - want[1])) <= 1e-12
+
+    def test_a_step_inside_the_period_keeps_its_bits(self):
+        steps = _columns([0.3, -0.3, 39.9, -39.9])
+        direct = _full_symbol(self.GRID.frequencies(), steps, 2.0)
+        assert np.array_equal(difference_symbol(self.GRID, steps, 2.0), direct)
+
+    @pytest.mark.parametrize("alpha", [0.75, 1.5])
+    def test_an_overflowing_fractional_phase_is_refused(self, alpha):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match=r"its phase \(h, w\) overflows"):
+                difference_symbol(self.GRID, (1e307,), alpha)
+            # a finite phase is built, however far past L
+            assert np.isfinite(difference_symbol(self.GRID, (1e300,), alpha)).all()
+            # p = 2 needs only |symbol|, which is periodic at every order
+            f = grid_function("gaussian", N=1024, L=40.0)
+            assert math.isfinite(modulus(f, 1e307, alpha, 2.0))
+
+
 def _per_step(f, hvecs, alpha, p):
     """Definition: the L_p norm of frac_difference at each step, one call per step."""
     out = []
@@ -668,8 +806,10 @@ class TestParsevalRoute:
         assert len(parseval_pairs) == 2 * ALL_STEPS[d] + 32
 
     def test_sup_directional(self, smooth, parseval_pairs):
-        sup_directional(smooth, 1.5, 2.0)
-        self._assert_pairs(parseval_pairs, len(direction_design(smooth.grid.dimension)))
+        # at p = 2 one direction of each pair zeta, -zeta: the first half
+        got = sup_directional(smooth, 1.5, 2.0)
+        self._assert_pairs(parseval_pairs, len(direction_design(smooth.grid.dimension)) // 2)
+        assert got == max(norm for norm, _ in parseval_pairs)
 
     def test_averaged_modulus_outer(self, smooth, parseval_pairs):
         averaged_modulus(smooth, 0.6, 1.5, 2.0, 1.0)
@@ -680,7 +820,7 @@ class TestParsevalRoute:
 
     def test_no_inverse_transform_at_p2(self, smooth, monkeypatch):
         calls, real = [], np.fft.ifftn
-        monkeypatch.setattr(np.fft, "ifftn", lambda a: calls.append(1) or real(a))
+        monkeypatch.setattr(np.fft, "ifftn", lambda a, **kw: calls.append(1) or real(a, **kw))
         d = smooth.grid.dimension
         modulus(smooth, 0.6, 1.5, 2.0)
         modulus(smooth, 0.6, 1.5, 2.0, method="series")
@@ -768,6 +908,16 @@ class TestHalfDesign:
         full = max(spectral.step_norms(smooth, _design_steps(smooth.grid.dimension, 0.6),
                                        symbol_of, 2.0))
         assert mixed_modulus(smooth, orders, 0.6, 2.0) == full
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.5, 2.0])
+    def test_sup_directional(self, smooth, alpha):
+        order = SmoothnessOrder(alpha)
+        full = spectral.step_norms(smooth, direction_design(smooth.grid.dimension),
+                                   lambda v: spectral.directional_symbol(smooth.grid, v, order),
+                                   2.0)
+        half = len(full) // 2
+        assert full[half:] == full[:half]
+        assert sup_directional(smooth, alpha, 2.0) == max(full)
 
 
 # ---------------------------------------------------------------------------
@@ -946,7 +1096,7 @@ def test_spectrum_before_the_first_symbol(monkeypatch, call, builder):
     module, name = builder.split(".")
     module = {"moduli": moduli, "approx": approx}[module]
     build = getattr(module, name)
-    monkeypatch.setattr(np.fft, "fftn", lambda a: events.append("fft") or fft(a))
+    monkeypatch.setattr(np.fft, "fftn", lambda a, **kw: events.append("fft") or fft(a, **kw))
     monkeypatch.setattr(module, name,
                         lambda *args: events.append("symbol") or build(*args))
     f = grid_function("gaussian2d", N=32, L=20.0)

@@ -61,9 +61,22 @@ class TestTransform:
     def test_transform_hands_over_its_fresh_result(self, grid, monkeypatch):
         # the fftn output is the kept spectrum itself: no copy is made
         outputs, real = [], np.fft.fftn
-        monkeypatch.setattr(np.fft, "fftn", lambda a: outputs.append(real(a)) or outputs[-1])
+        monkeypatch.setattr(np.fft, "fftn",
+                            lambda a, **kw: outputs.append(real(a, **kw)) or outputs[-1])
         F = transform(plane_wave(grid, 3.0))
         assert np.shares_memory(F, outputs[0])
+
+    @pytest.mark.parametrize("d,n", [(1, 8), (1, 1024), (2, 64)])
+    def test_the_normalisation_is_the_old_rescale_bit_for_bit(self, d, n):
+        # norm="forward" scales by 1/N^d inside the FFT: N is a power of 2,
+        # so that equals the unnormalised transform divided by N^d
+        g = TorusGrid(d, n, 10.0)
+        rng = np.random.default_rng(n + d)
+        v = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+        F = transform(GridFunction(g, v))
+        assert F.tobytes() == (np.fft.fftn(v) / n ** d).tobytes()
+        C = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+        assert synthesize(g, C).values.tobytes() == (np.fft.ifftn(C) * n ** d).tobytes()
 
 
 class TestDirection:
