@@ -34,35 +34,40 @@ product of the axis arrays exp(-i h_j w_j), a whole order r is
 |1 - z|^a exp(i a (th + Arg(1 - z))) (the principal branch; for a < 1,
 z is taken from the full phase th), and the mixed modulus takes the
 product of the 1-D axis symbols.  With a real step the closed symbol is
-Hermitian and the gain below is even in w, bit for bit, so in 1-D both
-are built on the FFT indices 0 .. N/2 (the Nyquist mode -N/2 included)
-and the other half is their mirror (``spectral._hermitian``); a 2-D grid
-builds the whole grid, because the -N/2 row of axis 0 has no partner.
-The symbol at -h is the conjugate of the one at h, bit for bit, so of a
-1-D block's pair h, -h only h is built.  A whole-order symbol and every
-gain take each h_j mod L (``_mod_period``).
+Hermitian, bit for bit, so in 1-D it is built on the FFT indices
+0 .. N/2 (the Nyquist mode -N/2 included) and the other half is its
+mirror (``spectral._hermitian``); a 2-D grid builds the whole grid,
+because the -N/2 row of axis 0 has no partner.  The symbol at -h is the
+conjugate of the one at h, bit for bit, so of a 1-D block's pair h, -h
+only h is built.  A whole-order symbol, in both routes, and every gain
+take each h_j mod L (``_mod_period``); a fractional symbol whose phase
+overflows is refused, in both routes (``_symbol_step``).
 
-At p = 2 the closed route builds no symbol: the L_2 modulus is
+At p = 2 the closed routes build no symbol: the L_2 modulus is
 Plancherel's sup_h (L^d sum (4 sin^2(th/2))^a |F|^2)^(1/2), summed by
 ``spectral.step_norms`` from the real gain of ``difference_gain`` in the
 scaled form 2^a (sum sin^(2a)(th/2) |F|^2)^(1/2), finite for every order
 up to MAX_ORDER.  sin(th/2) comes by angle addition from per-axis sines
-and cosines, which keeps th = 0 an exact 0 on h = (t, -t).  The outer
-``averaged_modulus`` averages the same step norms.  The mixed modulus and
-the series route still build their symbols, but at p = 2 only |symbol|^2
-is summed.  ``TestParsevalRoute`` in ``tests/test_moduli.py`` checks every
-p = 2 sup and average against ``apply_symbol`` + ``quasi_norm`` at each
-design point.
+and cosines, which keeps th = 0 an exact 0 on h = (t, -t).  The mixed
+modulus sums its own closed gain, prod_j |2 sin(h_j w_j / 2)|^(2 k_j)
+(``_mixed_gain``).  Both gains are even in w, so each is built and summed
+on the Hermitian half only (``spectral._half_frequencies``), against
+|F|^2 folded onto it once per call.  The outer ``averaged_modulus``
+averages the same step norms.  The series route builds its symbols on
+the whole grid, and at p = 2 sums |symbol|^2 there.
+``TestParsevalRoute`` in ``tests/test_moduli.py`` checks every p = 2 sup
+and average against ``apply_symbol`` + ``quasi_norm`` at each design
+point.
 
 At p = 2 a sup visits one step of each pair h, -h, and the pair rule
 holds by layout: the second half of ``direction_design`` is the exact
 negative of its first half, row by row, and the Parseval sum is even in h
 bit for bit: sin is odd bit for bit, so the angle-addition sin(th/2) at
--h is the exact negative of that at h and its square is the same, and the
-mixed symbol at -h is the exact conjugate of the one at h, with the same
-|symbol|^2.  So at p = 2 ``step_design`` takes the first half of the
-directions (16 steps in 1-D and 160 in 2-D, not 32 and 320), and the max
-is the max over the whole design.  The series route halves too; its
+-h is the exact negative of that at h and its square is the same, and so
+is each axis factor |sin(h_j w_j / 2)| of the mixed gain.  So at p = 2
+``step_design`` takes the first half of the directions (16 steps in 1-D
+and 160 in 2-D, not 32 and 320), and the max is the max over the whole
+design.  The series route halves too; its
 values agree with the whole design to round-off.  Off p = 2 every step
 keeps its norm: there the norms at h and -h are equal at best through a
 translation (by r h at a whole order r), which is off the grid; but the
@@ -96,8 +101,8 @@ import numpy as np
 from .errors import AdmissibilityError, ParameterError
 from .grid import (Exponent, GridFunction, SmoothnessOrder, TorusGrid, is_whole, power,
                    quasi_norm, readonly_array, step_sizes)
-from .spectral import (Direction, _hermitian, apply_symbol, derivative_symbol, multi_indices,
-                       step_norms, transform)
+from .spectral import (Direction, _half_frequencies, _hermitian, apply_symbol, derivative_symbol,
+                       multi_indices, step_norms, transform)
 
 #: number of step magnitudes sampled per direction when taking the sup
 N_MAGNITUDES = 16
@@ -293,18 +298,26 @@ def difference_symbol(grid: TorusGrid, hvec, alpha: float) -> np.ndarray:
     phase overflows is refused before any exponential.
     """
     whole = is_whole(alpha)
-    if whole:
-        hvec = _mod_period(grid, hvec)
-    elif not math.isfinite(sum(float(np.abs(h).max()) for h in hvec) * grid.nyquist):
-        raise ParameterError(f"step too large for the fractional order {alpha:g}: "
-                             "its phase (h, w) overflows")
-    return _hermitian(grid, _closed_symbol, hvec, alpha, whole)
+    return _hermitian(grid, _closed_symbol, _symbol_step(grid, hvec, alpha, whole), alpha, whole)
 
 
 def _mod_period(grid: TorusGrid, hvec) -> tuple:
     """Each h_j of one step or a block's columns as np.fmod(h_j, L): exact,
     the identity for |h_j| < L, and h_j w_j stays finite for any step."""
     return tuple(np.fmod(h, grid.period) for h in hvec)
+
+
+def _symbol_step(grid: TorusGrid, hvec, alpha: float, whole: bool) -> tuple:
+    """The step as both routes to the symbol of order alpha take it: mod L
+    (``_mod_period``) at a whole order, where the symbol is L-periodic in
+    each h_j; as it is at a fractional order, where it is not, and refused
+    there when its phase (h, w) overflows, before any exponential."""
+    if whole:
+        return _mod_period(grid, hvec)
+    if not math.isfinite(sum(float(np.abs(h).max()) for h in hvec) * grid.nyquist):
+        raise ParameterError(f"step too large for the fractional order {alpha:g}: "
+                             "its phase (h, w) overflows")
+    return hvec
 
 
 def _closed_symbol(freqs: tuple, hvec, alpha: float, whole: bool) -> np.ndarray:
@@ -335,16 +348,20 @@ def difference_gain(grid: TorusGrid, hvec, alpha: float) -> tuple:
     """|difference_symbol|^2 = (4 sin^2(th/2))^alpha in the scaled form of
     ``spectral.step_norms``: (2^alpha, sin^(2 alpha)(th/2)), real and <= 1.
 
-    sin(th/2) comes by angle addition from the per-axis half phases
-    h_j w_j / 2, broadcast products of 1-D sines and cosines: on
-    h = (t, -t) the two products cancel exactly, so th = 0 gives an exact 0
-    at every order, where a product of axis factors would give eps^alpha.
-    The gain is even in w and in h, so in 1-D it is built on the FFT
-    indices 0 .. N/2 and mirrored, and of a block's pair h, -h only h is
-    built (``spectral._hermitian``).  It is L-periodic in each h_j at every
-    order, so each h_j is taken mod L (``_mod_period``).
+    The gain is even in w, so it is built on the Hermitian half only, the
+    layout of ``spectral._half_frequencies``: in 1-D the FFT indices
+    0 .. N/2, an array of N/2 + 1 entries per step; in 2-D rows 0 .. N/2
+    of axis 0 against the N columns of axis 1 and the strip column, an
+    (N/2 + 1, N + 1) array per step.  ``step_norms`` sums it against the
+    power spectrum folded onto that half.  sin(th/2) comes by angle
+    addition from the per-axis half phases h_j w_j / 2, broadcast products
+    of 1-D sines and cosines: on h = (t, -t) the two products cancel
+    exactly, so th = 0 gives an exact 0 at every order, where a product of
+    axis factors would give eps^alpha.  It is L-periodic in each h_j at
+    every order, so each h_j is taken mod L (``_mod_period``).
     """
-    return power(2.0, alpha), _hermitian(grid, _closed_gain, _mod_period(grid, hvec), alpha)
+    return power(2.0, alpha), _closed_gain(_half_frequencies(grid), _mod_period(grid, hvec),
+                                           alpha)
 
 
 def _closed_gain(freqs: tuple, hvec, alpha: float) -> np.ndarray:
@@ -392,7 +409,8 @@ def frac_difference(f: GridFunction, step: Step, alpha, method: str = "spectral"
 def _symbol(f: GridFunction, hvec, alpha: float, method: str) -> np.ndarray:
     """Symbol of the order-alpha difference with step hvec, on the modes of f.
 
-    The series route sums only the occupied modes of the spectrum F of f,
+    Both routes take the step as ``_symbol_step`` gives it.  The series
+    route sums only the occupied modes of the spectrum F of f,
     |F| > _OCCUPIED max|F|,
     and leaves the symbol 0 elsewhere.  Since |symbol| <= 2^alpha, a
     dropped mode changes any output sample by at most
@@ -404,6 +422,7 @@ def _symbol(f: GridFunction, hvec, alpha: float, method: str) -> np.ndarray:
         return difference_symbol(f.grid, hvec, alpha)
     if method != "series":
         raise ParameterError(f"unknown method '{method}'")
+    hvec = _symbol_step(f.grid, hvec, alpha, is_whole(alpha))
     theta = reduce(np.add, [h * w for h, w in zip(hvec, f.grid.frequencies())])
     mag = np.abs(transform(f))
     occupied = mag > _OCCUPIED * mag.max()
@@ -485,20 +504,21 @@ def modulus(f: GridFunction, delta, alpha, p, method: str = "spectral"):
     them: max over the shared step design of the L_p quasi-norm of the
     order-alpha difference."""
     order, p = _admissible(alpha, p)
-    a = order.alpha
-    routes = (_closed_difference(f.grid, a, p) if method == "spectral"
-              else (lambda h: _symbol(f, h, a, method),))
-    return _sups(f, delta, direction_design(f.grid.dimension), p, *routes)
+    return _sups(f, delta, direction_design(f.grid.dimension), p,
+                 *_difference(f, order.alpha, p, method))
 
 
-def _closed_difference(grid: TorusGrid, a: float, p: Exponent) -> tuple:
-    """(symbol_of, gain_of) of the closed order-a difference for
-    ``spectral.step_norms``.  At p = 2 the symbol serves only an underflowing
-    Parseval sum, where only |symbol| counts, which is L-periodic at every
-    order: so there it takes its step mod L, also at a fractional order."""
-    at_2 = p.p == 2.0
-    return (lambda h: difference_symbol(grid, _mod_period(grid, h) if at_2 else h, a),
-            lambda h: difference_gain(grid, h, a))
+def _difference(f: GridFunction, a: float, p: Exponent, method: str = "spectral") -> tuple:
+    """(symbol_of, gain_of) of the order-a difference of f by ``method`` for
+    ``spectral.step_norms``; the series route has no closed gain (None).  At
+    p = 2 only |symbol| counts (all of the series symbol's, and the closed
+    one's in an underflowing Parseval sum), and |symbol| is L-periodic in
+    each h_j at every order: so there the step is taken mod L, also at a
+    fractional order."""
+    grid, at_2 = f.grid, p.p == 2.0
+    closed = method == "spectral"
+    return (lambda h: _symbol(f, _mod_period(grid, h) if at_2 else h, a, method),
+            (lambda h: difference_gain(grid, h, a)) if closed else None)
 
 
 def default_deltas(grid: TorusGrid, n: int, floor_cells: float = 4.0) -> np.ndarray:
@@ -583,7 +603,7 @@ def partial_modulus(f: GridFunction, axis: int, delta, r: int, p):
     order, p = _admissible(float(r), p)
     a = order.alpha
     unit = np.eye(d)[axis]
-    return _sups(f, delta, np.array([unit, -unit]), p, *_closed_difference(f.grid, a, p))
+    return _sups(f, delta, np.array([unit, -unit]), p, *_difference(f, a, p))
 
 
 def mixed_modulus(f: GridFunction, orders, delta, p):
@@ -600,7 +620,26 @@ def mixed_modulus(f: GridFunction, orders, delta, p):
         return reduce(np.multiply, [_whole_power(np.exp(1j * h * w), k)
                                     for h, w, k in zip(hvec, f.grid.frequencies(), orders)])
 
-    return _sups(f, delta, direction_design(d), p, symbol_of)
+    return _sups(f, delta, direction_design(d), p, symbol_of,
+                 lambda hvec: _mixed_gain(f.grid, hvec, orders))
+
+
+def _mixed_gain(grid: TorusGrid, hvec, orders: tuple) -> tuple:
+    """|mixed symbol|^2 = prod_j |2 sin(h_j w_j / 2)|^(2 k_j) on the
+    Hermitian half, in the scaled form of ``spectral.step_norms``: row by
+    row, (max|symbol|, gain) with the gain a product of per-axis vectors,
+    each over its own max.  So the gain's row max is 1, and an axis step,
+    where a factor is 0 everywhere, has scale 0 and reads 0.  Each h_j is
+    taken mod L (``_mod_period``), as by ``difference_gain``."""
+    d = grid.dimension
+    scale, gain = 1.0, 1.0
+    for h, w, k in zip(_mod_period(grid, hvec), _half_frequencies(grid), orders):
+        factor = np.abs(np.sin(0.5 * h * w))
+        top = factor.max(axis=tuple(range(-d, 0)), keepdims=True)
+        factor /= np.where(top > 0, top, 1.0)
+        scale = scale * (2.0 * top) ** k
+        gain = gain * factor ** (2 * k)
+    return np.ravel(scale), gain
 
 
 def averaged_modulus(f: GridFunction, delta, r, p, q, inner: bool = False):
@@ -622,7 +661,7 @@ def averaged_modulus(f: GridFunction, delta, r, p, q, inner: bool = False):
     d = f.grid.dimension
     n = N_MAGNITUDES
     a = order.alpha
-    symbol_of, gain_of = _closed_difference(f.grid, a, p)
+    symbol_of, gain_of = _difference(f, a, p)
 
     def average(delta):
         edges = np.linspace(-delta, delta, n + 1)

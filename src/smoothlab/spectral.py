@@ -24,17 +24,21 @@ Every sup and average over a step design is one ``step_norms`` call.  A
 design is an (n, d) float array, one step per row, made once per call,
 and ``step_norms`` runs it in blocks of consecutive rows (``_blocks``): a
 block's steps reach ``symbol_of`` as per-axis columns, so every symbol
-and gain is one (k, *grid.shape) array.  Off p = 2 a block is one product
-with the spectrum, one inverse FFT in place and one row-wise
-``quasi_norms``.  At p = 2 it applies no symbol: each step is the real
-Parseval sum L^d sum gain |F|^2, with |F|^2 formed once per call and the
-gain |symbol|^2 in a scaled form (scale, gain <= 1), so no power of a
-large order overflows.  The one closed gain is ``moduli.difference_gain``,
-which builds no complex symbol; any other symbol gives |symbol|^2 over
-its own max, row by row.  A sum too small to keep its digits is taken
-from the samples instead.  ``tests/test_moduli.py`` checks every route
-against ``apply_symbol`` + ``quasi_norm`` at every design point.  A sup
-is the max of ``step_norms``: the moduli take one per delta over the step
+is one (k, *grid.shape) array.  Off p = 2 a block is one product with
+the spectrum, one inverse FFT in place and one row-wise ``quasi_norms``.
+At p = 2 it applies no symbol: each step is the real Parseval sum
+L^d sum gain |F|^2, with |F|^2 formed once per call and the gain
+|symbol|^2 in a scaled form (scale, gain <= 1), so no power of a large
+order overflows.  The closed gains, ``moduli.difference_gain`` and the
+mixed modulus's, build no complex symbol, and each is even in w: it is
+built and summed on the Hermitian half only, k rows of it per block,
+against |F|^2 folded onto that half once per call (``_fold``).  Any
+other symbol gives |symbol|^2 over its own max, row by row, on the whole
+grid: the series symbol is 0 off the occupied modes, and for a complex f
+it is not even in w.  A sum too small to keep its digits is taken from
+the samples instead.  ``tests/test_moduli.py`` checks every route against
+``apply_symbol`` + ``quasi_norm`` at every design point.  A sup is the
+max of ``step_norms``: the moduli take one per delta over the step
 design of ``moduli.step_design``, and ``sup_directional`` one over the
 directions of ``moduli.direction_design``; at p = 2 both keep the first
 half of the directions (``moduli._sup_directions``: a p = 2 sum is even in
@@ -42,19 +46,23 @@ the step, and that half's exact negatives make up the second half).  The
 averages keep every node.
 
 A closed symbol of a real step or direction is Hermitian,
-S(-w) = conj S(w), and a closed gain is even in w.  ``_hermitian`` builds
-one in 1-D on the FFT indices 0 .. N/2, the Nyquist mode -N/2 included,
-and fills the other half as the conjugates of the first, in reverse
-order, which spares half the exponentials, angles and powers.  The same
-identity holds in the step, S_{-h}(w) = conj S_h(w) bit for bit, and a
-1-D block off p = 2 holds its steps in pairs h, -h (the step design, the
-axis pair of ``moduli.partial_modulus``, the directions of
-``sup_directional``): ``_hermitian`` builds the h rows only and writes
-each -h row as their conjugate.  A block of 2^16 / N rows is even for
-N <= 2^15, so no pair straddles two blocks.
-``moduli.difference_symbol``, ``moduli.difference_gain`` and
-``directional_symbol`` go through it.  A 2-D grid builds the whole grid:
-the -N/2 row of axis 0 has no partner, and a 2-D block is one step.
+S(-w) = conj S(w), and a closed gain is even in w.  The Hermitian half
+(``_half_frequencies``) is, in 1-D, the FFT indices 0 .. N/2, the Nyquist
+mode -N/2 included; in 2-D, rows 0 .. N/2 of axis 0 and one strip
+column, which holds the modes (-i, -N/2) of rows N/2 + 1 .. N - 1: they
+have no partner, because +N/2 is no grid mode.  A closed gain stays on
+that half.  ``_hermitian`` builds a 1-D symbol on it and fills the other
+half as the conjugates of the first, in reverse order, which spares half
+the exponentials, angles and powers.  The same identity holds in the
+step, S_{-h}(w) = conj S_h(w) bit for bit, and a 1-D block off p = 2
+holds its steps in pairs h, -h (the step design, the axis pair of
+``moduli.partial_modulus``, the directions of ``sup_directional``):
+``_hermitian`` builds the h rows only and writes each -h row as their
+conjugate.  A block of 2^16 / N rows is even for N <= 2^15, so no pair
+straddles two blocks.  ``moduli.difference_symbol`` and
+``directional_symbol`` go through it.  A 2-D symbol is built on the whole
+grid: the -N/2 row of axis 0 has no partner, so a mirror would change it,
+and a 2-D block is one step.
 
 Sampling operator: interp_V is a Fourier fold, not a dense kernel, on a
 1-D grid only.  The coefficients are folded mod n = L sigma and weighted
@@ -186,10 +194,12 @@ def step_norms(f: GridFunction, design, symbol_of, p, gain_of=None) -> list:
     At p = 2 no symbol is applied.  By discrete Parseval
     ||g||_2^2 = L^d sum |symbol|^2 |F|^2, so a step is one real sum over the
     modes: no inverse FFT, no samples.  ``gain_of(h)`` gives the block's
-    scaled gain (scale, gain), a fresh real array with
-    scale^2 gain = |symbol_of(h)|^2 row by row and gain <= 1, so that no
-    power of a large order overflows; without it each row's gain is its
-    |symbol|^2 over its own max.  The norm is
+    closed scaled gain (scale, gain), a fresh real array on the Hermitian
+    half of ``_half_frequencies`` with scale^2 gain = |symbol_of(h)|^2 row
+    by row and gain <= 1, so that no power of a large order overflows; it
+    is summed against (|F| / max|F|)^2 folded onto that half (``_fold``).
+    Without it each row's gain is its |symbol|^2 over its own max, on the
+    whole grid.  The norm is
     scale max|F| (L^d sum gain (|F| / max|F|)^2)^(1/2), inf where that is
     beyond the double range.  A sum below _PARSEVAL_FLOOR may have lost
     digits to subnormal terms, or underflowed to 0 where the samples are
@@ -221,6 +231,8 @@ def step_norms(f: GridFunction, design, symbol_of, p, gain_of=None) -> list:
     if top > 0:
         spectrum /= top
     np.square(spectrum, out=spectrum)
+    if gain_of:
+        spectrum = _fold(grid, spectrum)
     volume = math.prod([grid.period] * grid.dimension)  # inf, not OverflowError
     for points, h in _blocks(grid, design):
         scale, gain = gain_of(h) if gain_of else _symbol_gain(symbol_of(h))
@@ -255,6 +267,51 @@ def _symbol_gain(symbols: np.ndarray) -> tuple:
     return top.ravel(), gain
 
 
+def _half_frequencies(grid: TorusGrid) -> tuple:
+    """The frequency arrays of the Hermitian half, one per axis, laid along
+    the axes as ``TorusGrid.frequencies`` lays them: where every closed
+    p = 2 gain is built and summed (``step_norms``), and where ``_hermitian``
+    builds its 1-D symbols.
+
+    1-D: the FFT indices 0 .. N/2, the Nyquist mode -N/2 last.  2-D: rows
+    0 .. N/2 of axis 0 against the N columns of axis 1 and one more column
+    at w_2 = +pi N / L, -w_2 of column N/2 bit for bit.  Row i of that
+    column is the exact negative of the mode (-i, -N/2): it holds the strip,
+    rows N/2 + 1 .. N - 1 of column N/2, whose modes have no partner and lie
+    outside the rows, at the value an even gain takes there.  Its rows 0 and
+    N/2 stand for no mode and weigh 0 in ``_fold``.
+    """
+    w, n = grid.axis_frequencies(), grid.points_per_axis // 2
+    if grid.dimension == 1:
+        return (w[:n + 1],)
+    return w[:n + 1, None], np.append(w, -w[n])[None, :]
+
+
+def _fold(grid: TorusGrid, spectrum: np.ndarray) -> np.ndarray:
+    """The power spectrum P = ``spectrum`` on the Hermitian half of
+    ``_half_frequencies``: a fresh array in which a mode xi weighs
+    P(xi) + P(-xi) where -xi is a grid mode outside the half, and P(xi)
+    alone where it is not.  So sum gain P over the grid is sum gain W over
+    the half for every gain even in w.  Unpaired are the modes with an index
+    N/2 (their negative, at +N/2, is no grid mode) and row 0 of axis 0,
+    which holds both modes of each of its pairs; the strip column holds P
+    of the strip."""
+    n = grid.points_per_axis // 2
+    if grid.dimension == 1:
+        half = spectrum[:n + 1].copy()
+        half[1:n] += spectrum[:n:-1]
+        return half
+    half = np.zeros((n + 1, 2 * n + 1))
+    half[:, :2 * n] = spectrum[:n + 1]
+    # P(-xi) of rows 1 .. n-1: row N - i, column (N - j) mod N
+    minus = np.roll(spectrum[:n:-1, ::-1], 1, axis=1)
+    body = half[1:n]
+    body[:, :2 * n] += minus
+    body[:, n] = spectrum[1:n, n]  # the column -N/2 has no partner
+    body[:, 2 * n] = minus[:, n]  # the strip, P(N - i, N/2)
+    return half
+
+
 def multi_indices(dimension: int, order: int) -> list:
     """The multi-indices of total ``order`` on ``dimension`` axes, the first
     index ascending: (order,) in 1-D, (k, order - k) in 2-D."""
@@ -271,33 +328,33 @@ def derivative_symbol(grid: TorusGrid, multi: tuple) -> np.ndarray:
 
 
 def _hermitian(grid: TorusGrid, build, steps, *args) -> np.ndarray:
-    """``build(freqs, steps, *args)``, a fresh symbol or gain over the
-    frequency arrays ``freqs`` for ``steps``, one step or a block's per-axis
-    columns, that is Hermitian, S(-w) = conj S(w), on the grid's modes.
+    """``build(freqs, steps, *args)``, a fresh symbol over the frequency
+    arrays ``freqs`` for ``steps``, one step or a block's per-axis columns,
+    that is Hermitian, S(-w) = conj S(w), on the grid's modes.
 
     In 1-D ``build`` runs on the FFT indices 0 .. N/2 only, the modes
-    0 .. N/2 - 1 and the Nyquist mode -N/2, and indices N/2 + 1 .. N - 1
-    are the conjugates of indices N/2 - 1 .. 1, in reverse order.  That is
-    exact: the frequency table is antisymmetric bit for bit (``grid.modes``
-    are integers), and the closed symbols and gains take conjugate values
-    at -w and w bit for bit, up to the sign of a zero
-    (``tests/test_moduli.py::TestHermitianHalf``).  A real gain mirrors
-    unchanged.  By S_{-h}(w) = S_h(-w) = conj S_h(w), where row 2i + 1 of
-    a block is the exact negative of row 2i for every i, only the even
-    rows are built and each odd row is the conjugate of the one before.
+    0 .. N/2 - 1 and the Nyquist mode -N/2 (``_half_frequencies``), and
+    indices N/2 + 1 .. N - 1 are the conjugates of indices N/2 - 1 .. 1, in
+    reverse order.  That is exact: the frequency table is antisymmetric bit
+    for bit (``grid.modes`` are integers), and the closed symbols take
+    conjugate values at -w and w bit for bit, up to the sign of a zero
+    (``tests/test_moduli.py::TestHermitianHalf``).  A closed gain needs no
+    mirror: it stays on the half.  By S_{-h}(w) = S_h(-w) = conj S_h(w),
+    where row 2i + 1 of a block is the exact negative of row 2i for every
+    i, only the even rows are built and each odd row is the conjugate of
+    the one before.
     The result is a fresh array.  In 2-D ``build`` runs on the whole grid:
     the -N/2 row of axis 0 has no partner, so a half-plane mirror would
     change it, and a 2-D block is one step.  Private, so that a trace that
-    wraps the public functions charges each build to the symbol or gain
-    that asked for it.
+    wraps the public functions charges each build to the symbol that asked
+    for it.
     """
-    freqs = grid.frequencies()
     if grid.dimension != 1:
-        return build(freqs, steps, *args)
+        return build(grid.frequencies(), steps, *args)
     n = grid.points_per_axis // 2
     (h,) = steps
     paired = np.ndim(h) > 0 and len(h) % 2 == 0 and np.array_equal(h[1::2], -h[::2])
-    half = build((freqs[0][:n + 1],), (h[::2],) if paired else steps, *args)
+    half = build(_half_frequencies(grid), (h[::2],) if paired else steps, *args)
     rows = (2 * len(half),) if paired else half.shape[:-1]
     out = np.empty(rows + (2 * n,), dtype=half.dtype)
     mirror = half[..., n - 1:0:-1]

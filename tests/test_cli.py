@@ -561,16 +561,20 @@ def test_extreme_periods_exit_0_or_2_without_warning(tmp_path, scale, argv):
 def test_a_step_far_past_the_period_exits_0_or_names_its_phase(tmp_path, caplog, alpha, p):
     # h w = 1e100 * 2.3e253 overflowed: numpy RuntimeWarnings and exit 2.  A
     # whole order and every gain take h mod L; a fractional symbol is not
-    # L-periodic, so off p = 2 its overflowing phase is refused by name
+    # L-periodic, so off p = 2 its overflowing phase is refused by name.  The
+    # series route takes the step as the closed one does
     scale = {"scale_1d": {"N": 256, "L": 3.47e-251}}
     argv = ("modulus", "fejer", "--alpha", alpha, "--p", p, "--delta", "1e100")
-    with caplog.at_level(logging.ERROR, logger="smoothlab"):
-        code = exits_0_or_2_without_warning(argv, scale, tmp_path / "cfg.json")
-    errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
-    if alpha == "1.5" and p != "2":
-        assert code == 2 and len(errors) == 1 and "its phase (h, w) overflows" in errors[0]
-    else:
-        assert code == 0 and errors == []
+    for method in ("spectral", "series"):
+        caplog.clear()
+        with caplog.at_level(logging.ERROR, logger="smoothlab"):
+            code = exits_0_or_2_without_warning((*argv, "--method", method), scale,
+                                                tmp_path / "cfg.json")
+        errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+        if alpha == "1.5" and p != "2":
+            assert code == 2 and len(errors) == 1 and "its phase (h, w) overflows" in errors[0]
+        else:
+            assert code == 0 and errors == []
 
 
 ENTRIES_1D = ("gaussian", "mod_gaussian", "bump", "cusp05", "fejer")

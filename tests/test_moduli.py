@@ -457,11 +457,26 @@ HALF_BUILDS = {
 }
 
 
+def _assert_the_half_of(got, whole):
+    """``got`` is the gain ``whole`` on the Hermitian half of
+    ``spectral._half_frequencies``, bit for bit: in 1-D its FFT indices
+    0 .. N/2; in 2-D its rows 0 .. N/2, and in the strip column, at row i,
+    the value at the mode (-i, -N/2) of the strip, for 0 < i < N/2."""
+    n = whole.shape[-1] // 2
+    if got.ndim == whole.ndim and got.shape[-1] == n + 1:
+        assert np.array_equal(got, whole[..., :n + 1])
+        return
+    assert got.shape == whole.shape[:-2] + (n + 1, 2 * n + 1)
+    assert got[..., :2 * n].tobytes() == whole[..., :n + 1, :].tobytes()
+    assert np.array_equal(got[..., 1:n, 2 * n], whole[..., :n:-1, n])
+
+
 class TestHermitianHalf:
-    """In 1-D a closed symbol or gain is built on the FFT indices 0 .. N/2
-    and the rest is its mirror; it equals the full-grid build value for
-    value (up to the sign of a zero).  In 2-D it is the full-grid build, bit
-    for bit."""
+    """In 1-D a closed symbol is built on the FFT indices 0 .. N/2 and the
+    rest is its mirror; it equals the full-grid build value for value (up to
+    the sign of a zero).  In 2-D it is the full-grid build, bit for bit.  A
+    closed gain is built on the Hermitian half only, where it equals the
+    full-grid build bit for bit."""
 
     @pytest.mark.parametrize("n_points", [8, 1024])
     @pytest.mark.parametrize("alpha", sorted(ORDERS + (0.75,)))
@@ -472,7 +487,10 @@ class TestHermitianHalf:
         freqs, n = grid.frequencies(), n_points // 2
         for h in steps:
             got = built(grid, h, alpha)
-            assert np.array_equal(got, full(freqs, h, alpha))
+            if kind == "gain":
+                _assert_the_half_of(got, full(freqs, h, alpha))
+            else:
+                assert np.array_equal(got, full(freqs, h, alpha))
             # the Nyquist mode -N/2 is built, not mirrored: it is the closed
             # form at w = -pi N / L (one-point numpy loops round apart by ulps)
             direct = full((freqs[0][n:n + 1],), h, alpha)[..., 0]
@@ -489,6 +507,9 @@ class TestHermitianHalf:
             steps = [(0.6, 0.8), (-0.8, 0.6)]
         for h in steps:
             got = built(grid, h, alpha)
+            if kind == "gain":
+                _assert_the_half_of(got, full(grid.frequencies(), h, alpha))
+                continue
             assert got.shape == grid.shape
             assert got.tobytes() == full(grid.frequencies(), h, alpha).tobytes()
 
@@ -527,8 +548,9 @@ PAIRED_STEPS = {
 
 class TestPairedSteps:
     """S_{-h}(w) = conj S_h(w) bit for bit: of a 1-D block whose rows come in
-    exact pairs h, -h only the h rows are built, and every row equals the
-    step built alone."""
+    exact pairs h, -h only the h rows of a symbol are built, and every row
+    equals the step built alone.  A gain, built on the half only, builds
+    every row."""
 
     @pytest.mark.parametrize("n_points", [8, 1024])
     @pytest.mark.parametrize("alpha", sorted(ORDERS + (0.75,)))
@@ -538,7 +560,7 @@ class TestPairedSteps:
         grid = TorusGrid(1, n_points, 40.0)
         for steps in PAIRED_STEPS[kind]:
             got = built(grid, _columns(steps), alpha)
-            assert built_rows[kind][-1] == len(steps) // 2
+            assert built_rows[kind][-1] == len(steps) // (1 if kind == "gain" else 2)
             assert np.array_equal(got, [built(grid, (h,), alpha) for h in steps])
             assert got.flags.writeable and got.flags.owndata
             if kind == "symbol":  # a gain is even in h, and so is (i w)^2
@@ -562,7 +584,10 @@ class TestPairedSteps:
         steps = tuple(np.array([c, -c]).reshape(2, 1, 1) for c in z)
         got = built(grid, steps, 1.5)
         assert built_rows[kind] == [2]
-        assert got.tobytes() == full(grid.frequencies(), steps, 1.5).tobytes()
+        if kind == "gain":
+            _assert_the_half_of(got, full(grid.frequencies(), steps, 1.5))
+        else:
+            assert got.tobytes() == full(grid.frequencies(), steps, 1.5).tobytes()
 
     @pytest.mark.parametrize("p", [0.5, 1.0, "inf"])
     def test_a_1d_modulus_builds_one_row_per_pair(self, built_rows, p):
@@ -617,6 +642,21 @@ class TestStepPeriod:
         steps = _columns([0.3, -0.3, 39.9, -39.9])
         direct = _full_symbol(self.GRID.frequencies(), steps, 2.0)
         assert np.array_equal(difference_symbol(self.GRID, steps, 2.0), direct)
+
+    def test_the_series_route_takes_the_step_as_the_closed_one(self):
+        # at a whole order the translates at h = 1e100 do not overlap, and
+        # both routes read 2 ||f||_1 = 2 sqrt(pi); the series read 7.15
+        f = grid_function("gaussian", N=1024, L=40.0)
+        for method in ("spectral", "series"):
+            got = modulus(f, 1e100, 1.0, 1.0, method=method)
+            assert got == pytest.approx(2.0 * math.sqrt(math.pi), rel=1e-12, abs=0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match=r"its phase \(h, w\) overflows"):
+                _symbol(f, (1e307,), 1.5, "series")
+            # p = 2 takes the step mod L at every order
+            assert modulus(f, 1e307, 1.5, 2.0, method="series") == pytest.approx(
+                modulus(f, 1e307, 1.5, 2.0), rel=1e-8, abs=0.0)
 
     @pytest.mark.parametrize("alpha", [0.75, 1.5])
     def test_an_overflowing_fractional_phase_is_refused(self, alpha):
@@ -831,12 +871,13 @@ class TestParsevalRoute:
         assert calls == []
 
     def test_diagonal_step_gain_is_exactly_zero(self):
-        # on h = (t, -t), th = t (w_1 - w_2) vanishes on the diagonal
+        # on h = (t, -t), th = t (w_1 - w_2) vanishes on the diagonal, which
+        # on the half (33 rows, 64 columns and the strip column) is (i, i)
         grid = TorusGrid(2, 64, 20.0)
         scale, gain = difference_gain(grid, (0.3, -0.3), 0.5)
-        assert scale == math.sqrt(2.0)
+        assert scale == math.sqrt(2.0) and gain.shape == (33, 65)
         assert np.all(np.diagonal(gain) == 0.0)
-        assert np.all(gain[~np.eye(64, dtype=bool)] > 0.0)
+        assert np.all(gain[~np.eye(33, 65, dtype=bool)] > 0.0)
 
     def test_diagonal_step_leaves_a_diagonal_function_unchanged(self, parseval_pairs):
         # f(x_1 + x_2) lives on the diagonal modes: every (t, -t) difference is 0,
@@ -875,6 +916,14 @@ class TestParsevalRoute:
         assert got == pytest.approx(ref, rel=1e-10, abs=0.0)
 
 
+def _mixed_symbol(grid, orders):
+    """The symbol of the composed axis differences of whole orders ``orders``."""
+    def symbol_of(hvec):
+        return reduce(np.multiply, [_whole_power(np.exp(1j * h * w), k)
+                                    for h, w, k in zip(hvec, grid.frequencies(), orders)])
+    return symbol_of
+
+
 def _full_sup(f, delta, alpha, directions=None):
     """The p = 2 sup of the closed difference over the whole design."""
     return max(spectral.step_norms(f, _design_steps(f.grid.dimension, delta, directions),
@@ -900,13 +949,9 @@ class TestHalfDesign:
     @pytest.mark.parametrize("orders", [(1, 1), (2, 1)])
     def test_mixed_modulus(self, smooth, orders):
         orders = orders[:smooth.grid.dimension]
-
-        def symbol_of(hvec):
-            return reduce(np.multiply, [_whole_power(np.exp(1j * h * w), k)
-                                        for h, w, k in zip(hvec, smooth.grid.frequencies(), orders)])
-
         full = max(spectral.step_norms(smooth, _design_steps(smooth.grid.dimension, 0.6),
-                                       symbol_of, 2.0))
+                                       _mixed_symbol(smooth.grid, orders), 2.0,
+                                       lambda h: moduli._mixed_gain(smooth.grid, h, orders)))
         assert mixed_modulus(smooth, orders, 0.6, 2.0) == full
 
     @pytest.mark.parametrize("alpha", [0.5, 1.5, 2.0])
@@ -918,6 +963,128 @@ class TestHalfDesign:
         half = len(full) // 2
         assert full[half:] == full[:half]
         assert sup_directional(smooth, alpha, 2.0) == max(full)
+
+
+# ---------------------------------------------------------------------------
+# p = 2 sums of closed gains on the Hermitian half
+# ---------------------------------------------------------------------------
+
+
+def _two_modes(n_points):
+    """e^{ix} + e^{-2ix} on [0, 2 pi): a complex f with content at w = 1
+    and none at -1, so its power spectrum is not even in w."""
+    grid = TorusGrid(1, n_points, 2.0 * math.pi)
+    (x,) = grid.coords()
+    return GridFunction(grid, np.exp(1j * x) + np.exp(-2j * x))
+
+
+def _plane_waves(n_points, modes):
+    """The sum of the 2-D plane waves of the integer ``modes`` on [0, 20)^2."""
+    grid = TorusGrid(2, n_points, 20.0)
+    x1, x2 = (2.0 * math.pi / grid.period * x for x in grid.coords())
+    return GridFunction(grid, sum(np.exp(1j * (a * x1 + b * x2)) for a, b in modes))
+
+
+def _noise(d, n_points):
+    """Seeded complex noise, which fills every mode."""
+    rng = np.random.default_rng(100 * d + n_points)
+    grid = TorusGrid(d, n_points, 20.0)
+    return GridFunction(grid, rng.standard_normal(grid.shape)
+                        + 1j * rng.standard_normal(grid.shape))
+
+
+#: the functions whose power spectra are folded: a complex f, noise on every
+#: mode, and 2-D content on the -N/2 row and column, where the strip column
+#: (the modes (-i, -N/2)) holds what no pair can
+FOLD_CASES = {
+    "1d-8-two_modes": lambda: _two_modes(8),
+    "1d-1024-two_modes": lambda: _two_modes(1024),
+    "1d-8-noise": lambda: _noise(1, 8),
+    "1d-1024-noise": lambda: _noise(1, 1024),
+    "2d-8-noise": lambda: _noise(2, 8),
+    "2d-256-noise": lambda: _noise(2, 256),
+    "2d-8-nyquist": lambda: _plane_waves(8, [(-3, -4), (3, -4), (-4, 2), (-4, -4), (1, 1)]),
+    "2d-256-nyquist": lambda: _plane_waves(256, [(-3, -128), (5, -128), (-128, 7), (1, 1)]),
+}
+FOLD_STEPS = {1: [(0.3,), (-0.77,), (1.0 + 1e-9,), (2.5,)],
+              2: [(0.3, 0.1), (-0.5, 0.25), (0.625, -0.625), (0.0, 0.4),
+                  (0.6 * math.cos(0.2), 0.6 * math.sin(0.2))]}
+
+
+def _full_mixed_gain(freqs, hvec, orders):
+    """prod_j (|sin(h_j w_j / 2)| / its max)^(2 k_j) over ``freqs``."""
+    gain = 1.0
+    for h, w, k in zip(hvec, freqs, orders):
+        s = np.abs(np.sin(0.5 * h * w))
+        gain = gain * (s / (s.max() or 1.0)) ** (2 * k)
+    return gain
+
+
+class TestParsevalHalf:
+    """At p = 2 a closed gain is built and summed on the Hermitian half,
+    against the power spectrum folded onto it; symbol routes keep the whole
+    grid."""
+
+    @pytest.mark.parametrize("case", sorted(FOLD_CASES))
+    def test_a_closed_gain_sums_on_the_half_as_on_the_whole_grid(self, case):
+        f = FOLD_CASES[case]()
+        grid, d = f.grid, f.grid.dimension
+        power = np.abs(transform(f)) ** 2
+        power /= power.max()
+        folded = spectral._fold(grid, power)
+        assert folded.sum() == pytest.approx(power.sum(), rel=1e-14, abs=0.0)
+        freqs = grid.frequencies()
+        for h in FOLD_STEPS[d]:
+            for alpha in (0.5, 1.5, 2.0, 3.0):
+                got = np.sum(difference_gain(grid, h, alpha)[1] * folded)
+                want = np.sum(_full_gain(freqs, h, alpha) * power)
+                assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+            for orders in [(1, 1), (2, 1), (1, 3)]:
+                got = np.sum(moduli._mixed_gain(grid, h, orders[:d])[1] * folded)
+                want = np.sum(_full_mixed_gain(freqs, h, orders[:d]) * power)
+                assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+
+    def test_the_strip_holds_what_no_pair_can(self):
+        # content on the strip alone: a fold without it would sum to 0
+        f = _plane_waves(8, [(-3, -4)])
+        power = np.abs(transform(f)) ** 2
+        folded = spectral._fold(f.grid, power)
+        assert folded[3, 8] == power[5, 4] == power.max()
+        folded[3, 8] = 0.0
+        assert folded.max() <= 1e-28 * power.max()  # FFT round-off
+
+    @pytest.mark.parametrize("orders", [(1, 1), (2, 1), (1, 3)])
+    def test_the_closed_mixed_gain_is_the_symbol_route(self, smooth, orders):
+        orders = orders[:smooth.grid.dimension]
+        design = _design_steps(smooth.grid.dimension, 0.6)
+        symbol_of = _mixed_symbol(smooth.grid, orders)
+        closed = spectral.step_norms(smooth, design, symbol_of, 2.0,
+                                     lambda h: moduli._mixed_gain(smooth.grid, h, orders))
+        assert closed == pytest.approx(spectral.step_norms(smooth, design, symbol_of, 2.0),
+                                       rel=1e-14, abs=0.0)
+
+    def test_a_mixed_axis_step_reads_0_without_the_samples(self, smooth, monkeypatch):
+        calls = []
+        monkeypatch.setattr(spectral, "apply_symbol", lambda *args: calls.append(args))
+        grid, orders = smooth.grid, (1, 2)[:smooth.grid.dimension]
+        axis_steps = np.eye(grid.dimension)[::-1] * 0.4 if grid.dimension == 2 else [(0.0,)]
+        for h in axis_steps:
+            scale, gain = moduli._mixed_gain(grid, tuple(h), orders)
+            assert scale.tolist() == [0.0] and not gain.any()
+        norms = spectral.step_norms(smooth, axis_steps, _mixed_symbol(grid, orders), 2.0,
+                                    lambda h: moduli._mixed_gain(grid, h, orders))
+        assert norms == [0.0] * len(axis_steps)
+        # the sup's design holds the axis directions of direction_design
+        assert mixed_modulus(smooth, orders, 0.6, 2.0) > 0.0
+        assert calls == []
+
+    def test_the_series_route_sums_the_whole_grid(self):
+        # the series symbol is 0 off the occupied modes, and for a complex f
+        # it is not even in w: summed on a folded half it would read 0.8725
+        f = _two_modes(64)
+        series = modulus(f, 0.5, 1.5, 2.0, method="series")
+        assert series == pytest.approx(modulus(f, 0.5, 1.5, 2.0), rel=1e-8, abs=0.0)
+        assert series == pytest.approx(2.5100, abs=1e-4)
 
 
 # ---------------------------------------------------------------------------
@@ -987,6 +1154,13 @@ class TestBlockedSteps:
             want = list(itertools.islice(itertools.cycle(alone), n))
             assert spectral.step_norms(f, points, symbol_of, q, gain_of) == want
 
+    @pytest.mark.parametrize("route", ["averaged", "mixed", "modulus", "partial"])
+    def test_a_closed_gain_block_equals_its_single_steps(self, desk, step_calls, route):
+        STEP_ROUTES[route](desk, 2.0)
+        [(f, design, symbol_of, q, gain_of, norms)] = step_calls
+        assert gain_of is not None
+        assert norms == [spectral.step_norms(f, [x], symbol_of, q, gain_of)[0] for x in design]
+
     @pytest.fixture(scope="class")
     def f(self):
         return grid_function("gaussian", N=1024, L=40.0)
@@ -1028,12 +1202,19 @@ class TestBlockedSteps:
         lambda f: mixed_modulus(f, (300,) * f.grid.dimension, 0.01, 2.0),
     ])
     def test_each_row_of_a_symbol_gain_keeps_its_own_scale(self, desk, step_calls, route):
+        # the directional symbol has no closed gain; the mixed modulus has one,
+        # scaled as a symbol's: max|symbol| row by row, and each row's max 1
         route(desk)
-        [(f, design, symbol_of, q, _, norms)] = step_calls
-        assert norms == [spectral.step_norms(f, [x], symbol_of, q)[0] for x in design]
-        block = symbol_of(next(spectral._blocks(f.grid, np.array(design)))[1])
-        tops, gain = spectral._symbol_gain(block.copy())
-        assert tops.tolist() == [float(np.abs(row).max()) for row in block]
+        [(f, design, symbol_of, q, gain_of, norms)] = step_calls
+        assert norms == [spectral.step_norms(f, [x], symbol_of, q, gain_of)[0] for x in design]
+        columns = next(spectral._blocks(f.grid, np.array(design)))[1]
+        block = symbol_of(columns)
+        tops, gain = gain_of(columns) if gain_of else spectral._symbol_gain(block.copy())
+        want = [float(np.abs(row).max()) for row in block]
+        if gain_of:
+            assert tops.tolist() == pytest.approx(want, rel=1e-13, abs=0.0)
+        else:
+            assert tops.tolist() == want
         assert all(row.max() == 1.0 for row in gain if row.any())
 
 

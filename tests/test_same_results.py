@@ -43,6 +43,17 @@ def test_a_report_matches_itself(tmp_path, quick):
     assert same(tmp_path, quick, quick).returncode == 0
 
 
+def test_a_pass_names_its_largest_move(tmp_path, quick):
+    moved = copy.deepcopy(quick)
+    moved["reports"][1]["rhs"][2] *= 1.0 + 4e-16
+    moved["reports"][3]["ratio"][0] *= 1.0 + 3e-11
+    result = same(tmp_path, quick, moved)
+    assert result.returncode == 0
+    pid = quick["reports"][3]["property_id"]
+    assert f"largest move 3e-11 relative at row 3 ({pid}) ratio; 2 of " in result.stdout
+    assert "largest move 0 relative at no row; 0 of" in same(tmp_path, quick, quick).stdout
+
+
 def test_a_moved_lhs_fails(tmp_path, quick):
     moved = copy.deepcopy(quick)
     moved["reports"][0]["lhs"][0] *= 1.0 + 1e-9

@@ -8,7 +8,9 @@ lhs, rhs and ratio value must agree within 1e-10 relative, and a
 non-finite value must be spelled the same ("inf", "-inf", "nan").  Each
 stat must agree within 1e-10 relative, or both values must be below 1e-14
 in absolute value: a stat whose true value is 0 (a flat family's fitted
-slope) reports round-off.  Notes that differ are printed but do not fail.  Any other pair
+slope) reports round-off.  Notes that differ are printed but do not fail.
+Two reports that pass print their largest relative move over lhs, rhs and
+ratio, with its row and key, and how many rows moved.  Any other pair
 of outputs (``curve``, ``modulus``, ``approx``) must have the same keys at
 every level, equal non-numbers and numbers within 1e-10 relative.  Exits 1
 on any violation, printing each one, and 0 otherwise.
@@ -51,6 +53,28 @@ def compare(old: dict, new: dict) -> list:
     return bad
 
 
+def relative_move(a, b) -> float:
+    """|a - b| / max(|a|, |b|) of two numbers, 0 where they are equal (also
+    two equal spellings of a non-finite value)."""
+    if a == b or not all(isinstance(x, (int, float)) for x in (a, b)):
+        return 0.0
+    return abs(a - b) / max(abs(a), abs(b))
+
+
+def largest_move(old: dict, new: dict) -> str:
+    """The largest relative move over lhs, rhs and ratio of two reports of
+    the same rows, with its row and key, and the number of rows that moved."""
+    move, where, moved = 0.0, "no row", 0
+    for i, (a, b) in enumerate(zip(old["reports"], new["reports"])):
+        row = max(((relative_move(x, y), k) for k in ("lhs", "rhs", "ratio")
+                   for x, y in zip(a[k], b[k])), default=(0.0, ""))
+        moved += row[0] > 0.0
+        if row[0] > move:
+            move, where = row[0], f"row {i} ({a.get('property_id')}) {row[1]}"
+    rows = len(old["reports"])
+    return f"largest move {move:.3g} relative at {where}; {moved} of {rows} rows moved"
+
+
 def compare_values(old, new, path="output") -> list:
     """The violations between two single-command outputs, each a line of text."""
     if isinstance(old, dict) and isinstance(new, dict):
@@ -73,9 +97,12 @@ def main(argv) -> int:
     for path in argv:
         with open(path) as fh:
             reports.append(json.load(fh))
-    bad = (compare if all("reports" in r for r in reports) else compare_values)(*reports)
+    both = all("reports" in r for r in reports)
+    bad = (compare if both else compare_values)(*reports)
     for line in bad:
         print(line)
+    if both and not bad:
+        print(largest_move(*reports))
     return 1 if bad else 0
 
 
