@@ -26,7 +26,8 @@ from .errors import ParameterError
 from .grid import (Exponent, GridFunction, SmoothnessOrder, TorusGrid, power, quasi_norm,
                    readonly_array, step_sizes)
 from .moduli import _sup_directions, direction_design
-from .spectral import apply_symbol, band_windows, directional_symbol, interp_V, step_norms
+from .spectral import (apply_symbol, band_windows, directional_gain, directional_symbol, interp_V,
+                       step_norms)
 
 #: offsets (as multiples of 1/sigma, within [-1, 1]) for the sampling operator
 N_OFFSETS = 8
@@ -68,7 +69,7 @@ def near_best(f: GridFunction, sigma: float, p) -> NearBest:
     # the sampling operator is 1-D: a 2-D tensor composite leaves the disk |w| <= sigma
     if f.grid.dimension == 1 and abs(n_samples - round(n_samples)) < 1e-9 and round(n_samples) >= 2:
         for lam in _sampling_offsets(sigma):
-            candidates.append((f"sampling[{lam:.4f}]", interp_V(f, sigma, lam, 1)))
+            candidates.append((f"sampling[{lam:.4f}]", interp_V(f, sigma, lam)))
     candidates.append(("zero", GridFunction(f.grid, np.zeros(f.grid.shape))))
 
     errors = {name: quasi_norm(f - g, p) for name, g in candidates}
@@ -146,12 +147,14 @@ def approx_curve(f: GridFunction, p, k_max: int = K_MAX) -> ApproximationCurve:
 
 def sup_directional(P: GridFunction, alpha, p) -> float:
     """max over the shared direction design of ||D_zeta^alpha P||_p; at
-    p = 2 over its first half (``moduli._sup_directions``), whose negatives
-    give the same Parseval sums bit for bit."""
+    p = 2 a Parseval sum of the closed ``directional_gain`` over the first
+    half of the design (``moduli._sup_directions``), whose negatives give
+    the same sums bit for bit."""
     order = SmoothnessOrder.parse(alpha)
     p = Exponent.parse(p)
     return max(step_norms(P, _sup_directions(direction_design(P.grid.dimension), p),
-                          lambda v: directional_symbol(P.grid, v, order), p))
+                          lambda v: directional_symbol(P.grid, v, order), p,
+                          lambda v: directional_gain(P.grid, v, order)))
 
 
 def _penalty(P: GridFunction, delta: float, order: SmoothnessOrder, p) -> float:

@@ -142,16 +142,21 @@ class TorusGrid:
     """Uniform N^d grid on the torus of period L.
 
     The per-axis tables are built once, with the grid, and are read-only:
-    ``modes`` holds the integer frequencies xi in FFT order, and
-    ``axis_frequencies()`` the physical frequencies 2*pi*xi/L.  Every
-    grid-sized symbol, gain or window is a numpy broadcast over the axis
-    arrays that ``frequencies()`` places along each axis.
+    ``modes`` holds the integer frequencies xi in FFT order,
+    ``axis_frequencies()`` the physical frequencies 2*pi*xi/L, and
+    ``extended_frequencies()`` the same with +pi*N/L appended, the N + 1
+    entries that the Hermitian half of ``spectral._half_frequencies`` takes
+    its views from; the first is a view of the second, so a grid holds one
+    frequency table.  Every grid-sized symbol, gain or window is a numpy
+    broadcast over the axis arrays that ``frequencies()`` places along each
+    axis.
     """
 
     dimension: int
     points_per_axis: int
     period: float
     modes: np.ndarray = field(init=False, repr=False, compare=False)
+    _extended: np.ndarray = field(init=False, repr=False, compare=False)
     _frequencies: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -163,8 +168,11 @@ class TorusGrid:
         if not (self.period > 0):
             raise ParameterError("period must be positive")
         modes = np.fft.fftfreq(n, d=1.0 / n).astype(int)
-        w = 2.0 * math.pi * modes / self.period
-        for name, table in (("modes", modes), ("_frequencies", w)):
+        # the last entry, at the index N/2, is -w of the Nyquist mode -N/2 bit
+        # for bit: +pi N/L, which is no grid mode
+        extended = 2.0 * math.pi * np.append(modes, n // 2) / self.period
+        for name, table in (("modes", modes), ("_extended", extended),
+                            ("_frequencies", extended[:n])):
             table.flags.writeable = False
             object.__setattr__(self, name, table)
 
@@ -203,6 +211,11 @@ class TorusGrid:
         """Physical frequencies 2*pi*xi/L in FFT order along one axis
         (read-only, built once per grid)."""
         return self._frequencies
+
+    def extended_frequencies(self) -> np.ndarray:
+        """``axis_frequencies()`` and one more entry, -w of the Nyquist mode
+        -N/2 (read-only, built once per grid)."""
+        return self._extended
 
     def frequencies(self) -> tuple:
         """Frequency arrays broadcastable to the grid shape, FFT order."""

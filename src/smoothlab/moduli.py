@@ -50,11 +50,13 @@ scaled form 2^a (sum sin^(2a)(th/2) |F|^2)^(1/2), finite for every order
 up to MAX_ORDER.  sin(th/2) comes by angle addition from per-axis sines
 and cosines, which keeps th = 0 an exact 0 on h = (t, -t).  The mixed
 modulus sums its own closed gain, prod_j |2 sin(h_j w_j / 2)|^(2 k_j)
-(``_mixed_gain``).  Both gains are even in w, so each is built and summed
-on the Hermitian half only (``spectral._half_frequencies``), against
-|F|^2 folded onto it once per call.  The outer ``averaged_modulus``
-averages the same step norms.  The series route builds its symbols on
-the whole grid, and at p = 2 sums |symbol|^2 there.
+(``_mixed_gain``), each axis factor over its row max, the scaled form
+that ``spectral.directional_gain`` takes too.  Both gains are even in w,
+so each is built and summed on the Hermitian half only
+(``spectral._half_frequencies``), against |F|^2 folded onto it once per
+call.  The outer ``averaged_modulus`` averages the same step norms.
+The series route has no closed gain: at p = 2 it takes the samples, as
+at every other exponent.
 ``TestParsevalRoute`` in ``tests/test_moduli.py`` checks every p = 2 sup
 and average against ``apply_symbol`` + ``quasi_norm`` at each design
 point.
@@ -101,8 +103,8 @@ import numpy as np
 from .errors import AdmissibilityError, ParameterError
 from .grid import (Exponent, GridFunction, SmoothnessOrder, TorusGrid, is_whole, power,
                    quasi_norm, readonly_array, step_sizes)
-from .spectral import (Direction, _half_frequencies, _hermitian, apply_symbol, derivative_symbol,
-                       multi_indices, step_norms, transform)
+from .spectral import (Direction, _half_frequencies, _hermitian, _scaled_gain, apply_symbol,
+                       derivative_symbol, multi_indices, step_norms, transform)
 
 #: number of step magnitudes sampled per direction when taking the sup
 N_MAGNITUDES = 16
@@ -510,11 +512,11 @@ def modulus(f: GridFunction, delta, alpha, p, method: str = "spectral"):
 
 def _difference(f: GridFunction, a: float, p: Exponent, method: str = "spectral") -> tuple:
     """(symbol_of, gain_of) of the order-a difference of f by ``method`` for
-    ``spectral.step_norms``; the series route has no closed gain (None).  At
-    p = 2 only |symbol| counts (all of the series symbol's, and the closed
-    one's in an underflowing Parseval sum), and |symbol| is L-periodic in
-    each h_j at every order: so there the step is taken mod L, also at a
-    fractional order."""
+    ``spectral.step_norms``; the series route has no closed gain (None), so
+    at p = 2 it takes the samples.  At p = 2 only |symbol| counts (the
+    series symbol's L_2 norm, and the closed one's in an underflowing
+    Parseval sum), and |symbol| is L-periodic in each h_j at every order:
+    so there the step is taken mod L, also at a fractional order."""
     grid, at_2 = f.grid, p.p == 2.0
     closed = method == "spectral"
     return (lambda h: _symbol(f, _mod_period(grid, h) if at_2 else h, a, method),
@@ -628,18 +630,13 @@ def _mixed_gain(grid: TorusGrid, hvec, orders: tuple) -> tuple:
     """|mixed symbol|^2 = prod_j |2 sin(h_j w_j / 2)|^(2 k_j) on the
     Hermitian half, in the scaled form of ``spectral.step_norms``: row by
     row, (max|symbol|, gain) with the gain a product of per-axis vectors,
-    each over its own max.  So the gain's row max is 1, and an axis step,
-    where a factor is 0 everywhere, has scale 0 and reads 0.  Each h_j is
-    taken mod L (``_mod_period``), as by ``difference_gain``."""
-    d = grid.dimension
-    scale, gain = 1.0, 1.0
-    for h, w, k in zip(_mod_period(grid, hvec), _half_frequencies(grid), orders):
-        factor = np.abs(np.sin(0.5 * h * w))
-        top = factor.max(axis=tuple(range(-d, 0)), keepdims=True)
-        factor /= np.where(top > 0, top, 1.0)
-        scale = scale * (2.0 * top) ** k
-        gain = gain * factor ** (2 * k)
-    return np.ravel(scale), gain
+    each over its own max (``spectral._scaled_gain``).  So the gain's row
+    max is 1, and an axis step, where a factor is 0 everywhere, has scale
+    0 and reads 0.  Each h_j is taken mod L (``_mod_period``), as by
+    ``difference_gain``."""
+    return _scaled_gain(grid.dimension, [
+        (2.0 * np.abs(np.sin(0.5 * h * w)), k)
+        for h, w, k in zip(_mod_period(grid, hvec), _half_frequencies(grid), orders)])
 
 
 def averaged_modulus(f: GridFunction, delta, r, p, q, inner: bool = False):

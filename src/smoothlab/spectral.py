@@ -26,18 +26,19 @@ and ``step_norms`` runs it in blocks of consecutive rows (``_blocks``): a
 block's steps reach ``symbol_of`` as per-axis columns, so every symbol
 is one (k, *grid.shape) array.  Off p = 2 a block is one product with
 the spectrum, one inverse FFT in place and one row-wise ``quasi_norms``.
-At p = 2 it applies no symbol: each step is the real Parseval sum
-L^d sum gain |F|^2, with |F|^2 formed once per call and the gain
-|symbol|^2 in a scaled form (scale, gain <= 1), so no power of a large
-order overflows.  The closed gains, ``moduli.difference_gain`` and the
-mixed modulus's, build no complex symbol, and each is even in w: it is
-built and summed on the Hermitian half only, k rows of it per block,
-against |F|^2 folded onto that half once per call (``_fold``).  Any
-other symbol gives |symbol|^2 over its own max, row by row, on the whole
-grid: the series symbol is 0 off the occupied modes, and for a complex f
-it is not even in w.  A sum too small to keep its digits is taken from
-the samples instead.  ``tests/test_moduli.py`` checks every route against
-``apply_symbol`` + ``quasi_norm`` at every design point.  A sup is the
+At p = 2 a route with a closed gain applies no symbol: each step is the
+real Parseval sum L^d sum gain |F|^2, with |F|^2 formed once per call
+and the gain |symbol|^2 in a scaled form (scale, gain <= 1), so no power
+of a large order overflows.  The closed gains, ``moduli.difference_gain``,
+the mixed modulus's and ``directional_gain``, build no complex symbol,
+and each is even in w: it is built and summed on the Hermitian half
+only, k rows of it per block, against |F|^2 folded onto that half once
+per call (``_fold``).  A route without a closed gain, the series route,
+takes the samples at p = 2 as at every other exponent: its symbol is 0
+off the occupied modes, and for a complex f it is not even in w, so it
+can never sum on the half.  A sum too small to keep its digits is taken
+from the samples instead.  ``tests/test_moduli.py`` checks every route
+against ``apply_symbol`` + ``quasi_norm`` at every design point.  A sup is the
 max of ``step_norms``: the moduli take one per delta over the step
 design of ``moduli.step_design``, and ``sup_directional`` one over the
 directions of ``moduli.direction_design``; at p = 2 both keep the first
@@ -191,19 +192,20 @@ def step_norms(f: GridFunction, design, symbol_of, p, gain_of=None) -> list:
     p = 2 a block is one product with the spectrum, one inverse FFT in
     place and one row-wise ``quasi_norms``.
 
-    At p = 2 no symbol is applied.  By discrete Parseval
-    ||g||_2^2 = L^d sum |symbol|^2 |F|^2, so a step is one real sum over the
-    modes: no inverse FFT, no samples.  ``gain_of(h)`` gives the block's
-    closed scaled gain (scale, gain), a fresh real array on the Hermitian
-    half of ``_half_frequencies`` with scale^2 gain = |symbol_of(h)|^2 row
-    by row and gain <= 1, so that no power of a large order overflows; it
-    is summed against (|F| / max|F|)^2 folded onto that half (``_fold``).
-    Without it each row's gain is its |symbol|^2 over its own max, on the
-    whole grid.  The norm is
+    At p = 2 with a closed gain no symbol is applied.  By discrete
+    Parseval ||g||_2^2 = L^d sum |symbol|^2 |F|^2, so a step is one real sum
+    over the modes: no inverse FFT, no samples.  ``gain_of(h)`` gives the
+    block's closed scaled gain (scale, gain), a fresh real array on the
+    Hermitian half of ``_half_frequencies`` with
+    scale^2 gain = |symbol_of(h)|^2 and gain <= 1, so that no power of a
+    large order overflows; scale is one float for the block or one per row.
+    The gain is summed against (|F| / max|F|)^2 folded onto that half
+    (``_fold``).  The norm is
     scale max|F| (L^d sum gain (|F| / max|F|)^2)^(1/2), inf where that is
     beyond the double range.  A sum below _PARSEVAL_FLOOR may have lost
     digits to subnormal terms, or underflowed to 0 where the samples are
-    still representable, so that step is taken from the samples.
+    still representable, so that step is taken from the samples.  Without
+    a closed gain, p = 2 takes the samples as every other exponent does.
     """
     design, grid = np.asarray(design, dtype=float), f.grid
     # the spectrum, which f keeps, is computed before the first symbol or
@@ -211,7 +213,7 @@ def step_norms(f: GridFunction, design, symbol_of, p, gain_of=None) -> list:
     # layout in which every later 2-D step faults in fresh pages
     F = transform(f)
     norms = []
-    if Exponent.parse(p).p != 2.0:
+    if Exponent.parse(p).p != 2.0 or gain_of is None:
         for _, h in _blocks(grid, design):
             g = symbol_of(h)
             # the spectrum first, as in apply_symbol: the other order rounds
@@ -231,17 +233,14 @@ def step_norms(f: GridFunction, design, symbol_of, p, gain_of=None) -> list:
     if top > 0:
         spectrum /= top
     np.square(spectrum, out=spectrum)
-    if gain_of:
-        spectrum = _fold(grid, spectrum)
+    spectrum = _fold(grid, spectrum)
     volume = math.prod([grid.period] * grid.dimension)  # inf, not OverflowError
     for points, h in _blocks(grid, design):
-        scale, gain = gain_of(h) if gain_of else _symbol_gain(symbol_of(h))
+        scale, gain = gain_of(h)
         gain *= spectrum
         sums = gain.reshape(len(points), -1).sum(axis=-1).tolist()
-        # one scale for the block (a closed gain) or one per row
+        # a closed gain is <= 1 and the spectrum finite: every sum is finite
         for x, c, s in zip(points, np.full(len(points), scale).tolist(), sums):
-            if not math.isfinite(s):
-                raise ParameterError("multiplier symbol has non-finite values")
             if s >= _PARSEVAL_FLOOR:
                 norms.append(c * (top * math.sqrt(volume * s)))
             elif c == 0 or top == 0:
@@ -256,17 +255,6 @@ def step_norms(f: GridFunction, design, symbol_of, p, gain_of=None) -> list:
 _PARSEVAL_FLOOR = float(np.finfo(float).tiny / np.finfo(float).eps)
 
 
-def _symbol_gain(symbols: np.ndarray) -> tuple:
-    """(max|symbol|, (|symbol| / max|symbol|)^2) row by row for a block of
-    symbols, one per leading index: the scaled gain of symbols that have no
-    closed one."""
-    gain = np.abs(symbols)
-    top = gain.max(axis=tuple(range(1, gain.ndim)), keepdims=True)
-    gain /= np.where(top > 0, top, 1.0)
-    np.square(gain, out=gain)
-    return top.ravel(), gain
-
-
 def _half_frequencies(grid: TorusGrid) -> tuple:
     """The frequency arrays of the Hermitian half, one per axis, laid along
     the axes as ``TorusGrid.frequencies`` lays them: where every closed
@@ -275,16 +263,17 @@ def _half_frequencies(grid: TorusGrid) -> tuple:
 
     1-D: the FFT indices 0 .. N/2, the Nyquist mode -N/2 last.  2-D: rows
     0 .. N/2 of axis 0 against the N columns of axis 1 and one more column
-    at w_2 = +pi N / L, -w_2 of column N/2 bit for bit.  Row i of that
+    at w_2 = +pi N / L, -w_2 of column N/2 bit for bit.  All are views of
+    the grid's one table ``TorusGrid.extended_frequencies``.  Row i of that
     column is the exact negative of the mode (-i, -N/2): it holds the strip,
     rows N/2 + 1 .. N - 1 of column N/2, whose modes have no partner and lie
     outside the rows, at the value an even gain takes there.  Its rows 0 and
     N/2 stand for no mode and weigh 0 in ``_fold``.
     """
-    w, n = grid.axis_frequencies(), grid.points_per_axis // 2
+    w, n = grid.extended_frequencies(), grid.points_per_axis // 2
     if grid.dimension == 1:
         return (w[:n + 1],)
-    return w[:n + 1, None], np.append(w, -w[n])[None, :]
+    return w[:n + 1, None], w[None, :]
 
 
 def _fold(grid: TorusGrid, spectrum: np.ndarray) -> np.ndarray:
@@ -376,10 +365,53 @@ def directional_symbol(grid: TorusGrid, vector, order: SmoothnessOrder) -> np.nd
 
 
 def _directional_symbol(freqs: tuple, vector, order: SmoothnessOrder) -> np.ndarray:
-    dot = sum(z * w for z, w in zip(vector, freqs))
-    if power(float(np.abs(dot).max()), order.alpha) == math.inf:
-        raise ParameterError(f"order {order.alpha:g} too large: |(w, zeta)|^alpha overflows")
+    dot = _refuse_overflow(_directional_dot(freqs, vector), order)
     return np.power(1j * dot, order.alpha)
+
+
+def _directional_dot(freqs: tuple, vector) -> np.ndarray:
+    """(w, zeta) over ``freqs``, a fresh array."""
+    return sum(z * w for z, w in zip(vector, freqs))
+
+
+def _refuse_overflow(dot: np.ndarray, order: SmoothnessOrder) -> np.ndarray:
+    """``dot``, values of (w, zeta) or their moduli, refused where the
+    |(w, zeta)|^alpha of a symbol or gain overflows."""
+    if power(max(float(dot.max()), -float(dot.min())), order.alpha) == math.inf:
+        raise ParameterError(f"order {order.alpha:g} too large: |(w, zeta)|^alpha overflows")
+    return dot
+
+
+def directional_gain(grid: TorusGrid, vector, order: SmoothnessOrder) -> tuple:
+    """|directional_symbol|^2 = |(w, zeta)|^(2 alpha) on the Hermitian half
+    of ``_half_frequencies``, in the scaled form of ``step_norms``: row by
+    row, (max|(w, zeta)|^alpha, (|(w, zeta)| / max|(w, zeta)|)^(2 alpha)).
+    It is even in w, and the half holds every |(w, zeta)| of the grid, the
+    strip's as the exact negatives, so it is the whole grid's gain there,
+    bit for bit.  In 2-D the strip column's row N/2, at (-pi N/L, +pi N/L),
+    is no grid mode and weighs 0 in ``_fold``; it is set to 0, so that it
+    can set neither the max nor a refusal.  Refused, as the symbol is,
+    where |(w, zeta)|^alpha overflows."""
+    magnitude = np.abs(_directional_dot(_half_frequencies(grid), vector))
+    if grid.dimension == 2:
+        magnitude[..., -1, -1] = 0.0
+    return _scaled_gain(grid.dimension, [(_refuse_overflow(magnitude, order), order.alpha)])
+
+
+def _scaled_gain(dimension: int, factors) -> tuple:
+    """prod_j factor_j^(2 k_j) in the scaled form of ``step_norms``, for
+    ``factors`` pairs (factor_j, k_j) of fresh real arrays >= 0 whose last
+    ``dimension`` axes are the grid's: row by row, each factor is divided by
+    its own max, and the scale is prod_j max^k_j.  So a row's gain is <= 1,
+    and a row whose factor is 0 everywhere has scale 0 and reads 0.
+    Private, so that a traced run adds no span."""
+    scale, gain = 1.0, 1.0
+    for factor, k in factors:
+        top = factor.max(axis=tuple(range(-dimension, 0)), keepdims=True)
+        factor /= np.where(top > 0, top, 1.0)
+        scale = scale * top ** k
+        gain = gain * factor ** (2 * k)
+    return np.ravel(scale), gain
 
 
 def directional_derivative(f: GridFunction, zeta: Direction, alpha) -> GridFunction:
@@ -427,7 +459,7 @@ def band_windows(grid: TorusGrid, sigma: float) -> dict:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=256)
-def _interp_v_axis_matrix(grid: TorusGrid, sigma: float, lam: float, r: int):
+def _interp_v_axis_matrix(grid: TorusGrid, sigma: float, lam: float):
     """Fold of the 1-D sampling operator: (targets, weights, n_samples).
 
     Coefficient xi goes to grid mode ``targets[xi]`` with factor
@@ -435,7 +467,7 @@ def _interp_v_axis_matrix(grid: TorusGrid, sigma: float, lam: float, r: int):
     read-only, because every caller with the same key shares them.
 
     With n = L sigma samples, Poisson summation turns the periodized
-    kernel of phi(x) = (1 + i x^(2r+1)) cutoff(|x|) into the modes
+    kernel of phi(x) = (1 + i x^3) cutoff(|x|) into the modes
     x_q = 2 pi q / n with |q| <= J = floor(n / 2 pi), and the sampling sum
     into a fold of the coefficients mod n.  So xi, centred mod n to
     q in (-n/2, n/2], lands on grid mode q mod N with weight
@@ -451,7 +483,7 @@ def _interp_v_axis_matrix(grid: TorusGrid, sigma: float, lam: float, r: int):
     half = (n_samples - 1) // 2
     q = np.mod(grid.modes + half, n_samples) - half
     x = 2.0 * math.pi * q / n_samples
-    phi = (1.0 + 1j * (-x) ** (2 * r + 1)) * smooth_cutoff(np.abs(x))
+    phi = (1.0 + 1j * (-x) ** 3) * smooth_cutoff(np.abs(x))
     weights = phi * np.exp(-1j * x * sigma * lam) * np.exp(1j * grid.axis_frequencies() * lam)
     targets = np.mod(q, grid.points_per_axis)
     targets.flags.writeable = False
@@ -459,17 +491,17 @@ def _interp_v_axis_matrix(grid: TorusGrid, sigma: float, lam: float, r: int):
     return targets, weights, n_samples
 
 
-def interp_V(f: GridFunction, sigma: float, lam: float = 0.0, r: int = 1) -> GridFunction:
+def interp_V(f: GridFunction, sigma: float, lam: float = 0.0) -> GridFunction:
     """Bandlimited quasi-interpolant from samples at spacing 1/sigma, offset lam,
     on a 1-D grid.
 
     V f(x) = sum_j f(lam + j / sigma) K(sigma (x - lam) - j), with K the
-    inverse transform of phi(x) = (1 + i x^(2r+1)) cutoff(|x|); it is
+    inverse transform of phi(x) = (1 + i x^3) cutoff(|x|); it is
     applied as the Fourier fold of ``_interp_v_axis_matrix`` on the
     spectrum of f, followed by one inverse.  The result is entire of
     exponential type sigma, so it lies in the band |w| <= sigma, and it
     reproduces modes with |w| <= sigma/2 up to the factor
-    (1 - i (w/sigma)^(2r+1)).  A 2-D grid is refused: the tensor composite
+    (1 - i (w/sigma)^3).  A 2-D grid is refused: the tensor composite
     of the 1-D operator fills the square |w_j| <= sigma, not the disk.
     """
     grid = f.grid
@@ -477,7 +509,7 @@ def interp_V(f: GridFunction, sigma: float, lam: float = 0.0, r: int = 1) -> Gri
         raise ParameterError("the sampling operator is 1-D only")
     if not (0 < sigma <= grid.nyquist):
         raise ParameterError("sampling band outside (0, nyquist]")
-    targets, weights, _ = _interp_v_axis_matrix(grid, sigma, lam, r)
+    targets, weights, _ = _interp_v_axis_matrix(grid, sigma, lam)
     F = transform(f)
     out = np.zeros_like(F)
     np.add.at(out, targets, F * weights)

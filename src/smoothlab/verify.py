@@ -593,6 +593,10 @@ NO_ODD_SUM = Gate(
     lambda wb, a: not (_whole(a.alpha + a.gamma) and int(round(a.alpha + a.gamma)) % 2 == 1),
     "alpha + gamma off the odd whole numbers, where the multiplier argument breaks down",
 )
+#: the HLN rows draw polynomials of band 2, 4, ...: below band 2 pi/L they are constant
+HLN_BAND = Gate(lambda wb, a: _band_holds(wb, a, 2.0),
+                "a grid band [2 pi/L, pi N/L] that holds 2, so that the band-2 polynomials"
+                " are not constant", ParameterError)
 
 
 @dataclass
@@ -1110,13 +1114,14 @@ TABLE = (
     Check("NIK", _nik, {"p": EXP, "q": EXP, "d": (int, 1)}, (P_BELOW_Q,), opts=LARGE,
           notes=("witness family: dilated triangle-spectrum kernels",)),
     Check("HLN1", _hln(2000, _hln1), {**HLN_PARAMS, "q": EXP, "d": (int, 1)},
-          (P_SMALL, Q_OPEN, NO_ODD_SUM), opts=LARGE, derive=_hln_gamma),
+          (P_SMALL, Q_OPEN, NO_ODD_SUM, HLN_BAND), opts=LARGE, derive=_hln_gamma),
     Check("HLN2", _hln(3000, _hln2), {**HLN_PARAMS, "q": EXP, "d": (int, 2)},
           (MULTIVARIATE, P_SMALL, Gate(lambda wb, a: a.q.p > 1.0, "q > 1"),
            Gate(lambda wb, a: a.gamma >= 1.0, "d(1 - 1/q) >= 1"),
-           Gate(lambda wb, a: _whole(a.alpha + a.gamma), "alpha + gamma a whole number")),
+           Gate(lambda wb, a: _whole(a.alpha + a.gamma), "alpha + gamma a whole number"),
+           HLN_BAND),
           opts=LARGE, derive=_hln_gamma),
-    Check("HLN3", _hln(4000, _hln3), {**HLN_PARAMS, "d": (int, 1)}, (P_OPEN,),
+    Check("HLN3", _hln(4000, _hln3), {**HLN_PARAMS, "d": (int, 1)}, (P_OPEN, HLN_BAND),
           opts=LARGE, derive=lambda a: {"gamma": a.d / a.p.p}),
 )
 

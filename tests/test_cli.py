@@ -394,6 +394,24 @@ class TestBadInputExitsTwo:
         msg = self.run_bad(capsys, caplog, "verify", *argv, "--config", str(cfg))
         assert argv[0] in msg
 
+    @pytest.mark.parametrize("scale, argv", [
+        ("scale_1d", ("HLN1", "--alpha", "1", "--p", "0.5", "--q", "2")),
+        ("scale_1d", ("HLN3", "--alpha", "1", "--p", "2")),
+        ("scale_2d", ("HLN2", "--alpha", "1", "--p", "1", "--q", "2", "--d", "2")),
+    ])
+    def test_hln_rows_need_a_period_of_pi(self, capsys, caplog, tmp_path, scale, argv):
+        # below L = pi the lowest grid band 2 pi/L is past 2, and the band-2
+        # polynomials are constant: HLN1 and HLN3 once passed on them
+        cfg = tmp_path / "cfg.json"
+        for period, code in ((3.0, 2), (3.2, 0)):
+            cfg.write_text(json.dumps({scale: {"N": 256 if scale == "scale_1d" else 32,
+                                               "L": period}}))
+            if code == 2:
+                assert argv[0] in self.run_bad(capsys, caplog, "verify", *argv,
+                                               "--config", str(cfg))
+            else:
+                assert run(capsys, "verify", *argv, "--config", str(cfg))[0] == code
+
     @pytest.mark.parametrize("key, value", [
         ("max_ratio", 100.0), ("slope_tol", 0.05), ("band_limit", 50.0), ("exact_tol", 1e-9),
         ("k_max_1d", 6), ("k_max_2d", 5),

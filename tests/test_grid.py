@@ -176,6 +176,10 @@ class TestFrequencyTables:
         assert g.axis_frequencies() is g.axis_frequencies()
         assert list(g.modes) == [0, 1, 2, 3, 4, 5, 6, 7, -8, -7, -6, -5, -4, -3, -2, -1]
         assert np.array_equal(g.axis_frequencies(), 2.0 * math.pi * g.modes / 10.0)
+        # the Hermitian half's table: one more entry, +pi N/L, -w of mode -N/2
+        w = g.extended_frequencies()
+        assert w is g.extended_frequencies() and not w.flags.writeable
+        assert np.array_equal(w, np.append(g.axis_frequencies(), -g.axis_frequencies()[8]))
         # the tables are not part of the grid's value
         assert g == make_grid(1, 16, 10.0) and hash(g) == hash(make_grid(1, 16, 10.0))
 

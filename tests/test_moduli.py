@@ -443,17 +443,27 @@ def _full_directional(freqs, vector, alpha):
     return np.power(1j * sum(z * w for z, w in zip(vector, freqs)), alpha)
 
 
+def _full_directional_gain(freqs, vector, alpha):
+    """(|(w, zeta)| / its row max)^(2 alpha) over ``freqs``."""
+    dot = np.abs(sum(z * w for z, w in zip(vector, freqs)))
+    return (dot / dot.max(axis=tuple(range(-len(freqs), 0)), keepdims=True)) ** (2 * alpha)
+
+
 #: (the closed build, its full-grid reference, its 1-D steps or directions):
 #: the single steps of SYMBOL_CASES and the +- block of a p = 1/2 design,
-#: or both directions and their block, a block as per-axis columns
+#: or both directions and their block, a block as per-axis columns; a
+#: kind whose name ends in "gain" is built on the Hermitian half only
 _BLOCK = step_design(0.6, direction_design(1), 0.5)
 _STEPS = SYMBOL_CASES[0][1] + [tuple(_BLOCK.T.reshape(1, -1, 1))]
+_DIRECTIONS = [(1.0,), (-1.0,), tuple(np.sign(_BLOCK).T.reshape(1, -1, 1))]
 HALF_BUILDS = {
     "symbol": (difference_symbol, _full_symbol, _STEPS),
     "gain": (lambda grid, h, a: difference_gain(grid, h, a)[1], _full_gain, _STEPS),
     "directional": (lambda grid, z, a: spectral.directional_symbol(grid, z, SmoothnessOrder(a)),
-                    _full_directional,
-                    [(1.0,), (-1.0,), tuple(np.sign(_BLOCK).T.reshape(1, -1, 1))]),
+                    _full_directional, _DIRECTIONS),
+    "directional gain": (
+        lambda grid, z, a: spectral.directional_gain(grid, z, SmoothnessOrder(a))[1],
+        _full_directional_gain, _DIRECTIONS),
 }
 
 
@@ -487,7 +497,7 @@ class TestHermitianHalf:
         freqs, n = grid.frequencies(), n_points // 2
         for h in steps:
             got = built(grid, h, alpha)
-            if kind == "gain":
+            if kind.endswith("gain"):
                 _assert_the_half_of(got, full(freqs, h, alpha))
             else:
                 assert np.array_equal(got, full(freqs, h, alpha))
@@ -503,11 +513,11 @@ class TestHermitianHalf:
     def test_2d_builds_the_whole_grid(self, kind, alpha):
         built, full, _ = HALF_BUILDS[kind]
         grid, steps = SYMBOL_CASES[1]
-        if kind == "directional":
+        if kind.startswith("directional"):
             steps = [(0.6, 0.8), (-0.8, 0.6)]
         for h in steps:
             got = built(grid, h, alpha)
-            if kind == "gain":
+            if kind.endswith("gain"):
                 _assert_the_half_of(got, full(grid.frequencies(), h, alpha))
                 continue
             assert got.shape == grid.shape
@@ -516,7 +526,8 @@ class TestHermitianHalf:
 
 #: the raw builds behind HALF_BUILDS, by module, as ``_hermitian`` calls them
 RAW_BUILDS = {"symbol": (moduli, "_closed_symbol"), "gain": (moduli, "_closed_gain"),
-              "directional": (spectral, "_directional_symbol")}
+              "directional": (spectral, "_directional_symbol"),
+              "directional gain": (spectral, "_directional_dot")}
 
 
 @pytest.fixture
@@ -543,6 +554,7 @@ PAIRED_STEPS = {
     "symbol": [_BLOCK[:, 0], 100.0 / 0.6 * _BLOCK[:, 0]],
     "gain": [_BLOCK[:, 0], 100.0 / 0.6 * _BLOCK[:, 0]],
     "directional": [[1.0, -1.0, 1.0, -1.0]],
+    "directional gain": [[1.0, -1.0, 1.0, -1.0]],
 }
 
 
@@ -560,7 +572,7 @@ class TestPairedSteps:
         grid = TorusGrid(1, n_points, 40.0)
         for steps in PAIRED_STEPS[kind]:
             got = built(grid, _columns(steps), alpha)
-            assert built_rows[kind][-1] == len(steps) // (1 if kind == "gain" else 2)
+            assert built_rows[kind][-1] == len(steps) // (1 if kind.endswith("gain") else 2)
             assert np.array_equal(got, [built(grid, (h,), alpha) for h in steps])
             assert got.flags.writeable and got.flags.owndata
             if kind == "symbol":  # a gain is even in h, and so is (i w)^2
@@ -584,7 +596,7 @@ class TestPairedSteps:
         steps = tuple(np.array([c, -c]).reshape(2, 1, 1) for c in z)
         got = built(grid, steps, 1.5)
         assert built_rows[kind] == [2]
-        if kind == "gain":
+        if kind.endswith("gain"):
             _assert_the_half_of(got, full(grid.frequencies(), steps, 1.5))
         else:
             assert got.tobytes() == full(grid.frequencies(), steps, 1.5).tobytes()
@@ -863,7 +875,6 @@ class TestParsevalRoute:
         monkeypatch.setattr(np.fft, "ifftn", lambda a, **kw: calls.append(1) or real(a, **kw))
         d = smooth.grid.dimension
         modulus(smooth, 0.6, 1.5, 2.0)
-        modulus(smooth, 0.6, 1.5, 2.0, method="series")
         partial_modulus(smooth, 0, 0.6, 2, 2.0)
         mixed_modulus(smooth, (1,) * d, 0.6, 2.0)
         sup_directional(smooth, 1.5, 2.0)
@@ -959,7 +970,7 @@ class TestHalfDesign:
         order = SmoothnessOrder(alpha)
         full = spectral.step_norms(smooth, direction_design(smooth.grid.dimension),
                                    lambda v: spectral.directional_symbol(smooth.grid, v, order),
-                                   2.0)
+                                   2.0, lambda v: spectral.directional_gain(smooth.grid, v, order))
         half = len(full) // 2
         assert full[half:] == full[:half]
         assert sup_directional(smooth, alpha, 2.0) == max(full)
@@ -1022,8 +1033,8 @@ def _full_mixed_gain(freqs, hvec, orders):
 
 class TestParsevalHalf:
     """At p = 2 a closed gain is built and summed on the Hermitian half,
-    against the power spectrum folded onto it; symbol routes keep the whole
-    grid."""
+    against the power spectrum folded onto it; a route without one takes
+    the samples."""
 
     @pytest.mark.parametrize("case", sorted(FOLD_CASES))
     def test_a_closed_gain_sums_on_the_half_as_on_the_whole_grid(self, case):
@@ -1042,6 +1053,11 @@ class TestParsevalHalf:
             for orders in [(1, 1), (2, 1), (1, 3)]:
                 got = np.sum(moduli._mixed_gain(grid, h, orders[:d])[1] * folded)
                 want = np.sum(_full_mixed_gain(freqs, h, orders[:d]) * power)
+                assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+            for alpha in (0.5, 1.5, 2.0, 3.0):
+                gain = spectral.directional_gain(grid, h, SmoothnessOrder(alpha))[1]
+                got = np.sum(gain * folded)
+                want = np.sum(_full_directional_gain(freqs, h, alpha) * power)
                 assert got == pytest.approx(want, rel=1e-14, abs=0.0)
 
     def test_the_strip_holds_what_no_pair_can(self):
@@ -1078,13 +1094,19 @@ class TestParsevalHalf:
         assert mixed_modulus(smooth, orders, 0.6, 2.0) > 0.0
         assert calls == []
 
-    def test_the_series_route_sums_the_whole_grid(self):
+    def test_the_series_route_takes_the_samples(self, monkeypatch):
         # the series symbol is 0 off the occupied modes, and for a complex f
-        # it is not even in w: summed on a folded half it would read 0.8725
+        # it is not even in w: summed on a folded half it would read 0.8725.
+        # It has no closed gain, so at p = 2 its one block of 16 steps is
+        # one inverse FFT, and the closed route's sums take none
+        calls, real = [], np.fft.ifftn
+        monkeypatch.setattr(np.fft, "ifftn", lambda a, **kw: calls.append(1) or real(a, **kw))
         f = _two_modes(64)
         series = modulus(f, 0.5, 1.5, 2.0, method="series")
+        assert calls == [1]
         assert series == pytest.approx(modulus(f, 0.5, 1.5, 2.0), rel=1e-8, abs=0.0)
         assert series == pytest.approx(2.5100, abs=1e-4)
+        assert calls == [1]
 
 
 # ---------------------------------------------------------------------------
@@ -1202,19 +1224,15 @@ class TestBlockedSteps:
         lambda f: mixed_modulus(f, (300,) * f.grid.dimension, 0.01, 2.0),
     ])
     def test_each_row_of_a_symbol_gain_keeps_its_own_scale(self, desk, step_calls, route):
-        # the directional symbol has no closed gain; the mixed modulus has one,
-        # scaled as a symbol's: max|symbol| row by row, and each row's max 1
+        # the directional and mixed gains are scaled as a symbol's: max|symbol|
+        # row by row, computed from the real factors, and each row's max 1
         route(desk)
         [(f, design, symbol_of, q, gain_of, norms)] = step_calls
         assert norms == [spectral.step_norms(f, [x], symbol_of, q, gain_of)[0] for x in design]
         columns = next(spectral._blocks(f.grid, np.array(design)))[1]
-        block = symbol_of(columns)
-        tops, gain = gain_of(columns) if gain_of else spectral._symbol_gain(block.copy())
-        want = [float(np.abs(row).max()) for row in block]
-        if gain_of:
-            assert tops.tolist() == pytest.approx(want, rel=1e-13, abs=0.0)
-        else:
-            assert tops.tolist() == want
+        tops, gain = gain_of(columns)
+        want = [float(np.abs(row).max()) for row in symbol_of(columns)]
+        assert tops.tolist() == pytest.approx(want, rel=1e-13, abs=0.0)
         assert all(row.max() == 1.0 for row in gain if row.any())
 
 
@@ -1267,6 +1285,7 @@ def test_the_difference_of_a_real_function_is_real():
     (lambda f: modulus(f, 0.6, 1.0, 0.5), "moduli.difference_symbol"),
     (lambda f: modulus(f, 0.6, 1.0, 2.0), "moduli.difference_gain"),
     (lambda f: sup_directional(f, 1.0, 1.0), "approx.directional_symbol"),
+    (lambda f: sup_directional(f, 1.0, 2.0), "approx.directional_gain"),
 ])
 def test_spectrum_before_the_first_symbol(monkeypatch, call, builder):
     # step_norms, the one home of the rule, takes the spectrum before the

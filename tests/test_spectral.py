@@ -3,14 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from smoothlab.approx import _sampling_offsets
+from smoothlab.approx import _sampling_offsets, sup_directional
 from smoothlab.errors import ParameterError
-from smoothlab.grid import GridFunction, TorusGrid, quasi_norm
+from smoothlab.grid import GridFunction, SmoothnessOrder, TorusGrid, quasi_norm
 from smoothlab.spectral import (
     Direction,
     apply_symbol,
     band_windows,
     directional_derivative,
+    directional_gain,
+    directional_symbol,
     frequency_magnitude,
     interp_V,
     smooth_cutoff,
@@ -90,6 +92,16 @@ class TestDirection:
 
 
 class TestDerivatives:
+    def test_an_overflowing_order_is_refused_by_symbol_and_gain(self):
+        # |(w, zeta)| reaches pi N / L = 2e202 on this grid: its square overflows
+        grid, order = TorusGrid(1, 64, 1e-200), SmoothnessOrder(2.0)
+        for build in (directional_symbol, directional_gain):
+            with pytest.raises(ParameterError, match=r"order 2 too large: \|\(w, zeta\)\|\^alpha"):
+                build(grid, (1.0,), order)
+        for p in (1.0, 2.0):
+            with pytest.raises(ParameterError, match="alpha overflows"):
+                sup_directional(GridFunction(grid, np.ones(64)), 2.0, p)
+
     def test_plane_wave_oracle(self, grid):
         # D^a e^{ikx} = (ik)^a e^{ikx}; modulus |k|^a
         f = plane_wave(grid, 2.0)
@@ -208,21 +220,21 @@ class TestSamplingOperator:
 # dense reference: the N x n_samples kernel form of the sampling operator
 # ---------------------------------------------------------------------------
 
-def _periodized_kernel(u, k, n_samples, r):
+def _periodized_kernel(u, k, n_samples):
     """Exact periodization of K(t) = int phi(xi) exp(-i t xi) dxi."""
     j_max = int(math.floor(n_samples / (2.0 * math.pi)))
     xi = 2.0 * math.pi * np.arange(-j_max, j_max + 1) / n_samples
-    phi = (1.0 + 1j * xi ** (2 * r + 1)) * smooth_cutoff(np.abs(xi))
+    phi = (1.0 + 1j * xi ** 3) * smooth_cutoff(np.abs(xi))
     left = np.exp(-1j * np.outer(u, xi)) * phi
     right = np.exp(1j * np.outer(xi, k))
     return np.real(left @ right) * (2.0 * math.pi / n_samples)
 
 
-def _dense_kernel(grid, sigma, lam, r):
+def _dense_kernel(grid, sigma, lam):
     n_samples = int(round(grid.period * sigma))
     x = grid.axis_coords()
     kernel = _periodized_kernel(
-        sigma * (x - lam), np.arange(n_samples, dtype=float), n_samples, r
+        sigma * (x - lam), np.arange(n_samples, dtype=float), n_samples
     )
     return kernel / (2.0 * math.pi), n_samples
 
@@ -238,9 +250,9 @@ def _dense_samples(values, grid, n_samples, lam):
     return np.fft.ifft(folded) * n_samples
 
 
-def dense_interp_V(f, sigma, lam, r):
+def dense_interp_V(f, sigma, lam):
     """Sample f at spacing 1/sigma and apply the dense kernel."""
-    kernel, n_samples = _dense_kernel(f.grid, sigma, lam, r)
+    kernel, n_samples = _dense_kernel(f.grid, sigma, lam)
     return _dense_samples(f.values, f.grid, n_samples, lam) @ kernel.T
 
 
@@ -257,16 +269,15 @@ class TestSamplingFold:
     @pytest.mark.parametrize("sigma", [1.0, 64.0])  # n = 40 < N and n = 2560 > N
     def test_1d_matches_dense_kernel(self, sigma):
         f = random_function(TorusGrid(1, 1024, 40.0), seed=11)
-        for r in (1, 2):
-            for lam in _sampling_offsets(sigma):
-                ref = dense_interp_V(f, sigma, lam, r)
-                got = interp_V(f, sigma, lam, r).values
-                assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+        for lam in _sampling_offsets(sigma):
+            ref = dense_interp_V(f, sigma, lam)
+            got = interp_V(f, sigma, lam).values
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_cached_arrays_are_small_and_read_only(self):
         grid = TorusGrid(1, 1024, 40.0)
         for sigma in (1.0, 64.0):
-            targets, weights, n_samples = _interp_v_axis_matrix(grid, sigma, 0.125, 1)
+            targets, weights, n_samples = _interp_v_axis_matrix(grid, sigma, 0.125)
             assert n_samples == int(40 * sigma)
             for arr in (targets, weights):
                 assert arr.size <= grid.points_per_axis
